@@ -18,7 +18,6 @@ from .design import (
 from .estimators import (
     Estimate,
     WeightSpec,
-    regression_coefficient,
     y_com_di,
     y_di,
     y_dr,

@@ -8,55 +8,50 @@ sample, and ``test`` runs the coefficient-homogeneity diagnostic.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import estimators as est
 from . import homogeneity as homog
-from .design import design_to_csv, equal_probabilities, optimal_probabilities, pps_probabilities
-from .errors import ConfigError, SeqdiError, SingularVariance
-from .harness import DESIGN_KINDS, McConfig, emit_results, run_mc
+from .design import DESIGN_KINDS, build_design, design_to_csv
+from .errors import ConfigError, ParseError, SeqdiError, SingularVariance
+from .harness import McConfig, emit_results, run_mc
 from .pilot import fit_pilot
-from .population import load_population_csv
+from .population import _parse_float, load_population_csv
 
-DEFAULT_SEED = 20240901
-
-_SCHEMA = {
-    "replications": ("integer", int),
-    "seed": ("integer", int),
-    "mechanism": ("string", str),
-    "f_np": ("number", (int, float)),
-    "f_p": ("number", (int, float)),
-    "designs": ("array of strings", list),
-    "estimators": ("array of strings", list),
-    "alpha": ("number", (int, float)),
-    "level": ("number", (int, float)),
-    "population": ("object with N, beta, sigma", dict),
-    "population_csv": ("string", str),
-    "slopes": ("array of numbers", list),
-    "n_p": ("integer", int),
-    "fgls_iterations": ("integer", int),
-    "include_model_variance": ("boolean", bool),
-    "run_test": ("boolean", bool),
+# JSON name and accepted Python types of each McConfig field annotation.
+_JSON_TYPES = {
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+    bool: ("a boolean", bool),
+    tuple: ("an array", list),
+    dict: ("an object", dict),
 }
 
 
 def _validate_config(raw: dict) -> dict:
+    """Check keys and JSON types against McConfig's fields; the key
+    ``population`` stands for ``population_params``."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(McConfig)}
+    fields["population"] = fields.pop("population_params")
     for key, value in raw.items():
-        if key not in _SCHEMA:
+        if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
-        expected_name, expected_type = _SCHEMA[key]
-        if isinstance(value, bool) and expected_type in (int, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a {expected_name}")
-        if not isinstance(value, expected_type):
-            raise ConfigError(f"config key {key!r} must be a {expected_name}")
-    if "replications" not in raw:
-        raise ConfigError("config key 'replications' is required (integer)")
+        annotation = fields[key].type
+        name, accepted = _JSON_TYPES[(typing.get_args(annotation) or (annotation,))[0]]
+        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be {name}")
+    for key, field in fields.items():
+        if field.default is dataclasses.MISSING and key not in raw:
+            raise ConfigError(f"config key {key!r} is required")
     if "population" in raw:
         popblock = raw["population"]
         for key, name in (("N", "integer"), ("beta", "array of 4 numbers"),
@@ -84,21 +79,13 @@ def _config_from_json(path, seed_flag, full_scale):
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    raw = _validate_config(raw)
-    kwargs = dict(raw)
+    kwargs = dict(_validate_config(raw))
     if "population" in kwargs:
         kwargs["population_params"] = kwargs.pop("population")
     if seed_flag is not None:
         kwargs["seed"] = seed_flag
-    kwargs.setdefault("seed", DEFAULT_SEED)
     if full_scale:
         kwargs["replications"] = 100_000
-    if "designs" in kwargs:
-        kwargs["designs"] = tuple(kwargs["designs"])
-    if "estimators" in kwargs:
-        kwargs["estimators"] = tuple(kwargs["estimators"])
-    if "slopes" in kwargs:
-        kwargs["slopes"] = tuple(kwargs["slopes"])
     return McConfig(**kwargs)
 
 
@@ -119,7 +106,7 @@ def _print_summary(summary):
 
 
 def _load_sample_csv(path):
-    """Sample file with columns id, pi, and optional y."""
+    """Sample file with columns id (unique), pi in (0, 1], and optional y."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [line for line in handle if not line.startswith("#")]
     reader = csv.DictReader(rows)
@@ -127,13 +114,20 @@ def _load_sample_csv(path):
     for required in ("id", "pi"):
         if required not in header:
             raise ConfigError(f"sample file needs column {required!r}")
-    ids, pis, ys = [], [], []
-    for record in reader:
-        ids.append(record["id"])
-        pis.append(float(record["pi"]))
+    rows_by_id, pis, ys = {}, [], []
+    for i, record in enumerate(reader, start=1):
+        uid = record["id"]
+        if uid in rows_by_id:
+            raise ParseError(f"id {uid!r} repeated in rows {rows_by_id[uid]} and {i}", row=i,
+                             column="id")
+        rows_by_id[uid] = i
+        pis.append(_parse_float(record["pi"], i, "pi"))
+        if not 0.0 < pis[-1] <= 1.0:
+            raise ParseError(f"pi = {record['pi']} outside (0, 1] in row {i}", row=i, column="pi")
         if "y" in header:
-            ys.append(float(record["y"]))
-    return ids, np.asarray(pis, dtype=float), (np.asarray(ys, dtype=float) if ys else None)
+            ys.append(_parse_float(record["y"], i, "y"))
+    return (list(rows_by_id), np.asarray(pis, dtype=float),
+            np.asarray(ys, dtype=float) if ys else None)
 
 
 def _split_by_delta(data):
@@ -145,7 +139,14 @@ def _split_by_delta(data):
 
 def cmd_simulate(args):
     config = _config_from_json(args.config, args.seed, args.full_scale)
-    summary = run_mc(config, threads=args.threads, progress=True)
+    threads = args.threads
+    if threads is None:
+        raw = os.environ.get("SEQDI_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(f"SEQDI_THREADS must be an integer, got {raw!r}") from None
+    summary = run_mc(config, threads=threads, progress=True)
     paths = emit_results(summary, args.out)
     _print_summary(summary)
     print("wrote:", ", ".join(paths))
@@ -155,8 +156,6 @@ def cmd_simulate(args):
 def cmd_design(args):
     data = load_population_csv(args.pop)
     pop = data.population
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-
     if args.pilot is not None:
         pilot_data = load_population_csv(args.pilot)
         pilot_x, pilot_y = pilot_data.population.x, pilot_data.population.y
@@ -167,16 +166,9 @@ def cmd_design(args):
         frame_idx = u1
 
     frame_ids = [data.ids[i] for i in frame_idx]
-    if args.kind == "optimal":
-        model = fit_pilot(pilot_x, pilot_y)
-        dsgn = optimal_probabilities(model, pop.x[frame_idx], args.np_size, indices=frame_idx)
-    elif args.kind == "equal":
-        dsgn = equal_probabilities(len(frame_idx), args.np_size, indices=frame_idx)
-    else:
-        if pop.x.shape[1] < 2:
-            raise ConfigError("pps design needs a size covariate x1")
-        dsgn = pps_probabilities(pop.x[frame_idx, 1], args.np_size, indices=frame_idx)
-    design_to_csv(dsgn, args.out, ids=frame_ids, seed=seed)
+    pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
+    dsgn = build_design(args.kind, pop.x[frame_idx], args.np_size, pilot, frame_idx)
+    design_to_csv(dsgn, args.out, ids=frame_ids, seed=args.seed)
     print(f"wrote {args.out}: {len(frame_ids)} rows, total pi = {float(np.sum(dsgn.pi)):.6f}")
     return 0
 
@@ -236,9 +228,8 @@ def cmd_estimate(args):
         print(f"{record.tag}: point={record.point:.6g}{var}{ci}")
 
     if args.out:
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            handle.write(f"# seed={seed}\n")
+            handle.write(f"# seed={args.seed}\n")
             writer = csv.writer(handle)
             writer.writerow(["tag", "point", "variance", "ci_low", "ci_high"])
             for record in out_rows:
@@ -275,7 +266,7 @@ def build_parser():
     sim.add_argument("--config", required=True, help="path to the JSON experiment config")
     sim.add_argument("--out", required=True, help="output directory for result files")
     sim.add_argument("--seed", type=int, default=None,
-                     help=f"override the config seed (default {DEFAULT_SEED})")
+                     help=f"override the config seed (default {McConfig.seed})")
     sim.add_argument("--threads", type=int, default=None,
                      help="worker processes; defaults to SEQDI_THREADS or 1")
     sim.add_argument("--full-scale", action="store_true",
@@ -290,7 +281,7 @@ def build_parser():
                      help="expected Poisson sample size")
     dsg.add_argument("--kind", choices=DESIGN_KINDS, default="optimal")
     dsg.add_argument("--out", required=True, help="output CSV (id, pi, kind)")
-    dsg.add_argument("--seed", type=int, default=None)
+    dsg.add_argument("--seed", type=int, default=McConfig.seed)
     dsg.set_defaults(func=cmd_design)
 
     estp = sub.add_parser("estimate", help="one-shot estimation on a realized sample")
@@ -301,7 +292,7 @@ def build_parser():
     estp.add_argument("--weights", choices=("b", "sigma"), default="b",
                       help="regression weights: inverse-probability (b) or variance scaled (sigma)")
     estp.add_argument("--out", default=None, help="optional output CSV")
-    estp.add_argument("--seed", type=int, default=None)
+    estp.add_argument("--seed", type=int, default=McConfig.seed)
     estp.set_defaults(func=cmd_estimate)
 
     tst = sub.add_parser("test", help="coefficient homogeneity test")
@@ -316,8 +307,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = int(os.environ.get("SEQDI_THREADS", "1"))
     try:
         return args.func(args)
     except ConfigError as err:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, Infeasible, NonpositiveSize
+from .errors import EmptySample, Infeasible, InvalidParams, NonpositiveSize
 from .numerics import RngStream
 from .pilot import PilotVarianceModel, predict_sigma2
 
 PI_FLOOR = 0.01
+DESIGN_KINDS = ("optimal", "equal", "pps")
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,21 @@ def pps_probabilities(
     pi = _scale_clamp_rescale(size_var, n_p, 0.0)
     idx = indices if indices is not None else np.arange(len(pi))
     return SecondStageDesign(indices=idx, pi=pi, kind="pps", expected_size=float(n_p))
+
+
+def build_design(kind: str, x_frame: np.ndarray, n_p: int,
+                 pilot: PilotVarianceModel | None, indices: np.ndarray) -> SecondStageDesign:
+    """Design of one of DESIGN_KINDS over the frame rows ``x_frame``.
+
+    The optimal design needs the pilot model; pps takes x1 as its size.
+    """
+    if kind == "optimal":
+        return optimal_probabilities(pilot, x_frame, n_p, indices=indices)
+    if kind == "equal":
+        return equal_probabilities(len(x_frame), n_p, indices=indices)
+    if x_frame.shape[1] < 2:
+        raise InvalidParams("pps design needs a size covariate x1")
+    return pps_probabilities(x_frame[:, 1], n_p, indices=indices)
 
 
 def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:

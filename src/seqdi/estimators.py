@@ -147,11 +147,6 @@ def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     return _make_estimate("HT_seq", point, variance, level)
 
 
-def regression_coefficient(x: np.ndarray, y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Weighted regression coefficient (sum q x x')^{-1} sum q x y."""
-    return weighted_ls(x, y, q)
-
-
 def _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef):
     inv = 1.0 / np.asarray(pi_s, dtype=float)
     ht_y = float(np.sum(inv * y_s))
@@ -176,7 +171,7 @@ def y_sep_di(
         raise ValueError("variance-scaled weights need a fitted pilot model")
     sigma2 = predict_sigma2(model, x_s) if wspec.kind == "inverse_pi_sigma" else None
     q = wspec.build(pi_s, sigma2)
-    coef = regression_coefficient(x_s, y_s, q)
+    coef = weighted_ls(x_s, y_s, q)
     point = _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
     residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
     variance = poisson_plugin_variance(residuals, pi_s)
@@ -209,7 +204,7 @@ def y_com_di(
     pooled_pi = np.concatenate([np.ones(len(y_certainty)), np.asarray(pi_s, dtype=float)])
     sigma2 = predict_sigma2(model, pooled_x) if wspec.kind == "inverse_pi_sigma" else None
     q = wspec.build(pooled_pi, sigma2)
-    coef = regression_coefficient(pooled_x, pooled_y, q)
+    coef = weighted_ls(pooled_x, pooled_y, q)
     point = _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
     residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
     variance = poisson_plugin_variance(residuals, pi_s)
@@ -225,7 +220,7 @@ def y_greg_independent(
 ) -> Estimate:
     """Classical GREG on an independent probability sample from the whole frame."""
     inv = 1.0 / np.asarray(pi_s, dtype=float)
-    coef = regression_coefficient(x_s, y_s, inv)
+    coef = weighted_ls(x_s, y_s, inv)
     ht_y = float(np.sum(inv * y_s))
     ht_x = (np.asarray(x_s, dtype=float) * inv[:, None]).sum(axis=0)
     point = ht_y + float((np.asarray(x_total_population) - ht_x) @ coef)

@@ -11,7 +11,9 @@ bit-reproducible.
 """
 
 import concurrent.futures
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -23,7 +25,7 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams
+from .errors import ConfigError, DegenerateMetrics, EmptySample, SeqdiError
 from .numerics import RngStream, normal_quantile
 from .pilot import fit_power_variance
 from .population import (
@@ -34,14 +36,59 @@ from .population import (
     load_population_csv,
 )
 
-SEQUENTIAL_TAGS = ("DI", "HT_seq", "sepDI_b", "sepDI_sigma", "comDI_sigma", "adDI")
-FRAME_TAGS = ("GREG", "IPW", "DR", "GREG_DR")
-ALL_TAGS = SEQUENTIAL_TAGS + FRAME_TAGS
-DESIGN_KINDS = ("optimal", "equal", "pps")
-VARIANCE_TAGS = set(SEQUENTIAL_TAGS) | {"GREG"}
-
 DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
 MAX_REDRAWS = 20
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One estimator tag: ``stage`` "sequential" runs once per design arm,
+    "frame" once per replication.  ``compute(inputs, done)`` may read the
+    estimates ``done`` of the ``combines`` tags, listed before it in
+    ESTIMATORS; ``needs`` names the stratum fits it uses."""
+
+    stage: str
+    compute: object
+    combines: tuple = ()
+    needs: tuple = ()
+    variance: bool = True
+
+
+# The callables look the estimator up on its module at call time, so that
+# a rebinding of the module attribute (a tracer, a test double) is seen.
+ESTIMATORS = {
+    "DI": Estimator("sequential", lambda c, done: est.y_di(
+        c.y_np, c.y_s, c.pi_s, c.n1, c.level)),
+    "HT_seq": Estimator("sequential", lambda c, done: est.y_ht_seq(
+        c.y_np, c.y_s, c.pi_s, c.level)),
+    "sepDI_b": Estimator("sequential", lambda c, done: est.y_sep_di(
+        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
+        est.WeightSpec("inverse_pi"), None, c.level, tag="sepDI_b")),
+    "sepDI_sigma": Estimator("sequential", lambda c, done: est.y_sep_di(
+        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
+        est.WeightSpec("inverse_pi_sigma"), c.pilot, c.level, tag="sepDI_sigma"),
+        needs=("pilot",)),
+    "comDI_sigma": Estimator("sequential", lambda c, done: est.y_com_di(
+        c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
+        est.WeightSpec("inverse_pi_sigma"), c.pilot, c.level, tag="comDI_sigma"),
+        needs=("pilot",)),
+    "adDI": Estimator("sequential", lambda c, done: homog.adaptive_estimate(
+        done["sepDI_sigma"], done["comDI_sigma"], c.test),
+        combines=("sepDI_sigma", "comDI_sigma"), needs=("test",)),
+    "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
+        c.pop.x.sum(axis=0), c.pop.y[c.ind_sample.members], c.pop.x[c.ind_sample.members],
+        c.ind_sample.pi_realized, c.level)),
+    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
+                     variance=False),
+    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat),
+                    variance=False),
+    "GREG_DR": Estimator("frame", lambda c, done: est.y_fusion(
+        done["GREG"], done["DR"], c.ind_sample.size / (c.ind_sample.size + len(c.y_np))),
+        combines=("GREG", "DR"), variance=False),
+}
+SEQUENTIAL_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "sequential")
+FRAME_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "frame")
+ALL_TAGS = tuple(ESTIMATORS)
 
 
 @dataclass
@@ -74,7 +121,7 @@ class McConfig:
         self.designs = tuple(self.designs)
         self.estimators = tuple(self.estimators)
         for kind in self.designs:
-            if kind not in DESIGN_KINDS:
+            if kind not in design_mod.DESIGN_KINDS:
                 raise ConfigError(f"unknown design kind {kind!r}")
         if len(set(self.designs)) != len(self.designs) or not self.designs:
             raise ConfigError("designs must be a nonempty list without duplicates")
@@ -167,179 +214,129 @@ def _build_population(config: McConfig):
 
 
 def _plan(config: McConfig):
-    """Resolve which quantities each replication must compute."""
+    """Resolve which estimators and stratum fits each replication computes."""
     requested = set(config.estimators)
     if config.mechanism == "FixedPartition":
         requested -= set(FRAME_TAGS)
         if not requested:
             raise ConfigError("FixedPartition mode reports sequential estimators only")
     computed = set(requested)
-    if "adDI" in computed:
-        computed |= {"sepDI_sigma", "comDI_sigma"}
-    if "GREG_DR" in computed:
-        computed |= {"GREG", "DR"}
-    need_test = config.run_test or "adDI" in computed
-    need_pilot = (
-        "optimal" in config.designs
-        or bool(computed & {"sepDI_sigma", "comDI_sigma", "adDI"})
-        or need_test
-    )
-    need_propensity = bool(computed & {"IPW", "DR"})
-    need_ind_sample = bool(computed & {"GREG", "GREG_DR"})
+    for tag in reversed(ALL_TAGS):  # an estimator combines only tags listed before it
+        if tag in computed:
+            computed.update(ESTIMATORS[tag].combines)
+    needs = {need for tag in computed for need in ESTIMATORS[tag].needs}
+    need_test = config.run_test or "test" in needs
     return {
         "requested": requested,
-        "computed": computed,
+        "sequential": [tag for tag in SEQUENTIAL_TAGS if tag in computed],
+        "frame": [tag for tag in FRAME_TAGS if tag in computed],
         "need_test": need_test,
-        "need_pilot": need_pilot,
-        "need_propensity": need_propensity,
-        "need_ind_sample": need_ind_sample,
+        "need_pilot": need_test or "pilot" in needs or "optimal" in config.designs,
     }
 
 
-def _draw_with_retry(dsgn, rng, context):
+def _draw_with_retry(dsgn, rng):
     for _ in range(MAX_REDRAWS):
         try:
             return design_mod.poisson_draw(dsgn, rng)
         except EmptySample:
             continue
-    raise EmptySample(f"{context}: empty sample after {MAX_REDRAWS} redraws")
+    raise EmptySample(f"empty sample after {MAX_REDRAWS} redraws")
 
 
-def _build_design(kind, pop, u1, n_p, pilot):
-    x_u1 = pop.x[u1]
-    if kind == "optimal":
-        return design_mod.optimal_probabilities(pilot, x_u1, n_p, indices=u1)
-    if kind == "equal":
-        return design_mod.equal_probabilities(len(u1), n_p, indices=u1)
-    if pop.x.shape[1] < 2:
-        raise InvalidParams("pps design needs a size covariate x1")
-    return design_mod.pps_probabilities(x_u1[:, 1], n_p, indices=u1)
+def _stratum_setup(config, plan, pop, partition):
+    """(partition, pilot, np_fit, designs by kind) of one certainty stratum.
+
+    Designs use no randomness, so building them all before any draw
+    leaves every draw unchanged."""
+    s_np, u1 = partition.certainty_idx, partition.complement_idx
+    x_np, y_np = pop.x[s_np], pop.y[s_np]
+    pilot = (
+        fit_power_variance(x_np, y_np, np.ones(len(s_np)), config.fgls_iterations)
+        if plan["need_pilot"]
+        else None
+    )
+    np_fit = homog.fgls_np(x_np, y_np, model=pilot) if plan["need_test"] else None
+    n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
+    designs = {
+        kind: design_mod.build_design(kind, pop.x[u1], n_p, pilot, u1) for kind in config.designs
+    }
+    return partition, pilot, np_fit, designs
 
 
-def _replicate(r, config, pop, mech, fixed):
-    """One Monte Carlo replication; all randomness comes from stream id r + 1."""
-    plan = fixed["plan"]
+class _Inputs:
+    """What one replication's estimators read.  The arm fields (y_s, x_s,
+    pi_s, test) are set per design; the frame inputs are made on first use."""
+
+    def __init__(self, config, pop, partition, pilot, rng):
+        s_np, u1 = partition.certainty_idx, partition.complement_idx
+        self.config, self.pop, self.partition, self.pilot, self.rng = (
+            config, pop, partition, pilot, rng)
+        self.level = config.level
+        self.y_np, self.x_np = pop.y[s_np], pop.x[s_np]
+        self.n1, self.x_total_u1 = len(u1), pop.x[u1].sum(axis=0)
+        self.y_s = self.x_s = self.pi_s = self.test = None
+
+    @functools.cached_property
+    def alpha_hat(self):
+        return est.estimate_propensity(self.pop, self.partition)
+
+    @functools.cached_property
+    def ind_sample(self):
+        n_ind = int(self.config.f_p * (1.0 - self.config.f_np) * self.pop.size)
+        return _draw_with_retry(design_mod.equal_probabilities(self.pop.size, n_ind), self.rng)
+
+
+def _replicate(r, config, pop, mech, plan, stratum):
+    """One Monte Carlo replication; all randomness comes from stream id r + 1.
+
+    ``stratum`` is a fixed stratum's set-up, or None to draw one.  A
+    SeqdiError is raised again as the same class, its message led by the
+    replication, its stream id and the design or stage that failed."""
     rng = RngStream(config.seed, r + 1)
-    y, x = pop.y, pop.x
-    level = config.level
-
-    if config.mechanism == "FixedPartition":
-        partition = fixed["partition"]
-        pilot = fixed["pilot"]
-        np_fit = fixed["np_fit"]
-        designs = fixed["designs"]
-    else:
-        partition = draw_nonprob(pop, mech, rng)
-        s_np = partition.certainty_idx
-        pilot = (
-            fit_power_variance(x[s_np], y[s_np], np.ones(len(s_np)), config.fgls_iterations)
-            if plan["need_pilot"]
-            else None
-        )
-        np_fit = (
-            homog.fgls_np(x[s_np], y[s_np], model=pilot) if plan["need_test"] else None
-        )
-        designs = None
-
-    s_np = partition.certainty_idx
-    u1 = partition.complement_idx
-    y_np_vals, x_np = y[s_np], x[s_np]
-    n1 = len(u1)
-    x_total_u1 = x[u1].sum(axis=0)
-    n_p = config.n_p if config.n_p is not None else int(config.f_p * n1)
-
+    where = "stratum set-up"
     points, variances, tests = {}, {}, {}
-    computed = plan["computed"]
-    seq_needed = computed & set(SEQUENTIAL_TAGS)
 
-    for kind in config.designs:
-        dsgn = designs[kind] if designs is not None else _build_design(kind, pop, u1, n_p, pilot)
-        sample = _draw_with_retry(dsgn, rng, f"replication {r}, design {kind}")
-        y_s, x_s, pi_s = y[sample.members], x[sample.members], sample.pi_realized
-
-        results = {}
-        if "DI" in seq_needed:
-            results["DI"] = est.y_di(y_np_vals, y_s, pi_s, n1, level)
-        if "HT_seq" in seq_needed:
-            results["HT_seq"] = est.y_ht_seq(y_np_vals, y_s, pi_s, level)
-        if "sepDI_b" in seq_needed:
-            results["sepDI_b"] = est.y_sep_di(
-                y_np_vals, y_s, x_s, pi_s, x_total_u1,
-                est.WeightSpec("inverse_pi"), None, level, tag="sepDI_b",
-            )
-        if "sepDI_sigma" in seq_needed:
-            results["sepDI_sigma"] = est.y_sep_di(
-                y_np_vals, y_s, x_s, pi_s, x_total_u1,
-                est.WeightSpec("inverse_pi_sigma"), pilot, level, tag="sepDI_sigma",
-            )
-        if "comDI_sigma" in seq_needed:
-            results["comDI_sigma"] = est.y_com_di(
-                y_np_vals, x_np, y_s, x_s, pi_s, x_total_u1,
-                est.WeightSpec("inverse_pi_sigma"), pilot, level, tag="comDI_sigma",
-            )
-        if plan["need_test"]:
-            p_fit = homog.fgls_p(
-                x_s, y_s, pi_s, config.fgls_iterations, config.include_model_variance
-            )
-            test = homog.homogeneity_test(np_fit, p_fit, config.alpha)
-            tests[kind] = (test.p_value, test.reject)
-            if "adDI" in seq_needed:
-                results["adDI"] = homog.adaptive_estimate(
-                    results["sepDI_sigma"], results["comDI_sigma"], test
-                )
-        for tag, estimate in results.items():
+    def keep(tags, kind):
+        done = {}
+        for tag in tags:
+            done[tag] = ESTIMATORS[tag].compute(inputs, done)
             if tag in plan["requested"]:
-                points[(tag, kind)] = estimate.point
-                variances[(tag, kind)] = (
-                    estimate.variance if estimate.variance is not None else np.nan
-                )
+                points[(tag, kind)] = done[tag].point
+                variances[(tag, kind)] = done[tag].variance
 
-    frame_needed = computed & set(FRAME_TAGS)
-    if frame_needed:
-        frame = {}
-        alpha_hat = (
-            est.estimate_propensity(pop, partition) if plan["need_propensity"] else None
-        )
-        if "IPW" in frame_needed:
-            frame["IPW"] = est.y_ipw(pop, partition, alpha_hat)
-        if "DR" in frame_needed:
-            frame["DR"] = est.y_dr(pop, partition, alpha_hat)
-        if plan["need_ind_sample"]:
-            n_ind = int(config.f_p * (1.0 - config.f_np) * pop.size)
-            ind_design = design_mod.equal_probabilities(pop.size, n_ind)
-            ind_sample = _draw_with_retry(
-                ind_design, rng, f"replication {r}, independent sample"
-            )
-            frame["GREG"] = est.y_greg_independent(
-                pop.x.sum(axis=0),
-                y[ind_sample.members],
-                x[ind_sample.members],
-                ind_sample.pi_realized,
-                level,
-            )
-            if "GREG_DR" in frame_needed:
-                size_alpha = ind_sample.size / (ind_sample.size + len(s_np))
-                frame["GREG_DR"] = est.y_fusion(frame["GREG"], frame["DR"], size_alpha)
-        for tag, estimate in frame.items():
-            if tag in plan["requested"]:
-                points[(tag, "")] = estimate.point
-                variances[(tag, "")] = (
-                    estimate.variance if estimate.variance is not None else np.nan
-                )
-
+    try:
+        if stratum is None:
+            stratum = _stratum_setup(config, plan, pop, draw_nonprob(pop, mech, rng))
+        partition, pilot, np_fit, designs = stratum
+        inputs = _Inputs(config, pop, partition, pilot, rng)
+        for kind in config.designs:
+            where = f"design {kind}"
+            sample = _draw_with_retry(designs[kind], rng)
+            inputs.y_s, inputs.x_s = pop.y[sample.members], pop.x[sample.members]
+            inputs.pi_s = sample.pi_realized
+            if plan["need_test"]:
+                p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s,
+                                     config.fgls_iterations, config.include_model_variance)
+                inputs.test = homog.homogeneity_test(np_fit, p_fit, config.alpha)
+                tests[kind] = (inputs.test.p_value, inputs.test.reject)
+            keep(plan["sequential"], kind)
+        where = "frame estimators"
+        keep(plan["frame"], "")
+    except SeqdiError as err:
+        raise type(err)(f"replication {r} (stream {r + 1}), {where}: {err}") from err
     return points, variances, tests
 
 
 _WORKER_GLOBALS = {}
 
 
-def _init_worker(config, pop, mech, fixed):
-    _WORKER_GLOBALS["args"] = (config, pop, mech, fixed)
+def _init_worker(*args):
+    _WORKER_GLOBALS["args"] = args
 
 
 def _run_one(r):
-    config, pop, mech, fixed = _WORKER_GLOBALS["args"]
-    return _replicate(r, config, pop, mech, fixed)
+    return _replicate(r, *_WORKER_GLOBALS["args"])
 
 
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
@@ -347,7 +344,8 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
 
     ``threads`` only controls process-level parallelism; summaries are
     identical for any worker count because replication r consumes stream
-    id r + 1 and aggregation is ordered by replication index.
+    id r + 1 and aggregation is ordered by replication index.  The first
+    failed replication, in replication order, ends the run.
     """
     pop, loaded_partition = _build_population(config)
     plan = _plan(config)
@@ -358,77 +356,48 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
         mech = SelectionMechanism(config.mechanism, slopes, config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
 
-    fixed = {"plan": plan, "partition": None, "pilot": None, "np_fit": None, "designs": None}
+    stratum = None
     if config.mechanism == "FixedPartition":
         if loaded_partition is None:
             raise ConfigError("population_csv lacks the delta column")
-        partition = loaded_partition
-        s_np, u1 = partition.certainty_idx, partition.complement_idx
-        pilot = (
-            fit_power_variance(
-                pop.x[s_np], pop.y[s_np], np.ones(len(s_np)), config.fgls_iterations
-            )
-            if plan["need_pilot"]
-            else None
-        )
-        np_fit = (
-            homog.fgls_np(pop.x[s_np], pop.y[s_np], model=pilot)
-            if plan["need_test"]
-            else None
-        )
-        n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
-        designs = {
-            kind: _build_design(kind, pop, u1, n_p, pilot) for kind in config.designs
-        }
-        fixed.update(partition=partition, pilot=pilot, np_fit=np_fit, designs=designs)
+        stratum = _stratum_setup(config, plan, pop, loaded_partition)
 
     n_rep = config.replications
-    results = [None] * n_rep
-    if threads <= 1:
-        _init_worker(config, pop, mech, fixed)
-        step = max(1, n_rep // 20)
-        for r in range(n_rep):
-            results[r] = _replicate(r, config, pop, mech, fixed)
-            if progress and (r + 1) % step == 0:
-                print(f"replication {r + 1}/{n_rep}", file=sys.stderr, flush=True)
-    else:
-        chunk = max(1, n_rep // (threads * 8))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_init_worker,
-            initargs=(config, pop, mech, fixed),
-        ) as pool:
-            for r, res in enumerate(pool.map(_run_one, range(n_rep), chunksize=chunk)):
-                results[r] = res
-                if progress and (r + 1) % max(1, n_rep // 20) == 0:
-                    print(f"replication {r + 1}/{n_rep}", file=sys.stderr, flush=True)
+    args = (config, pop, mech, plan, stratum)
+    results = []
+    with contextlib.ExitStack() as stack:
+        if threads <= 1:
+            _init_worker(*args)
+            outcomes = map(_run_one, range(n_rep))
+        else:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=threads, initializer=_init_worker, initargs=args))
+            outcomes = pool.map(_run_one, range(n_rep), chunksize=max(1, n_rep // (threads * 8)))
+        for res in outcomes:
+            results.append(res)
+            if progress and len(results) % max(1, n_rep // 20) == 0:
+                print(f"replication {len(results)}/{n_rep}", file=sys.stderr, flush=True)
 
     return _aggregate(config, pop, plan, results)
 
 
 def _aggregate(config, pop, plan, results):
     n_rep = config.replications
-    arm_keys = []
-    for tag in config.estimators:
-        if tag in SEQUENTIAL_TAGS:
-            if tag in plan["requested"]:
-                arm_keys.extend((tag, kind) for kind in config.designs)
-        elif tag in plan["requested"]:
-            arm_keys.append((tag, ""))
+    arm_keys = [
+        (tag, kind)
+        for tag in config.estimators if tag in plan["requested"]
+        for kind in (config.designs if tag in SEQUENTIAL_TAGS else ("",))
+    ]
 
     arms = []
     for key in arm_keys:
         pts = np.array([res[0][key] for res in results], dtype=float)
-        has_var = key[0] in VARIANCE_TAGS
         vrs = (
-            np.array([res[1][key] for res in results], dtype=float) if has_var else None
+            np.array([res[1][key] for res in results], dtype=float)
+            if ESTIMATORS[key[0]].variance
+            else None
         )
-        if n_rep >= 2:
-            m = metrics(pts, vrs, pop.true_total, config.level)
-        else:
-            m = metrics(pts, None, pop.true_total, config.level)
-            m["var_ratio"] = None
-            m["coverage"] = None
+        m = metrics(pts, vrs if n_rep >= 2 else None, pop.true_total, config.level)
         arms.append(
             ArmMetrics(
                 estimator=key[0], design=key[1], rb=m["rb"], rrmse=m["rrmse"],

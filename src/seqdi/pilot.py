@@ -119,7 +119,7 @@ def fit_power_variance(
     y = np.asarray(y, dtype=float)
     n, d = x.shape
     if n <= d + 2:
-        raise ValueError("too few rows to identify the variance model")
+        raise Unidentifiable(f"{n} rows are too few to identify the variance model")
 
     sigma2_floor = _sigma2_floor(y)
     beta = weighted_ls(x, y, base_weights)

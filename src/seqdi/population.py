@@ -195,7 +195,7 @@ class PopulationData:
 def _parse_float(raw: str, row: int, column: str) -> float:
     try:
         return float(raw)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ParseError(
             f"non-numeric value {raw!r} in row {row}, column {column!r}",
             row=row,

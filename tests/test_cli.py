@@ -122,6 +122,13 @@ class TestDesign:
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(242.0, abs=1e-6 * 242)
 
+    def test_pps_without_size_covariate_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text("id,y,delta\n1,10,1\n2,2,0\n3,4,0\n")
+        code = main(["design", "--pop", str(tmp_path / "pop.csv"), "--np", "1",
+                     "--kind", "pps", "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert "x1" in capsys.readouterr().err
+
     def test_infeasible_size_exit_one(self, pop_csv, tmp_path, capsys):
         path, pop, delta = pop_csv
         n1 = int((delta == 0).sum())
@@ -174,6 +181,25 @@ class TestEstimate:
                      "--estimators", "di"])
         assert code == 1
 
+    @pytest.mark.parametrize("pi", ["0", "7", "abc"])
+    def test_bad_pi_names_row_exit_one(self, pop_csv, tmp_path, capsys, pi):
+        path, pop, delta = pop_csv
+        u1_ids = [str(i + 1) for i in np.flatnonzero(delta == 0)][:2]
+        sample = self._write_sample(tmp_path, u1_ids, ["0.5", pi])
+        code = main(["estimate", "--pop", str(path), "--sample", str(sample)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 2" in err and "pi" in err
+
+    def test_repeated_id_named_exit_one(self, pop_csv, tmp_path, capsys):
+        path, pop, delta = pop_csv
+        uid = str(int(np.flatnonzero(delta == 0)[0]) + 1)
+        sample = self._write_sample(tmp_path, [uid, uid], [0.5, 0.5])
+        code = main(["estimate", "--pop", str(path), "--sample", str(sample)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(uid) in err
+
     def test_writes_output_csv(self, pop_csv, tmp_path):
         path, pop, delta = pop_csv
         u1_ids = [str(i + 1) for i in np.flatnonzero(delta == 0)][:50]
@@ -222,6 +248,14 @@ class TestTestCommand:
         assert main(["test", "--pop", str(tmp_path / "pop.csv"),
                      "--sample", str(tmp_path / "sample.csv")]) == 0
         assert "reject homogeneity" in capsys.readouterr().out
+
+    def test_too_small_sample_exit_one(self, pop_csv, tmp_path, capsys):
+        path, pop, delta = pop_csv
+        u1_ids = [str(i + 1) for i in np.flatnonzero(delta == 0)][:2]
+        (tmp_path / "s.csv").write_text("id,pi\n" + "".join(f"{i},0.5\n" for i in u1_ids))
+        code = main(["test", "--pop", str(path), "--sample", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "too few" in capsys.readouterr().err
 
     def test_bad_alpha_exit_two(self, pop_csv, tmp_path, capsys):
         path, pop, delta = pop_csv

@@ -103,6 +103,17 @@ class TestSimulateFixedPartition:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_bad_threads_env_variable_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SEQDI_THREADS", "abc")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "replications": 2,
+            "population": {"N": 200, "beta": [10, 15, 10, 20], "sigma": 0.6},
+        }))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "SEQDI_THREADS" in capsys.readouterr().err
+
 
 class TestConfigBuilding:
     def test_full_scale_overrides_replications(self, tmp_path):

@@ -7,7 +7,6 @@ from seqdi.estimators import (
     WeightSpec,
     plugin_variance_double_sum,
     poisson_plugin_variance,
-    regression_coefficient,
     y_com_di,
     y_di,
     y_dr,
@@ -17,7 +16,7 @@ from seqdi.estimators import (
     y_ipw,
     y_sep_di,
 )
-from seqdi.numerics import RngStream, Z_975
+from seqdi.numerics import RngStream, Z_975, weighted_ls
 from seqdi.pilot import fit_pilot
 from seqdi.population import Partition, Population, generate_population
 
@@ -80,20 +79,20 @@ class TestYHtSeq:
 class TestRegressionCoefficient:
     def test_single_covariate_equal_to_y(self):
         y = np.array([1.0, 3.0, 7.0])
-        coef = regression_coefficient(y[:, None], y, np.array([0.5, 1.0, 2.0]))
+        coef = weighted_ls(y[:, None], y, np.array([0.5, 1.0, 2.0]))
         assert coef[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_intercept_only_is_hajek_mean(self):
         y = np.array([2.0, 4.0, 10.0])
         pi = np.array([0.4, 0.5, 0.8])
-        coef = regression_coefficient(np.ones((3, 1)), y, 1.0 / pi)
+        coef = weighted_ls(np.ones((3, 1)), y, 1.0 / pi)
         hajek = np.sum(y / pi) / np.sum(1.0 / pi)
         assert coef[0] == pytest.approx(hajek, rel=1e-12)
 
     def test_perfect_fit_any_weights(self):
         x, y, pi, members = random_setup(1, span_y=True)
         q = np.random.default_rng(2).uniform(0.1, 5.0, size=members.sum())
-        coef = regression_coefficient(x[members], y[members], q)
+        coef = weighted_ls(x[members], y[members], q)
         np.testing.assert_allclose(x @ coef, y, rtol=1e-9)
 
 

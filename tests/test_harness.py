@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqdi.errors import ConfigError, DegenerateMetrics
+from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
     McConfig,
     McSummary,
@@ -191,6 +191,20 @@ class TestRunMc:
         s99 = run_mc(small_config(replications=12, level=0.99, estimators=("DI",)))
         assert np.array_equal(s90.arms[0].points, s99.arms[0].points)
         assert s99.arms[0].coverage >= s90.arms[0].coverage
+
+
+class TestReplicationFailure:
+    def test_failure_names_replication_stream_and_design(self):
+        # f_p = 0.012 leaves ~7 expected units per arm, too few for fgls_p
+        config = small_config(mechanism="NMAR", population_params=dict(POP_PARAMS, N=2000),
+                              f_p=0.012, designs=("optimal", "equal", "pps"), replications=5)
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(Unidentifiable) as err:
+                run_mc(config, threads=threads)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("replication 3 (stream 4), design pps: ")
 
 
 class TestEmit:

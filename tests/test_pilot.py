@@ -75,7 +75,7 @@ class TestFitPilot:
             fit_pilot(x, y)
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(Unidentifiable):
             fit_pilot(np.ones((3, 2)), np.ones(3))
 
     def test_exact_fit_degenerates_to_floor(self):
