@@ -19,10 +19,10 @@ import numpy as np
 from . import estimators as est
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
-from .errors import ConfigError, ParseError, SeqdiError, SingularVariance
+from .errors import ConfigError, MissingColumn, SeqdiError, SingularVariance
 from .harness import McConfig, emit_results, run_mc
 from .pilot import fit_pilot
-from .population import _parse_float, load_population_csv
+from .population import _parse_float, _parse_pi, _record_id, load_population_csv
 
 # JSON name and accepted Python types of each McConfig field annotation.
 _JSON_TYPES = {
@@ -113,17 +113,11 @@ def _load_sample_csv(path):
     header = reader.fieldnames or []
     for required in ("id", "pi"):
         if required not in header:
-            raise ConfigError(f"sample file needs column {required!r}")
+            raise MissingColumn(f"sample file needs column {required!r}")
     rows_by_id, pis, ys = {}, [], []
     for i, record in enumerate(reader, start=1):
-        uid = record["id"]
-        if uid in rows_by_id:
-            raise ParseError(f"id {uid!r} repeated in rows {rows_by_id[uid]} and {i}", row=i,
-                             column="id")
-        rows_by_id[uid] = i
-        pis.append(_parse_float(record["pi"], i, "pi"))
-        if not 0.0 < pis[-1] <= 1.0:
-            raise ParseError(f"pi = {record['pi']} outside (0, 1] in row {i}", row=i, column="pi")
+        _record_id(rows_by_id, record["id"], i)
+        pis.append(_parse_pi(record["pi"], i))
         if "y" in header:
             ys.append(_parse_float(record["y"], i, "y"))
     return (list(rows_by_id), np.asarray(pis, dtype=float),

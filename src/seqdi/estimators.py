@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample
-from .numerics import logistic_fit, normal_quantile, weighted_ls, _logistic
+from .numerics import logistic_fit, normal_quantile, quantile, weighted_ls, _logistic
 from .pilot import PilotVarianceModel, predict_sigma2
 from .population import Partition, Population
 
@@ -48,7 +48,7 @@ class WeightSpec:
                 raise ValueError("variance-scaled weights need per-unit variances")
             q = 1.0 / (pi * np.asarray(sigma2, dtype=float))
         if self.truncation_quantile < 1.0 and len(q) > 1:
-            q = np.minimum(q, np.quantile(q, self.truncation_quantile))
+            q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
 
 

@@ -128,8 +128,8 @@ class McConfig:
         for tag in self.estimators:
             if tag not in ALL_TAGS:
                 raise ConfigError(f"unknown estimator {tag!r}")
-        if not self.estimators:
-            raise ConfigError("estimators must be a nonempty list")
+        if len(set(self.estimators)) != len(self.estimators) or not self.estimators:
+            raise ConfigError("estimators must be a nonempty list without duplicates")
         if self.mechanism == "FixedPartition" and self.population_csv is None:
             raise ConfigError("FixedPartition mode needs population_csv with a delta column")
         if self.population_params is None and self.population_csv is None:

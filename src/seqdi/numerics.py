@@ -1,9 +1,10 @@
 """Dependency-light numerical kernels.
 
 Symmetric positive-definite solves, weighted least squares, logistic
-maximum likelihood, the chi-square survival function, and a seeded
-stream-based random number contract.  Everything here is a pure function
-of its inputs except :class:`RngStream`, which is single-consumer.
+maximum likelihood, sample quantiles, the chi-square survival function,
+and a seeded stream-based random number contract.  Everything here is a
+pure function of its inputs except :class:`RngStream`, which is
+single-consumer.
 """
 
 import math
@@ -46,6 +47,63 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def _cholesky(a) -> list:
+    """Lower Cholesky factor of symmetric positive-definite A, as rows of floats.
+
+    The factor is built in Python floats from ``a.tolist()``: for the 2x2 to
+    6x6 systems of the regression callers that is several times faster than
+    numpy slicing.  Raises ValueError unless A is square and symmetric within
+    1e-10 of its largest entry, and NotPositiveDefinite when a pivot falls at
+    or below 1e-12 * trace(A)/d.
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("matrix must be square")
+    rows = a.tolist()
+    sym_tol = 1e-10 * max(1.0, max(abs(v) for row in rows for v in row))
+    if any(abs(rows[i][j] - rows[j][i]) > sym_tol for i in range(d) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+
+    pivot_tol = 1e-12 * sum(rows[k][k] for k in range(d)) / d
+    lower = [[0.0] * d for _ in range(d)]
+    for k in range(d):
+        row_k = lower[k]
+        dot = 0.0
+        for j in range(k):
+            dot += row_k[j] * row_k[j]
+        pivot = rows[k][k] - dot
+        if pivot <= pivot_tol:
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {k}")
+        diag = row_k[k] = math.sqrt(pivot)
+        for i in range(k + 1, d):
+            row_i = lower[i]
+            dot = 0.0
+            for j in range(k):
+                dot += row_i[j] * row_k[j]
+            row_i[k] = (rows[i][k] - dot) / diag
+    return lower
+
+
+def _substitute(lower: list, b) -> list:
+    """Solve L L' x = b by forward then back substitution on a Cholesky factor."""
+    d = len(lower)
+    z = [0.0] * d
+    for i in range(d):
+        row_i = lower[i]
+        dot = 0.0
+        for j in range(i):
+            dot += row_i[j] * z[j]
+        z[i] = (b[i] - dot) / row_i[i]
+    x = [0.0] * d
+    for i in range(d - 1, -1, -1):
+        dot = 0.0
+        for j in range(i + 1, d):
+            dot += lower[j][i] * x[j]
+        x[i] = (z[i] - dot) / lower[i][i]
+    return x
+
+
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A by Cholesky.
 
@@ -54,40 +112,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     covariates.  A must be symmetric within 1e-10 relative to its
     largest entry.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-
-    pivot_tol = 1e-12 * float(np.trace(a)) / d
-    lower = np.zeros_like(a)
-    for k in range(d):
-        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if pivot <= pivot_tol:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {k}")
-        lower[k, k] = math.sqrt(pivot)
-        if k + 1 < d:
-            lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k]) / lower[k, k]
-
-    # forward then back substitution
-    z = np.zeros(d)
-    for i in range(d):
-        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
-    x = np.zeros(d)
-    for i in range(d - 1, -1, -1):
-        x[i] = (z[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    return np.array(_substitute(_cholesky(a), np.asarray(b, dtype=float).tolist()))
 
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via column solves."""
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    out = np.column_stack([solve_spd(a, e) for e in np.eye(d)])
+    """Inverse of a symmetric positive-definite matrix: one Cholesky
+    factorization, then one solve per unit column."""
+    lower = _cholesky(a)
+    out = np.array([_substitute(lower, e) for e in np.eye(len(lower)).tolist()]).T
     return (out + out.T) / 2.0
 
 
@@ -107,6 +139,36 @@ def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return solve_spd(gram, x.T @ (w * y))
 
 
+def quantile(v: np.ndarray, q: float) -> float:
+    """The q-quantile of a nonempty 1-D array, equal bit for bit to
+    ``np.quantile(v, q)`` with the default linear method.
+
+    One partition places the two order statistics around the virtual index
+    (n-1)q, the minimum and the maximum, which is NaN when v holds a NaN;
+    the interpolation is numpy's, including its form for weights t >= 0.5.
+    It skips np.quantile's general-purpose wrapper, which dominates the
+    cost on the arrays of a few thousand rows this package passes.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must lie in [0, 1]")
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    index = (n - 1) * q
+    if index >= n - 1:
+        lo = hi = -1  # numpy's marker for the last element, weighted by index + 1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+    t = index - lo
+    # numpy's own kth set, so that even the sign of a tied zero matches
+    part = np.partition(v, sorted({0, -1, lo, hi}))
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b = float(part[lo]), float(part[hi])
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def _logistic(eta):
     out = np.empty_like(eta)
     pos = eta >= 0
@@ -117,8 +179,14 @@ def _logistic(eta):
 
 
 def _log_likelihood(eta, delta):
-    # sum delta*eta - log(1+exp(eta)), stable for large |eta|
-    return float(np.sum(delta * eta - np.logaddexp(0.0, eta)))
+    """Logistic log-likelihood sum delta*eta - log(1+exp(eta)) and t = exp(-|eta|).
+
+    log(1+exp(eta)) is np.logaddexp(0, eta) written out as
+    max(eta, 0) + log1p(t), stable for large |eta|; t also gives the fitted
+    probabilities, so a Newton point takes one exp.
+    """
+    t = np.exp(-np.abs(eta))
+    return float(np.sum(delta * eta - (np.maximum(eta, 0.0) + np.log1p(t)))), t
 
 
 def logistic_fit(
@@ -144,9 +212,10 @@ def logistic_fit(
 
     alpha = np.zeros(d)
     eta = x @ alpha
-    loglik = _log_likelihood(eta, delta)
+    loglik, t = _log_likelihood(eta, delta)
     for _ in range(max_iter):
-        p = _logistic(eta)
+        # 1/(1+exp(-eta)) for eta >= 0 and exp(eta)/(1+exp(eta)) otherwise, as _logistic
+        p = np.where(eta >= 0, 1.0, t) / (1.0 + t)
         wdiag = p * (1.0 - p)
         grad = x.T @ (delta - p)
         hess = x.T @ (wdiag[:, None] * x)
@@ -157,11 +226,11 @@ def logistic_fit(
         for _ in range(30):
             cand = alpha + factor * step
             cand_eta = x @ cand
-            cand_ll = _log_likelihood(cand_eta, delta)
+            cand_ll, cand_t = _log_likelihood(cand_eta, delta)
             if cand_ll >= loglik - 1e-12:
                 break
             factor /= 2.0
-        alpha, eta, loglik = cand, cand_eta, cand_ll
+        alpha, eta, loglik, t = cand, cand_eta, cand_ll, cand_t
 
         if np.max(np.abs(alpha)) > max_abs_coef:
             raise Separation("coefficient escaped toward infinity")

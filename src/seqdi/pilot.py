@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Unidentifiable
-from .numerics import weighted_ls
+from .numerics import quantile, weighted_ls
 
 GAMMA_CAP = 3.0
 MEAN_FLOOR_QUANTILE = 0.05
@@ -123,16 +123,17 @@ def fit_power_variance(
 
     sigma2_floor = _sigma2_floor(y)
     beta = weighted_ls(x, y, base_weights)
+    noise_floor = 1e-24 * max(float(np.mean(y**2)), 1e-300)
     sigma2 = gamma = mean_floor = None
     for iteration in range(fgls_iterations + 1):
-        e = y - x @ beta
         m = x @ beta
+        e = y - m
         positive = m[m > 0]
         if positive.size == 0:
             raise Unidentifiable("no positive fitted means")
-        mean_floor = float(np.quantile(positive, MEAN_FLOOR_QUANTILE))
+        mean_floor = quantile(positive, MEAN_FLOOR_QUANTILE)
 
-        if float(np.mean(e**2)) <= 1e-24 * max(float(np.mean(y**2)), 1e-300):
+        if float(np.mean(e**2)) <= noise_floor:
             # residuals at floating-point noise: homoscedastic model at the floor
             sigma2, gamma = sigma2_floor, 0.0
             break

@@ -203,14 +203,30 @@ def _parse_float(raw: str, row: int, column: str) -> float:
         ) from None
 
 
+def _parse_pi(raw: str, row: int) -> float:
+    value = _parse_float(raw, row, "pi")
+    if not 0.0 < value <= 1.0:
+        raise ParseError(f"pi = {raw} outside (0, 1] in row {row}", row=row, column="pi")
+    return value
+
+
+def _record_id(rows_by_id: dict, uid: str, row: int) -> None:
+    """Map uid to its data row; ParseError naming both rows when uid repeats."""
+    if uid in rows_by_id:
+        raise ParseError(f"id {uid!r} repeated in rows {rows_by_id[uid]} and {row}", row=row,
+                         column="id")
+    rows_by_id[uid] = row
+
+
 def load_population_csv(path) -> PopulationData:
     """Read a population file.
 
     Required columns: id, y.  Covariates arrive as x1, x2, ... and an
     intercept column is prepended.  Optional delta (0/1 certainty-stratum
     membership) and pi (realized inclusion probabilities) columns are
-    returned when present.  Missing values are not permitted; data rows
-    are numbered from 1 in error messages.
+    returned when present.  Ids must be unique and pi must lie in (0, 1].
+    Missing values are not permitted; data rows are numbered from 1 in
+    error messages.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -225,11 +241,11 @@ def load_population_csv(path) -> PopulationData:
         has_delta = "delta" in header
         has_pi = "pi" in header
 
-        ids, ys, xs, deltas, pis = [], [], [], [], []
+        rows_by_id, ys, xs, deltas, pis = {}, [], [], [], []
         for i, record in enumerate(reader, start=1):
             if any(v is None or v == "" for v in record.values()):
                 raise ParseError(f"missing value in row {i}", row=i)
-            ids.append(record["id"])
+            _record_id(rows_by_id, record["id"], i)
             ys.append(_parse_float(record["y"], i, "y"))
             xs.append([_parse_float(record[c], i, c) for c in xcols])
             if has_delta:
@@ -240,8 +256,9 @@ def load_population_csv(path) -> PopulationData:
                     )
                 deltas.append(int(value))
             if has_pi:
-                pis.append(_parse_float(record["pi"], i, "pi"))
+                pis.append(_parse_pi(record["pi"], i))
 
+    ids = list(rows_by_id)
     n = len(ids)
     if n == 0:
         raise ParseError("file has no data rows", row=0)

@@ -68,6 +68,14 @@ class TestSimulate:
         assert code == 2
         assert "replications" in capsys.readouterr().err
 
+    def test_repeated_estimator_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "estimators": ["DI", "DI"],
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "duplicates" in capsys.readouterr().err
+
     def test_unknown_key_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 5, "reps": 2}))
@@ -199,6 +207,26 @@ class TestEstimate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(uid) in err
+
+    def test_population_repeated_id_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text(
+            "id,x1,y,delta\n1,0.5,10,1\n2,0.4,2,0\n2,0.8,400,0\n"
+        )
+        (tmp_path / "sample.csv").write_text("id,pi\n2,0.5\n")
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "di"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "point=" not in captured.out
+        assert captured.err.startswith("error:") and "'2' repeated in rows 2 and 3" in captured.err
+
+    @pytest.mark.parametrize("header", ["pid,pi", "id,prob"])
+    def test_sample_missing_column_exit_one(self, pop_csv, tmp_path, capsys, header):
+        path, pop, delta = pop_csv
+        (tmp_path / "sample.csv").write_text(f"{header}\n2,0.5\n")
+        code = main(["estimate", "--pop", str(path), "--sample", str(tmp_path / "sample.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_writes_output_csv(self, pop_csv, tmp_path):
         path, pop, delta = pop_csv

@@ -90,6 +90,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(estimators=("DI", "bogus"))
 
+    def test_repeated_estimator(self):
+        with pytest.raises(ConfigError, match="duplicates"):
+            small_config(estimators=("DI", "DI"))
+
     def test_unknown_design(self):
         with pytest.raises(ConfigError):
             small_config(designs=("optimal", "systematic"))

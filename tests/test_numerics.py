@@ -52,6 +52,25 @@ class TestSolveSpd:
             x = solve_spd(a, b)
             assert np.max(np.abs(a @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
+    def test_pivot_contract_on_diagonal(self):
+        # the last pivot of diag(1, 1, p) is p; the contract rejects p <= 1e-12 * trace / 3
+        def bound(p):
+            return 1e-12 * (1.0 + 1.0 + p) / 3
+
+        edge = 2e-12 / (3.0 - 1e-12)
+        while edge > bound(edge):
+            edge = math.nextafter(edge, 0.0)
+        while math.nextafter(edge, 1.0) <= bound(math.nextafter(edge, 1.0)):
+            edge = math.nextafter(edge, 1.0)
+        above = math.nextafter(edge, 1.0)
+        x = solve_spd(np.diag([1.0, 1.0, above]), np.array([1.0, 2.0, above]))
+        np.testing.assert_allclose(x, [1.0, 2.0, 1.0], rtol=1e-15)
+        assert inv_spd(np.diag([1.0, 1.0, above]))[2, 2] == pytest.approx(1.0 / above)
+        for p in (edge, 0.0, -1.0):
+            for call in (lambda a: solve_spd(a, np.ones(3)), inv_spd):
+                with pytest.raises(NotPositiveDefinite, match="at column 2"):
+                    call(np.diag([1.0, 1.0, p]))
+
     def test_inv_spd(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4))

@@ -1,0 +1,110 @@
+"""Numerical kernels against independent oracles.
+
+numpy's own quantile and dense solvers, and scipy's distributions and
+optimizer.  scipy and hypothesis are test-only dependencies: the module
+skips without hypothesis, each scipy test without scipy.  Examples are
+derandomized, so a run is repeatable.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from seqdi.numerics import (
+    chisq_sf,
+    inv_spd,
+    logistic_fit,
+    normal_quantile,
+    quantile,
+    solve_spd,
+)
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+SEEDS = st.integers(0, 2**32 - 1)
+QUANTILES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestQuantile:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000), levels=st.sampled_from([0, 1, 2, 7]), q=QUANTILES, seed=SEEDS)
+    def test_bit_identical_to_numpy(self, n, levels, q, seed):
+        # levels > 0 draws integer values, so most order statistics are ties
+        rng = np.random.default_rng(seed)
+        v = rng.lognormal(size=n) - 1.0 if levels == 0 else rng.integers(0, levels, size=n) * 1.5
+        assert np.float64(quantile(v, q)).tobytes() == np.quantile(v, q).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(v=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=40), q=QUANTILES)
+    def test_bit_identical_on_any_floats(self, v, q):
+        # infinities and signed zeros included: both give NaN where the
+        # interpolation meets inf - inf, and the same sign on tied zeros
+        v = np.array(v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.float64(quantile(v, q)).tobytes() == np.quantile(v, q).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3000), q=QUANTILES, seed=SEEDS)
+    def test_nan_propagates(self, n, q, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=n)
+        v[rng.integers(n)] = np.nan
+        assert math.isnan(quantile(v, q))
+        assert math.isnan(np.quantile(v, q))
+
+    def test_out_of_range_level_rejected(self):
+        with pytest.raises(ValueError):
+            quantile(np.ones(3), 1.5)
+
+
+class TestSpdSolves:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 6), seed=SEEDS)
+    def test_match_linalg_on_well_conditioned(self, d, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        a = scale * (basis * rng.uniform(1.0, 10.0, size=d)) @ basis.T
+        a = (a + a.T) / 2.0
+        b = rng.normal(size=d)
+        np.testing.assert_allclose(solve_spd(a, b), np.linalg.solve(a, b),
+                                   rtol=1e-12, atol=1e-12 / scale)
+        np.testing.assert_allclose(inv_spd(a), np.linalg.inv(a), rtol=1e-12, atol=1e-12 / scale)
+
+
+def test_logistic_fit_matches_scipy_minimize():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2000)
+    n = 2000
+    x = np.column_stack([np.ones(n), rng.uniform(size=n), rng.normal(size=n)])
+    delta = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-(x @ [-0.4, 1.5, 0.8])))).astype(float)
+
+    def negative_loglik(alpha):
+        eta = x @ alpha
+        return float(np.sum(np.logaddexp(0.0, eta) - delta * eta))
+
+    def gradient(alpha):
+        return x.T @ (1.0 / (1.0 + np.exp(-(x @ alpha))) - delta)
+
+    oracle = optimize.minimize(negative_loglik, np.zeros(3), jac=gradient, method="BFGS",
+                               options={"gtol": 1e-10})
+    np.testing.assert_allclose(logistic_fit(x, delta), oracle.x, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("df", range(1, 11))
+def test_chisq_sf_matches_scipy(df):
+    stats = pytest.importorskip("scipy.stats")
+    xs = np.concatenate([np.linspace(0.0, 5.0, 101), np.linspace(5.0, 150.0, 291)])
+    ours = np.array([chisq_sf(float(v), df) for v in xs])
+    np.testing.assert_allclose(ours, stats.chi2.sf(xs, df), rtol=0, atol=1e-10)
+
+
+def test_normal_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    tail = np.logspace(-15, -1, 141)
+    ps = np.concatenate([tail, np.linspace(0.01, 0.99, 197), 1.0 - tail])
+    ps = ps[ps != 0.975]  # pinned to Z_975 for reproducible intervals
+    ours = np.array([normal_quantile(float(p)) for p in ps])
+    np.testing.assert_allclose(ours, stats.norm.ppf(ps), rtol=1.2e-9, atol=0)

@@ -194,6 +194,20 @@ class TestCsv:
         data = load_population_csv(path)
         np.testing.assert_allclose(data.pi, [0.25, 0.5])
 
+    @pytest.mark.parametrize("pi", ["0", "1.5", "-0.2"])
+    def test_pi_outside_unit_interval_names_row(self, tmp_path, pi):
+        path = tmp_path / "pi.csv"
+        path.write_text(f"id,x1,y,pi\n1,0.5,2,0.25\n2,0.3,1,{pi}\n")
+        with pytest.raises(ParseError) as err:
+            load_population_csv(path)
+        assert (err.value.row, err.value.column) == (2, "pi")
+
+    def test_repeated_id_names_both_rows(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,x1,y\n1,0.5,2\n2,0.3,1\n2,0.9,4\n")
+        with pytest.raises(ParseError, match="id '2' repeated in rows 2 and 3"):
+            load_population_csv(path)
+
     def test_round_trip_exact(self, tmp_path):
         pop = generate_population(dict(LOGNORMAL_PARAMS, N=200), RngStream(24, 0))
         part = Partition(delta=(RngStream(25, 0).uniform(size=200) < 0.5))
