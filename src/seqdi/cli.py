@@ -7,7 +7,6 @@ sample, and ``test`` runs the coefficient-homogeneity diagnostic.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -22,7 +21,9 @@ from .design import DESIGN_KINDS, build_design, design_to_csv
 from .errors import ConfigError, MissingColumn, SeqdiError, SingularVariance
 from .harness import McConfig, emit_results, run_mc
 from .pilot import fit_pilot
-from .population import _parse_float, _parse_pi, _record_id, load_population_csv
+from .population import (
+    _parse_float, _parse_pi, _record_id, load_population_csv, read_csv, write_csv,
+)
 
 # JSON name and accepted Python types of each McConfig field annotation.
 _JSON_TYPES = {
@@ -107,9 +108,7 @@ def _print_summary(summary):
 
 def _load_sample_csv(path):
     """Sample file with columns id (unique), pi in (0, 1], and optional y."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(rows)
+    reader = read_csv(path)
     header = reader.fieldnames or []
     for required in ("id", "pi"):
         if required not in header:
@@ -126,7 +125,7 @@ def _load_sample_csv(path):
 
 def _split_by_delta(data):
     if data.partition is None:
-        raise ConfigError("population file needs a delta column")
+        raise MissingColumn("population file needs a delta column")
     part = data.partition
     return part.certainty_idx, part.complement_idx
 
@@ -222,12 +221,8 @@ def cmd_estimate(args):
         print(f"{record.tag}: point={record.point:.6g}{var}{ci}")
 
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            handle.write(f"# seed={args.seed}\n")
-            writer = csv.writer(handle)
-            writer.writerow(["tag", "point", "variance", "ci_low", "ci_high"])
-            for record in out_rows:
-                writer.writerow(record.to_csv_row())
+        write_csv(args.out, ["tag", "point", "variance", "ci_low", "ci_high"],
+                  (record.to_csv_row() for record in out_rows), seed=args.seed)
         print(f"wrote {args.out}")
     return 0
 

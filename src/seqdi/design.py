@@ -9,7 +9,6 @@ its instability when tiny sizes occur).  Rescaling of unconstrained
 units preserves the expected size whenever the bounds leave room.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .errors import EmptySample, Infeasible, InvalidParams, NonpositiveSize
 from .numerics import RngStream
 from .pilot import PilotVarianceModel, predict_sigma2
+from .population import write_csv
 
 PI_FLOOR = 0.01
 DESIGN_KINDS = ("optimal", "equal", "pps")
@@ -170,10 +170,5 @@ def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:
 def design_to_csv(design: SecondStageDesign, path, ids=None, seed=None) -> None:
     """Write id, pi, kind rows; ids default to the design indices."""
     ids = ids if ids is not None else [str(int(i)) for i in design.indices]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if seed is not None:
-            handle.write(f"# seed={seed}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["id", "pi", "kind"])
-        for unit, p in zip(ids, design.pi):
-            writer.writerow([unit, repr(float(p)), design.kind])
+    write_csv(path, ["id", "pi", "kind"],
+              ([unit, repr(float(p)), design.kind] for unit, p in zip(ids, design.pi)), seed)

@@ -147,12 +147,29 @@ def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     return _make_estimate("HT_seq", point, variance, level)
 
 
-def _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef):
+def _regression_estimate(tag, y_certainty, y_s, x_s, pi_s, x_total, coef, level):
+    """GREG total at a given coefficient with its Poisson plug-in variance.
+
+    The point is the certainty total plus the HT total of y plus the
+    regression correction (x_total - HT total of x)'coef; the variance
+    takes the sample residuals at coef.
+    """
     inv = 1.0 / np.asarray(pi_s, dtype=float)
     ht_y = float(np.sum(inv * y_s))
     ht_x = (np.asarray(x_s, dtype=float) * inv[:, None]).sum(axis=0)
-    correction = float((np.asarray(x_total_complement, dtype=float) - ht_x) @ coef)
-    return float(np.sum(y_certainty)) + ht_y + correction
+    correction = float((np.asarray(x_total, dtype=float) - ht_x) @ coef)
+    point = float(np.sum(y_certainty)) + ht_y + correction
+    residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
+    return _make_estimate(tag, point, poisson_plugin_variance(residuals, pi_s), level)
+
+
+def _working_coef(wspec, model, x, y, pi):
+    """Regression coefficient under the working weights wspec builds from pi
+    (and, for variance-scaled weights, the pilot model's predicted variances)."""
+    if wspec.kind == "inverse_pi_sigma" and model is None:
+        raise ValueError("variance-scaled weights need a fitted pilot model")
+    sigma2 = predict_sigma2(model, x) if wspec.kind == "inverse_pi_sigma" else None
+    return weighted_ls(x, y, wspec.build(pi, sigma2))
 
 
 def y_sep_di(
@@ -167,15 +184,9 @@ def y_sep_di(
     tag: str | None = None,
 ) -> Estimate:
     """Separate regression estimator: coefficient fitted on the probability sample only."""
-    if wspec.kind == "inverse_pi_sigma" and model is None:
-        raise ValueError("variance-scaled weights need a fitted pilot model")
-    sigma2 = predict_sigma2(model, x_s) if wspec.kind == "inverse_pi_sigma" else None
-    q = wspec.build(pi_s, sigma2)
-    coef = weighted_ls(x_s, y_s, q)
-    point = _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
-    residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
-    variance = poisson_plugin_variance(residuals, pi_s)
-    return _make_estimate(tag or "sepDI", point, variance, level)
+    coef = _working_coef(wspec, model, x_s, y_s, pi_s)
+    return _regression_estimate(tag or "sepDI", y_certainty, y_s, x_s, pi_s,
+                                x_total_complement, coef, level)
 
 
 def y_com_di(
@@ -196,19 +207,12 @@ def y_com_di(
     probability one; the variance keeps the Poisson plug-in form with
     residuals at the pooled coefficient over the probability sample.
     """
-    if wspec.kind == "inverse_pi_sigma" and model is None:
-        raise ValueError("variance-scaled weights need a fitted pilot model")
-    x_certainty = np.asarray(x_certainty, dtype=float)
-    pooled_x = np.vstack([x_certainty, np.asarray(x_s, dtype=float)])
+    pooled_x = np.vstack([np.asarray(x_certainty, dtype=float), np.asarray(x_s, dtype=float)])
     pooled_y = np.concatenate([np.asarray(y_certainty, dtype=float), np.asarray(y_s, dtype=float)])
     pooled_pi = np.concatenate([np.ones(len(y_certainty)), np.asarray(pi_s, dtype=float)])
-    sigma2 = predict_sigma2(model, pooled_x) if wspec.kind == "inverse_pi_sigma" else None
-    q = wspec.build(pooled_pi, sigma2)
-    coef = weighted_ls(pooled_x, pooled_y, q)
-    point = _greg_point(y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
-    residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
-    variance = poisson_plugin_variance(residuals, pi_s)
-    return _make_estimate(tag or "comDI", point, variance, level)
+    coef = _working_coef(wspec, model, pooled_x, pooled_y, pooled_pi)
+    return _regression_estimate(tag or "comDI", y_certainty, y_s, x_s, pi_s,
+                                x_total_complement, coef, level)
 
 
 def y_greg_independent(
@@ -219,14 +223,8 @@ def y_greg_independent(
     level: float = 0.95,
 ) -> Estimate:
     """Classical GREG on an independent probability sample from the whole frame."""
-    inv = 1.0 / np.asarray(pi_s, dtype=float)
-    coef = weighted_ls(x_s, y_s, inv)
-    ht_y = float(np.sum(inv * y_s))
-    ht_x = (np.asarray(x_s, dtype=float) * inv[:, None]).sum(axis=0)
-    point = ht_y + float((np.asarray(x_total_population) - ht_x) @ coef)
-    residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
-    variance = poisson_plugin_variance(residuals, pi_s)
-    return _make_estimate("GREG", point, variance, level)
+    coef = weighted_ls(x_s, y_s, 1.0 / np.asarray(pi_s, dtype=float))
+    return _regression_estimate("GREG", (), y_s, x_s, pi_s, x_total_population, coef, level)
 
 
 def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:

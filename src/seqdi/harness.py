@@ -12,7 +12,6 @@ bit-reproducible.
 
 import concurrent.futures
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -25,7 +24,7 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, SeqdiError
+from .errors import ConfigError, DegenerateMetrics, EmptySample, MissingColumn, SeqdiError
 from .numerics import RngStream, normal_quantile
 from .pilot import fit_power_variance
 from .population import (
@@ -34,6 +33,8 @@ from .population import (
     draw_nonprob,
     generate_population,
     load_population_csv,
+    read_csv,
+    write_csv,
 )
 
 DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
@@ -359,7 +360,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     stratum = None
     if config.mechanism == "FixedPartition":
         if loaded_partition is None:
-            raise ConfigError("population_csv lacks the delta column")
+            raise MissingColumn("population_csv lacks the delta column")
         stratum = _stratum_setup(config, plan, pop, loaded_partition)
 
     n_rep = config.replications
@@ -441,47 +442,24 @@ def _fmt(value):
 def emit_results(summary: McSummary, out_dir) -> list:
     """Write summary, test summary, per-replication errors, and metadata files."""
     os.makedirs(out_dir, exist_ok=True)
-    header_line = f"# seed={summary.seed}\n"
+    tables = (
+        ("summary.csv", ["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"],
+         ([arm.estimator, arm.design, _fmt(arm.rb), _fmt(arm.rrmse), _fmt(arm.var_ratio),
+           _fmt(arm.coverage)] for arm in summary.arms)),
+        ("test_summary.csv", ["Design", "R", "alpha", "reject_rate", "mean_p", "median_p"],
+         ([ts.design, ts.replications, _fmt(ts.alpha), _fmt(ts.reject_rate), _fmt(ts.mean_p),
+           _fmt(ts.median_p)] for ts in summary.tests)),
+        ("replication_errors.csv", ["rep", "estimator", "design", "point", "variance", "re"],
+         ([r, arm.estimator, arm.design, _fmt(arm.points[r]),
+           "" if arm.variances is None else _fmt(arm.variances[r]), _fmt(re)]
+          for arm in summary.arms
+          for r, re in enumerate(100.0 * (arm.points - summary.y_true) / summary.y_true))),
+    )
     paths = []
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(header_line)
-        writer = csv.writer(handle)
-        writer.writerow(["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"])
-        for arm in summary.arms:
-            writer.writerow(
-                [arm.estimator, arm.design, _fmt(arm.rb), _fmt(arm.rrmse),
-                 _fmt(arm.var_ratio), _fmt(arm.coverage)]
-            )
-    paths.append(summary_path)
-
-    test_path = os.path.join(out_dir, "test_summary.csv")
-    with open(test_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(header_line)
-        writer = csv.writer(handle)
-        writer.writerow(["Design", "R", "alpha", "reject_rate", "mean_p", "median_p"])
-        for ts in summary.tests:
-            writer.writerow(
-                [ts.design, ts.replications, _fmt(ts.alpha), _fmt(ts.reject_rate),
-                 _fmt(ts.mean_p), _fmt(ts.median_p)]
-            )
-    paths.append(test_path)
-
-    errors_path = os.path.join(out_dir, "replication_errors.csv")
-    with open(errors_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(header_line)
-        writer = csv.writer(handle)
-        writer.writerow(["rep", "estimator", "design", "point", "variance", "re"])
-        for arm in summary.arms:
-            re = 100.0 * (arm.points - summary.y_true) / summary.y_true
-            for r in range(len(arm.points)):
-                var = "" if arm.variances is None else repr(float(arm.variances[r]))
-                writer.writerow(
-                    [r, arm.estimator, arm.design, repr(float(arm.points[r])), var,
-                     repr(float(re[r]))]
-                )
-    paths.append(errors_path)
+    for name, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        write_csv(path, header, rows, seed=summary.seed)
+        paths.append(path)
 
     meta_path = os.path.join(out_dir, "run_metadata.json")
     with open(meta_path, "w", encoding="utf-8") as handle:
@@ -505,10 +483,7 @@ def emit_results(summary: McSummary, out_dir) -> list:
 def read_replication_errors(path):
     """Reload the per-replication file into arrays keyed by (estimator, design)."""
     out = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    for record in reader:
+    for record in read_csv(path):
         key = (record["estimator"], record["design"])
         entry = out.setdefault(key, {"points": [], "variances": [], "re": []})
         entry["points"].append(float(record["point"]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
-from .numerics import chisq_sf, inv_spd, solve_spd
+from .numerics import chisq_sf, gram, inv_spd, solve_spd
 from .pilot import PilotVarianceModel, fit_power_variance, predict_sigma2
 
 
@@ -46,14 +46,9 @@ class HomogeneityResult:
         )
 
 
-def _sandwich(x, weights, meat_scale, residuals):
-    """A^{-1} B A^{-1} with A = sum w_i x_i x_i' and B = sum meat_scale_i e_i^2 x_i x_i'."""
-    bread = x.T @ (weights[:, None] * x)
-    bread = (bread + bread.T) / 2.0
-    inv_bread = inv_spd(bread)
-    meat = x.T @ ((meat_scale * residuals**2)[:, None] * x)
-    meat = (meat + meat.T) / 2.0
-    return inv_bread @ meat @ inv_bread
+def _sandwich(x, inv_bread, meat_scale, residuals):
+    """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i'."""
+    return inv_bread @ gram(x, meat_scale * residuals**2) @ inv_bread
 
 
 def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
@@ -63,9 +58,7 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     estimate wraps it in the inverse weighted Gram matrix on both sides.
     """
     x_s = np.asarray(x_s, dtype=float)
-    scale = (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2
-    meat = x_s.T @ (scale[:, None] * x_s)
-    return (meat + meat.T) / 2.0
+    return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
 def fgls_np(
@@ -88,7 +81,7 @@ def fgls_np(
         model = fit_power_variance(x, y, np.ones(len(y)), fgls_iterations)
     sigma2 = predict_sigma2(model, x)
     residuals = y - x @ model.beta
-    v = _sandwich(x, 1.0 / sigma2, 1.0 / sigma2**2, residuals)
+    v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
     return model.beta, v
 
 
@@ -121,11 +114,10 @@ def fgls_p(
     residuals = y_s - x_s @ tau_model.beta
 
     w = 1.0 / (pi_s * tau2)
-    bread = x_s.T @ (w[:, None] * x_s)
-    inv_bread = inv_spd((bread + bread.T) / 2.0)
+    inv_bread = inv_spd(gram(x_s, w))
     v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2) @ inv_bread
     if include_model_variance:
-        v = v + _sandwich(x_s, w, w / tau2, residuals)
+        v = v + _sandwich(x_s, inv_bread, w / tau2, residuals)
     return tau_model.beta, v
 
 

@@ -123,6 +123,12 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding."""
+    g = x.T @ (w[:, None] * x)
+    return (g + g.T) / 2.0
+
+
 def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares, argmin over beta of sum w_i (y_i - x_i'beta)^2.
 
@@ -134,9 +140,7 @@ def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    gram = x.T @ (w[:, None] * x)
-    gram = (gram + gram.T) / 2.0
-    return solve_spd(gram, x.T @ (w * y))
+    return solve_spd(gram(x, w), x.T @ (w * y))
 
 
 def quantile(v: np.ndarray, q: float) -> float:
@@ -169,13 +173,14 @@ def quantile(v: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
-def _logistic(eta):
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _logistic(eta, t=None):
+    """1/(1+exp(-eta)) with one exp: 1/(1+t) for eta >= 0 and t/(1+t) otherwise,
+    where t = exp(-|eta|) (pass t when it is already known).  Equal bit for
+    bit to the two-branch form 1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on
+    every input but NaN, where only the sign of the NaN may differ."""
+    if t is None:
+        t = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, t) / (1.0 + t)
 
 
 def _log_likelihood(eta, delta):
@@ -214,13 +219,8 @@ def logistic_fit(
     eta = x @ alpha
     loglik, t = _log_likelihood(eta, delta)
     for _ in range(max_iter):
-        # 1/(1+exp(-eta)) for eta >= 0 and exp(eta)/(1+exp(eta)) otherwise, as _logistic
-        p = np.where(eta >= 0, 1.0, t) / (1.0 + t)
-        wdiag = p * (1.0 - p)
-        grad = x.T @ (delta - p)
-        hess = x.T @ (wdiag[:, None] * x)
-        hess = (hess + hess.T) / 2.0
-        step = solve_spd(hess, grad)
+        p = _logistic(eta, t)
+        step = solve_spd(gram(x, p * (1.0 - p)), x.T @ (delta - p))
 
         factor = 1.0
         for _ in range(30):

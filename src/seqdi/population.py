@@ -7,6 +7,8 @@ used in the data-generating mean.
 """
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,14 +195,19 @@ class PopulationData:
 
 
 def _parse_float(raw: str, row: int, column: str) -> float:
+    """A finite float; ParseError naming the row and column for anything else."""
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ParseError(
             f"non-numeric value {raw!r} in row {row}, column {column!r}",
             row=row,
             column=column,
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {raw!r} in row {row}, column {column!r}",
+                         row=row, column=column)
+    return value
 
 
 def _parse_pi(raw: str, row: int) -> float:
@@ -216,6 +223,24 @@ def _record_id(rows_by_id: dict, uid: str, row: int) -> None:
         raise ParseError(f"id {uid!r} repeated in rows {rows_by_id[uid]} and {row}", row=row,
                          column="id")
     rows_by_id[uid] = row
+
+
+def read_csv(path) -> csv.DictReader:
+    """Rows of a CSV file as dicts.  Lines starting with '#' are comments only
+    above the header; below it they are data."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        lines = list(itertools.dropwhile(lambda line: line.startswith("#"), handle))
+    return csv.DictReader(lines)
+
+
+def write_csv(path, header, rows, seed=None) -> None:
+    """Write an optional ``# seed=`` comment line, the header row and the data rows."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if seed is not None:
+            handle.write(f"# seed={seed}\n")
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_population_csv(path) -> PopulationData:
@@ -273,21 +298,13 @@ def load_population_csv(path) -> PopulationData:
 def save_population_csv(path, pop: Population, partition: Partition | None = None,
                         pi: np.ndarray | None = None, ids=None) -> None:
     """Write a population file that reloads to exactly the same values."""
-    n = pop.size
-    d = pop.x.shape[1]
-    ids = ids if ids is not None else [str(i + 1) for i in range(n)]
-    header = ["id"] + [f"x{j}" for j in range(1, d)] + ["y"]
+    # generators, so that rows are formatted one at a time as they are written
+    columns = {"id": ids if ids is not None else (str(i + 1) for i in range(pop.size))}
+    for j in range(1, pop.x.shape[1]):
+        columns[f"x{j}"] = (repr(float(v)) for v in pop.x[:, j])
+    columns["y"] = (repr(float(v)) for v in pop.y)
     if partition is not None:
-        header.append("delta")
+        columns["delta"] = (str(int(v)) for v in partition.delta)
     if pi is not None:
-        header.append("pi")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(n):
-            row = [ids[i]] + [repr(float(v)) for v in pop.x[i, 1:]] + [repr(float(pop.y[i]))]
-            if partition is not None:
-                row.append(str(int(partition.delta[i])))
-            if pi is not None:
-                row.append(repr(float(pi[i])))
-            writer.writerow(row)
+        columns["pi"] = (repr(float(v)) for v in pi)
+    write_csv(path, list(columns), zip(*columns.values(), strict=True))

@@ -220,6 +220,50 @@ class TestEstimate:
         assert "point=" not in captured.out
         assert captured.err.startswith("error:") and "'2' repeated in rows 2 and 3" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_value_names_row_exit_one(self, tmp_path, capsys, value):
+        (tmp_path / "pop.csv").write_text(
+            "id,x1,y,delta\n1,0.5,10,1\n2,0.4,2,0\n3,0.8,4,0\n"
+        )
+        (tmp_path / "sample.csv").write_text(f"id,pi,y\n3,0.5,4\n2,0.5,{value}\n")
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "di"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "point=" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "row 2" in captured.err and "'y'" in captured.err
+
+    def test_non_finite_population_value_names_row_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text(
+            "id,x1,y,delta\n1,0.5,10,1\n2,0.4,inf,0\n3,0.8,4,0\n"
+        )
+        (tmp_path / "sample.csv").write_text("id,pi\n2,0.5\n")
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "di"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 2" in err and "'y'" in err
+
+    def test_missing_delta_column_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text("id,x1,y\n1,0.5,10\n2,0.4,2\n")
+        (tmp_path / "sample.csv").write_text("id,pi\n2,0.5\n")
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "delta" in err
+
+    def test_comment_lines_only_above_header(self, tmp_path, capsys):
+        # a '#' line below the header is a data row, here the unit with id '#2'
+        (tmp_path / "pop.csv").write_text(
+            "id,x1,y,delta\n1,0.5,10,1\n3,0.4,2,0\n#2,0.8,4,0\n"
+        )
+        (tmp_path / "sample.csv").write_text("# seed=7\n# design\nid,pi\n3,0.5\n#2,0.5\n")
+        assert main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "ht"]) == 0
+        assert "HT_seq: point=22 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("header", ["pid,pi", "id,prob"])
     def test_sample_missing_column_exit_one(self, pop_csv, tmp_path, capsys, header):
         path, pop, delta = pop_csv
@@ -284,6 +328,15 @@ class TestTestCommand:
         code = main(["test", "--pop", str(path), "--sample", str(tmp_path / "s.csv")])
         assert code == 1
         assert "too few" in capsys.readouterr().err
+
+    def test_missing_delta_column_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text("id,x1,y\n1,0.5,10\n2,0.4,2\n")
+        (tmp_path / "sample.csv").write_text("id,pi\n2,0.5\n")
+        code = main(["test", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "delta" in err
 
     def test_bad_alpha_exit_two(self, pop_csv, tmp_path, capsys):
         path, pop, delta = pop_csv

@@ -70,6 +70,16 @@ class TestSimulateFixedPartition:
         test_lines = (out / "test_summary.csv").read_text().splitlines()
         assert len(test_lines) == 4  # comment, header, one row per design
 
+    def test_population_without_delta_exit_one(self, tmp_path, capsys):
+        pop_path = tmp_path / "pop.csv"
+        save_population_csv(pop_path, generate_population(dict(POP_PARAMS, N=100), RngStream(5, 0)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"replications": 2, "mechanism": "FixedPartition",
+                                        "population_csv": str(pop_path)}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "delta" in err
+
     def test_threads_flag_preserves_bytes(self, tmp_path):
         config = {
             "replications": 16,

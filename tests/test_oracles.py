@@ -1,9 +1,10 @@
 """Numerical kernels against independent oracles.
 
-numpy's own quantile and dense solvers, and scipy's distributions and
-optimizer.  scipy and hypothesis are test-only dependencies: the module
-skips without hypothesis, each scipy test without scipy.  Examples are
-derandomized, so a run is repeatable.
+numpy's own quantile, dense products and solvers, the two-branch
+logistic, and scipy's distributions and optimizer.  scipy and hypothesis
+are test-only dependencies: the module skips without hypothesis, each
+scipy test without scipy.  Examples are derandomized, so a run is
+repeatable.
 """
 
 import math
@@ -11,14 +12,18 @@ import math
 import numpy as np
 import pytest
 
+from seqdi.homogeneity import fgls_p
 from seqdi.numerics import (
+    _logistic,
     chisq_sf,
+    gram,
     inv_spd,
     logistic_fit,
     normal_quantile,
     quantile,
     solve_spd,
 )
+from seqdi.pilot import fit_power_variance, predict_sigma2
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -72,6 +77,65 @@ class TestSpdSolves:
         np.testing.assert_allclose(solve_spd(a, b), np.linalg.solve(a, b),
                                    rtol=1e-12, atol=1e-12 / scale)
         np.testing.assert_allclose(inv_spd(a), np.linalg.inv(a), rtol=1e-12, atol=1e-12 / scale)
+
+
+def two_branch_logistic(eta):
+    """Reference logistic: 1/(1+exp(-eta)) for eta >= 0, exp(eta)/(1+exp(eta)) otherwise."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestLogistic:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(eta=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=50))
+    def test_bit_identical_to_two_branch_form(self, eta):
+        # infinities and signed zeros included
+        eta = np.array(eta)
+        assert _logistic(eta).tobytes() == two_branch_logistic(eta).tobytes()
+
+    def test_nan_gives_nan(self):
+        eta = np.array([np.nan, -np.nan, 0.5, -3.0])
+        out = _logistic(eta)
+        assert np.isnan(out[:2]).all()
+        assert out[2:].tobytes() == two_branch_logistic(eta[2:]).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), d=st.integers(1, 6), seed=SEEDS)
+def test_gram_matches_dense_diagonal_product(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    w = rng.uniform(0.0, 50.0, size=n)
+    dense = x.T @ np.diag(w) @ x
+    # relative to the diagonal: off-diagonal sums of mixed-sign terms may cancel
+    scale = np.sqrt(np.outer(np.diag(dense), np.diag(dense)))
+    assert np.all(np.abs(gram(x, w) - dense) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("fgls_iterations", [0, 1, 2])
+def test_fgls_p_model_variance_matches_explicit_inverse(fgls_iterations):
+    rng = np.random.default_rng(40 + fgls_iterations)
+    n = 300
+    x = np.column_stack([np.ones(n), rng.uniform(size=n), rng.uniform(size=n)])
+    mu = x @ [2.0, 3.0, 1.0]
+    y = mu + rng.normal(size=n) * mu**0.8
+    pi = rng.uniform(0.1, 0.9, size=n)
+    beta, v = fgls_p(x, y, pi, fgls_iterations, include_model_variance=True)
+
+    tau_model = fit_power_variance(x, y, 1.0 / pi, fgls_iterations)
+    tau2 = predict_sigma2(tau_model, x)
+    e = y - x @ tau_model.beta
+    w = 1.0 / (pi * tau2)
+    m_inv = np.linalg.inv(x.T @ np.diag(w) @ x)
+    m_design = x.T @ np.diag((1.0 - pi) * e**2 / (pi * tau2) ** 2) @ x
+    m_model = x.T @ np.diag(w / tau2 * e**2) @ x
+    expected = m_inv @ m_design @ m_inv + m_inv @ m_model @ m_inv
+    assert np.array_equal(beta, tau_model.beta)
+    np.testing.assert_allclose(v, expected, rtol=1e-10, atol=0)
 
 
 def test_logistic_fit_matches_scipy_minimize():
