@@ -19,11 +19,9 @@ from . import estimators as est
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
 from .errors import ConfigError, MissingColumn, SeqdiError, SingularVariance
-from .harness import McConfig, emit_results, run_mc
+from .harness import McConfig, check_choices, emit_results, run_mc
 from .pilot import fit_pilot
-from .population import (
-    _parse_float, _parse_pi, _record_id, load_population_csv, read_csv, write_csv,
-)
+from .population import load_population_csv, load_sample_csv, write_csv
 
 # JSON name and accepted Python types of each McConfig field annotation.
 _JSON_TYPES = {
@@ -53,24 +51,6 @@ def _validate_config(raw: dict) -> dict:
     for key, field in fields.items():
         if field.default is dataclasses.MISSING and key not in raw:
             raise ConfigError(f"config key {key!r} is required")
-    if "population" in raw:
-        popblock = raw["population"]
-        for key, name in (("N", "integer"), ("beta", "array of 4 numbers"),
-                          ("sigma", "number")):
-            if key not in popblock:
-                raise ConfigError(f"config key 'population.{key}' is required ({name})")
-        if not isinstance(popblock["N"], int) or isinstance(popblock["N"], bool):
-            raise ConfigError("config key 'population.N' must be an integer")
-        beta = popblock["beta"]
-        if not isinstance(beta, list) or len(beta) != 4 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in beta
-        ):
-            raise ConfigError("config key 'population.beta' must be an array of 4 numbers")
-        if not isinstance(popblock["sigma"], (int, float)):
-            raise ConfigError("config key 'population.sigma' must be a number")
-        extra = set(popblock) - {"N", "beta", "sigma"}
-        if extra:
-            raise ConfigError(f"unknown config key 'population.{sorted(extra)[0]}'")
     return raw
 
 
@@ -104,23 +84,6 @@ def _print_summary(summary):
             f"test[{ts.design}]: reject rate {ts.reject_rate:.4f}, "
             f"mean p {ts.mean_p:.5f}, median p {ts.median_p:.6f} (alpha={ts.alpha})"
         )
-
-
-def _load_sample_csv(path):
-    """Sample file with columns id (unique), pi in (0, 1], and optional y."""
-    reader = read_csv(path)
-    header = reader.fieldnames or []
-    for required in ("id", "pi"):
-        if required not in header:
-            raise MissingColumn(f"sample file needs column {required!r}")
-    rows_by_id, pis, ys = {}, [], []
-    for i, record in enumerate(reader, start=1):
-        _record_id(rows_by_id, record["id"], i)
-        pis.append(_parse_pi(record["pi"], i))
-        if "y" in header:
-            ys.append(_parse_float(record["y"], i, "y"))
-    return (list(rows_by_id), np.asarray(pis, dtype=float),
-            np.asarray(ys, dtype=float) if ys else None)
 
 
 def _split_by_delta(data):
@@ -173,7 +136,7 @@ def _resolve_sample(args, pop, data):
     s_np, u1 = _split_by_delta(data)
     id_to_row = {uid: i for i, uid in enumerate(data.ids)}
     u1_ids = {data.ids[i] for i in u1}
-    sample_ids, pi_s, y_override = _load_sample_csv(args.sample)
+    sample_ids, pi_s, y_override = load_sample_csv(args.sample)
     missing = [sid for sid in sample_ids if sid not in u1_ids]
     if missing:
         raise SeqdiError(
@@ -186,11 +149,7 @@ def _resolve_sample(args, pop, data):
 
 def cmd_estimate(args):
     wanted = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for name in wanted:
-        if name not in _CLI_ESTIMATORS:
-            raise ConfigError(
-                f"unknown estimator {name!r}; choose from {', '.join(_CLI_ESTIMATORS)}"
-            )
+    check_choices(wanted, _CLI_ESTIMATORS, "estimator", "estimators")
     data = load_population_csv(args.pop)
     pop = data.population
     s_np, u1, rows, pi_s, y_s = _resolve_sample(args, pop, data)

@@ -19,7 +19,8 @@ from .pilot import PilotVarianceModel, predict_sigma2
 from .population import write_csv
 
 PI_FLOOR = 0.01
-DESIGN_KINDS = ("optimal", "equal", "pps")
+FLOORS = {"optimal": PI_FLOOR, "equal": PI_FLOOR, "pps": 0.0}
+DESIGN_KINDS = tuple(FLOORS)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class SecondStageDesign:
             raise ValueError("one probability per unit")
         if np.any(self.pi <= 0.0) or np.any(self.pi > 1.0 + 1e-12):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
-        floor = PI_FLOOR if self.kind in ("optimal", "equal") else 0.0
+        floor = FLOORS[self.kind]
         if np.any(self.pi < floor - 1e-12):
             raise ValueError(f"{self.kind} design must respect the {floor} floor")
 
@@ -92,6 +93,15 @@ def _scale_clamp_rescale(raw: np.ndarray, n_p: float, floor: float) -> np.ndarra
     return pi
 
 
+def _design(kind: str, raw: np.ndarray, n_p: int,
+            indices: np.ndarray | None) -> SecondStageDesign:
+    """Design of the given kind with pi proportional to the positive raw scores,
+    under that kind's floor; indices default to 0..len(raw)-1."""
+    pi = _scale_clamp_rescale(raw, n_p, FLOORS[kind])
+    idx = indices if indices is not None else np.arange(len(pi))
+    return SecondStageDesign(indices=idx, pi=pi, kind=kind, expected_size=float(n_p))
+
+
 def optimal_probabilities(
     model: PilotVarianceModel, x_complement: np.ndarray, n_p: int,
     indices: np.ndarray | None = None,
@@ -102,28 +112,14 @@ def optimal_probabilities(
     under the working variance model; probabilities are scale free in the
     outcome because the normalization cancels the variance scale.
     """
-    sd = np.sqrt(predict_sigma2(model, x_complement))
-    pi = _scale_clamp_rescale(sd, n_p, PI_FLOOR)
-    idx = indices if indices is not None else np.arange(len(pi))
-    return SecondStageDesign(indices=idx, pi=pi, kind="optimal", expected_size=float(n_p))
+    return _design("optimal", np.sqrt(predict_sigma2(model, x_complement)), n_p, indices)
 
 
 def equal_probabilities(
     n_complement: int, n_p: int, indices: np.ndarray | None = None
 ) -> SecondStageDesign:
     """Equal-probability Poisson design, pi = n_p / N1 for every unit."""
-    if not 1 <= n_p <= n_complement:
-        raise Infeasible(f"expected size {n_p} outside [1, {n_complement}]")
-    value = n_p / n_complement
-    if value < PI_FLOOR - 1e-12:
-        raise Infeasible(f"uniform probability {value:.4f} below the {PI_FLOOR} floor")
-    idx = indices if indices is not None else np.arange(n_complement)
-    return SecondStageDesign(
-        indices=idx,
-        pi=np.full(n_complement, min(value, 1.0)),
-        kind="equal",
-        expected_size=float(n_p),
-    )
+    return _design("equal", np.ones(n_complement), n_p, indices)
 
 
 def pps_probabilities(
@@ -137,9 +133,7 @@ def pps_probabilities(
     size_var = np.asarray(size_var, dtype=float)
     if np.any(size_var <= 0):
         raise NonpositiveSize("size values must all be positive")
-    pi = _scale_clamp_rescale(size_var, n_p, 0.0)
-    idx = indices if indices is not None else np.arange(len(pi))
-    return SecondStageDesign(indices=idx, pi=pi, kind="pps", expected_size=float(n_p))
+    return _design("pps", size_var, n_p, indices)
 
 
 def build_design(kind: str, x_frame: np.ndarray, n_p: int,
@@ -171,4 +165,4 @@ def design_to_csv(design: SecondStageDesign, path, ids=None, seed=None) -> None:
     """Write id, pi, kind rows; ids default to the design indices."""
     ids = ids if ids is not None else [str(int(i)) for i in design.indices]
     write_csv(path, ["id", "pi", "kind"],
-              ([unit, repr(float(p)), design.kind] for unit, p in zip(ids, design.pi)), seed)
+              ([unit, p, design.kind] for unit, p in zip(ids, design.pi)), seed)

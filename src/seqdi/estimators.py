@@ -64,9 +64,7 @@ class Estimate:
     level: float = 0.95
 
     def to_csv_row(self):
-        fmt = lambda v: "" if v is None else repr(float(v))
-        return [self.tag, repr(float(self.point)), fmt(self.variance),
-                fmt(self.ci_low), fmt(self.ci_high)]
+        return [self.tag, self.point, self.variance, self.ci_low, self.ci_high]
 
     def to_json_dict(self):
         return {
@@ -232,33 +230,33 @@ def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:
     return logistic_fit(pop.x, partition.delta.astype(float))
 
 
+def _ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray | None):
+    """Certainty-stratum indices, their estimated membership propensities and
+    the IPW total sum y_i / p_i; alpha_hat is fitted when not given."""
+    if alpha_hat is None:
+        alpha_hat = estimate_propensity(pop, partition)
+    idx = partition.certainty_idx
+    prop = _logistic(pop.x[idx] @ np.asarray(alpha_hat, dtype=float))
+    return idx, prop, float(np.sum(pop.y[idx] / prop))
+
+
 def y_ipw(pop: Population, partition: Partition,
           alpha_hat: np.ndarray | None = None) -> Estimate:
     """Inverse probability weighting with an estimated membership propensity.
 
     No variance is reported; the estimator is a point-only competitor.
     """
-    if alpha_hat is None:
-        alpha_hat = estimate_propensity(pop, partition)
-    idx = partition.certainty_idx
-    prop = _logistic(pop.x[idx] @ np.asarray(alpha_hat, dtype=float))
-    point = float(np.sum(pop.y[idx] / prop))
-    return _make_estimate("IPW", point)
+    return _make_estimate("IPW", _ipw(pop, partition, alpha_hat)[2])
 
 
 def y_dr(pop: Population, partition: Partition,
          alpha_hat: np.ndarray | None = None) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals."""
-    if alpha_hat is None:
-        alpha_hat = estimate_propensity(pop, partition)
-    idx = partition.certainty_idx
-    x_np, y_np_vals = pop.x[idx], pop.y[idx]
-    prop = _logistic(x_np @ np.asarray(alpha_hat, dtype=float))
-    beta = weighted_ls(x_np, y_np_vals, np.ones(len(idx)))
-    ipw_point = float(np.sum(y_np_vals / prop))
-    x_total = pop.x.sum(axis=0)
+    idx, prop, ipw_point = _ipw(pop, partition, alpha_hat)
+    x_np = pop.x[idx]
+    beta = weighted_ls(x_np, pop.y[idx], np.ones(len(idx)))
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
-    point = ipw_point + float((x_total - x_ipw) @ beta)
+    point = ipw_point + float((pop.x.sum(axis=0) - x_ipw) @ beta)
     return _make_estimate("DR", point)
 
 

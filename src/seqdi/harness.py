@@ -15,6 +15,7 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +40,37 @@ from .population import (
 
 DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
 MAX_REDRAWS = 20
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_choices(values, allowed, what: str, name: str) -> None:
+    """ConfigError unless ``values`` is a nonempty list of distinct members of ``allowed``."""
+    for value in values:
+        if value not in allowed:
+            raise ConfigError(f"unknown {what} {value!r}; choose from {', '.join(allowed)}")
+    if len(set(values)) != len(values) or not values:
+        raise ConfigError(f"{name} must be a nonempty list without duplicates")
+
+
+def _check_population_params(block: dict) -> None:
+    """ConfigError unless the block holds exactly N (an integer), beta (4 numbers)
+    and sigma (a number); messages name the JSON key ``population``."""
+    for key, name in (("N", "integer"), ("beta", "array of 4 numbers"), ("sigma", "number")):
+        if key not in block:
+            raise ConfigError(f"config key 'population.{key}' is required ({name})")
+    if not isinstance(block["N"], numbers.Integral) or isinstance(block["N"], bool):
+        raise ConfigError("config key 'population.N' must be an integer")
+    beta = block["beta"]
+    if not isinstance(beta, (list, tuple)) or len(beta) != 4 or not all(map(_is_number, beta)):
+        raise ConfigError("config key 'population.beta' must be an array of 4 numbers")
+    if not _is_number(block["sigma"]):
+        raise ConfigError("config key 'population.sigma' must be a number")
+    extra = set(block) - {"N", "beta", "sigma"}
+    if extra:
+        raise ConfigError(f"unknown config key 'population.{sorted(extra)[0]}'")
 
 
 @dataclass(frozen=True)
@@ -114,6 +146,8 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.mechanism not in ("MAR", "NMAR", "FixedPartition"):
             raise ConfigError(f"unknown mechanism {self.mechanism!r}")
         for frac in (self.f_np, self.f_p):
@@ -121,20 +155,18 @@ class McConfig:
                 raise ConfigError("sampling fractions must lie in (0, 1)")
         self.designs = tuple(self.designs)
         self.estimators = tuple(self.estimators)
-        for kind in self.designs:
-            if kind not in design_mod.DESIGN_KINDS:
-                raise ConfigError(f"unknown design kind {kind!r}")
-        if len(set(self.designs)) != len(self.designs) or not self.designs:
-            raise ConfigError("designs must be a nonempty list without duplicates")
-        for tag in self.estimators:
-            if tag not in ALL_TAGS:
-                raise ConfigError(f"unknown estimator {tag!r}")
-        if len(set(self.estimators)) != len(self.estimators) or not self.estimators:
-            raise ConfigError("estimators must be a nonempty list without duplicates")
+        check_choices(self.designs, design_mod.DESIGN_KINDS, "design kind", "designs")
+        check_choices(self.estimators, ALL_TAGS, "estimator", "estimators")
         if self.mechanism == "FixedPartition" and self.population_csv is None:
             raise ConfigError("FixedPartition mode needs population_csv with a delta column")
         if self.population_params is None and self.population_csv is None:
             raise ConfigError("either population_params or population_csv is required")
+        if self.population_params is not None:
+            _check_population_params(self.population_params)
+        if self.slopes is not None and self.mechanism in DEFAULT_SLOPES:
+            want = len(DEFAULT_SLOPES[self.mechanism])
+            if len(self.slopes) != want or not all(map(_is_number, self.slopes)):
+                raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} numbers")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         if not 0.0 < self.level < 1.0:
@@ -435,23 +467,19 @@ def _aggregate(config, pop, plan, results):
     )
 
 
-def _fmt(value):
-    return "" if value is None else repr(float(value))
-
-
 def emit_results(summary: McSummary, out_dir) -> list:
     """Write summary, test summary, per-replication errors, and metadata files."""
     os.makedirs(out_dir, exist_ok=True)
     tables = (
         ("summary.csv", ["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"],
-         ([arm.estimator, arm.design, _fmt(arm.rb), _fmt(arm.rrmse), _fmt(arm.var_ratio),
-           _fmt(arm.coverage)] for arm in summary.arms)),
+         ([arm.estimator, arm.design, arm.rb, arm.rrmse, arm.var_ratio, arm.coverage]
+          for arm in summary.arms)),
         ("test_summary.csv", ["Design", "R", "alpha", "reject_rate", "mean_p", "median_p"],
-         ([ts.design, ts.replications, _fmt(ts.alpha), _fmt(ts.reject_rate), _fmt(ts.mean_p),
-           _fmt(ts.median_p)] for ts in summary.tests)),
+         ([ts.design, ts.replications, ts.alpha, ts.reject_rate, ts.mean_p, ts.median_p]
+          for ts in summary.tests)),
         ("replication_errors.csv", ["rep", "estimator", "design", "point", "variance", "re"],
-         ([r, arm.estimator, arm.design, _fmt(arm.points[r]),
-           "" if arm.variances is None else _fmt(arm.variances[r]), _fmt(re)]
+         ([r, arm.estimator, arm.design, arm.points[r],
+           None if arm.variances is None else arm.variances[r], re]
           for arm in summary.arms
           for r, re in enumerate(100.0 * (arm.points - summary.y_true) / summary.y_true))),
     )

@@ -233,14 +233,24 @@ def read_csv(path) -> csv.DictReader:
     return csv.DictReader(lines)
 
 
+def _cell(value):
+    """None as an empty cell, a float as its round-tripping repr, anything else as is."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
 def write_csv(path, header, rows, seed=None) -> None:
-    """Write an optional ``# seed=`` comment line, the header row and the data rows."""
+    """Write an optional ``# seed=`` comment line, the header row and the data
+    rows, each cell as :func:`_cell` formats it."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if seed is not None:
             handle.write(f"# seed={seed}\n")
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_cell, row) for row in rows)
 
 
 def load_population_csv(path) -> PopulationData:
@@ -295,16 +305,33 @@ def load_population_csv(path) -> PopulationData:
     return PopulationData(population=pop, partition=part, pi=pi, ids=ids)
 
 
+def load_sample_csv(path):
+    """Ids, pi and y (None without a y column) of a sample file with columns
+    id (unique), pi in (0, 1], and optional y."""
+    reader = read_csv(path)
+    header = reader.fieldnames or []
+    for required in ("id", "pi"):
+        if required not in header:
+            raise MissingColumn(f"sample file needs column {required!r}")
+    rows_by_id, pis, ys = {}, [], []
+    for i, record in enumerate(reader, start=1):
+        _record_id(rows_by_id, record["id"], i)
+        pis.append(_parse_pi(record["pi"], i))
+        if "y" in header:
+            ys.append(_parse_float(record["y"], i, "y"))
+    return (list(rows_by_id), np.asarray(pis, dtype=float),
+            np.asarray(ys, dtype=float) if ys else None)
+
+
 def save_population_csv(path, pop: Population, partition: Partition | None = None,
                         pi: np.ndarray | None = None, ids=None) -> None:
     """Write a population file that reloads to exactly the same values."""
-    # generators, so that rows are formatted one at a time as they are written
-    columns = {"id": ids if ids is not None else (str(i + 1) for i in range(pop.size))}
+    columns = {"id": ids if ids is not None else range(1, pop.size + 1)}
     for j in range(1, pop.x.shape[1]):
-        columns[f"x{j}"] = (repr(float(v)) for v in pop.x[:, j])
-    columns["y"] = (repr(float(v)) for v in pop.y)
+        columns[f"x{j}"] = pop.x[:, j]
+    columns["y"] = pop.y
     if partition is not None:
-        columns["delta"] = (str(int(v)) for v in partition.delta)
+        columns["delta"] = partition.delta.astype(int)
     if pi is not None:
-        columns["pi"] = (repr(float(v)) for v in pi)
+        columns["pi"] = pi
     write_csv(path, list(columns), zip(*columns.values(), strict=True))

@@ -76,6 +76,25 @@ class TestSimulate:
         assert code == 2
         assert "duplicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_seed, flag", [(-1, []), (5, ["--seed", "-3"])])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, config_seed, flag):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "seed": config_seed,
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")] + flag)
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mechanism, slopes", [("MAR", ["a", "b"]), ("MAR", [1]),
+                                                   ("NMAR", [1, 2]), ("NMAR", [1, True, 2])])
+    def test_bad_slopes_exit_two(self, tmp_path, capsys, mechanism, slopes):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "mechanism": mechanism, "slopes": slopes,
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "slopes" in capsys.readouterr().err
+
     def test_unknown_key_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 5, "reps": 2}))
@@ -180,6 +199,18 @@ class TestEstimate:
         code = main(["estimate", "--pop", str(path), "--sample", str(sample),
                      "--estimators", "di,bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("names", ["", " , ", "di,di", "di,ht,di"])
+    def test_empty_or_repeated_estimators_exit_two(self, pop_csv, tmp_path, capsys, names):
+        path, pop, delta = pop_csv
+        u1_ids = [str(i + 1) for i in np.flatnonzero(delta == 0)][:50]
+        sample = self._write_sample(tmp_path, u1_ids, [0.5] * 50)
+        out = tmp_path / "est.csv"
+        code = main(["estimate", "--pop", str(path), "--sample", str(sample),
+                     "--estimators", names, "--out", str(out)])
+        assert code == 2
+        assert "nonempty list without duplicates" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_id_mismatch_exit_one(self, pop_csv, tmp_path, capsys):
         path, pop, delta = pop_csv

@@ -106,6 +106,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(f_p=1.5)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=-1)
+
+    @pytest.mark.parametrize("mechanism, slopes", [("MAR", (1.0,)), ("MAR", ("a", "b")),
+                                                   ("NMAR", (2.0, -2.0)), ("MAR", (1.0, None))])
+    def test_bad_slopes(self, mechanism, slopes):
+        with pytest.raises(ConfigError, match="slopes"):
+            small_config(mechanism=mechanism, slopes=slopes)
+
+    def test_numpy_slopes_accepted(self):
+        config = small_config(slopes=(np.float64(1.0), np.int64(-1)))
+        assert config.slopes == (1.0, -1)
+
+    @pytest.mark.parametrize("params, key", [
+        ({"N": 100}, "population.beta"),
+        ({"beta": (1, 1, 1, 0), "sigma": 0.5}, "population.N"),
+        ({"N": 100.0, "beta": (1, 1, 1, 0), "sigma": 0.5}, "population.N"),
+        ({"N": 100, "beta": (1, 1, 1), "sigma": 0.5}, "population.beta"),
+        ({"N": 100, "beta": (1, 1, 1, "x"), "sigma": 0.5}, "population.beta"),
+        ({"N": 100, "beta": (1, 1, 1, 0), "sigma": "0.5"}, "population.sigma"),
+        ({"N": 100, "beta": (1, 1, 1, 0), "sigma": 0.5, "mu": 1}, "population.mu"),
+    ])
+    def test_population_params_checked(self, params, key):
+        with pytest.raises(ConfigError, match=key):
+            small_config(replications=2, population_params=params)
+
 
 class TestRunMc:
     def test_census_single_replication_exact(self, tmp_path):

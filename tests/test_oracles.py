@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from seqdi.design import equal_probabilities
+from seqdi.errors import Infeasible
 from seqdi.homogeneity import fgls_p
 from seqdi.numerics import (
     _logistic,
@@ -116,6 +118,18 @@ def test_gram_matches_dense_diagonal_product(n, d, seed):
     assert np.all(np.abs(gram(x, w) - dense) <= 1e-12 * scale)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20_000), data=st.data())
+def test_equal_design_is_uniform_or_infeasible(n, data):
+    # the equal design runs through the general clamp-and-rescale allocation
+    k = data.draw(st.integers(1, n))
+    if 100 * k < n:
+        with pytest.raises(Infeasible):
+            equal_probabilities(n, k)
+    else:
+        assert equal_probabilities(n, k).pi.tobytes() == np.full(n, k / n).tobytes()
+
+
 @pytest.mark.parametrize("fgls_iterations", [0, 1, 2])
 def test_fgls_p_model_variance_matches_explicit_inverse(fgls_iterations):
     rng = np.random.default_rng(40 + fgls_iterations)
@@ -171,4 +185,4 @@ def test_normal_quantile_matches_scipy():
     ps = np.concatenate([tail, np.linspace(0.01, 0.99, 197), 1.0 - tail])
     ps = ps[ps != 0.975]  # pinned to Z_975 for reproducible intervals
     ours = np.array([normal_quantile(float(p)) for p in ps])
-    np.testing.assert_allclose(ours, stats.norm.ppf(ps), rtol=1.2e-9, atol=0)
+    np.testing.assert_allclose(ours, stats.norm.ppf(ps), rtol=1e-13, atol=0)

@@ -19,7 +19,9 @@ from seqdi.population import (
     draw_nonprob,
     generate_population,
     load_population_csv,
+    read_csv,
     save_population_csv,
+    write_csv,
 )
 
 LOGNORMAL_PARAMS = {"N": 100_000, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
@@ -217,3 +219,17 @@ class TestCsv:
         assert np.array_equal(data.population.x, pop.x)
         assert np.array_equal(data.population.y, pop.y)
         assert np.array_equal(data.partition.delta, part.delta)
+
+    def test_write_read_cells(self, tmp_path):
+        floats = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 0.1,
+                  1.0 / 3.0, np.float64(2.5e-310), np.float64(-7.25)]
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["value", "absent", "count", "name"],
+                  ([v, None, i, f"unit {i}"] for i, v in enumerate(floats)), seed=3)
+        assert path.read_text().startswith("# seed=3\n")
+        rows = list(read_csv(path))
+        assert len(rows) == len(floats)
+        for i, (value, row) in enumerate(zip(floats, rows)):
+            back = float(row["value"])
+            assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+            assert (row["absent"], row["count"], row["name"]) == ("", str(i), f"unit {i}")
