@@ -118,12 +118,12 @@ def cmd_design(args):
         frame_idx = np.arange(pop.size)
     else:
         s_np, u1 = _split_by_delta(data)
-        pilot_x, pilot_y = pop.x[s_np], pop.y[s_np]
+        pilot_x, pilot_y = pop.rows(s_np), pop.y[s_np]
         frame_idx = u1
 
     frame_ids = [data.ids[i] for i in frame_idx]
     pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
-    dsgn = build_design(args.kind, pop.x[frame_idx], args.np_size, pilot, frame_idx)
+    dsgn = build_design(args.kind, pop.rows(frame_idx), args.np_size, pilot, frame_idx)
     design_to_csv(dsgn, args.out, ids=frame_ids, seed=args.seed)
     print(f"wrote {args.out}: {len(frame_ids)} rows, total pi = {float(np.sum(dsgn.pi)):.6f}")
     return 0
@@ -153,14 +153,14 @@ def cmd_estimate(args):
     data = load_population_csv(args.pop)
     pop = data.population
     s_np, u1, rows, pi_s, y_s = _resolve_sample(args, pop, data)
-    y_np_vals = pop.y[s_np]
-    x_s = pop.x[rows]
-    x_total_u1 = pop.x[u1].sum(axis=0)
+    x_np, y_np_vals = pop.rows(s_np), pop.y[s_np]
+    x_s = pop.rows(rows)
+    x_total_u1 = pop.x_total - x_np.sum(axis=0)
     kind = "inverse_pi" if args.weights == "b" else "inverse_pi_sigma"
     wspec = est.WeightSpec(kind)
     model = None
     if kind == "inverse_pi_sigma" and ("sep" in wanted or "com" in wanted):
-        model = fit_pilot(pop.x[s_np], y_np_vals)
+        model = fit_pilot(x_np, y_np_vals)
 
     out_rows = []
     for name in wanted:
@@ -172,7 +172,7 @@ def cmd_estimate(args):
             record = est.y_sep_di(y_np_vals, y_s, x_s, pi_s, x_total_u1, wspec, model)
         else:
             record = est.y_com_di(
-                y_np_vals, pop.x[s_np], y_s, x_s, pi_s, x_total_u1, wspec, model
+                y_np_vals, x_np, y_s, x_s, pi_s, x_total_u1, wspec, model
             )
         out_rows.append(record)
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
@@ -192,8 +192,8 @@ def cmd_test(args):
     data = load_population_csv(args.pop)
     pop = data.population
     s_np, u1, rows, pi_s, y_s = _resolve_sample(args, pop, data)
-    np_fit = homog.fgls_np(pop.x[s_np], pop.y[s_np])
-    p_fit = homog.fgls_p(pop.x[rows], y_s, pi_s)
+    np_fit = homog.fgls_np(pop.rows(s_np), pop.y[s_np])
+    p_fit = homog.fgls_p(pop.rows(rows), y_s, pi_s)
     result = homog.homogeneity_test(np_fit, p_fit, args.alpha)
     decision = "reject homogeneity" if result.reject else "do not reject homogeneity"
     print(

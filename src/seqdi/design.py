@@ -5,8 +5,8 @@ proportional to the predicted conditional standard deviation), equal
 probability, and probability proportional to size.  The optimal and
 equal designs enforce the probability floor of 0.01; the PPS design only
 truncates at 1, so it keeps the raw proportional-to-size behavior (and
-its instability when tiny sizes occur).  Rescaling of unconstrained
-units preserves the expected size whenever the bounds leave room.
+its instability when tiny sizes occur).  Every allocation keeps the
+expected size whenever the bounds leave room.
 """
 
 from dataclasses import dataclass
@@ -57,39 +57,39 @@ class DrawnSample:
 
 
 def _scale_clamp_rescale(raw: np.ndarray, n_p: float, floor: float) -> np.ndarray:
-    """Scale raw scores to sum n_p, clamping at [floor, 1] and rescaling the rest.
+    """pi = clip(c * raw, floor, 1) with sum pi = n_p: the minimizer of
+    sum (1/pi_i - 1) raw_i^2 within the bounds (Sarndal et al. 1992, ch. 12).
 
-    Clamped units never unclamp, so the loop ends within len(raw) passes.
-    A zero floor disables the lower clamp (probabilities stay positive
-    because the raw scores are).
-    """
+    c comes from Newton steps on the piecewise linear sum pi, each exact on
+    its piece, kept inside a bisection bracket.  A zero floor disables the
+    lower clamp."""
     n1 = len(raw)
     if not 1 <= n_p <= n1:
         raise Infeasible(f"expected size {n_p} outside [1, {n1}]")
     if floor * n1 > n_p + 1e-12:
         raise Infeasible(f"floor {floor} over {n1} units already exceeds size {n_p}")
 
-    pi = np.empty(n1)
-    at_ceiling = np.zeros(n1, dtype=bool)
-    at_floor = np.zeros(n1, dtype=bool)
-    for _ in range(n1 + 1):
+    c = n_p / float(np.sum(raw))
+    pi = raw * c
+    if np.all((pi >= floor) & (pi <= 1.0)):
+        return pi
+    if n_p == n1:
+        return np.ones(n1)
+    lo, hi = 0.0, 1.0 / float(np.min(raw))  # sum pi <= n_p at lo, >= n_p at hi
+    for _ in range(2 * n1 + 64):  # a Newton step per piece, then halvings
+        scaled = c * raw
+        at_ceiling, at_floor = scaled >= 1.0, scaled <= floor
         free = ~(at_ceiling | at_floor)
         budget = n_p - np.sum(at_ceiling) - floor * np.sum(at_floor)
-        if not free.any():
+        reached = float(np.clip(scaled, floor, 1.0).sum())
+        if abs(reached - n_p) <= 1e-12 * n_p:
             break
-        total_free = float(np.sum(raw[free]))
-        if total_free <= 0.0 or budget <= 0.0:
-            at_floor |= free
-            break
-        pi[free] = raw[free] * (budget / total_free)
-        over = free & (pi > 1.0)
-        under = free & (pi < floor)
-        if not (over.any() or under.any()):
-            break
-        at_ceiling |= over
-        at_floor |= under
-    pi[at_ceiling] = 1.0
-    pi[at_floor] = floor
+        step = budget / float(np.sum(raw[free])) if free.any() else np.nan
+        lo, hi = (c, hi) if reached < n_p else (lo, c)
+        c = step if lo < step < hi else (lo + hi) / 2.0
+    pi = np.where(at_ceiling, 1.0, floor)
+    if free.any():
+        pi[free] = np.clip(raw[free] * (budget / float(np.sum(raw[free]))), floor, 1.0)
     return pi
 
 

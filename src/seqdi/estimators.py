@@ -9,8 +9,7 @@ independent probability sample, IPW, doubly robust, and their fusion)
 are included for comparison studies.
 
 All design variances ship in their Poisson specialization
-sum (1-pi_i)/pi_i^2 * e_i^2; the general double-sum form is kept for
-verification against exact enumeration.
+sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
 import json
@@ -94,30 +93,6 @@ def poisson_plugin_variance(residuals: np.ndarray, pi: np.ndarray) -> float:
     residuals = np.asarray(residuals, dtype=float)
     pi = np.asarray(pi, dtype=float)
     return float(np.sum((1.0 - pi) / pi**2 * residuals**2))
-
-
-def plugin_variance_double_sum(
-    residuals: np.ndarray, pi: np.ndarray, joint: np.ndarray | None = None
-) -> float:
-    """General double-sum plug-in variance over the realized sample.
-
-    sum_ij Delta_ij / pi_ij * (e_i/pi_i) * (e_j/pi_j) with
-    Delta_ij = pi_ij - pi_i pi_j.  When ``joint`` is omitted the Poisson
-    identities pi_ij = pi_i pi_j (i != j), pi_ii = pi_i apply, and the
-    expression collapses to :func:`poisson_plugin_variance`.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    n = len(pi)
-    if joint is None:
-        joint = np.outer(pi, pi)
-        np.fill_diagonal(joint, pi)
-    delta = joint - np.outer(pi, pi)
-    z = residuals / pi
-    total = 0.0
-    for i in range(n):
-        total += float(np.sum(delta[i] / joint[i] * z[i] * z))
-    return total
 
 
 def y_di(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
@@ -231,13 +206,15 @@ def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:
 
 
 def _ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray | None):
-    """Certainty-stratum indices, their estimated membership propensities and
-    the IPW total sum y_i / p_i; alpha_hat is fitted when not given."""
+    """Certainty-stratum rows of X and y, their estimated membership
+    propensities and the IPW total sum y_i / p_i; alpha_hat is fitted when
+    not given."""
     if alpha_hat is None:
         alpha_hat = estimate_propensity(pop, partition)
     idx = partition.certainty_idx
-    prop = _logistic(pop.x[idx] @ np.asarray(alpha_hat, dtype=float))
-    return idx, prop, float(np.sum(pop.y[idx] / prop))
+    x_np, y_np = pop.rows(idx), pop.y[idx]
+    prop = _logistic(x_np @ np.asarray(alpha_hat, dtype=float))
+    return x_np, y_np, prop, float(np.sum(y_np / prop))
 
 
 def y_ipw(pop: Population, partition: Partition,
@@ -246,17 +223,16 @@ def y_ipw(pop: Population, partition: Partition,
 
     No variance is reported; the estimator is a point-only competitor.
     """
-    return _make_estimate("IPW", _ipw(pop, partition, alpha_hat)[2])
+    return _make_estimate("IPW", _ipw(pop, partition, alpha_hat)[3])
 
 
 def y_dr(pop: Population, partition: Partition,
          alpha_hat: np.ndarray | None = None) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals."""
-    idx, prop, ipw_point = _ipw(pop, partition, alpha_hat)
-    x_np = pop.x[idx]
-    beta = weighted_ls(x_np, pop.y[idx], np.ones(len(idx)))
+    x_np, y_np, prop, ipw_point = _ipw(pop, partition, alpha_hat)
+    beta = weighted_ls(x_np, y_np, np.ones(len(y_np)))
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
-    point = ipw_point + float((pop.x.sum(axis=0) - x_ipw) @ beta)
+    point = ipw_point + float((pop.x_total - x_ipw) @ beta)
     return _make_estimate("DR", point)
 
 

@@ -12,6 +12,7 @@ bit-reproducible.
 
 import concurrent.futures
 import contextlib
+import copy
 import functools
 import json
 import math
@@ -109,7 +110,7 @@ ESTIMATORS = {
         done["sepDI_sigma"], done["comDI_sigma"], c.test),
         combines=("sepDI_sigma", "comDI_sigma"), needs=("test",)),
     "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
-        c.pop.x.sum(axis=0), c.pop.y[c.ind_sample.members], c.pop.x[c.ind_sample.members],
+        c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
         c.ind_sample.pi_realized, c.level)),
     "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
                      variance=False),
@@ -159,8 +160,9 @@ class McConfig:
         check_choices(self.estimators, ALL_TAGS, "estimator", "estimators")
         if self.mechanism == "FixedPartition" and self.population_csv is None:
             raise ConfigError("FixedPartition mode needs population_csv with a delta column")
-        if self.population_params is None and self.population_csv is None:
-            raise ConfigError("either population_params or population_csv is required")
+        if (self.population_params is None) == (self.population_csv is None):
+            raise ConfigError("exactly one of population_params (the config key "
+                              "'population') and population_csv is required")
         if self.population_params is not None:
             _check_population_params(self.population_params)
         if self.slopes is not None and self.mechanism in DEFAULT_SLOPES:
@@ -278,12 +280,12 @@ def _draw_with_retry(dsgn, rng):
 
 
 def _stratum_setup(config, plan, pop, partition):
-    """(partition, pilot, np_fit, designs by kind) of one certainty stratum.
+    """The :class:`_Inputs` of one certainty stratum, before any draw.
 
     Designs use no randomness, so building them all before any draw
     leaves every draw unchanged."""
     s_np, u1 = partition.certainty_idx, partition.complement_idx
-    x_np, y_np = pop.x[s_np], pop.y[s_np]
+    x_np, y_np = pop.rows(s_np), pop.y[s_np]
     pilot = (
         fit_power_variance(x_np, y_np, np.ones(len(s_np)), config.fgls_iterations)
         if plan["need_pilot"]
@@ -291,24 +293,25 @@ def _stratum_setup(config, plan, pop, partition):
     )
     np_fit = homog.fgls_np(x_np, y_np, model=pilot) if plan["need_test"] else None
     n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
+    x_u1 = pop.rows(u1)
     designs = {
-        kind: design_mod.build_design(kind, pop.x[u1], n_p, pilot, u1) for kind in config.designs
+        kind: design_mod.build_design(kind, x_u1, n_p, pilot, u1) for kind in config.designs
     }
-    return partition, pilot, np_fit, designs
+    return _Inputs(config, pop, partition, x_np, y_np, pilot, np_fit, designs)
 
 
 class _Inputs:
-    """What one replication's estimators read.  The arm fields (y_s, x_s,
-    pi_s, test) are set per design; the frame inputs are made on first use."""
+    """What one replication's estimators read.  The stratum part comes from
+    :func:`_stratum_setup`; a replication works on a copy of it with its own
+    rng, sets the arm fields (y_s, x_s, pi_s, test) per design and makes the
+    frame inputs on first use."""
 
-    def __init__(self, config, pop, partition, pilot, rng):
-        s_np, u1 = partition.certainty_idx, partition.complement_idx
-        self.config, self.pop, self.partition, self.pilot, self.rng = (
-            config, pop, partition, pilot, rng)
-        self.level = config.level
-        self.y_np, self.x_np = pop.y[s_np], pop.x[s_np]
-        self.n1, self.x_total_u1 = len(u1), pop.x[u1].sum(axis=0)
-        self.y_s = self.x_s = self.pi_s = self.test = None
+    def __init__(self, config, pop, partition, x_np, y_np, pilot, np_fit, designs):
+        self.config, self.pop, self.partition, self.level = config, pop, partition, config.level
+        self.x_np, self.y_np, self.pilot, self.np_fit, self.designs = (
+            x_np, y_np, pilot, np_fit, designs)
+        self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
+        self.rng = self.y_s = self.x_s = self.pi_s = self.test = None
 
     @functools.cached_property
     def alpha_hat(self):
@@ -341,17 +344,17 @@ def _replicate(r, config, pop, mech, plan, stratum):
     try:
         if stratum is None:
             stratum = _stratum_setup(config, plan, pop, draw_nonprob(pop, mech, rng))
-        partition, pilot, np_fit, designs = stratum
-        inputs = _Inputs(config, pop, partition, pilot, rng)
+        inputs = copy.copy(stratum)
+        inputs.rng = rng
         for kind in config.designs:
             where = f"design {kind}"
-            sample = _draw_with_retry(designs[kind], rng)
-            inputs.y_s, inputs.x_s = pop.y[sample.members], pop.x[sample.members]
+            sample = _draw_with_retry(inputs.designs[kind], rng)
+            inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
             inputs.pi_s = sample.pi_realized
             if plan["need_test"]:
                 p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s,
                                      config.fgls_iterations, config.include_model_variance)
-                inputs.test = homog.homogeneity_test(np_fit, p_fit, config.alpha)
+                inputs.test = homog.homogeneity_test(inputs.np_fit, p_fit, config.alpha)
                 tests[kind] = (inputs.test.p_value, inputs.test.reject)
             keep(plan["sequential"], kind)
         where = "frame estimators"

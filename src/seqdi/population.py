@@ -7,6 +7,7 @@ used in the data-generating mean.
 """
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,13 +26,14 @@ from .numerics import RngStream, _logistic
 
 @dataclass(frozen=True)
 class Population:
-    """Fixed finite population: working design matrix X (first column 1) and outcome y."""
+    """Fixed finite population: working design matrix X (first column 1) and outcome y.
+    X is held column-major, so Gram products and :meth:`rows` run on contiguous columns."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.asfortranarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -49,6 +51,15 @@ class Population:
     @property
     def true_total(self) -> float:
         return float(np.sum(self.y))
+
+    @functools.cached_property
+    def x_total(self) -> np.ndarray:
+        """Frame covariate totals, the column sums of X."""
+        return self.x.sum(axis=0)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` (integers) of X as ``x[idx]``, but column-major and faster."""
+        return np.take(self.x.T, idx, axis=1).T
 
 
 @dataclass
@@ -86,9 +97,17 @@ class SelectionMechanism:
         return eta
 
     def probabilities(self, pop: Population) -> np.ndarray:
+        """Read-only selection probabilities; the last population's are kept,
+        so a Monte Carlo run computes them once."""
         if self.intercept is None:
             raise InvalidParams("mechanism is not calibrated")
-        return _logistic(self.intercept + self.linear_predictor(pop))
+        key = (self.kind, tuple(self.slopes), self.intercept)
+        memo = self.__dict__.get("_memo")
+        if memo is None or memo[0] is not pop or memo[1] != key:
+            p = _logistic(self.intercept + self.linear_predictor(pop))
+            p.flags.writeable = False
+            memo = self._memo = (pop, key, p)
+        return memo[2]
 
 
 @dataclass(frozen=True)
@@ -145,7 +164,7 @@ def generate_population(params: dict, rng: RngStream) -> Population:
         raise InvalidParams("mean function must stay positive")
     eps = rng.normal(-sigma**2 / 2.0, sigma, size=n)
     y = mu * np.exp(eps)
-    return Population(x=np.column_stack([np.ones(n), x1, x2]), y=y)
+    return Population(x=np.array([np.ones(n), x1, x2]).T, y=y)
 
 
 def calibrate_intercept(mech: SelectionMechanism, pop: Population) -> float:

@@ -95,6 +95,16 @@ class TestSimulate:
         assert code == 2
         assert "slopes" in capsys.readouterr().err
 
+    def test_population_csv_and_block_exit_two(self, pop_csv, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "population_csv": str(pop_csv[0]),
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "population_csv" in message and "'population'" in message
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 5, "reps": 2}))

@@ -3,6 +3,7 @@ import pytest
 
 from seqdi.design import (
     PI_FLOOR,
+    _scale_clamp_rescale,
     equal_probabilities,
     optimal_probabilities,
     poisson_draw,
@@ -120,6 +121,15 @@ class TestClampProperties:
             assert np.all(dsgn.pi <= 1.0 + 1e-12)
             if np.all(dsgn.pi < 1.0 - 1e-12):
                 assert abs(dsgn.pi.sum() - n_p) <= 1e-6 * n_p
+
+    def test_ceiling_and_floor_in_one_pass_keep_expected_size(self):
+        # a ceiling and a floor clamp at the same scale must still spend the
+        # whole expected size, here on the eight units left free
+        raw = np.array([1000.0, 100.0] + [1.0] * 8)
+        for n_p, rest in ((3, 0.125), (8, 0.75)):
+            pi = _scale_clamp_rescale(raw, n_p, PI_FLOOR)
+            np.testing.assert_allclose(pi, [1.0, 1.0] + [rest] * 8, rtol=1e-12)
+            assert pi.sum() == pytest.approx(n_p, rel=1e-12)
 
     def test_sum_preserved_when_feasible_with_bounds(self):
         dsgn = pps_probabilities(np.array([100.0, 1.0, 1.0, 1.0]), 2)

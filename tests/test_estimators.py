@@ -5,7 +5,6 @@ from seqdi.errors import EmptySample
 from seqdi.estimators import (
     Estimate,
     WeightSpec,
-    plugin_variance_double_sum,
     poisson_plugin_variance,
     y_com_di,
     y_di,
@@ -138,6 +137,31 @@ class TestComSepRelations:
             com = y_com_di(np.array([]), np.empty((0, x.shape[1])), *args, WeightSpec(kind), model)
             assert com.point == sep.point
             assert com.variance == sep.variance
+
+
+def plugin_variance_double_sum(
+    residuals: np.ndarray, pi: np.ndarray, joint: np.ndarray | None = None
+) -> float:
+    """General double-sum plug-in variance over the realized sample.
+
+    sum_ij Delta_ij / pi_ij * (e_i/pi_i) * (e_j/pi_j) with
+    Delta_ij = pi_ij - pi_i pi_j.  When ``joint`` is omitted the Poisson
+    identities pi_ij = pi_i pi_j (i != j), pi_ii = pi_i apply, and the
+    expression collapses to :func:`poisson_plugin_variance`; the test
+    below checks that the package's Poisson form is this collapse.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    n = len(pi)
+    if joint is None:
+        joint = np.outer(pi, pi)
+        np.fill_diagonal(joint, pi)
+    delta = joint - np.outer(pi, pi)
+    z = residuals / pi
+    total = 0.0
+    for i in range(n):
+        total += float(np.sum(delta[i] / joint[i] * z[i] * z))
+    return total
 
 
 class TestPluginVariance:

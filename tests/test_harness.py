@@ -120,6 +120,13 @@ class TestConfigValidation:
         config = small_config(slopes=(np.float64(1.0), np.int64(-1)))
         assert config.slopes == (1.0, -1)
 
+    def test_population_csv_and_block_both_rejected(self, tmp_path):
+        # neither source may be dropped silently in favour of the other
+        path = tmp_path / "pop.csv"
+        save_population_csv(path, generate_population(POP_PARAMS, RngStream(1, 0)))
+        with pytest.raises(ConfigError, match="population_csv"):
+            small_config(population_csv=str(path))
+
     @pytest.mark.parametrize("params, key", [
         ({"N": 100}, "population.beta"),
         ({"beta": (1, 1, 1, 0), "sigma": 0.5}, "population.N"),

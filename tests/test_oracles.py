@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from seqdi.design import equal_probabilities
+from seqdi.design import PI_FLOOR, _scale_clamp_rescale, equal_probabilities
 from seqdi.errors import Infeasible
 from seqdi.homogeneity import fgls_p
 from seqdi.numerics import (
@@ -128,6 +128,37 @@ def test_equal_design_is_uniform_or_infeasible(n, data):
             equal_probabilities(n, k)
     else:
         assert equal_probabilities(n, k).pi.tobytes() == np.full(n, k / n).tobytes()
+
+
+def anticipated_variance(pi, score):
+    return float(np.sum((1.0 / pi - 1.0) * score**2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), spread=st.floats(0.0, 4.0), floor=st.sampled_from([0.0, PI_FLOOR]),
+       mix=st.floats(0.0, 1.0), seed=SEEDS, data=st.data())
+def test_allocation_is_the_clipped_optimum(n, spread, floor, mix, seed, data):
+    # the minimizer of sum (1/pi - 1) s^2 under sum pi = n_p, floor <= pi <= 1
+    # is clip(c s, floor, 1): free units proportional to s, the clamped ones
+    # on the side of the bound their score puts them
+    rng = np.random.default_rng(seed)
+    score = rng.lognormal(0.0, spread, size=n)
+    n_p = data.draw(st.integers(max(1, math.ceil(floor * n)), n))
+    pi = _scale_clamp_rescale(score, n_p, floor)
+    assert abs(pi.sum() - n_p) <= 1e-12 * n_p
+    assert np.all((pi >= floor) & (pi <= 1.0) & (pi > 0.0))
+    free = (pi > floor) & (pi < 1.0)
+    if free.any():
+        c = pi[free] / score[free]
+        assert np.ptp(c) <= 1e-12 * c.max()
+        assert np.all(score[pi == 1.0] * c[0] >= 1.0 - 1e-12)
+        assert np.all(score[pi == floor] * c[0] <= floor * (1.0 + 1e-12))
+    # any feasible design, moved part of the way toward from the optimum, is no better
+    other = _scale_clamp_rescale(rng.lognormal(0.0, 2.0, size=n), n_p, floor)
+    moved = (1.0 - mix) * pi + mix * other
+    # to rounding on the scale of sum s^2 / pi, from which the terms -s^2 cancel
+    slack = 1e-12 * float(np.sum(score**2 / pi))
+    assert anticipated_variance(pi, score) <= anticipated_variance(moved, score) + slack
 
 
 @pytest.mark.parametrize("fgls_iterations", [0, 1, 2])

@@ -104,6 +104,21 @@ class TestCalibrateIntercept:
 
 
 class TestDrawNonprob:
+    def test_probabilities_kept_per_population_and_parameters(self):
+        pop = generate_population(dict(LOGNORMAL_PARAMS, N=500), RngStream(20, 0))
+        other = generate_population(dict(LOGNORMAL_PARAMS, N=500), RngStream(21, 0))
+        mech = SelectionMechanism("NMAR", [2.0, -2.0, 0.5], 0.7, intercept=-1.0)
+        first = mech.probabilities(pop)
+        assert mech.probabilities(pop) is first and not first.flags.writeable
+        fresh = SelectionMechanism("NMAR", [2.0, -2.0, 0.5], 0.7, intercept=-1.0)
+        assert first.tobytes() == fresh.probabilities(pop).tobytes()
+        assert mech.probabilities(other).tobytes() == fresh.probabilities(other).tobytes()
+        mech.slopes[2] = 0.0  # changed in place
+        mech.intercept = 0.0
+        changed = SelectionMechanism("NMAR", [2.0, -2.0, 0.0], 0.7, intercept=0.0)
+        assert mech.probabilities(pop).tobytes() == changed.probabilities(pop).tobytes()
+        assert mech.probabilities(pop).tobytes() != first.tobytes()
+
     def test_degenerate_partition(self):
         pop = generate_population(dict(LOGNORMAL_PARAMS, N=50), RngStream(14, 0))
         mech = SelectionMechanism("MAR", (0.0, 0.0), 0.5, intercept=40.0)
