@@ -18,7 +18,7 @@ import numpy as np
 from . import estimators as est
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
-from .errors import ConfigError, MissingColumn, SeqdiError, SingularVariance
+from .errors import ConfigError, InvalidParams, MissingColumn, SeqdiError, SingularVariance
 from .harness import McConfig, check_choices, emit_results, run_mc
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
@@ -115,6 +115,9 @@ def cmd_design(args):
     if args.pilot is not None:
         pilot_data = load_population_csv(args.pilot)
         pilot_x, pilot_y = pilot_data.population.x, pilot_data.population.y
+        if pilot_x.shape[1] != pop.x.shape[1]:
+            raise InvalidParams(f"covariate count differs: {pilot_x.shape[1] - 1} in pilot "
+                                f"{args.pilot}, {pop.x.shape[1] - 1} in population {args.pop}")
         frame_idx = np.arange(pop.size)
     else:
         s_np, u1 = _split_by_delta(data)
@@ -247,7 +250,6 @@ def build_parser():
     tst.add_argument("--pop", required=True, help="population CSV with a delta column")
     tst.add_argument("--sample", required=True, help="sample CSV with id, pi and optional y")
     tst.add_argument("--alpha", type=float, default=0.05)
-    tst.add_argument("--seed", type=int, default=None)
     tst.set_defaults(func=cmd_test)
     return parser
 

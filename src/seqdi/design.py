@@ -30,7 +30,6 @@ class SecondStageDesign:
     indices: np.ndarray
     pi: np.ndarray
     kind: str
-    expected_size: float
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
@@ -99,7 +98,7 @@ def _design(kind: str, raw: np.ndarray, n_p: int,
     under that kind's floor; indices default to 0..len(raw)-1."""
     pi = _scale_clamp_rescale(raw, n_p, FLOORS[kind])
     idx = indices if indices is not None else np.arange(len(pi))
-    return SecondStageDesign(indices=idx, pi=pi, kind=kind, expected_size=float(n_p))
+    return SecondStageDesign(indices=idx, pi=pi, kind=kind)
 
 
 def optimal_probabilities(

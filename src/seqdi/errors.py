@@ -63,7 +63,7 @@ class SingularVariance(SeqdiError):
 
 
 class DegenerateMetrics(SeqdiError):
-    """Too few replications for the requested summary statistics."""
+    """Summary statistics undefined: too few replications or a zero target total."""
 
 
 class ConfigError(SeqdiError):

@@ -12,13 +12,12 @@ All design variances ship in their Poisson specialization
 sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySample
-from .numerics import logistic_fit, normal_quantile, quantile, weighted_ls, _logistic
+from .numerics import Z_975, logistic_fit, quantile, weighted_ls, _logistic
 from .pilot import PilotVarianceModel, predict_sigma2
 from .population import Partition, Population
 
@@ -53,39 +52,24 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with optional plug-in variance and Wald interval."""
+    """Point estimate with optional plug-in variance and 95% Wald interval."""
 
     point: float
     variance: float | None
     ci_low: float | None
     ci_high: float | None
     tag: str
-    level: float = 0.95
 
     def to_csv_row(self):
         return [self.tag, self.point, self.variance, self.ci_low, self.ci_high]
 
-    def to_json_dict(self):
-        return {
-            "tag": self.tag,
-            "point": float(self.point),
-            "variance": None if self.variance is None else float(self.variance),
-            "ci_low": None if self.ci_low is None else float(self.ci_low),
-            "ci_high": None if self.ci_high is None else float(self.ci_high),
-            "level": self.level,
-        }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-
-def _make_estimate(tag, point, variance=None, level=0.95) -> Estimate:
+def _make_estimate(tag, point, variance=None) -> Estimate:
     if variance is None:
-        return Estimate(float(point), None, None, None, tag, level)
+        return Estimate(float(point), None, None, None, tag)
     variance = max(float(variance), 0.0)
-    half = normal_quantile((1.0 + level) / 2.0) * np.sqrt(variance)
-    return Estimate(float(point), variance, float(point - half), float(point + half),
-                    tag, level)
+    half = Z_975 * np.sqrt(variance)
+    return Estimate(float(point), variance, float(point - half), float(point + half), tag)
 
 
 def poisson_plugin_variance(residuals: np.ndarray, pi: np.ndarray) -> float:
@@ -96,7 +80,7 @@ def poisson_plugin_variance(residuals: np.ndarray, pi: np.ndarray) -> float:
 
 
 def y_di(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
-         n_complement: int, level: float = 0.95) -> Estimate:
+         n_complement: int) -> Estimate:
     """Stratified estimator: exact certainty total plus N1 times the Hajek mean.
 
     Variance by the standard ratio linearization with z_i = y_i - hajek
@@ -109,18 +93,17 @@ def y_di(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     point = float(np.sum(y_certainty)) + n_complement * hajek
     z = np.asarray(y_s, dtype=float) - hajek
     variance = n_complement**2 / float(np.sum(inv)) ** 2 * poisson_plugin_variance(z, pi_s)
-    return _make_estimate("DI", point, variance, level)
+    return _make_estimate("DI", point, variance)
 
 
-def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
-             level: float = 0.95) -> Estimate:
+def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray) -> Estimate:
     """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples."""
     point = float(np.sum(y_certainty)) + float(np.sum(np.asarray(y_s) / np.asarray(pi_s)))
     variance = poisson_plugin_variance(y_s, pi_s) if len(y_s) else 0.0
-    return _make_estimate("HT_seq", point, variance, level)
+    return _make_estimate("HT_seq", point, variance)
 
 
-def _regression_estimate(tag, y_certainty, y_s, x_s, pi_s, x_total, coef, level):
+def _regression_estimate(tag, y_certainty, y_s, x_s, pi_s, x_total, coef):
     """GREG total at a given coefficient with its Poisson plug-in variance.
 
     The point is the certainty total plus the HT total of y plus the
@@ -133,7 +116,7 @@ def _regression_estimate(tag, y_certainty, y_s, x_s, pi_s, x_total, coef, level)
     correction = float((np.asarray(x_total, dtype=float) - ht_x) @ coef)
     point = float(np.sum(y_certainty)) + ht_y + correction
     residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
-    return _make_estimate(tag, point, poisson_plugin_variance(residuals, pi_s), level)
+    return _make_estimate(tag, point, poisson_plugin_variance(residuals, pi_s))
 
 
 def _working_coef(wspec, model, x, y, pi):
@@ -153,13 +136,10 @@ def y_sep_di(
     x_total_complement: np.ndarray,
     wspec: WeightSpec,
     model: PilotVarianceModel | None = None,
-    level: float = 0.95,
-    tag: str | None = None,
 ) -> Estimate:
     """Separate regression estimator: coefficient fitted on the probability sample only."""
     coef = _working_coef(wspec, model, x_s, y_s, pi_s)
-    return _regression_estimate(tag or "sepDI", y_certainty, y_s, x_s, pi_s,
-                                x_total_complement, coef, level)
+    return _regression_estimate("sepDI", y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
 
 
 def y_com_di(
@@ -171,8 +151,6 @@ def y_com_di(
     x_total_complement: np.ndarray,
     wspec: WeightSpec,
     model: PilotVarianceModel | None = None,
-    level: float = 0.95,
-    tag: str | None = None,
 ) -> Estimate:
     """Combined regression estimator: coefficient pooled over both samples.
 
@@ -184,8 +162,7 @@ def y_com_di(
     pooled_y = np.concatenate([np.asarray(y_certainty, dtype=float), np.asarray(y_s, dtype=float)])
     pooled_pi = np.concatenate([np.ones(len(y_certainty)), np.asarray(pi_s, dtype=float)])
     coef = _working_coef(wspec, model, pooled_x, pooled_y, pooled_pi)
-    return _regression_estimate(tag or "comDI", y_certainty, y_s, x_s, pi_s,
-                                x_total_complement, coef, level)
+    return _regression_estimate("comDI", y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
 
 
 def y_greg_independent(
@@ -193,11 +170,10 @@ def y_greg_independent(
     y_s: np.ndarray,
     x_s: np.ndarray,
     pi_s: np.ndarray,
-    level: float = 0.95,
 ) -> Estimate:
     """Classical GREG on an independent probability sample from the whole frame."""
     coef = weighted_ls(x_s, y_s, 1.0 / np.asarray(pi_s, dtype=float))
-    return _regression_estimate("GREG", (), y_s, x_s, pi_s, x_total_population, coef, level)
+    return _regression_estimate("GREG", (), y_s, x_s, pi_s, x_total_population, coef)
 
 
 def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:

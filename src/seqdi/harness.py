@@ -35,7 +35,6 @@ from .population import (
     draw_nonprob,
     generate_population,
     load_population_csv,
-    read_csv,
     write_csv,
 )
 
@@ -91,27 +90,22 @@ class Estimator:
 # The callables look the estimator up on its module at call time, so that
 # a rebinding of the module attribute (a tracer, a test double) is seen.
 ESTIMATORS = {
-    "DI": Estimator("sequential", lambda c, done: est.y_di(
-        c.y_np, c.y_s, c.pi_s, c.n1, c.level)),
-    "HT_seq": Estimator("sequential", lambda c, done: est.y_ht_seq(
-        c.y_np, c.y_s, c.pi_s, c.level)),
+    "DI": Estimator("sequential", lambda c, done: est.y_di(c.y_np, c.y_s, c.pi_s, c.n1)),
+    "HT_seq": Estimator("sequential", lambda c, done: est.y_ht_seq(c.y_np, c.y_s, c.pi_s)),
     "sepDI_b": Estimator("sequential", lambda c, done: est.y_sep_di(
-        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
-        est.WeightSpec("inverse_pi"), None, c.level, tag="sepDI_b")),
+        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi"))),
     "sepDI_sigma": Estimator("sequential", lambda c, done: est.y_sep_di(
-        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
-        est.WeightSpec("inverse_pi_sigma"), c.pilot, c.level, tag="sepDI_sigma"),
-        needs=("pilot",)),
+        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi_sigma"),
+        c.pilot), needs=("pilot",)),
     "comDI_sigma": Estimator("sequential", lambda c, done: est.y_com_di(
         c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
-        est.WeightSpec("inverse_pi_sigma"), c.pilot, c.level, tag="comDI_sigma"),
-        needs=("pilot",)),
+        est.WeightSpec("inverse_pi_sigma"), c.pilot), needs=("pilot",)),
     "adDI": Estimator("sequential", lambda c, done: homog.adaptive_estimate(
         done["sepDI_sigma"], done["comDI_sigma"], c.test),
         combines=("sepDI_sigma", "comDI_sigma"), needs=("test",)),
     "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
         c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
-        c.ind_sample.pi_realized, c.level)),
+        c.ind_sample.pi_realized)),
     "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
                      variance=False),
     "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat),
@@ -307,7 +301,7 @@ class _Inputs:
     frame inputs on first use."""
 
     def __init__(self, config, pop, partition, x_np, y_np, pilot, np_fit, designs):
-        self.config, self.pop, self.partition, self.level = config, pop, partition, config.level
+        self.config, self.pop, self.partition = config, pop, partition
         self.x_np, self.y_np, self.pilot, self.np_fit, self.designs = (
             x_np, y_np, pilot, np_fit, designs)
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
@@ -385,6 +379,9 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     """
     pop, loaded_partition = _build_population(config)
     plan = _plan(config)
+    if pop.true_total == 0:
+        raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
+                                "a nonzero target")
 
     mech = None
     if config.mechanism in ("MAR", "NMAR"):
@@ -509,20 +506,3 @@ def emit_results(summary: McSummary, out_dir) -> list:
         )
     paths.append(meta_path)
     return paths
-
-
-def read_replication_errors(path):
-    """Reload the per-replication file into arrays keyed by (estimator, design)."""
-    out = {}
-    for record in read_csv(path):
-        key = (record["estimator"], record["design"])
-        entry = out.setdefault(key, {"points": [], "variances": [], "re": []})
-        entry["points"].append(float(record["point"]))
-        entry["variances"].append(
-            float(record["variance"]) if record["variance"] != "" else np.nan
-        )
-        entry["re"].append(float(record["re"]))
-    for entry in out.values():
-        for name in ("points", "variances", "re"):
-            entry[name] = np.asarray(entry[name], dtype=float)
-    return out

@@ -7,7 +7,6 @@ The two coefficient estimators come from disjoint population subsets, so
 no covariance term enters the statistic.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +28,6 @@ class HomogeneityResult:
     p_value: float
     alpha: float
     reject: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta_certainty": [float(v) for v in self.beta_certainty],
-                "beta_probability": [float(v) for v in self.beta_probability],
-                "v_certainty": [float(v) for v in self.v_certainty.ravel()],
-                "v_probability": [float(v) for v in self.v_probability.ravel()],
-                "statistic": self.statistic,
-                "df": self.df,
-                "p_value": self.p_value,
-                "alpha": self.alpha,
-                "reject": self.reject,
-            }
-        )
 
 
 def _sandwich(x, inv_bread, meat_scale, residuals):
@@ -151,5 +135,4 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
 def adaptive_estimate(sep: Estimate, com: Estimate, test: HomogeneityResult) -> Estimate:
     """Separate estimator when homogeneity is rejected, combined otherwise."""
     chosen = sep if test.reject else com
-    return Estimate(chosen.point, chosen.variance, chosen.ci_low, chosen.ci_high,
-                    "adDI", chosen.level)
+    return Estimate(chosen.point, chosen.variance, chosen.ci_low, chosen.ci_high, "adDI")

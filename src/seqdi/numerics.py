@@ -17,6 +17,12 @@ from .errors import NoConvergence, NotPositiveDefinite, Separation
 # 97.5th standard normal quantile used for 95% Wald intervals.
 Z_975 = 1.959964
 
+# Newton stopping rule of logistic_fit: step size, iteration budget, and
+# the coefficient size taken as separation.
+LOGISTIC_TOL = 1e-8
+LOGISTIC_MAX_ITER = 100
+LOGISTIC_MAX_ABS_COEF = 30.0
+
 
 class RngStream:
     """Reproducible random stream identified by (seed, stream_id).
@@ -195,18 +201,12 @@ def _log_likelihood(eta, delta):
     return float(np.sum(delta * eta - (np.maximum(eta, 0.0) + np.log1p(t)))), t
 
 
-def logistic_fit(
-    x: np.ndarray,
-    delta: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    max_abs_coef: float = 30.0,
-) -> np.ndarray:
+def logistic_fit(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Newton-Raphson MLE of logit P(delta=1 | x) = x'alpha.
 
     Halves the step while the log-likelihood decreases.  Raises
-    Separation when any coefficient exceeds ``max_abs_coef`` in absolute
-    value, and NoConvergence after ``max_iter`` iterations.
+    Separation when any coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute
+    value, and NoConvergence after LOGISTIC_MAX_ITER iterations.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -219,7 +219,7 @@ def logistic_fit(
     alpha = np.zeros(d)
     eta = x @ alpha
     loglik, t = _log_likelihood(eta, delta)
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         p = _logistic(eta, t)
         step = solve_spd(gram(x, p * (1.0 - p)), x.T @ (delta - p))
 
@@ -233,11 +233,11 @@ def logistic_fit(
             factor /= 2.0
         alpha, eta, loglik, t = cand, cand_eta, cand_ll, cand_t
 
-        if np.max(np.abs(alpha)) > max_abs_coef:
+        if np.max(np.abs(alpha)) > LOGISTIC_MAX_ABS_COEF:
             raise Separation("coefficient escaped toward infinity")
-        if np.max(np.abs(factor * step)) <= tol:
+        if np.max(np.abs(factor * step)) <= LOGISTIC_TOL:
             return alpha
-    raise NoConvergence(f"no convergence in {max_iter} iterations")
+    raise NoConvergence(f"no convergence in {LOGISTIC_MAX_ITER} iterations")
 
 
 def _lower_gamma_series(a, x):

@@ -7,7 +7,6 @@ The fitted model predicts a per-unit variance for any covariate vector,
 with floors keeping predictions positive and bounded away from zero.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,28 +41,6 @@ class PilotVarianceModel:
             raise ValueError("gamma exceeds its cap")
         if self.sigma2 <= 0 or self.mean_floor <= 0 or self.sigma2_floor <= 0:
             raise ValueError("scale parameters must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta": [float(v) for v in self.beta],
-                "sigma2": self.sigma2,
-                "gamma": self.gamma,
-                "mean_floor": self.mean_floor,
-                "sigma2_floor": self.sigma2_floor,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotVarianceModel":
-        raw = json.loads(text)
-        return cls(
-            beta=np.asarray(raw["beta"], dtype=float),
-            sigma2=float(raw["sigma2"]),
-            gamma=float(raw["gamma"]),
-            mean_floor=float(raw["mean_floor"]),
-            sigma2_floor=float(raw["sigma2_floor"]),
-        )
 
 
 def _sigma2_floor(y: np.ndarray) -> float:

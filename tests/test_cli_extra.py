@@ -5,7 +5,7 @@ import pytest
 
 from seqdi.cli import main
 from seqdi.numerics import RngStream
-from seqdi.population import Partition, generate_population, save_population_csv
+from seqdi.population import Partition, Population, generate_population, save_population_csv
 
 POP_PARAMS = {"N": 500, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
@@ -26,6 +26,21 @@ class TestDesignWithSeparatePilot:
         assert len(rows) == 200
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(80.0, rel=1e-9)
+
+    def test_pilot_with_fewer_covariates_exit_one(self, tmp_path, capsys):
+        pilot_pop = generate_population(POP_PARAMS, RngStream(1, 0))
+        pilot_path = tmp_path / "pilot.csv"
+        frame_path = tmp_path / "frame.csv"
+        save_population_csv(pilot_path, Population(x=pilot_pop.x[:, :2], y=pilot_pop.y))
+        save_population_csv(frame_path, generate_population(dict(POP_PARAMS, N=200),
+                                                            RngStream(2, 0)))
+        code = main(["design", "--pop", str(frame_path), "--pilot", str(pilot_path),
+                     "--np", "80", "--kind", "optimal", "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: covariate count differs: 1 in pilot ")
+        assert "2 in population" in err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_pps_kind_from_frame_sizes(self, tmp_path):
         frame_pop = generate_population(dict(POP_PARAMS, N=120), RngStream(3, 0))
@@ -69,6 +84,21 @@ class TestSimulateFixedPartition:
         assert tags == {"DI", "sepDI_sigma", "adDI"}
         test_lines = (out / "test_summary.csv").read_text().splitlines()
         assert len(test_lines) == 4  # comment, header, one row per design
+
+    def test_zero_total_population_exit_one(self, tmp_path, capsys):
+        n = 400
+        pop = Population(x=np.column_stack([np.ones(n), np.linspace(0.1, 2.0, n)]),
+                         y=np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+        pop_path = tmp_path / "pop.csv"
+        save_population_csv(pop_path, pop, partition=Partition(delta=np.arange(n) < 200))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "replications": 5, "mechanism": "FixedPartition", "population_csv": str(pop_path),
+            "designs": ["equal"], "estimators": ["DI"], "run_test": False}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the population total is 0")
+        assert not (tmp_path / "o").exists()
 
     def test_population_without_delta_exit_one(self, tmp_path, capsys):
         pop_path = tmp_path / "pop.csv"

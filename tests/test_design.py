@@ -149,7 +149,7 @@ class TestPoissonDraw:
         from seqdi.design import SecondStageDesign
 
         tiny = SecondStageDesign(
-            indices=np.arange(3), pi=np.full(3, 0.01), kind="equal", expected_size=0.03
+            indices=np.arange(3), pi=np.full(3, 0.01), kind="equal"
         )
         empties = 0
         draws = 4000

@@ -3,7 +3,9 @@
 Every subset of a small complement stratum is a possible Poisson sample;
 its probability is the product of the per-unit inclusion terms.  These
 tests check design unbiasedness of the HT total and the agreement of the
-plug-in variance formulas with exactly enumerated design variances.
+plug-in variance formulas with exactly enumerated design variances.  The
+certainty stratum may be chosen from y itself: conditional on it, the
+design alone carries the randomness, whatever the selection mechanism.
 """
 
 import itertools
@@ -33,16 +35,44 @@ def toy_stratum(seed, n1=10):
     return x, y, pi
 
 
+def ht_strata(case):
+    """Certainty-stratum y, complement y and complement pi.  An integer case
+    is a toy complement beside a fixed certainty stratum; "y_above_median"
+    takes a 20-unit frame and puts its units with y above the median in the
+    certainty stratum, so the strata depend on y."""
+    if case == "y_above_median":
+        x, y, pi = toy_stratum(8, n1=20)
+        delta = y > np.median(y)
+        return y[delta], y[~delta], pi[~delta]
+    x, y, pi = toy_stratum(case)
+    return np.array([5.0, 7.0]), y, pi
+
+
+HT_CASES = [0, 1, 2, "y_above_median"]
+
+
 class TestHtUnbiasedness:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_total_unbiased(self, seed):
-        x, y, pi = toy_stratum(seed)
-        y_np = np.array([5.0, 7.0])
+    @pytest.mark.parametrize("case", HT_CASES)
+    def test_total_unbiased(self, case):
+        y_np, y, pi = ht_strata(case)
         target = y_np.sum() + y.sum()
         mean = 0.0
         for mask, prob in enumerate_outcomes(pi):
             mean += prob * y_ht_seq(y_np, y[mask], pi[mask]).point
         assert mean == pytest.approx(target, rel=1e-10)
+
+    @pytest.mark.parametrize("case", HT_CASES)
+    def test_plugin_variance_unbiased(self, case):
+        y_np, y, pi = ht_strata(case)
+        mean = second = plugin_mean = 0.0
+        for mask, prob in enumerate_outcomes(pi):
+            est = y_ht_seq(y_np, y[mask], pi[mask])
+            mean += prob * est.point
+            second += prob * est.point**2
+            plugin_mean += prob * est.variance
+        exact_variance = second - mean**2
+        assert exact_variance == pytest.approx(float(np.sum((1.0 - pi) / pi * y**2)), rel=1e-9)
+        assert plugin_mean == pytest.approx(exact_variance, rel=1e-9)
 
     def test_covariate_totals_unbiased(self):
         x, y, pi = toy_stratum(3, n1=9)

@@ -239,11 +239,8 @@ class TestWeightSpec:
 
 
 class TestSerialization:
-    def test_csv_and_json(self):
+    def test_csv_row(self):
         out = y_ht_seq(np.array([1.0]), np.array([3.0]), np.array([0.5]))
         row = out.to_csv_row()
         assert row[0] == "HT_seq"
         assert float(row[1]) == out.point
-        payload = out.to_json_dict()
-        assert payload["tag"] == "HT_seq"
-        assert payload["variance"] == out.variance

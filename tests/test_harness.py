@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from seqdi import harness
 from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
     McConfig,
     McSummary,
     emit_results,
     metrics,
-    read_replication_errors,
     run_mc,
 )
 from seqdi.numerics import RngStream
-from seqdi.population import Partition, generate_population, save_population_csv
+from seqdi.population import (
+    Partition,
+    Population,
+    generate_population,
+    read_csv,
+    save_population_csv,
+)
 
 POP_PARAMS = {"N": 1200, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
@@ -224,6 +230,25 @@ class TestRunMc:
         assert [a.estimator for a in summary.arms] == ["adDI"]
         assert summary.tests == []
 
+    def test_zero_total_rejected_before_any_replication(self, tmp_path, monkeypatch):
+        n = 400
+        x1 = np.linspace(0.1, 2.0, n)
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        delta = (np.arange(n) < 200).astype(int)
+        path = tmp_path / "pop.csv"
+        save_population_csv(path, Population(x=np.column_stack([np.ones(n), x1]), y=y),
+                            partition=Partition(delta=delta))
+
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_replicate", no_replication)
+        config = McConfig(replications=5, seed=3, mechanism="FixedPartition",
+                          population_csv=str(path), designs=("equal",), estimators=("DI",),
+                          run_test=False)
+        with pytest.raises(DegenerateMetrics, match="total is 0"):
+            run_mc(config)
+
     def test_nondefault_level_widens_intervals(self):
         s90 = run_mc(small_config(replications=12, level=0.90, estimators=("DI",)))
         s99 = run_mc(small_config(replications=12, level=0.99, estimators=("DI",)))
@@ -249,13 +274,15 @@ class TestEmit:
     def test_round_trip_reproduces_metrics(self, tmp_path):
         summary = run_mc(small_config(replications=30))
         emit_results(summary, tmp_path)
-        loaded = read_replication_errors(tmp_path / "replication_errors.csv")
+        records = list(read_csv(tmp_path / "replication_errors.csv"))
         for arm in summary.arms:
-            entry = loaded[(arm.estimator, arm.design)]
-            assert np.array_equal(entry["points"], arm.points)
+            key = (arm.estimator, arm.design)
+            rows = [r for r in records if (r["estimator"], r["design"]) == key]
+            points = np.array([float(r["point"]) for r in rows])
+            assert np.array_equal(points, arm.points)
             re = 100.0 * (arm.points - summary.y_true) / summary.y_true
-            assert np.array_equal(entry["re"], re)
-            again = metrics(entry["points"], None, summary.y_true)
+            assert np.array_equal(np.array([float(r["re"]) for r in rows]), re)
+            again = metrics(points, None, summary.y_true)
             assert again["rb"] == arm.rb
             assert again["rrmse"] == arm.rrmse
 

@@ -150,15 +150,3 @@ class TestPredictSigma2:
             mean_floor=0.5, sigma2_floor=1e-8,
         )
         assert predict_sigma2(model, np.array([1.0, 2.0])) == 1e-8
-
-    def test_json_round_trip(self):
-        model = PilotVarianceModel(
-            beta=np.array([1.5, -0.25, 3.0]), sigma2=0.43, gamma=1.9,
-            mean_floor=0.31, sigma2_floor=2e-9,
-        )
-        back = PilotVarianceModel.from_json(model.to_json())
-        assert np.array_equal(back.beta, model.beta)
-        assert back.sigma2 == model.sigma2
-        assert back.gamma == model.gamma
-        assert back.mean_floor == model.mean_floor
-        assert back.sigma2_floor == model.sigma2_floor
