@@ -15,11 +15,10 @@ import typing
 
 import numpy as np
 
-from . import estimators as est
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
-from .errors import ConfigError, InvalidParams, MissingColumn, SeqdiError, SingularVariance
-from .harness import McConfig, check_choices, emit_results, run_mc
+from .errors import ConfigError, InvalidParams, SeqdiError, SingularVariance
+from .harness import ESTIMATORS, McConfig, check_choices, emit_results, run_mc, stratum_inputs
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
 
@@ -86,13 +85,6 @@ def _print_summary(summary):
         )
 
 
-def _split_by_delta(data):
-    if data.partition is None:
-        raise MissingColumn("population file needs a delta column")
-    part = data.partition
-    return part.certainty_idx, part.complement_idx
-
-
 def cmd_simulate(args):
     config = _config_from_json(args.config, args.seed, args.full_scale)
     threads = args.threads
@@ -120,9 +112,9 @@ def cmd_design(args):
                                 f"{args.pilot}, {pop.x.shape[1] - 1} in population {args.pop}")
         frame_idx = np.arange(pop.size)
     else:
-        s_np, u1 = _split_by_delta(data)
+        partition = data.require_partition()
+        s_np, frame_idx = partition.certainty_idx, partition.complement_idx
         pilot_x, pilot_y = pop.rows(s_np), pop.y[s_np]
-        frame_idx = u1
 
     frame_ids = [data.ids[i] for i in frame_idx]
     pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
@@ -132,51 +124,39 @@ def cmd_design(args):
     return 0
 
 
-_CLI_ESTIMATORS = ("di", "ht", "sep", "com")
+# estimate's names; "{}" takes the --weights value to give the ESTIMATORS tag
+_ESTIMATE_TAGS = {"di": "DI", "ht": "HT_seq", "sep": "sepDI_{}", "com": "comDI_{}"}
 
 
-def _resolve_sample(args, pop, data):
-    s_np, u1 = _split_by_delta(data)
-    id_to_row = {uid: i for i, uid in enumerate(data.ids)}
-    u1_ids = {data.ids[i] for i in u1}
+def _sample_inputs(args, need_pilot, need_test):
+    """The stratum inputs of --pop, with the arm fields y_s, x_s and pi_s of --sample."""
+    data = load_population_csv(args.pop)
+    pop, partition = data.population, data.require_partition()
+    u1_ids = {data.ids[i] for i in partition.complement_idx}
     sample_ids, pi_s, y_override = load_sample_csv(args.sample)
     missing = [sid for sid in sample_ids if sid not in u1_ids]
     if missing:
         raise SeqdiError(
             f"sample ids not in the complement stratum: {', '.join(missing[:5])}"
         )
+    id_to_row = {uid: i for i, uid in enumerate(data.ids)}
     rows = np.asarray([id_to_row[sid] for sid in sample_ids], dtype=int)
-    y_s = y_override if y_override is not None else pop.y[rows]
-    return s_np, u1, rows, pi_s, y_s
+    inputs = stratum_inputs(pop, partition, need_pilot, need_test)
+    inputs.y_s = y_override if y_override is not None else pop.y[rows]
+    inputs.x_s, inputs.pi_s = pop.rows(rows), pi_s
+    return inputs
 
 
 def cmd_estimate(args):
     wanted = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    check_choices(wanted, _CLI_ESTIMATORS, "estimator", "estimators")
-    data = load_population_csv(args.pop)
-    pop = data.population
-    s_np, u1, rows, pi_s, y_s = _resolve_sample(args, pop, data)
-    x_np, y_np_vals = pop.rows(s_np), pop.y[s_np]
-    x_s = pop.rows(rows)
-    x_total_u1 = pop.x_total - x_np.sum(axis=0)
-    kind = "inverse_pi" if args.weights == "b" else "inverse_pi_sigma"
-    wspec = est.WeightSpec(kind)
-    model = None
-    if kind == "inverse_pi_sigma" and ("sep" in wanted or "com" in wanted):
-        model = fit_pilot(x_np, y_np_vals)
+    check_choices(wanted, _ESTIMATE_TAGS, "estimator", "estimators")
+    tags = [_ESTIMATE_TAGS[name].format(args.weights) for name in wanted]
+    need_pilot = any("pilot" in ESTIMATORS[tag].needs for tag in tags)
+    inputs = _sample_inputs(args, need_pilot, need_test=False)
 
     out_rows = []
-    for name in wanted:
-        if name == "di":
-            record = est.y_di(y_np_vals, y_s, pi_s, len(u1))
-        elif name == "ht":
-            record = est.y_ht_seq(y_np_vals, y_s, pi_s)
-        elif name == "sep":
-            record = est.y_sep_di(y_np_vals, y_s, x_s, pi_s, x_total_u1, wspec, model)
-        else:
-            record = est.y_com_di(
-                y_np_vals, x_np, y_s, x_s, pi_s, x_total_u1, wspec, model
-            )
+    for tag in tags:
+        record = ESTIMATORS[tag].compute(inputs, {})
         out_rows.append(record)
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
         var = "" if record.variance is None else f"  variance={record.variance:.6g}"
@@ -192,12 +172,9 @@ def cmd_estimate(args):
 def cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie strictly between 0 and 1")
-    data = load_population_csv(args.pop)
-    pop = data.population
-    s_np, u1, rows, pi_s, y_s = _resolve_sample(args, pop, data)
-    np_fit = homog.fgls_np(pop.rows(s_np), pop.y[s_np])
-    p_fit = homog.fgls_p(pop.rows(rows), y_s, pi_s)
-    result = homog.homogeneity_test(np_fit, p_fit, args.alpha)
+    inputs = _sample_inputs(args, need_pilot=False, need_test=True)
+    p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s)
+    result = homog.homogeneity_test(inputs.np_fit, p_fit, args.alpha)
     decision = "reject homogeneity" if result.reject else "do not reject homogeneity"
     print(
         f"F = {result.statistic:.6g}, df = {result.df}, p = {result.p_value:.6g} "

@@ -26,9 +26,9 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, MissingColumn, SeqdiError
+from .errors import ConfigError, DegenerateMetrics, EmptySample, SeqdiError
 from .numerics import RngStream, normal_quantile
-from .pilot import fit_power_variance
+from .pilot import fit_pilot
 from .population import (
     SelectionMechanism,
     calibrate_intercept,
@@ -84,7 +84,6 @@ class Estimator:
     compute: object
     combines: tuple = ()
     needs: tuple = ()
-    variance: bool = True
 
 
 # The callables look the estimator up on its module at call time, so that
@@ -97,6 +96,8 @@ ESTIMATORS = {
     "sepDI_sigma": Estimator("sequential", lambda c, done: est.y_sep_di(
         c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi_sigma"),
         c.pilot), needs=("pilot",)),
+    "comDI_b": Estimator("sequential", lambda c, done: est.y_com_di(
+        c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi"))),
     "comDI_sigma": Estimator("sequential", lambda c, done: est.y_com_di(
         c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
         est.WeightSpec("inverse_pi_sigma"), c.pilot), needs=("pilot",)),
@@ -106,13 +107,11 @@ ESTIMATORS = {
     "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
         c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
         c.ind_sample.pi_realized)),
-    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
-                     variance=False),
-    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat),
-                    variance=False),
+    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat)),
+    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat)),
     "GREG_DR": Estimator("frame", lambda c, done: est.y_fusion(
         done["GREG"], done["DR"], c.ind_sample.size / (c.ind_sample.size + len(c.y_np))),
-        combines=("GREG", "DR"), variance=False),
+        combines=("GREG", "DR")),
 }
 SEQUENTIAL_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "sequential")
 FRAME_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "frame")
@@ -169,6 +168,8 @@ class McConfig:
             raise ConfigError("level must lie in (0, 1)")
         if self.fgls_iterations < 0:
             raise ConfigError("fgls_iterations must be nonnegative")
+        if self.n_p is not None and self.n_p < 1:
+            raise ConfigError("n_p must be at least 1")
 
 
 @dataclass
@@ -235,11 +236,11 @@ def metrics(points, variances, y_true, level=0.95):
 
 
 def _build_population(config: McConfig):
+    """The population and, when it was read from population_csv, its PopulationData."""
     if config.population_csv is not None:
         data = load_population_csv(config.population_csv)
-        return data.population, data.partition
-    pop = generate_population(config.population_params, RngStream(config.seed, 0))
-    return pop, None
+        return data.population, data
+    return generate_population(config.population_params, RngStream(config.seed, 0)), None
 
 
 def _plan(config: McConfig):
@@ -273,38 +274,46 @@ def _draw_with_retry(dsgn, rng):
     raise EmptySample(f"empty sample after {MAX_REDRAWS} redraws")
 
 
+def stratum_inputs(pop, partition, need_pilot, need_test, fgls_iterations=1):
+    """The :class:`_Inputs` of one certainty stratum: its rows, the pilot fit
+    (when ``need_pilot``) and the certainty-stratum FGLS fit of the
+    homogeneity test (when ``need_test``)."""
+    s_np = partition.certainty_idx
+    x_np, y_np = pop.rows(s_np), pop.y[s_np]
+    pilot = fit_pilot(x_np, y_np, fgls_iterations) if need_pilot else None
+    np_fit = homog.fgls_np(x_np, y_np, model=pilot) if need_test else None
+    return _Inputs(pop, partition, x_np, y_np, pilot, np_fit)
+
+
 def _stratum_setup(config, plan, pop, partition):
-    """The :class:`_Inputs` of one certainty stratum, before any draw.
+    """:func:`stratum_inputs` plus the designs of ``config``, before any draw.
 
     Designs use no randomness, so building them all before any draw
     leaves every draw unchanged."""
-    s_np, u1 = partition.certainty_idx, partition.complement_idx
-    x_np, y_np = pop.rows(s_np), pop.y[s_np]
-    pilot = (
-        fit_power_variance(x_np, y_np, np.ones(len(s_np)), config.fgls_iterations)
-        if plan["need_pilot"]
-        else None
-    )
-    np_fit = homog.fgls_np(x_np, y_np, model=pilot) if plan["need_test"] else None
+    inputs = stratum_inputs(pop, partition, plan["need_pilot"], plan["need_test"],
+                            config.fgls_iterations)
+    u1 = partition.complement_idx
     n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
     x_u1 = pop.rows(u1)
-    designs = {
-        kind: design_mod.build_design(kind, x_u1, n_p, pilot, u1) for kind in config.designs
+    inputs.config = config
+    inputs.designs = {
+        kind: design_mod.build_design(kind, x_u1, n_p, inputs.pilot, u1)
+        for kind in config.designs
     }
-    return _Inputs(config, pop, partition, x_np, y_np, pilot, np_fit, designs)
+    return inputs
 
 
 class _Inputs:
-    """What one replication's estimators read.  The stratum part comes from
-    :func:`_stratum_setup`; a replication works on a copy of it with its own
+    """What the estimators of ESTIMATORS read.  The stratum part comes from
+    :func:`stratum_inputs`; a replication works on a copy of it with its own
     rng, sets the arm fields (y_s, x_s, pi_s, test) per design and makes the
     frame inputs on first use."""
 
-    def __init__(self, config, pop, partition, x_np, y_np, pilot, np_fit, designs):
-        self.config, self.pop, self.partition = config, pop, partition
-        self.x_np, self.y_np, self.pilot, self.np_fit, self.designs = (
-            x_np, y_np, pilot, np_fit, designs)
+    def __init__(self, pop, partition, x_np, y_np, pilot, np_fit):
+        self.pop, self.partition = pop, partition
+        self.x_np, self.y_np, self.pilot, self.np_fit = x_np, y_np, pilot, np_fit
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
+        self.config = self.designs = None
         self.rng = self.y_s = self.x_s = self.pi_s = self.test = None
 
     @functools.cached_property
@@ -372,12 +381,16 @@ def _run_one(r):
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
     """Execute the Monte Carlo experiment described by ``config``.
 
-    ``threads`` only controls process-level parallelism; summaries are
-    identical for any worker count because replication r consumes stream
-    id r + 1 and aggregation is ordered by replication index.  The first
-    failed replication, in replication order, ends the run.
+    ``threads`` (at least 1) only controls process-level parallelism; the
+    pool starts no more workers than there are replications or CPUs.
+    Summaries are identical for any worker count because replication r
+    consumes stream id r + 1 and aggregation is ordered by replication
+    index.  The first failed replication, in replication order, ends the
+    run.
     """
-    pop, loaded_partition = _build_population(config)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    pop, data = _build_population(config)
     plan = _plan(config)
     if pop.true_total == 0:
         raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
@@ -391,21 +404,20 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
 
     stratum = None
     if config.mechanism == "FixedPartition":
-        if loaded_partition is None:
-            raise MissingColumn("population_csv lacks the delta column")
-        stratum = _stratum_setup(config, plan, pop, loaded_partition)
+        stratum = _stratum_setup(config, plan, pop, data.require_partition())
 
     n_rep = config.replications
+    workers = min(threads, n_rep, os.cpu_count() or 1)
     args = (config, pop, mech, plan, stratum)
     results = []
     with contextlib.ExitStack() as stack:
-        if threads <= 1:
+        if workers == 1:
             _init_worker(*args)
             outcomes = map(_run_one, range(n_rep))
         else:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_worker, initargs=args))
-            outcomes = pool.map(_run_one, range(n_rep), chunksize=max(1, n_rep // (threads * 8)))
+                max_workers=workers, initializer=_init_worker, initargs=args))
+            outcomes = pool.map(_run_one, range(n_rep), chunksize=max(1, n_rep // (workers * 8)))
         for res in outcomes:
             results.append(res)
             if progress and len(results) % max(1, n_rep // 20) == 0:
@@ -425,11 +437,8 @@ def _aggregate(config, pop, plan, results):
     arms = []
     for key in arm_keys:
         pts = np.array([res[0][key] for res in results], dtype=float)
-        vrs = (
-            np.array([res[1][key] for res in results], dtype=float)
-            if ESTIMATORS[key[0]].variance
-            else None
-        )
+        vrs = [res[1][key] for res in results]  # None from point-only estimators
+        vrs = None if vrs[0] is None else np.array(vrs, dtype=float)
         m = metrics(pts, vrs if n_rep >= 2 else None, pop.true_total, config.level)
         arms.append(
             ArmMetrics(

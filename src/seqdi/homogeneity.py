@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
 from .numerics import chisq_sf, gram, inv_spd, solve_spd
-from .pilot import PilotVarianceModel, fit_power_variance, predict_sigma2
+from .pilot import PilotVarianceModel, fit_pilot, fit_power_variance, predict_sigma2
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,11 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
-def fgls_np(
-    x: np.ndarray,
-    y: np.ndarray,
-    fgls_iterations: int = 1,
-    model: PilotVarianceModel | None = None,
-):
+def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = None):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
     A prefitted pilot variance model can be supplied to avoid refitting;
-    otherwise the standard pilot fit runs first.  The sandwich uses the
+    otherwise :func:`fit_pilot` runs first.  The sandwich uses the
     residuals at the final coefficient and the model's variance
     predictions, and stays consistent even when the variance model is
     misspecified.
@@ -62,7 +57,7 @@ def fgls_np(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if model is None:
-        model = fit_power_variance(x, y, np.ones(len(y)), fgls_iterations)
+        model = fit_pilot(x, y)
     sigma2 = predict_sigma2(model, x)
     residuals = y - x @ model.beta
     v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)

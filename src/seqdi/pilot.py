@@ -73,7 +73,7 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
 
 
 def fit_pilot(x: np.ndarray, y: np.ndarray, fgls_iterations: int = 1) -> PilotVarianceModel:
-    """Fit the power variance model; base_weights defaults to equal weights.
+    """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
     probability samples.

@@ -212,6 +212,12 @@ class PopulationData:
     pi: np.ndarray | None = None
     ids: list = field(default_factory=list)
 
+    def require_partition(self) -> Partition:
+        """The partition the delta column gave; MissingColumn without one."""
+        if self.partition is None:
+            raise MissingColumn("population file needs a delta column")
+        return self.partition
+
 
 def _parse_float(raw: str, row: int, column: str) -> float:
     """A finite float; ParseError naming the row and column for anything else."""

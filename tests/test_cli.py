@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from seqdi import estimators as est
 from seqdi.cli import main
+from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
-from seqdi.population import Partition, generate_population, save_population_csv
+from seqdi.pilot import fit_pilot
+from seqdi.population import (
+    Partition,
+    generate_population,
+    load_population_csv,
+    save_population_csv,
+    write_csv,
+)
 
 POP_PARAMS = {"N": 600, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
@@ -105,6 +114,16 @@ class TestSimulate:
         assert "population_csv" in message and "'population'" in message
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n_p", [0, -2])
+    def test_n_p_below_one_exit_two(self, tmp_path, capsys, n_p):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "n_p": n_p, "estimators": ["DI"],
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "n_p" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 5, "reps": 2}))
@@ -175,12 +194,51 @@ class TestDesign:
         assert "error" in capsys.readouterr().err
 
 
+def _strata_and_sample(pop_path, delta):
+    """The loaded population, its certainty rows and x total of the complement,
+    and every third complement unit as a sample with unequal pi."""
+    pop = load_population_csv(pop_path).population
+    s_np, u1 = np.flatnonzero(delta == 1), np.flatnonzero(delta == 0)
+    rows = u1[::3]
+    pi_s = 0.2 + 0.6 * (rows % 7) / 6.0
+    x_np, y_np = pop.rows(s_np), pop.y[s_np]
+    return pop, x_np, y_np, pop.x_total - x_np.sum(axis=0), rows, pi_s
+
+
 class TestEstimate:
     def _write_sample(self, tmp_path, ids, pis):
         lines = ["id,pi"] + [f"{i},{p}" for i, p in zip(ids, pis)]
         path = tmp_path / "sample.csv"
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    @pytest.mark.parametrize("weights", [None, "b", "sigma"])
+    @pytest.mark.parametrize("names", ["di", "ht", "sep", "com", None])
+    def test_rows_match_direct_calls(self, pop_csv, tmp_path, names, weights):
+        # None leaves the flag out: all four names, inverse-pi weights
+        path, _, delta = pop_csv
+        pop, x_np, y_np, x_total_u1, rows, pi_s = _strata_and_sample(path, delta)
+        sample = tmp_path / "sample.csv"
+        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        y_s, x_s = pop.y[rows], pop.rows(rows)
+        pilot = fit_pilot(x_np, y_np)
+        wspec = est.WeightSpec("inverse_pi_sigma" if weights == "sigma" else "inverse_pi")
+        direct = {
+            "di": lambda: est.y_di(y_np, y_s, pi_s, len(pop.y) - len(y_np)),
+            "ht": lambda: est.y_ht_seq(y_np, y_s, pi_s),
+            "sep": lambda: est.y_sep_di(y_np, y_s, x_s, pi_s, x_total_u1, wspec, pilot),
+            "com": lambda: est.y_com_di(y_np, x_np, y_s, x_s, pi_s, x_total_u1, wspec, pilot),
+        }
+        wanted = names.split(",") if names else list(direct)
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, ["tag", "point", "variance", "ci_low", "ci_high"],
+                  (direct[name]().to_csv_row() for name in wanted), seed=20240901)
+        out = tmp_path / "est.csv"
+        argv = ["estimate", "--pop", str(path), "--sample", str(sample), "--out", str(out)]
+        argv += ["--estimators", names] if names else []
+        argv += ["--weights", weights] if weights else []
+        assert main(argv) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_census_sample_recovers_total(self, pop_csv, tmp_path, capsys):
         path, pop, delta = pop_csv
@@ -327,6 +385,17 @@ class TestEstimate:
 
 
 class TestTestCommand:
+    def test_prints_direct_statistic(self, pop_csv, tmp_path, capsys):
+        path, _, delta = pop_csv
+        pop, x_np, y_np, _, rows, pi_s = _strata_and_sample(path, delta)
+        sample = tmp_path / "sample.csv"
+        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        p_fit = fgls_p(pop.rows(rows), pop.y[rows], pi_s)
+        result = homogeneity_test(fgls_np(x_np, y_np), p_fit, 0.1)
+        assert main(["test", "--pop", str(path), "--sample", str(sample), "--alpha", "0.1"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"F = {result.statistic:.6g}, df = {result.df}, p = {result.p_value:.6g} -> ")
+
     def test_duplicated_strata_accepts(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         n = 120

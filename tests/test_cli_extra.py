@@ -143,6 +143,21 @@ class TestSimulateFixedPartition:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("env, flag", [("1", ["--threads", "0"]), ("1", ["--threads", "-3"]),
+                                           ("0", []), ("-3", [])],
+                             ids=["flag-0", "flag-minus-3", "env-0", "env-minus-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, monkeypatch, capsys, env, flag):
+        monkeypatch.setenv("SEQDI_THREADS", env)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "replications": 2, "estimators": ["DI"],
+            "population": {"N": 200, "beta": [10, 15, 10, 20], "sigma": 0.6},
+        }))
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")] + flag) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_threads_env_variable_exit_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEQDI_THREADS", "abc")
         cfg_path = tmp_path / "cfg.json"

@@ -146,6 +146,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             small_config(replications=2, population_params=params)
 
+    @pytest.mark.parametrize("n_p", [0, -5])
+    def test_n_p_below_one(self, n_p):
+        with pytest.raises(ConfigError, match="n_p"):
+            small_config(n_p=n_p)
+
 
 class TestRunMc:
     def test_census_single_replication_exact(self, tmp_path):
@@ -157,7 +162,8 @@ class TestRunMc:
         config = McConfig(
             replications=1, seed=1, mechanism="FixedPartition",
             population_csv=str(path), designs=("equal",),
-            estimators=("DI", "HT_seq", "sepDI_b", "sepDI_sigma", "comDI_sigma", "adDI"),
+            estimators=("DI", "HT_seq", "sepDI_b", "sepDI_sigma", "comDI_b", "comDI_sigma",
+                        "adDI"),
             n_p=20,  # census: N1 = 20
         )
         summary = run_mc(config)
@@ -178,6 +184,57 @@ class TestRunMc:
                 assert np.array_equal(a1.variances, a2.variances)
         for t1, t2 in zip(s1.tests, s2.tests):
             assert np.array_equal(t1.p_values, t2.p_values)
+
+    @pytest.mark.parametrize("threads, replications, cpus, workers", [
+        (5000, 4, 64, 4),  # capped at the replications
+        (3, 24, 2, 2),     # capped at the CPUs
+        (2, 24, 8, 2),
+        (5000, 1, 64, None),  # one worker: no pool
+        (4, 10, None, None),  # CPU count unknown: one worker
+    ])
+    def test_pool_workers_capped(self, monkeypatch, threads, replications, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            """Runs the tasks serially in this process; records max_workers."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, iterable)
+
+        config = small_config(replications=replications, estimators=("DI",), run_test=False)
+        serial = run_mc(config, threads=1)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        summary = run_mc(config, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        assert np.array_equal(summary.arms[0].points, serial.arms[0].points)
+        assert np.array_equal(summary.arms[0].variances, serial.arms[0].variances)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            run_mc(small_config(replications=2, estimators=("DI",)), threads=threads)
+
+    def test_default_estimators_include_com_di_b(self):
+        config = McConfig(replications=6, seed=4, population_params=POP_PARAMS,
+                          designs=("optimal", "equal"))
+        assert "comDI_b" in config.estimators
+        arms = [arm for arm in run_mc(config).arms if arm.estimator == "comDI_b"]
+        assert [arm.design for arm in arms] == ["optimal", "equal"]
+        for arm in arms:
+            assert np.all(np.isfinite(arm.points))
+            assert np.all(np.isfinite(arm.variances)) and np.all(arm.variances > 0)
 
     def test_same_config_bitwise_reproducible(self):
         s1 = run_mc(small_config())
