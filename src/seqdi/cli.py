@@ -7,11 +7,9 @@ sample, and ``test`` runs the coefficient-homogeneity diagnostic.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -22,36 +20,6 @@ from .harness import ESTIMATORS, McConfig, check_choices, emit_results, run_mc, 
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
 
-# JSON name and accepted Python types of each McConfig field annotation.
-_JSON_TYPES = {
-    int: ("an integer", int),
-    float: ("a number", (int, float)),
-    str: ("a string", str),
-    bool: ("a boolean", bool),
-    tuple: ("an array", list),
-    dict: ("an object", dict),
-}
-
-
-def _validate_config(raw: dict) -> dict:
-    """Check keys and JSON types against McConfig's fields; the key
-    ``population`` stands for ``population_params``."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(McConfig)}
-    fields["population"] = fields.pop("population_params")
-    for key, value in raw.items():
-        if key not in fields:
-            raise ConfigError(f"unknown config key {key!r}")
-        annotation = fields[key].type
-        name, accepted = _JSON_TYPES[(typing.get_args(annotation) or (annotation,))[0]]
-        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"config key {key!r} must be {name}")
-    for key, field in fields.items():
-        if field.default is dataclasses.MISSING and key not in raw:
-            raise ConfigError(f"config key {key!r} is required")
-    return raw
-
 
 def _config_from_json(path, seed_flag, full_scale):
     try:
@@ -59,14 +27,10 @@ def _config_from_json(path, seed_flag, full_scale):
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    kwargs = dict(_validate_config(raw))
-    if "population" in kwargs:
-        kwargs["population_params"] = kwargs.pop("population")
-    if seed_flag is not None:
-        kwargs["seed"] = seed_flag
+    overrides = {} if seed_flag is None else {"seed": seed_flag}
     if full_scale:
-        kwargs["replications"] = 100_000
-    return McConfig(**kwargs)
+        overrides["replications"] = 100_000
+    return McConfig.from_json(raw, **overrides)
 
 
 def _print_summary(summary):
@@ -116,7 +80,8 @@ def cmd_design(args):
         s_np, frame_idx = partition.certainty_idx, partition.complement_idx
         pilot_x, pilot_y = pop.rows(s_np), pop.y[s_np]
 
-    frame_ids = [data.ids[i] for i in frame_idx]
+    ids = list(data.ids)
+    frame_ids = [ids[i] for i in frame_idx]
     pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
     dsgn = build_design(args.kind, pop.rows(frame_idx), args.np_size, pilot, frame_idx)
     design_to_csv(dsgn, args.out, ids=frame_ids, seed=args.seed)
@@ -132,15 +97,13 @@ def _sample_inputs(args, need_pilot, need_test):
     """The stratum inputs of --pop, with the arm fields y_s, x_s and pi_s of --sample."""
     data = load_population_csv(args.pop)
     pop, partition = data.population, data.require_partition()
-    u1_ids = {data.ids[i] for i in partition.complement_idx}
     sample_ids, pi_s, y_override = load_sample_csv(args.sample)
-    missing = [sid for sid in sample_ids if sid not in u1_ids]
+    missing = [sid for sid in sample_ids if sid not in data.ids or partition.delta[data.ids[sid]]]
     if missing:
         raise SeqdiError(
             f"sample ids not in the complement stratum: {', '.join(missing[:5])}"
         )
-    id_to_row = {uid: i for i, uid in enumerate(data.ids)}
-    rows = np.asarray([id_to_row[sid] for sid in sample_ids], dtype=int)
+    rows = np.asarray([data.ids[sid] for sid in sample_ids], dtype=int)
     inputs = stratum_inputs(pop, partition, need_pilot, need_test)
     inputs.y_s = y_override if y_override is not None else pop.y[rows]
     inputs.x_s, inputs.pi_s = pop.rows(rows), pi_s

@@ -13,12 +13,14 @@ bit-reproducible.
 import concurrent.futures
 import contextlib
 import copy
+import dataclasses
 import functools
 import json
 import math
 import numbers
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, SeqdiError
+from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, SeqdiError
 from .numerics import RngStream, normal_quantile
 from .pilot import fit_pilot
 from .population import (
@@ -40,6 +42,29 @@ from .population import (
 
 DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
 MAX_REDRAWS = 20
+
+
+# Name and accepted types of each McConfig field annotation: JSON's int,
+# float, str, bool, list and dict, and from the library also tuples, numpy
+# scalars and arrays, and paths where a string is wanted.
+_FIELD_TYPES = {
+    int: ("an integer", numbers.Integral),
+    float: ("a number", numbers.Real),
+    str: ("a string", (str, os.PathLike)),
+    bool: ("a boolean", (bool, np.bool_)),
+    tuple: ("an array", (list, tuple, np.ndarray)),
+    dict: ("an object", dict),
+}
+_JSON_KEYS = {"population_params": "population"}  # where a JSON key is not the field name
+
+
+def _check_type(key: str, annotation, value) -> None:
+    """ConfigError unless ``value`` passes as a key of _FIELD_TYPES, or as the
+    first member of a union of them; a bool passes only as a bool."""
+    kind = (typing.get_args(annotation) or (annotation,))[0]
+    name, accepted = _FIELD_TYPES[kind]
+    if isinstance(value, (bool, np.bool_)) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config key {key!r} must be {name}")
 
 
 def _is_number(value) -> bool:
@@ -61,13 +86,11 @@ def _check_population_params(block: dict) -> None:
     for key, name in (("N", "integer"), ("beta", "array of 4 numbers"), ("sigma", "number")):
         if key not in block:
             raise ConfigError(f"config key 'population.{key}' is required ({name})")
-    if not isinstance(block["N"], numbers.Integral) or isinstance(block["N"], bool):
-        raise ConfigError("config key 'population.N' must be an integer")
+    _check_type("population.N", int, block["N"])
     beta = block["beta"]
     if not isinstance(beta, (list, tuple)) or len(beta) != 4 or not all(map(_is_number, beta)):
         raise ConfigError("config key 'population.beta' must be an array of 4 numbers")
-    if not _is_number(block["sigma"]):
-        raise ConfigError("config key 'population.sigma' must be a number")
+    _check_type("population.sigma", float, block["sigma"])
     extra = set(block) - {"N", "beta", "sigma"}
     if extra:
         raise ConfigError(f"unknown config key 'population.{sorted(extra)[0]}'")
@@ -138,6 +161,10 @@ class McConfig:
     run_test: bool = True
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None or type(None) not in typing.get_args(f.type):
+                _check_type(_JSON_KEYS.get(f.name, f.name), f.type, value)
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.seed < 0:
@@ -170,6 +197,21 @@ class McConfig:
             raise ConfigError("fgls_iterations must be nonnegative")
         if self.n_p is not None and self.n_p < 1:
             raise ConfigError("n_p must be at least 1")
+
+    @classmethod
+    def from_json(cls, raw, **overrides) -> "McConfig":
+        """The config of a parsed JSON object, keyed as _JSON_KEYS says; its types
+        (null passes nowhere) are checked before ``overrides`` replace fields."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+        fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+        for key, value in raw.items():
+            if key not in fields:
+                raise ConfigError(f"unknown config key {key!r}")
+            _check_type(key, fields[key].type, value)
+        if "replications" not in raw:
+            raise ConfigError("config key 'replications' is required")
+        return cls(**{**{fields[key].name: value for key, value in raw.items()}, **overrides})
 
 
 @dataclass
@@ -240,7 +282,10 @@ def _build_population(config: McConfig):
     if config.population_csv is not None:
         data = load_population_csv(config.population_csv)
         return data.population, data
-    return generate_population(config.population_params, RngStream(config.seed, 0)), None
+    try:
+        return generate_population(config.population_params, RngStream(config.seed, 0)), None
+    except InvalidParams as err:
+        raise ConfigError(f"config key 'population': {err}") from err
 
 
 def _plan(config: McConfig):

@@ -19,10 +19,6 @@ from .pilot import PilotVarianceModel, fit_pilot, fit_power_variance, predict_si
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    beta_certainty: np.ndarray
-    beta_probability: np.ndarray
-    v_certainty: np.ndarray
-    v_probability: np.ndarray
     statistic: float
     df: int
     p_value: float
@@ -114,17 +110,8 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
     statistic = max(statistic, 0.0)
     df = len(diff)
     p_value = chisq_sf(statistic, df)
-    return HomogeneityResult(
-        beta_certainty=np.asarray(beta_np, dtype=float),
-        beta_probability=np.asarray(beta_p, dtype=float),
-        v_certainty=np.asarray(v_np, dtype=float),
-        v_probability=np.asarray(v_p, dtype=float),
-        statistic=statistic,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
-    )
+    return HomogeneityResult(statistic=statistic, df=df, p_value=p_value, alpha=alpha,
+                             reject=bool(p_value < alpha))
 
 
 def adaptive_estimate(sep: Estimate, com: Estimate, test: HomogeneityResult) -> Estimate:

@@ -210,7 +210,7 @@ class PopulationData:
     population: Population
     partition: Partition | None = None
     pi: np.ndarray | None = None
-    ids: list = field(default_factory=list)
+    ids: dict = field(default_factory=dict)  # id -> row index, in file order
 
     def require_partition(self) -> Partition:
         """The partition the delta column gave; MissingColumn without one."""
@@ -224,11 +224,8 @@ def _parse_float(raw: str, row: int, column: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise ParseError(
-            f"non-numeric value {raw!r} in row {row}, column {column!r}",
-            row=row,
-            column=column,
-        ) from None
+        raise ParseError(f"non-numeric value {raw!r} in row {row}, column {column!r}",
+                         row=row, column=column) from None
     if not math.isfinite(value):
         raise ParseError(f"non-finite value {raw!r} in row {row}, column {column!r}",
                          row=row, column=column)
@@ -242,20 +239,46 @@ def _parse_pi(raw: str, row: int) -> float:
     return value
 
 
-def _record_id(rows_by_id: dict, uid: str, row: int) -> None:
-    """Map uid to its data row; ParseError naming both rows when uid repeats."""
-    if uid in rows_by_id:
-        raise ParseError(f"id {uid!r} repeated in rows {rows_by_id[uid]} and {row}", row=row,
-                         column="id")
-    rows_by_id[uid] = row
+def _uncommented(handle):
+    """The lines of an open CSV file from its header on: lines starting with
+    '#' are comments only above the header; below it they are data."""
+    return itertools.dropwhile(lambda line: line.startswith("#"), handle)
 
 
 def read_csv(path) -> csv.DictReader:
-    """Rows of a CSV file as dicts.  Lines starting with '#' are comments only
-    above the header; below it they are data."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = list(itertools.dropwhile(lambda line: line.startswith("#"), handle))
-    return csv.DictReader(lines)
+    """Rows of a CSV file as dicts, past the comment lines of :func:`_uncommented`."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        return csv.DictReader(list(_uncommented(handle)))
+
+
+def _records(path, what: str, required: tuple, ids: dict):
+    """Yield the header of a ``what`` input file (its comments and a UTF-8 BOM
+    dropped), then, as the file is read, each data row as (row from 1, dict),
+    with each id's row index put in ``ids``.  Fails on a missing ``required``
+    column, a missing, empty or extra cell, a repeated id or no data row."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(_uncommented(handle))
+        header = next(reader, [])
+        for column in required:
+            if column not in header:
+                raise MissingColumn(f"{what} file needs column {column!r}")
+        yield header
+        for i, cells in enumerate(filter(None, reader), start=1):
+            if len(cells) > len(header):
+                raise ParseError(f"extra value in row {i}: {len(cells)} cells, "
+                                 f"{len(header)} columns", row=i)
+            if len(cells) < len(header) or "" in cells:
+                name = header[cells.index("") if "" in cells else len(cells)]
+                raise ParseError(f"missing value in row {i}, column {name!r}", row=i, column=name)
+            record = dict(zip(header, cells))
+            uid = record["id"]
+            if uid in ids:
+                raise ParseError(f"id {uid!r} repeated in rows {ids[uid] + 1} and {i}", row=i,
+                                 column="id")
+            ids[uid] = i - 1
+            yield i, record
+    if not ids:
+        raise ParseError(f"{what} file has no data rows", row=0)
 
 
 def _cell(value):
@@ -279,73 +302,47 @@ def write_csv(path, header, rows, seed=None) -> None:
 
 
 def load_population_csv(path) -> PopulationData:
-    """Read a population file.
+    """Read a population file under the file rules of :func:`_records`: columns
+    id and y, covariates x1, x2, ... (an intercept column is prepended), and
+    optional delta (0/1 certainty-stratum membership) and pi (realized
+    inclusion probabilities, in (0, 1])."""
+    ids = {}
+    records = _records(path, "population", ("id", "y"), ids)
+    header = next(records)
+    xcols = sorted((c for c in header if c.startswith("x") and c[1:].isdigit()),
+                   key=lambda c: int(c[1:]))
+    columns = {c: [] for c in ["y", *xcols]}
+    deltas, pis = [], []
+    for i, record in records:
+        for column, values in columns.items():
+            values.append(_parse_float(record[column], i, column))
+        if "delta" in header:
+            value = record["delta"].strip()
+            if value not in ("0", "1"):
+                raise ParseError(f"delta must be 0 or 1 in row {i}", row=i, column="delta")
+            deltas.append(int(value))
+        if "pi" in header:
+            pis.append(_parse_pi(record["pi"], i))
 
-    Required columns: id, y.  Covariates arrive as x1, x2, ... and an
-    intercept column is prepended.  Optional delta (0/1 certainty-stratum
-    membership) and pi (realized inclusion probabilities) columns are
-    returned when present.  Ids must be unique and pi must lie in (0, 1].
-    Missing values are not permitted; data rows are numbered from 1 in
-    error messages.
-    """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for required in ("id", "y"):
-            if required not in header:
-                raise MissingColumn(f"column {required!r} is required")
-        xcols = sorted(
-            (c for c in header if c.startswith("x") and c[1:].isdigit()),
-            key=lambda c: int(c[1:]),
-        )
-        has_delta = "delta" in header
-        has_pi = "pi" in header
-
-        rows_by_id, ys, xs, deltas, pis = {}, [], [], [], []
-        for i, record in enumerate(reader, start=1):
-            if any(v is None or v == "" for v in record.values()):
-                raise ParseError(f"missing value in row {i}", row=i)
-            _record_id(rows_by_id, record["id"], i)
-            ys.append(_parse_float(record["y"], i, "y"))
-            xs.append([_parse_float(record[c], i, c) for c in xcols])
-            if has_delta:
-                value = record["delta"].strip()
-                if value not in ("0", "1"):
-                    raise ParseError(
-                        f"delta must be 0 or 1 in row {i}", row=i, column="delta"
-                    )
-                deltas.append(int(value))
-            if has_pi:
-                pis.append(_parse_pi(record["pi"], i))
-
-    ids = list(rows_by_id)
-    n = len(ids)
-    if n == 0:
-        raise ParseError("file has no data rows", row=0)
-    x = np.column_stack([np.ones(n)] + [np.asarray(col, dtype=float) for col in zip(*xs)]) \
-        if xcols else np.ones((n, 1))
-    pop = Population(x=x, y=np.asarray(ys, dtype=float))
-    part = Partition(delta=np.asarray(deltas)) if has_delta else None
-    pi = np.asarray(pis, dtype=float) if has_pi else None
+    x = np.column_stack([np.ones(len(ids))] + [np.asarray(columns[c], dtype=float) for c in xcols])
+    pop = Population(x=x, y=np.asarray(columns["y"], dtype=float))
+    part = Partition(delta=np.asarray(deltas)) if "delta" in header else None
+    pi = np.asarray(pis, dtype=float) if "pi" in header else None
     return PopulationData(population=pop, partition=part, pi=pi, ids=ids)
 
 
 def load_sample_csv(path):
     """Ids, pi and y (None without a y column) of a sample file with columns
-    id (unique), pi in (0, 1], and optional y."""
-    reader = read_csv(path)
-    header = reader.fieldnames or []
-    for required in ("id", "pi"):
-        if required not in header:
-            raise MissingColumn(f"sample file needs column {required!r}")
-    rows_by_id, pis, ys = {}, [], []
-    for i, record in enumerate(reader, start=1):
-        _record_id(rows_by_id, record["id"], i)
+    id (unique), pi in (0, 1], and optional y; file rules as :func:`_records`."""
+    ids = {}
+    records = _records(path, "sample", ("id", "pi"), ids)
+    has_y = "y" in next(records)
+    pis, ys = [], []
+    for i, record in records:
         pis.append(_parse_pi(record["pi"], i))
-        if "y" in header:
+        if has_y:
             ys.append(_parse_float(record["y"], i, "y"))
-    return (list(rows_by_id), np.asarray(pis, dtype=float),
-            np.asarray(ys, dtype=float) if ys else None)
+    return list(ids), np.asarray(pis, dtype=float), np.asarray(ys, dtype=float) if has_y else None
 
 
 def save_population_csv(path, pop: Population, partition: Partition | None = None,

@@ -5,6 +5,8 @@ import pytest
 
 from seqdi import estimators as est
 from seqdi.cli import main
+from seqdi.errors import ConfigError
+from seqdi.harness import McConfig
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
 from seqdi.pilot import fit_pilot
@@ -129,6 +131,34 @@ class TestSimulate:
         path.write_text(json.dumps({"replications": 5, "reps": 2}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("seed", 1.5, "an integer"), ("replications", True, "an integer"),
+        ("replications", 2.5, "an integer"), ("fgls_iterations", 1.5, "an integer"),
+        ("designs", "optimal", "an array"),
+    ])
+    def test_library_refuses_with_cli_message(self, tmp_path, capsys, key, value, kind):
+        config = {"replications": 3, "estimators": ["DI"],
+                  "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}, key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        kwargs = dict(config, population_params=config.pop("population"))
+        with pytest.raises(ConfigError) as err:
+            McConfig(**kwargs)
+        assert str(err.value) == f"config key {key!r} must be {kind}"
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
+
+    @pytest.mark.parametrize("block, message", [({"N": 5}, "N must be at least 10"),
+                                                ({"sigma": -0.5}, "sigma must be positive")])
+    def test_population_value_exit_two(self, tmp_path, capsys, block, message):
+        population = dict({"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}, **block)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "estimators": ["DI"],
+                                    "population": population}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: config key 'population': {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_type_named(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -362,6 +392,26 @@ class TestEstimate:
         assert main(["estimate", "--pop", str(tmp_path / "pop.csv"),
                      "--sample", str(tmp_path / "sample.csv"), "--estimators", "ht"]) == 0
         assert "HT_seq: point=22 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["id,pi\n", "# seed=7\nid,pi,y\n\n"])
+    def test_header_only_sample_exit_one(self, pop_csv, tmp_path, capsys, text):
+        (tmp_path / "sample.csv").write_text(text)
+        code = main(["estimate", "--pop", str(pop_csv[0]), "--sample",
+                     str(tmp_path / "sample.csv"), "--estimators", "ht"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "point=" not in captured.out
+        assert captured.err == "error: sample file has no data rows\n"
+
+    def test_sample_extra_cell_names_row_exit_one(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text("id,x1,y,delta\n1,0.5,10,1\n2,0.4,2,0\n3,0.8,4,0\n")
+        (tmp_path / "sample.csv").write_text("id,pi\n3,0.5\n2,0.5,9\n")
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "ht"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "point=" not in captured.out
+        assert captured.err.startswith("error: extra value in row 2")
 
     @pytest.mark.parametrize("header", ["pid,pi", "id,prob"])
     def test_sample_missing_column_exit_one(self, pop_csv, tmp_path, capsys, header):

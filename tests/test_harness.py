@@ -146,6 +146,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=key):
             small_config(replications=2, population_params=params)
 
+    def test_library_types_accepted(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        config = small_config(seed=np.int64(5), f_np=np.float64(0.6), designs=["equal"],
+                              slopes=np.array([1.0, -1.0]), fgls_iterations=np.int32(2),
+                              include_model_variance=np.bool_(True))
+        assert config.designs == ("equal",) and config.seed == 5
+        McConfig(replications=2, mechanism="FixedPartition", population_csv=path)
+
+    @pytest.mark.parametrize("key, value", [("run_test", 1), ("include_model_variance", 0.0),
+                                            ("level", True), ("n_p", np.bool_(True)),
+                                            ("mechanism", None), ("estimators", "DI")])
+    def test_wrong_library_type_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            small_config(**{key: value})
+
     @pytest.mark.parametrize("n_p", [0, -5])
     def test_n_p_below_one(self, n_p):
         with pytest.raises(ConfigError, match="n_p"):

@@ -146,8 +146,6 @@ class TestHomogeneityTest:
 class TestAdaptive:
     def _result(self, reject):
         return HomogeneityResult(
-            beta_certainty=np.zeros(2), beta_probability=np.zeros(2),
-            v_certainty=np.eye(2), v_probability=np.eye(2),
             statistic=1.0, df=2, p_value=0.01 if reject else 0.9,
             alpha=0.05, reject=reject,
         )

@@ -225,6 +225,28 @@ class TestCsv:
         with pytest.raises(ParseError, match="id '2' repeated in rows 2 and 3"):
             load_population_csv(path)
 
+    @pytest.mark.parametrize("prefix", ["# written by hand\n#\n", "\ufeff", "\ufeff# bom\n"])
+    def test_comments_and_bom_above_header(self, tmp_path, prefix):
+        text = "id,x1,y,delta,pi\na,0.5,2,1,0.5\nb,0.3,1,0,0.25\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "prefixed.csv").write_text(prefix + text, encoding="utf-8")
+        plain = load_population_csv(tmp_path / "plain.csv")
+        prefixed = load_population_csv(tmp_path / "prefixed.csv")
+        assert prefixed.ids == plain.ids == {"a": 0, "b": 1}
+        assert np.array_equal(prefixed.population.x, plain.population.x)
+        assert np.array_equal(prefixed.population.y, plain.population.y)
+        assert np.array_equal(prefixed.partition.delta, plain.partition.delta)
+        assert np.array_equal(prefixed.pi, plain.pi)
+
+    @pytest.mark.parametrize("body, column", [("2,0.3,1,7\n", None), ("2,0.3\n", "y"),
+                                              ("2,,1\n", "x1")])
+    def test_extra_or_missing_cell_names_row(self, tmp_path, body, column):
+        path = tmp_path / "cells.csv"
+        path.write_text("id,x1,y\n1,0.5,2\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_population_csv(path)
+        assert (err.value.row, err.value.column) == (2, column)
+
     def test_round_trip_exact(self, tmp_path):
         pop = generate_population(dict(LOGNORMAL_PARAMS, N=200), RngStream(24, 0))
         part = Partition(delta=(RngStream(25, 0).uniform(size=200) < 0.5))
