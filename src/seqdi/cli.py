@@ -8,7 +8,6 @@ sample, and ``test`` runs the coefficient-homogeneity diagnostic.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,14 +50,7 @@ def _print_summary(summary):
 
 def cmd_simulate(args):
     config = _config_from_json(args.config, args.seed, args.full_scale)
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get("SEQDI_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"SEQDI_THREADS must be an integer, got {raw!r}") from None
-    summary = run_mc(config, threads=threads, progress=True)
+    summary = run_mc(config, threads=args.threads, progress=True)
     paths = emit_results(summary, args.out)
     _print_summary(summary)
     print("wrote:", ", ".join(paths))
@@ -84,7 +76,7 @@ def cmd_design(args):
     frame_ids = [ids[i] for i in frame_idx]
     pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
     dsgn = build_design(args.kind, pop.rows(frame_idx), args.np_size, pilot, frame_idx)
-    design_to_csv(dsgn, args.out, ids=frame_ids, seed=args.seed)
+    design_to_csv(dsgn, args.out, frame_ids)
     print(f"wrote {args.out}: {len(frame_ids)} rows, total pi = {float(np.sum(dsgn.pi)):.6f}")
     return 0
 
@@ -127,7 +119,7 @@ def cmd_estimate(args):
 
     if args.out:
         write_csv(args.out, ["tag", "point", "variance", "ci_low", "ci_high"],
-                  (record.to_csv_row() for record in out_rows), seed=args.seed)
+                  (record.to_csv_row() for record in out_rows))
         print(f"wrote {args.out}")
     return 0
 
@@ -158,8 +150,7 @@ def build_parser():
     sim.add_argument("--out", required=True, help="output directory for result files")
     sim.add_argument("--seed", type=int, default=None,
                      help=f"override the config seed (default {McConfig.seed})")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes; defaults to SEQDI_THREADS or 1")
+    sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     sim.add_argument("--full-scale", action="store_true",
                      help="run 100000 replications regardless of the config value")
     sim.set_defaults(func=cmd_simulate)
@@ -172,7 +163,6 @@ def build_parser():
                      help="expected Poisson sample size")
     dsg.add_argument("--kind", choices=DESIGN_KINDS, default="optimal")
     dsg.add_argument("--out", required=True, help="output CSV (id, pi, kind)")
-    dsg.add_argument("--seed", type=int, default=McConfig.seed)
     dsg.set_defaults(func=cmd_design)
 
     estp = sub.add_parser("estimate", help="one-shot estimation on a realized sample")
@@ -183,7 +173,6 @@ def build_parser():
     estp.add_argument("--weights", choices=("b", "sigma"), default="b",
                       help="regression weights: inverse-probability (b) or variance scaled (sigma)")
     estp.add_argument("--out", default=None, help="optional output CSV")
-    estp.add_argument("--seed", type=int, default=McConfig.seed)
     estp.set_defaults(func=cmd_estimate)
 
     tst = sub.add_parser("test", help="coefficient homogeneity test")

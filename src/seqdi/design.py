@@ -160,8 +160,6 @@ def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:
     )
 
 
-def design_to_csv(design: SecondStageDesign, path, ids=None, seed=None) -> None:
-    """Write id, pi, kind rows; ids default to the design indices."""
-    ids = ids if ids is not None else [str(int(i)) for i in design.indices]
-    write_csv(path, ["id", "pi", "kind"],
-              ([unit, p, design.kind] for unit, p in zip(ids, design.pi)), seed)
+def design_to_csv(design: SecondStageDesign, path, ids) -> None:
+    """Write id, pi, kind rows, with ids[k] the id of the design's k-th unit."""
+    write_csv(path, ["id", "pi", "kind"], ([i, p, design.kind] for i, p in zip(ids, design.pi)))

@@ -181,29 +181,25 @@ def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:
     return logistic_fit(pop.x, partition.delta.astype(float))
 
 
-def _ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray | None):
-    """Certainty-stratum rows of X and y, their estimated membership
-    propensities and the IPW total sum y_i / p_i; alpha_hat is fitted when
-    not given."""
-    if alpha_hat is None:
-        alpha_hat = estimate_propensity(pop, partition)
+def _ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray):
+    """Certainty-stratum rows of X and y, their membership propensities under
+    the fitted logistic coefficient alpha_hat and the IPW total sum y_i / p_i."""
     idx = partition.certainty_idx
     x_np, y_np = pop.rows(idx), pop.y[idx]
     prop = _logistic(x_np @ np.asarray(alpha_hat, dtype=float))
     return x_np, y_np, prop, float(np.sum(y_np / prop))
 
 
-def y_ipw(pop: Population, partition: Partition,
-          alpha_hat: np.ndarray | None = None) -> Estimate:
-    """Inverse probability weighting with an estimated membership propensity.
+def y_ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray) -> Estimate:
+    """Inverse probability weighting with the membership propensity that
+    :func:`estimate_propensity` fitted as alpha_hat.
 
     No variance is reported; the estimator is a point-only competitor.
     """
     return _make_estimate("IPW", _ipw(pop, partition, alpha_hat)[3])
 
 
-def y_dr(pop: Population, partition: Partition,
-         alpha_hat: np.ndarray | None = None) -> Estimate:
+def y_dr(pop: Population, partition: Partition, alpha_hat: np.ndarray) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals."""
     x_np, y_np, prop, ipw_point = _ipw(pop, partition, alpha_hat)
     beta = weighted_ls(x_np, y_np, np.ones(len(y_np)))

@@ -185,7 +185,9 @@ class McConfig:
                               "'population') and population_csv is required")
         if self.population_params is not None:
             _check_population_params(self.population_params)
-        if self.slopes is not None and self.mechanism in DEFAULT_SLOPES:
+        if self.slopes is not None:
+            if self.mechanism not in DEFAULT_SLOPES:
+                raise ConfigError(f"{self.mechanism} draws no stratum, so it takes no 'slopes'")
             want = len(DEFAULT_SLOPES[self.mechanism])
             if len(self.slopes) != want or not all(map(_is_number, self.slopes)):
                 raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} numbers")

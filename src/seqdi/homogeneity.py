@@ -22,7 +22,6 @@ class HomogeneityResult:
     statistic: float
     df: int
     p_value: float
-    alpha: float
     reject: bool
 
 
@@ -110,7 +109,7 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
     statistic = max(statistic, 0.0)
     df = len(diff)
     p_value = chisq_sf(statistic, df)
-    return HomogeneityResult(statistic=statistic, df=df, p_value=p_value, alpha=alpha,
+    return HomogeneityResult(statistic=statistic, df=df, p_value=p_value,
                              reject=bool(p_value < alpha))
 
 

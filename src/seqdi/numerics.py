@@ -33,10 +33,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
+            np.random.PCG64(np.random.SeedSequence((int(seed), int(stream_id))))
         )
 
     def uniform(self, size=None):
@@ -49,9 +47,6 @@ class RngStream:
         """Independent Bernoulli indicators, one per entry of p."""
         p = np.asarray(p, dtype=float)
         return self._gen.uniform(size=p.shape) < p
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 def _cholesky(a) -> list:

@@ -130,14 +130,8 @@ def fit_power_variance(
     )
 
 
-def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray | float:
-    """Predicted variance max(sigma2 * max(x'beta, mean_floor)^gamma, sigma2_floor).
-
-    Accepts a single covariate vector or a matrix of rows; total thanks to
-    the floors.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    m = np.maximum(np.atleast_2d(x) @ model.beta, model.mean_floor)
-    out = np.maximum(model.sigma2 * m**model.gamma, model.sigma2_floor)
-    return float(out[0]) if single else out
+def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
+    """Predicted variance max(sigma2 * max(x'beta, mean_floor)^gamma, sigma2_floor)
+    for each row of x; total thanks to the floors."""
+    m = np.maximum(np.asarray(x, dtype=float) @ model.beta, model.mean_floor)
+    return np.maximum(model.sigma2 * m**model.gamma, model.sigma2_floor)

@@ -10,7 +10,7 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,12 +205,11 @@ def draw_nonprob(pop: Population, mech: SelectionMechanism, rng: RngStream) -> P
 
 @dataclass
 class PopulationData:
-    """A population loaded from CSV, plus whatever optional columns it carried."""
+    """A population loaded from CSV, with its delta column's partition if it had one."""
 
     population: Population
-    partition: Partition | None = None
-    pi: np.ndarray | None = None
-    ids: dict = field(default_factory=dict)  # id -> row index, in file order
+    partition: Partition | None
+    ids: dict  # id -> row index, in file order
 
     def require_partition(self) -> Partition:
         """The partition the delta column gave; MissingColumn without one."""
@@ -254,11 +253,15 @@ def read_csv(path) -> csv.DictReader:
 def _records(path, what: str, required: tuple, ids: dict):
     """Yield the header of a ``what`` input file (its comments and a UTF-8 BOM
     dropped), then, as the file is read, each data row as (row from 1, dict),
-    with each id's row index put in ``ids``.  Fails on a missing ``required``
-    column, a missing, empty or extra cell, a repeated id or no data row."""
+    with each id's row index put in ``ids``.  Fails on a column named twice, a
+    missing ``required`` column, a missing, empty or extra cell, a repeated id
+    or no data row."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(_uncommented(handle))
         header = next(reader, [])
+        for i, column in enumerate(header):
+            if column in header[:i]:
+                raise ParseError(f"{what} file names column {column!r} twice", row=0, column=column)
         for column in required:
             if column not in header:
                 raise MissingColumn(f"{what} file needs column {column!r}")
@@ -304,15 +307,15 @@ def write_csv(path, header, rows, seed=None) -> None:
 def load_population_csv(path) -> PopulationData:
     """Read a population file under the file rules of :func:`_records`: columns
     id and y, covariates x1, x2, ... (an intercept column is prepended), and
-    optional delta (0/1 certainty-stratum membership) and pi (realized
-    inclusion probabilities, in (0, 1])."""
+    optional delta (0/1 certainty-stratum membership); other columns are
+    ignored."""
     ids = {}
     records = _records(path, "population", ("id", "y"), ids)
     header = next(records)
     xcols = sorted((c for c in header if c.startswith("x") and c[1:].isdigit()),
                    key=lambda c: int(c[1:]))
     columns = {c: [] for c in ["y", *xcols]}
-    deltas, pis = [], []
+    deltas = []
     for i, record in records:
         for column, values in columns.items():
             values.append(_parse_float(record[column], i, column))
@@ -321,14 +324,11 @@ def load_population_csv(path) -> PopulationData:
             if value not in ("0", "1"):
                 raise ParseError(f"delta must be 0 or 1 in row {i}", row=i, column="delta")
             deltas.append(int(value))
-        if "pi" in header:
-            pis.append(_parse_pi(record["pi"], i))
 
     x = np.column_stack([np.ones(len(ids))] + [np.asarray(columns[c], dtype=float) for c in xcols])
     pop = Population(x=x, y=np.asarray(columns["y"], dtype=float))
     part = Partition(delta=np.asarray(deltas)) if "delta" in header else None
-    pi = np.asarray(pis, dtype=float) if "pi" in header else None
-    return PopulationData(population=pop, partition=part, pi=pi, ids=ids)
+    return PopulationData(population=pop, partition=part, ids=ids)
 
 
 def load_sample_csv(path):
@@ -345,15 +345,12 @@ def load_sample_csv(path):
     return list(ids), np.asarray(pis, dtype=float), np.asarray(ys, dtype=float) if has_y else None
 
 
-def save_population_csv(path, pop: Population, partition: Partition | None = None,
-                        pi: np.ndarray | None = None, ids=None) -> None:
-    """Write a population file that reloads to exactly the same values."""
-    columns = {"id": ids if ids is not None else range(1, pop.size + 1)}
+def save_population_csv(path, pop: Population, partition: Partition | None = None) -> None:
+    """Write a population file, ids 1..N, that reloads to exactly the same values."""
+    columns = {"id": range(1, pop.size + 1)}
     for j in range(1, pop.x.shape[1]):
         columns[f"x{j}"] = pop.x[:, j]
     columns["y"] = pop.y
     if partition is not None:
         columns["delta"] = partition.delta.astype(int)
-    if pi is not None:
-        columns["pi"] = pi
     write_csv(path, list(columns), zip(*columns.values(), strict=True))

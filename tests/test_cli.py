@@ -106,6 +106,15 @@ class TestSimulate:
         assert code == 2
         assert "slopes" in capsys.readouterr().err
 
+    def test_fixed_partition_slopes_exit_two(self, pop_csv, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "mechanism": "FixedPartition",
+                                    "population_csv": str(pop_csv[0]), "slopes": [9, 9]}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'slopes'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_population_csv_and_block_exit_two(self, pop_csv, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 3, "population_csv": str(pop_csv[0]),
@@ -184,7 +193,7 @@ class TestDesign:
         out = tmp_path / "design.csv"
         assert main(["design", "--pop", str(path), "--np", "40",
                      "--kind", "optimal", "--out", str(out)]) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         pis = np.array([float(r[1]) for r in rows])
         assert np.allclose(pis, pis[0], rtol=1e-3)
 
@@ -203,7 +212,7 @@ class TestDesign:
         out = tmp_path / "design.csv"
         assert main(["design", "--pop", str(path), "--np", "242",
                      "--kind", "optimal", "--out", str(out)]) == 0
-        rows = out.read_text().splitlines()[2:]
+        rows = out.read_text().splitlines()[1:]
         assert len(rows) == 607
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(242.0, abs=1e-6 * 242)
@@ -262,7 +271,7 @@ class TestEstimate:
         wanted = names.split(",") if names else list(direct)
         expected = tmp_path / "expected.csv"
         write_csv(expected, ["tag", "point", "variance", "ci_low", "ci_high"],
-                  (direct[name]().to_csv_row() for name in wanted), seed=20240901)
+                  (direct[name]().to_csv_row() for name in wanted))
         out = tmp_path / "est.csv"
         argv = ["estimate", "--pop", str(path), "--sample", str(sample), "--out", str(out)]
         argv += ["--estimators", names] if names else []
@@ -349,6 +358,25 @@ class TestEstimate:
         assert "point=" not in captured.out
         assert captured.err.startswith("error:") and "'2' repeated in rows 2 and 3" in captured.err
 
+    @pytest.mark.parametrize("pop_text, sample_text, what, column", [
+        ("id,x1,x2,y,delta,y\n1,0.5,0.2,10,1,20\n2,0.4,0.1,2,0,4\n3,0.8,0.3,4,0,8\n",
+         "id,pi\n2,0.5\n", "population", "y"),
+        ("id,x1,x1,y,delta\n1,0.5,0.2,10,1\n2,0.4,0.1,2,0\n3,0.8,0.3,4,0\n",
+         "id,pi\n2,0.5\n", "population", "x1"),
+        ("id,x1,x2,y,delta\n1,0.5,0.2,10,1\n2,0.4,0.1,2,0\n3,0.8,0.3,4,0\n",
+         "id,pi,pi\n2,0.5,0.25\n", "sample", "pi"),
+    ], ids=["population-y", "population-x1", "sample-pi"])
+    def test_column_named_twice_exit_one(self, tmp_path, capsys, pop_text, sample_text,
+                                         what, column):
+        (tmp_path / "pop.csv").write_text(pop_text)
+        (tmp_path / "sample.csv").write_text(sample_text)
+        code = main(["estimate", "--pop", str(tmp_path / "pop.csv"),
+                     "--sample", str(tmp_path / "sample.csv"), "--estimators", "ht"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "point=" not in captured.out
+        assert captured.err == f"error: {what} file names column '{column}' twice\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_sample_value_names_row_exit_one(self, tmp_path, capsys, value):
         (tmp_path / "pop.csv").write_text(
@@ -430,8 +458,8 @@ class TestEstimate:
                      "--estimators", "di,sep", "--weights", "sigma",
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == "tag,point,variance,ci_low,ci_high"
-        assert len(lines) == 4
+        assert lines[0] == "tag,point,variance,ci_low,ci_high"
+        assert len(lines) == 3
 
 
 class TestTestCommand:

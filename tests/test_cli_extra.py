@@ -22,7 +22,7 @@ class TestDesignWithSeparatePilot:
         code = main(["design", "--pop", str(frame_path), "--pilot", str(pilot_path),
                      "--np", "80", "--kind", "optimal", "--out", str(out)])
         assert code == 0
-        rows = out.read_text().splitlines()[2:]
+        rows = out.read_text().splitlines()[1:]
         assert len(rows) == 200
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(80.0, rel=1e-9)
@@ -52,7 +52,7 @@ class TestDesignWithSeparatePilot:
         code = main(["design", "--pop", str(frame_path), "--pilot", str(pilot_path),
                      "--np", "30", "--kind", "pps", "--out", str(out)])
         assert code == 0
-        rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         pis = np.array([float(r[1]) for r in rows])
         # proportional to x1 wherever nothing is truncated
         x1 = frame_pop.x[:, 1]
@@ -129,25 +129,9 @@ class TestSimulateFixedPartition:
         for name in ("summary.csv", "replication_errors.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_threads_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEQDI_THREADS", "2")
-        config = {
-            "replications": 6,
-            "mechanism": "MAR",
-            "population": {"N": 200, "beta": [10, 15, 10, 20], "sigma": 0.6},
-            "estimators": ["DI"],
-            "run_test": False,
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o")]) == 0
-
-    @pytest.mark.parametrize("env, flag", [("1", ["--threads", "0"]), ("1", ["--threads", "-3"]),
-                                           ("0", []), ("-3", [])],
-                             ids=["flag-0", "flag-minus-3", "env-0", "env-minus-3"])
-    def test_threads_below_one_exit_two(self, tmp_path, monkeypatch, capsys, env, flag):
-        monkeypatch.setenv("SEQDI_THREADS", env)
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-3"]],
+                             ids=["flag-0", "flag-minus-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, flag):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "replications": 2, "estimators": ["DI"],
@@ -157,17 +141,6 @@ class TestSimulateFixedPartition:
                      "--out", str(tmp_path / "o")] + flag) == 2
         assert "threads must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-    def test_bad_threads_env_variable_exit_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SEQDI_THREADS", "abc")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "replications": 2,
-            "population": {"N": 200, "beta": [10, 15, 10, 20], "sigma": 0.6},
-        }))
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "SEQDI_THREADS" in capsys.readouterr().err
 
 
 class TestConfigBuilding:

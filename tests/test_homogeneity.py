@@ -117,7 +117,7 @@ class TestHomogeneityTest:
             result = homogeneity_test((b1, v1), (b2, v2))
             assert result.statistic >= 0.0
             assert 0.0 <= result.p_value <= 1.0
-            assert result.reject == (result.p_value < result.alpha)
+            assert result.reject == (result.p_value < 0.05)
 
     def test_reparametrization_invariance(self):
         rng = np.random.default_rng(8)
@@ -146,8 +146,7 @@ class TestHomogeneityTest:
 class TestAdaptive:
     def _result(self, reject):
         return HomogeneityResult(
-            statistic=1.0, df=2, p_value=0.01 if reject else 0.9,
-            alpha=0.05, reject=reject,
+            statistic=1.0, df=2, p_value=0.01 if reject else 0.9, reject=reject,
         )
 
     def test_reject_branch(self):

@@ -19,6 +19,7 @@ from seqdi.population import (
     draw_nonprob,
     generate_population,
     load_population_csv,
+    load_sample_csv,
     read_csv,
     save_population_csv,
     write_csv,
@@ -206,17 +207,19 @@ class TestCsv:
             load_population_csv(path)
 
     def test_pi_column(self, tmp_path):
-        path = tmp_path / "pi.csv"
-        path.write_text("id,x1,y,pi\n1,0.5,2,0.25\n2,0.3,1,0.5\n")
-        data = load_population_csv(path)
-        np.testing.assert_allclose(data.pi, [0.25, 0.5])
+        # a population file's pi column is an extra column like any other: not read
+        (tmp_path / "plain.csv").write_text("id,x1,y\n1,0.5,2\n2,0.3,1\n")
+        (tmp_path / "pi.csv").write_text("id,x1,y,pi\n1,0.5,2,0.25\n2,0.3,1,7\n")
+        plain, with_pi = (load_population_csv(tmp_path / f) for f in ("plain.csv", "pi.csv"))
+        assert np.array_equal(with_pi.population.x, plain.population.x)
+        assert np.array_equal(with_pi.population.y, plain.population.y)
 
     @pytest.mark.parametrize("pi", ["0", "1.5", "-0.2"])
     def test_pi_outside_unit_interval_names_row(self, tmp_path, pi):
-        path = tmp_path / "pi.csv"
-        path.write_text(f"id,x1,y,pi\n1,0.5,2,0.25\n2,0.3,1,{pi}\n")
+        path = tmp_path / "sample.csv"
+        path.write_text(f"id,pi\n1,0.25\n2,{pi}\n")
         with pytest.raises(ParseError) as err:
-            load_population_csv(path)
+            load_sample_csv(path)
         assert (err.value.row, err.value.column) == (2, "pi")
 
     def test_repeated_id_names_both_rows(self, tmp_path):
@@ -236,7 +239,6 @@ class TestCsv:
         assert np.array_equal(prefixed.population.x, plain.population.x)
         assert np.array_equal(prefixed.population.y, plain.population.y)
         assert np.array_equal(prefixed.partition.delta, plain.partition.delta)
-        assert np.array_equal(prefixed.pi, plain.pi)
 
     @pytest.mark.parametrize("body, column", [("2,0.3,1,7\n", None), ("2,0.3\n", "y"),
                                               ("2,,1\n", "x1")])
