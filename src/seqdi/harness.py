@@ -101,12 +101,14 @@ class Estimator:
     """One estimator tag: ``stage`` "sequential" runs once per design arm,
     "frame" once per replication.  ``compute(inputs, done)`` may read the
     estimates ``done`` of the ``combines`` tags, listed before it in
-    ESTIMATORS; ``needs`` names the stratum fits it uses."""
+    ESTIMATORS; ``needs`` names the stratum fits it uses.  A point-only
+    estimator (``variance`` False) returns an Estimate whose variance is None."""
 
     stage: str
     compute: object
     combines: tuple = ()
     needs: tuple = ()
+    variance: bool = True
 
 
 # The callables look the estimator up on its module at call time, so that
@@ -130,11 +132,13 @@ ESTIMATORS = {
     "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
         c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
         c.ind_sample.pi_realized)),
-    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat)),
-    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat)),
+    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
+                     variance=False),
+    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat),
+                    variance=False),
     "GREG_DR": Estimator("frame", lambda c, done: est.y_fusion(
         done["GREG"], done["DR"], c.ind_sample.size / (c.ind_sample.size + len(c.y_np))),
-        combines=("GREG", "DR")),
+        combines=("GREG", "DR"), variance=False),
 }
 SEQUENTIAL_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "sequential")
 FRAME_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "frame")
@@ -146,7 +150,7 @@ class McConfig:
     replications: int
     seed: int = 20240901
     mechanism: str = "MAR"
-    f_np: float = 0.70
+    f_np: float | None = None
     f_p: float = 0.40
     designs: tuple = ("optimal",)
     estimators: tuple = SEQUENTIAL_TAGS
@@ -171,9 +175,6 @@ class McConfig:
             raise ConfigError("seed must be nonnegative")
         if self.mechanism not in ("MAR", "NMAR", "FixedPartition"):
             raise ConfigError(f"unknown mechanism {self.mechanism!r}")
-        for frac in (self.f_np, self.f_p):
-            if not 0.0 < frac < 1.0:
-                raise ConfigError("sampling fractions must lie in (0, 1)")
         self.designs = tuple(self.designs)
         self.estimators = tuple(self.estimators)
         check_choices(self.designs, design_mod.DESIGN_KINDS, "design kind", "designs")
@@ -185,12 +186,18 @@ class McConfig:
                               "'population') and population_csv is required")
         if self.population_params is not None:
             _check_population_params(self.population_params)
-        if self.slopes is not None:
-            if self.mechanism not in DEFAULT_SLOPES:
-                raise ConfigError(f"{self.mechanism} draws no stratum, so it takes no 'slopes'")
+        if self.mechanism not in DEFAULT_SLOPES:
+            for key in ("slopes", "f_np"):  # they shape the stratum draw
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"{self.mechanism} draws no stratum, so it takes no {key!r}")
+        else:
+            self.f_np = 0.70 if self.f_np is None else self.f_np
+            self.slopes = DEFAULT_SLOPES[self.mechanism] if self.slopes is None else self.slopes
             want = len(DEFAULT_SLOPES[self.mechanism])
             if len(self.slopes) != want or not all(map(_is_number, self.slopes)):
                 raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} numbers")
+        if not all(0.0 < frac < 1.0 for frac in (self.f_np, self.f_p) if frac is not None):
+            raise ConfigError("sampling fractions must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         if not 0.0 < self.level < 1.0:
@@ -291,7 +298,9 @@ def _build_population(config: McConfig):
 
 
 def _plan(config: McConfig):
-    """Resolve which estimators and stratum fits each replication computes."""
+    """Resolve which estimators and stratum fits a replication computes, and the
+    layout of its row: per reported arm a point column, then a variance column
+    unless point-only (``columns``); per reported test a p-value and a reject column."""
     requested = set(config.estimators)
     if config.mechanism == "FixedPartition":
         requested -= set(FRAME_TAGS)
@@ -303,12 +312,20 @@ def _plan(config: McConfig):
             computed.update(ESTIMATORS[tag].combines)
     needs = {need for tag in computed for need in ESTIMATORS[tag].needs}
     need_test = config.run_test or "test" in needs
+    columns, width = {}, 0
+    for tag in (t for t in config.estimators if t in requested):
+        for kind in config.designs if tag in SEQUENTIAL_TAGS else ("",):
+            columns[tag, kind] = width
+            width += 1 + ESTIMATORS[tag].variance
+    tests = {kind: width + 2 * i for i, kind in enumerate(config.designs) if config.run_test}
     return {
-        "requested": requested,
         "sequential": [tag for tag in SEQUENTIAL_TAGS if tag in computed],
         "frame": [tag for tag in FRAME_TAGS if tag in computed],
         "need_test": need_test,
         "need_pilot": need_test or "pilot" in needs or "optimal" in config.designs,
+        "columns": columns,
+        "tests": tests,
+        "width": width + 2 * len(tests),
     }
 
 
@@ -374,22 +391,24 @@ class _Inputs:
 
 
 def _replicate(r, config, pop, mech, plan, stratum):
-    """One Monte Carlo replication; all randomness comes from stream id r + 1.
+    """One Monte Carlo replication as a float64 row in ``plan``'s layout, drawn from stream r + 1.
 
     ``stratum`` is a fixed stratum's set-up, or None to draw one.  A
     SeqdiError is raised again as the same class, its message led by the
     replication, its stream id and the design or stage that failed."""
     rng = RngStream(config.seed, r + 1)
     where = "stratum set-up"
-    points, variances, tests = {}, {}, {}
+    row = np.full(plan["width"], np.nan)
 
     def keep(tags, kind):
         done = {}
         for tag in tags:
             done[tag] = ESTIMATORS[tag].compute(inputs, done)
-            if tag in plan["requested"]:
-                points[(tag, kind)] = done[tag].point
-                variances[(tag, kind)] = done[tag].variance
+            if (tag, kind) in plan["columns"]:
+                col = plan["columns"][tag, kind]
+                row[col] = done[tag].point
+                if ESTIMATORS[tag].variance:
+                    row[col + 1] = done[tag].variance
 
     try:
         if stratum is None:
@@ -405,13 +424,15 @@ def _replicate(r, config, pop, mech, plan, stratum):
                 p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s,
                                      config.fgls_iterations, config.include_model_variance)
                 inputs.test = homog.homogeneity_test(inputs.np_fit, p_fit, config.alpha)
-                tests[kind] = (inputs.test.p_value, inputs.test.reject)
+            if kind in plan["tests"]:
+                col = plan["tests"][kind]
+                row[col], row[col + 1] = inputs.test.p_value, inputs.test.reject
             keep(plan["sequential"], kind)
         where = "frame estimators"
         keep(plan["frame"], "")
     except SeqdiError as err:
         raise type(err)(f"replication {r} (stream {r + 1}), {where}: {err}") from err
-    return points, variances, tests
+    return row
 
 
 _WORKER_GLOBALS = {}
@@ -445,8 +466,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
 
     mech = None
     if config.mechanism in ("MAR", "NMAR"):
-        slopes = tuple(config.slopes) if config.slopes is not None else DEFAULT_SLOPES[config.mechanism]
-        mech = SelectionMechanism(config.mechanism, slopes, config.f_np)
+        mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
 
     stratum = None
@@ -456,7 +476,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)
     args = (config, pop, mech, plan, stratum)
-    results = []
+    table = np.empty((plan["width"], n_rep))  # one row per column, one column per replication
     with contextlib.ExitStack() as stack:
         if workers == 1:
             _init_worker(*args)
@@ -465,62 +485,29 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=args))
             outcomes = pool.map(_run_one, range(n_rep), chunksize=max(1, n_rep // (workers * 8)))
-        for res in outcomes:
-            results.append(res)
-            if progress and len(results) % max(1, n_rep // 20) == 0:
-                print(f"replication {len(results)}/{n_rep}", file=sys.stderr, flush=True)
+        for r, row in enumerate(outcomes):
+            table[:, r] = row
+            if progress and (r + 1) % max(1, n_rep // 20) == 0:
+                print(f"replication {r + 1}/{n_rep}", file=sys.stderr, flush=True)
 
-    return _aggregate(config, pop, plan, results)
+    return _aggregate(config, pop, plan, table)
 
 
-def _aggregate(config, pop, plan, results):
+def _aggregate(config, pop, plan, table):
+    """The McSummary of the result table, its rows laid out as ``plan`` says."""
     n_rep = config.replications
-    arm_keys = [
-        (tag, kind)
-        for tag in config.estimators if tag in plan["requested"]
-        for kind in (config.designs if tag in SEQUENTIAL_TAGS else ("",))
-    ]
-
     arms = []
-    for key in arm_keys:
-        pts = np.array([res[0][key] for res in results], dtype=float)
-        vrs = [res[1][key] for res in results]  # None from point-only estimators
-        vrs = None if vrs[0] is None else np.array(vrs, dtype=float)
-        m = metrics(pts, vrs if n_rep >= 2 else None, pop.true_total, config.level)
-        arms.append(
-            ArmMetrics(
-                estimator=key[0], design=key[1], rb=m["rb"], rrmse=m["rrmse"],
-                var_ratio=m["var_ratio"], coverage=m["coverage"],
-                points=pts, variances=vrs,
-            )
-        )
-
-    tests = []
-    if plan["need_test"] and config.run_test:
-        for kind in config.designs:
-            p_values = np.array([res[2][kind][0] for res in results], dtype=float)
-            rejects = np.array([res[2][kind][1] for res in results], dtype=bool)
-            tests.append(
-                TestSummary(
-                    design=kind,
-                    replications=n_rep,
-                    alpha=config.alpha,
-                    reject_rate=float(np.mean(rejects)),
-                    mean_p=float(np.mean(p_values)),
-                    median_p=float(np.median(p_values)),
-                    p_values=p_values,
-                )
-            )
-
-    return McSummary(
-        y_true=pop.true_total,
-        replications=n_rep,
-        seed=config.seed,
-        mechanism=config.mechanism,
-        arms=arms,
-        tests=tests,
-        level=config.level,
-    )
+    for (tag, kind), col in plan["columns"].items():
+        points = table[col]
+        variances = table[col + 1] if ESTIMATORS[tag].variance else None
+        m = metrics(points, variances if n_rep >= 2 else None, pop.true_total, config.level)
+        arms.append(ArmMetrics(tag, kind, **m, points=points, variances=variances))
+    tests = [TestSummary(kind, n_rep, config.alpha, reject_rate=float(np.mean(table[col + 1])),
+                         mean_p=float(np.mean(table[col])),
+                         median_p=float(np.median(table[col])), p_values=table[col])
+             for kind, col in plan["tests"].items()]
+    return McSummary(pop.true_total, n_rep, config.seed, config.mechanism, arms, tests,
+                     config.level)
 
 
 def emit_results(summary: McSummary, out_dir) -> list:

@@ -77,13 +77,33 @@ class TestSimulateFixedPartition:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        out = tmp_path / "results"
+        out, out2 = tmp_path / "results", tmp_path / "results2"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
         summary_lines = (out / "summary.csv").read_text().splitlines()
         tags = {line.split(",")[0] for line in summary_lines[2:]}
         assert tags == {"DI", "sepDI_sigma", "adDI"}
         test_lines = (out / "test_summary.csv").read_text().splitlines()
         assert len(test_lines) == 4  # comment, header, one row per design
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
+                     "--threads", "2"]) == 0
+        for name in ("summary.csv", "test_summary.csv", "replication_errors.csv",
+                     "run_metadata.json"):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_f_np_exit_two(self, tmp_path, capsys):
+        # f_np sets the stratum draw's rate; the file's delta column fixes the stratum
+        pop = generate_population(dict(POP_PARAMS, N=400), RngStream(5, 0))
+        delta = (RngStream(6, 0).uniform(size=400) < 0.6).astype(int)
+        pop_path = tmp_path / "pop.csv"
+        save_population_csv(pop_path, pop, partition=Partition(delta=delta))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"replications": 2, "mechanism": "FixedPartition",
+                                        "population_csv": str(pop_path), "designs": ["equal"],
+                                        "estimators": ["DI"], "f_np": 0.3}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'f_np'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_total_population_exit_one(self, tmp_path, capsys):
         n = 400

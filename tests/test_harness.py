@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from seqdi import harness
+from seqdi.design import poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
+    ESTIMATORS,
     McConfig,
     McSummary,
     emit_results,
     metrics,
     run_mc,
 )
+from seqdi.homogeneity import fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
 from seqdi.population import (
     Partition,
     Population,
+    SelectionMechanism,
+    calibrate_intercept,
+    draw_nonprob,
     generate_population,
     read_csv,
     save_population_csv,
@@ -122,6 +128,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="slopes"):
             small_config(mechanism=mechanism, slopes=slopes)
 
+    def test_fixed_partition_rejects_f_np(self, tmp_path):
+        # f_np sets the stratum draw's rate; a fixed stratum would ignore it
+        with pytest.raises(ConfigError, match="FixedPartition draws no stratum, so it takes "
+                                              "no 'f_np'"):
+            McConfig(replications=2, mechanism="FixedPartition", population_csv=tmp_path / "p.csv",
+                     f_np=0.3)
+
+    @pytest.mark.parametrize("mechanism", ["MAR", "NMAR"])
+    def test_f_np_and_slopes_defaults(self, mechanism):
+        config = small_config(mechanism=mechanism)
+        assert config.f_np == 0.70 and config.slopes == harness.DEFAULT_SLOPES[mechanism]
+
     def test_numpy_slopes_accepted(self):
         config = small_config(slopes=(np.float64(1.0), np.int64(-1)))
         assert config.slopes == (1.0, -1)
@@ -165,6 +183,29 @@ class TestConfigValidation:
     def test_n_p_below_one(self, n_p):
         with pytest.raises(ConfigError, match="n_p"):
             small_config(n_p=n_p)
+
+
+class TestRegistry:
+    def test_variance_flag_matches_estimates(self):
+        # run_mc gives an arm a variance column exactly when its estimator's
+        # flag says so; a point-only tag without variance=False must fail here
+        config = small_config(replications=1, designs=("equal",), estimators=harness.ALL_TAGS)
+        pop = generate_population(POP_PARAMS, RngStream(config.seed, 0))
+        mech = SelectionMechanism("MAR", config.slopes, config.f_np)
+        mech.intercept = calibrate_intercept(mech, pop)
+        rng = RngStream(config.seed, 1)
+        inputs = harness._stratum_setup(config, harness._plan(config), pop,
+                                        draw_nonprob(pop, mech, rng))
+        inputs.rng = rng
+        sample = poisson_draw(inputs.designs["equal"], rng)
+        inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
+        inputs.pi_s = sample.pi_realized
+        inputs.test = homogeneity_test(inputs.np_fit, fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s),
+                                       config.alpha)
+        done = {}
+        for tag, estimator in ESTIMATORS.items():
+            done[tag] = estimator.compute(inputs, done)
+            assert (done[tag].variance is None) == (not estimator.variance), tag
 
 
 class TestRunMc:
