@@ -14,7 +14,7 @@ import numpy as np
 
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
-from .errors import ConfigError, InvalidParams, SeqdiError, SingularVariance
+from .errors import ConfigError, InvalidParams, SeqdiError, SingularVariance, stage
 from .harness import ESTIMATORS, McConfig, check_choices, emit_results, run_mc, stratum_inputs
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
@@ -74,7 +74,8 @@ def cmd_design(args):
 
     ids = list(data.ids)
     frame_ids = [ids[i] for i in frame_idx]
-    pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
+    with stage(f"pilot fit on {args.pilot or args.pop}"):
+        pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
     dsgn = build_design(args.kind, pop.rows(frame_idx), args.np_size, pilot, frame_idx)
     design_to_csv(dsgn, args.out, frame_ids)
     print(f"wrote {args.out}: {len(frame_ids)} rows, total pi = {float(np.sum(dsgn.pi)):.6f}")
@@ -96,7 +97,8 @@ def _sample_inputs(args, need_pilot, need_test):
             f"sample ids not in the complement stratum: {', '.join(missing[:5])}"
         )
     rows = np.asarray([data.ids[sid] for sid in sample_ids], dtype=int)
-    inputs = stratum_inputs(pop, partition, need_pilot, need_test)
+    with stage(f"{'pilot' if need_pilot else 'certainty-stratum FGLS'} fit on {args.pop}"):
+        inputs = stratum_inputs(pop, partition, need_pilot, need_test)
     inputs.y_s = y_override if y_override is not None else pop.y[rows]
     inputs.x_s, inputs.pi_s = pop.rows(rows), pi_s
     return inputs
@@ -111,7 +113,8 @@ def cmd_estimate(args):
 
     out_rows = []
     for tag in tags:
-        record = ESTIMATORS[tag].compute(inputs, {})
+        with stage(f"{tag} on {args.sample}"):
+            record = ESTIMATORS[tag].compute(inputs, {})
         out_rows.append(record)
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
         var = "" if record.variance is None else f"  variance={record.variance:.6g}"
@@ -128,7 +131,8 @@ def cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie strictly between 0 and 1")
     inputs = _sample_inputs(args, need_pilot=False, need_test=True)
-    p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s)
+    with stage(f"sample FGLS fit on {args.sample}"):
+        p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s)
     result = homog.homogeneity_test(inputs.np_fit, p_fit, args.alpha)
     decision = "reject homogeneity" if result.reject else "do not reject homogeneity"
     print(

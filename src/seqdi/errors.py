@@ -1,4 +1,7 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and :func:`stage`, which puts the
+failing stage in front of an error's message."""
+
+import contextlib
 
 
 class SeqdiError(Exception):
@@ -68,3 +71,12 @@ class DegenerateMetrics(SeqdiError):
 
 class ConfigError(SeqdiError):
     """Experiment configuration failed schema validation."""
+
+
+@contextlib.contextmanager
+def stage(name):
+    """Raise a SeqdiError of the block again as the same class, its message led by ``name``."""
+    try:
+        yield
+    except SeqdiError as err:
+        raise type(err)(f"{name}: {err}") from err

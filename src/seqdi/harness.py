@@ -28,7 +28,7 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, SeqdiError
+from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, stage
 from .numerics import RngStream, normal_quantile
 from .pilot import fit_pilot
 from .population import (
@@ -160,7 +160,6 @@ class McConfig:
     population_csv: str | None = None
     slopes: tuple | None = None
     n_p: int | None = None
-    fgls_iterations: int = 1
     include_model_variance: bool = False
     run_test: bool = True
 
@@ -202,8 +201,6 @@ class McConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("level must lie in (0, 1)")
-        if self.fgls_iterations < 0:
-            raise ConfigError("fgls_iterations must be nonnegative")
         if self.n_p is not None and self.n_p < 1:
             raise ConfigError("n_p must be at least 1")
 
@@ -338,13 +335,13 @@ def _draw_with_retry(dsgn, rng):
     raise EmptySample(f"empty sample after {MAX_REDRAWS} redraws")
 
 
-def stratum_inputs(pop, partition, need_pilot, need_test, fgls_iterations=1):
+def stratum_inputs(pop, partition, need_pilot, need_test):
     """The :class:`_Inputs` of one certainty stratum: its rows, the pilot fit
     (when ``need_pilot``) and the certainty-stratum FGLS fit of the
     homogeneity test (when ``need_test``)."""
     s_np = partition.certainty_idx
     x_np, y_np = pop.rows(s_np), pop.y[s_np]
-    pilot = fit_pilot(x_np, y_np, fgls_iterations) if need_pilot else None
+    pilot = fit_pilot(x_np, y_np) if need_pilot else None
     np_fit = homog.fgls_np(x_np, y_np, model=pilot) if need_test else None
     return _Inputs(pop, partition, x_np, y_np, pilot, np_fit)
 
@@ -354,8 +351,7 @@ def _stratum_setup(config, plan, pop, partition):
 
     Designs use no randomness, so building them all before any draw
     leaves every draw unchanged."""
-    inputs = stratum_inputs(pop, partition, plan["need_pilot"], plan["need_test"],
-                            config.fgls_iterations)
+    inputs = stratum_inputs(pop, partition, plan["need_pilot"], plan["need_test"])
     u1 = partition.complement_idx
     n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
     x_u1 = pop.rows(u1)
@@ -397,7 +393,7 @@ def _replicate(r, config, pop, mech, plan, stratum):
     SeqdiError is raised again as the same class, its message led by the
     replication, its stream id and the design or stage that failed."""
     rng = RngStream(config.seed, r + 1)
-    where = "stratum set-up"
+    at = f"replication {r} (stream {r + 1})"
     row = np.full(plan["width"], np.nan)
 
     def keep(tags, kind):
@@ -410,28 +406,26 @@ def _replicate(r, config, pop, mech, plan, stratum):
                 if ESTIMATORS[tag].variance:
                     row[col + 1] = done[tag].variance
 
-    try:
+    with stage(f"{at}, stratum set-up"):
         if stratum is None:
             stratum = _stratum_setup(config, plan, pop, draw_nonprob(pop, mech, rng))
-        inputs = copy.copy(stratum)
-        inputs.rng = rng
-        for kind in config.designs:
-            where = f"design {kind}"
+    inputs = copy.copy(stratum)
+    inputs.rng = rng
+    for kind in config.designs:
+        with stage(f"{at}, design {kind}"):
             sample = _draw_with_retry(inputs.designs[kind], rng)
             inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
             inputs.pi_s = sample.pi_realized
             if plan["need_test"]:
                 p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s,
-                                     config.fgls_iterations, config.include_model_variance)
+                                     include_model_variance=config.include_model_variance)
                 inputs.test = homog.homogeneity_test(inputs.np_fit, p_fit, config.alpha)
             if kind in plan["tests"]:
                 col = plan["tests"][kind]
                 row[col], row[col + 1] = inputs.test.p_value, inputs.test.reject
             keep(plan["sequential"], kind)
-        where = "frame estimators"
+    with stage(f"{at}, frame estimators"):
         keep(plan["frame"], "")
-    except SeqdiError as err:
-        raise type(err)(f"replication {r} (stream {r + 1}), {where}: {err}") from err
     return row
 
 
@@ -471,7 +465,8 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
 
     stratum = None
     if config.mechanism == "FixedPartition":
-        stratum = _stratum_setup(config, plan, pop, data.require_partition())
+        with stage(f"FixedPartition set-up on {config.population_csv}"):
+            stratum = _stratum_setup(config, plan, pop, data.require_partition())
 
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)

@@ -235,63 +235,28 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     raise NoConvergence(f"no convergence in {LOGISTIC_MAX_ITER} iterations")
 
 
-def _lower_gamma_series(a, x):
-    # regularized lower incomplete gamma P(a, x) by power series
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(1000):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a, x):
-    # regularized upper incomplete gamma Q(a, x) by Lentz continued fraction
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
 def chisq_sf(x: float, df: int) -> float:
-    r"""Survival function P(chi2_df > x) of the chi-square distribution.
+    r"""Survival function P(chi2_df > x) for a positive integer df (3, np.int64(3), 3.0).
 
-    Computed as the regularized upper incomplete gamma function
-    Q(df/2, x/2), using the series expansion of P for x/2 < df/2 + 1 and
-    the Lentz continued fraction for Q otherwise.  Absolute error is
-    below 1e-10; at df = 2 the value equals exp(-x/2) to full precision.
+    With h = x/2 and a = 0 for even df, 1/2 for odd df (A&S 26.4.4-5),
+    Q = [erfc(sqrt(h)) if df is odd] + sum_{k < df//2} h^(k+a) e^(-h) / Gamma(k+a+1),
+    each term formed in logs: the running product e^(-h) h^k / k! underflows
+    once h > ~745.  At df = 2 the value is exp(-x/2) exactly.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if df < 1:
+    if not (df >= 1 and float(df).is_integer()):
         raise ValueError("df must be a positive integer")
-    a = df / 2.0
-    xx = x / 2.0
-    if xx == 0.0:
+    h = x / 2.0
+    if h == 0.0:
         return 1.0
-    if xx < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, xx)
-    return _upper_gamma_cf(a, xx)
+    if h == math.inf:
+        return 0.0
+    a = 0.5 * (int(df) % 2)
+    total = math.erfc(math.sqrt(h)) if a else 0.0
+    for k in range(int(df) // 2):
+        total += math.exp((k + a) * math.log(h) - h - math.lgamma(k + a + 1.0))
+    return total
 
 
 def normal_quantile(p: float) -> float:

@@ -141,9 +141,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "reps" in capsys.readouterr().err
 
+    def test_fgls_iterations_unknown_key(self, tmp_path, capsys):
+        # fit_pilot and fgls_p keep their argument; a run always takes one FGLS step
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "fgls_iterations": 2, "estimators": ["DI"],
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'fgls_iterations'\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value, kind", [
         ("seed", 1.5, "an integer"), ("replications", True, "an integer"),
-        ("replications", 2.5, "an integer"), ("fgls_iterations", 1.5, "an integer"),
+        ("replications", 2.5, "an integer"), ("n_p", 1.5, "an integer"),
         ("designs", "optimal", "an array"),
     ])
     def test_library_refuses_with_cli_message(self, tmp_path, capsys, key, value, kind):
@@ -532,3 +541,65 @@ class TestTestCommand:
         code = main(["test", "--pop", str(path), "--sample", str(tmp_path / "s.csv"),
                      "--alpha", "1.5"])
         assert code == 2
+
+
+def _stage_files(tmp_path, y_np=None, x1_p=None):
+    """A 12 + 24 unit population and an every-other-unit sample of its complement;
+    y_np replaces the certainty stratum's y and x1_p the complement's x1."""
+    rows = ["id,x1,y,delta"]
+    for i in range(36):
+        certain = i < 12
+        x1 = 1.0 + (i % 12) / 11.0 if certain or x1_p is None else x1_p
+        y = y_np if certain and y_np is not None else 5.0 + 2.0 * x1 + 0.1 * (i % 3)
+        rows.append(f"{i + 1},{x1!r},{y!r},{int(certain)}")
+    (tmp_path / "pop.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "sample.csv").write_text("id,pi\n" + "".join(f"{i},0.5\n" for i in range(13, 37, 2)))
+    return str(tmp_path / "pop.csv"), str(tmp_path / "sample.csv")
+
+
+class TestFailingStageNamed:
+    # a failed fit names its stage and input file, still with exit 1
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["estimate", "--weights", "sigma"], "pilot fit on {pop}"),
+        (["test"], "certainty-stratum FGLS fit on {pop}"),
+        (["design", "--np", "5"], "pilot fit on {pop}"),
+    ], ids=["estimate", "test", "design"])
+    def test_zero_certainty_y(self, tmp_path, capsys, argv, stage):
+        pop, sample = _stage_files(tmp_path, y_np=0.0)
+        files = (["--sample", sample] if argv[0] != "design"
+                 else ["--out", str(tmp_path / "d.csv")])
+        assert main(argv + ["--pop", pop] + files) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage.format(pop=pop)}: no positive fitted means\n")
+
+    def test_design_names_separate_pilot(self, tmp_path, capsys):
+        pop, pilot = tmp_path / "frame.csv", str(tmp_path / "pilot.csv")
+        for path, y in ((pop, 1), (pilot, 0)):
+            with open(path, "w") as handle:
+                handle.write("id,x1,y\n" + "".join(f"{i},{1.0 + i / 9},{y}\n" for i in range(10)))
+        assert main(["design", "--pop", str(pop), "--pilot", pilot, "--np", "5",
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err == f"error: pilot fit on {pilot}: no positive fitted means\n"
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["estimate"], "sepDI_b on {sample}"),
+        (["test"], "sample FGLS fit on {sample}"),
+    ], ids=["estimate", "test"])
+    def test_constant_sample_covariate(self, tmp_path, capsys, argv, stage):
+        pop, sample = _stage_files(tmp_path, x1_p=1.5)
+        assert main(argv + ["--pop", pop, "--sample", sample]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage.format(sample=sample)}: pivot ")
+        assert err.endswith(" at column 1\n")
+
+    def test_fixed_partition_set_up(self, tmp_path, capsys):
+        pop, _ = _stage_files(tmp_path, y_np=0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replications": 2, "mechanism": "FixedPartition",
+                                   "population_csv": pop, "designs": ["equal"],
+                                   "estimators": ["DI"]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FixedPartition set-up on {pop}: no positive fitted means\n")
+        assert not (tmp_path / "o").exists()

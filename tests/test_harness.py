@@ -167,9 +167,9 @@ class TestConfigValidation:
     def test_library_types_accepted(self, tmp_path):
         path = tmp_path / "pop.csv"
         config = small_config(seed=np.int64(5), f_np=np.float64(0.6), designs=["equal"],
-                              slopes=np.array([1.0, -1.0]), fgls_iterations=np.int32(2),
+                              slopes=np.array([1.0, -1.0]), n_p=np.int32(40),
                               include_model_variance=np.bool_(True))
-        assert config.designs == ("equal",) and config.seed == 5
+        assert config.designs == ("equal",) and config.seed == 5 and config.n_p == 40
         McConfig(replications=2, mechanism="FixedPartition", population_csv=path)
 
     @pytest.mark.parametrize("key, value", [("run_test", 1), ("include_model_variance", 0.0),

@@ -194,6 +194,19 @@ class TestChisqSf:
         with pytest.raises(ValueError):
             chisq_sf(-1.0, 2)
 
+    def test_infinite_statistic(self):
+        for df in (1, 2, 3, 7, 50):
+            assert chisq_sf(math.inf, df) == 0.0
+
+    @pytest.mark.parametrize("df", [2.5, 0, -1, 0.5, math.inf, math.nan])
+    def test_df_not_positive_integer_rejected(self, df):
+        with pytest.raises(ValueError, match="positive integer"):
+            chisq_sf(1.0, df)
+
+    def test_integral_df_types_agree(self):
+        for x in (0.5, 3.0, 12.0):
+            assert chisq_sf(x, np.int64(3)) == chisq_sf(x, 3.0) == chisq_sf(x, 3)
+
 
 class TestNormalQuantile:
     def test_pinned_constant(self):

@@ -210,6 +210,15 @@ def test_chisq_sf_matches_scipy(df):
     np.testing.assert_allclose(ours, stats.chi2.sf(xs, df), rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("df", [25, 50, 101, 400, 1500])
+def test_chisq_sf_large_df_matches_scipy(df):
+    # around the bulk x ~ df, where e^(-x/2) alone underflows for df > ~1490
+    stats = pytest.importorskip("scipy.stats")
+    xs = np.linspace(df / 2.0, 2.0 * df, 301)
+    ours = np.array([chisq_sf(float(v), df) for v in xs])
+    np.testing.assert_allclose(ours, stats.chi2.sf(xs, df), rtol=0, atol=1e-10)
+
+
 def test_normal_quantile_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     tail = np.logspace(-15, -1, 141)
