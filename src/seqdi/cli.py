@@ -112,10 +112,10 @@ def cmd_estimate(args):
     inputs = _sample_inputs(args, need_pilot, need_test=False)
 
     out_rows = []
-    for tag in tags:
+    for tag in tags:  # every estimate before any output, so a failure prints no partial table
         with stage(f"{tag} on {args.sample}"):
-            record = ESTIMATORS[tag].compute(inputs, {})
-        out_rows.append(record)
+            out_rows.append(ESTIMATORS[tag].compute(inputs, {}))
+    for record in out_rows:
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
         var = "" if record.variance is None else f"  variance={record.variance:.6g}"
         print(f"{record.tag}: point={record.point:.6g}{var}{ci}")

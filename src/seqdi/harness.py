@@ -29,7 +29,7 @@ from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
 from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, stage
-from .numerics import RngStream, normal_quantile
+from .numerics import RngStream, Z_975
 from .pilot import fit_pilot
 from .population import (
     SelectionMechanism,
@@ -155,7 +155,6 @@ class McConfig:
     designs: tuple = ("optimal",)
     estimators: tuple = SEQUENTIAL_TAGS
     alpha: float = 0.05
-    level: float = 0.95
     population_params: dict | None = None
     population_csv: str | None = None
     slopes: tuple | None = None
@@ -189,6 +188,10 @@ class McConfig:
             for key in ("slopes", "f_np"):  # they shape the stratum draw
                 if getattr(self, key) is not None:
                     raise ConfigError(f"{self.mechanism} draws no stratum, so it takes no {key!r}")
+            for tag in self.estimators:
+                if tag in FRAME_TAGS:
+                    raise ConfigError(f"{self.mechanism} reports sequential estimators only, "
+                                      f"not {tag!r}")
         else:
             self.f_np = 0.70 if self.f_np is None else self.f_np
             self.slopes = DEFAULT_SLOPES[self.mechanism] if self.slopes is None else self.slopes
@@ -199,8 +202,6 @@ class McConfig:
             raise ConfigError("sampling fractions must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("level must lie in (0, 1)")
         if self.n_p is not None and self.n_p < 1:
             raise ConfigError("n_p must be at least 1")
 
@@ -251,14 +252,14 @@ class McSummary:
     mechanism: str
     arms: list
     tests: list
-    level: float = 0.95
 
 
-def metrics(points, variances, y_true, level=0.95):
+def metrics(points, variances, y_true):
     """Relative bias and RRMSE in percent, variance ratio, and coverage.
 
     var_ratio is the mean plug-in variance over the (R-1)-denominator
-    Monte Carlo variance; coverage counts Wald intervals containing the
+    Monte Carlo variance; coverage counts the 95% Wald intervals of
+    :class:`~seqdi.estimators.Estimate` (half-width Z_975 sd) containing the
     target.  Both need variances and at least two replications.
     """
     points = np.asarray(points, dtype=float)
@@ -277,8 +278,7 @@ def metrics(points, variances, y_true, level=0.95):
         variances = np.asarray(variances, dtype=float)
         v_mc = float(np.var(points, ddof=1))
         out["var_ratio"] = float(np.mean(variances) / v_mc) if v_mc > 0 else None
-        z = normal_quantile((1.0 + level) / 2.0)
-        covered = np.abs(points - y_true) <= z * np.sqrt(variances)
+        covered = np.abs(points - y_true) <= Z_975 * np.sqrt(variances)
         out["coverage"] = float(np.mean(covered))
     return out
 
@@ -298,19 +298,14 @@ def _plan(config: McConfig):
     """Resolve which estimators and stratum fits a replication computes, and the
     layout of its row: per reported arm a point column, then a variance column
     unless point-only (``columns``); per reported test a p-value and a reject column."""
-    requested = set(config.estimators)
-    if config.mechanism == "FixedPartition":
-        requested -= set(FRAME_TAGS)
-        if not requested:
-            raise ConfigError("FixedPartition mode reports sequential estimators only")
-    computed = set(requested)
+    computed = set(config.estimators)
     for tag in reversed(ALL_TAGS):  # an estimator combines only tags listed before it
         if tag in computed:
             computed.update(ESTIMATORS[tag].combines)
     needs = {need for tag in computed for need in ESTIMATORS[tag].needs}
     need_test = config.run_test or "test" in needs
     columns, width = {}, 0
-    for tag in (t for t in config.estimators if t in requested):
+    for tag in config.estimators:
         for kind in config.designs if tag in SEQUENTIAL_TAGS else ("",):
             columns[tag, kind] = width
             width += 1 + ESTIMATORS[tag].variance
@@ -443,8 +438,8 @@ def _run_one(r):
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
     """Execute the Monte Carlo experiment described by ``config``.
 
-    ``threads`` (at least 1) only controls process-level parallelism; the
-    pool starts no more workers than there are replications or CPUs.
+    ``threads`` (at least 1) is the number of worker processes, at most
+    one per replication and per CPU.
     Summaries are identical for any worker count because replication r
     consumes stream id r + 1 and aggregation is ordered by replication
     index.  The first failed replication, in replication order, ends the
@@ -495,14 +490,13 @@ def _aggregate(config, pop, plan, table):
     for (tag, kind), col in plan["columns"].items():
         points = table[col]
         variances = table[col + 1] if ESTIMATORS[tag].variance else None
-        m = metrics(points, variances if n_rep >= 2 else None, pop.true_total, config.level)
+        m = metrics(points, variances if n_rep >= 2 else None, pop.true_total)
         arms.append(ArmMetrics(tag, kind, **m, points=points, variances=variances))
     tests = [TestSummary(kind, n_rep, config.alpha, reject_rate=float(np.mean(table[col + 1])),
                          mean_p=float(np.mean(table[col])),
                          median_p=float(np.median(table[col])), p_values=table[col])
              for kind, col in plan["tests"].items()]
-    return McSummary(pop.true_total, n_rep, config.seed, config.mechanism, arms, tests,
-                     config.level)
+    return McSummary(pop.true_total, n_rep, config.seed, config.mechanism, arms, tests)
 
 
 def emit_results(summary: McSummary, out_dir) -> list:
@@ -535,7 +529,7 @@ def emit_results(summary: McSummary, out_dir) -> list:
                 "replications": summary.replications,
                 "mechanism": summary.mechanism,
                 "y_true": summary.y_true,
-                "level": summary.level,
+                "level": 0.95,
                 "boxplot_truncation_quantiles": {"estimators_panel": 0.999,
                                                  "designs_panel": 0.99},
             },

@@ -8,7 +8,6 @@ single-consumer.
 """
 
 import math
-import statistics
 
 import numpy as np
 
@@ -258,16 +257,3 @@ def chisq_sf(x: float, df: int) -> float:
         total += math.exp((k + a) * math.log(h) - h - math.lgamma(k + a + 1.0))
     return total
 
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile.
-
-    Uses the pinned constant at p = 0.975 so that 95% Wald intervals are
-    reproducible to the digit, and the standard library's
-    ``NormalDist().inv_cdf`` (relative error near 1e-15) elsewhere.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if p == 0.975:
-        return Z_975
-    return statistics.NormalDist().inv_cdf(p)

@@ -115,6 +115,17 @@ class TestSimulate:
         assert "'slopes'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_fixed_partition_frame_tag_exit_two(self, pop_csv, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "mechanism": "FixedPartition",
+                                    "population_csv": str(pop_csv[0]),
+                                    "estimators": ["DI", "DR", "GREG"]}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: FixedPartition reports sequential estimators only, not 'DR'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_population_csv_and_block_exit_two(self, pop_csv, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 3, "population_csv": str(pop_csv[0]),
@@ -140,6 +151,15 @@ class TestSimulate:
         path.write_text(json.dumps({"replications": 5, "reps": 2}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "reps" in capsys.readouterr().err
+
+    def test_level_unknown_key(self, tmp_path, capsys):
+        # Coverage always counts the 95% intervals that every Estimate reports
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replications": 3, "level": 0.9, "estimators": ["DI"],
+                                    "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'level'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_fgls_iterations_unknown_key(self, tmp_path, capsys):
         # fit_pilot and fgls_p keep their argument; a run always takes one FGLS step
@@ -592,6 +612,15 @@ class TestFailingStageNamed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stage.format(sample=sample)}: pivot ")
         assert err.endswith(" at column 1\n")
+
+    def test_estimate_prints_no_partial_table(self, tmp_path, capsys):
+        # DI and HT_seq succeed before sepDI_b fails; none of them is printed
+        pop, sample = _stage_files(tmp_path, x1_p=1.5)
+        assert main(["estimate", "--pop", pop, "--sample", sample,
+                     "--estimators", "di,ht,sep"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: sepDI_b on {sample}: pivot ")
 
     def test_fixed_partition_set_up(self, tmp_path, capsys):
         pop, _ = _stage_files(tmp_path, y_np=0.0)

@@ -92,6 +92,13 @@ class TestMetrics:
         b = metrics(points, 4.0 * v1, 100.0)["coverage"]
         assert b >= a
 
+    @pytest.mark.parametrize("z, coverage", [(1.95, 1.0), (1.97, 0.0)])
+    def test_coverage_counts_z_975_intervals(self, z, coverage):
+        # the 95% Wald interval every Estimate reports: point +- 1.959964 sd
+        y, sd = 100.0, 2.0
+        points = np.array([y + z * sd, y - z * sd])
+        assert metrics(points, np.full(2, sd**2), y)["coverage"] == coverage
+
 
 class TestConfigValidation:
     def test_zero_replications(self):
@@ -173,7 +180,7 @@ class TestConfigValidation:
         McConfig(replications=2, mechanism="FixedPartition", population_csv=path)
 
     @pytest.mark.parametrize("key, value", [("run_test", 1), ("include_model_variance", 0.0),
-                                            ("level", True), ("n_p", np.bool_(True)),
+                                            ("alpha", True), ("n_p", np.bool_(True)),
                                             ("mechanism", None), ("estimators", "DI")])
     def test_wrong_library_type_named(self, key, value):
         with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
@@ -305,19 +312,12 @@ class TestRunMc:
         a_full = next(a for a in full.arms if a.estimator == "DI")
         assert np.array_equal(a_full.points, only_di.arms[0].points)
 
-    def test_fixed_partition_drops_frame_estimators(self, tmp_path):
-        pop = generate_population(dict(POP_PARAMS, N=300), RngStream(6, 0))
-        delta = (RngStream(7, 0).uniform(size=300) < 0.6).astype(int)
-        path = tmp_path / "pop.csv"
-        save_population_csv(path, pop, partition=Partition(delta=delta))
-        config = McConfig(
-            replications=10, seed=2, mechanism="FixedPartition",
-            population_csv=str(path), designs=("optimal",),
-            estimators=("DI", "IPW", "DR"),
-        )
-        summary = run_mc(config)
-        tags = {arm.estimator for arm in summary.arms}
-        assert tags == {"DI"}
+    def test_fixed_partition_refuses_frame_estimators(self, tmp_path):
+        # refused before the population file is read, naming the first frame tag
+        with pytest.raises(ConfigError, match="sequential estimators only, not 'IPW'"):
+            McConfig(replications=10, seed=2, mechanism="FixedPartition",
+                     population_csv=str(tmp_path / "absent.csv"),
+                     estimators=("DI", "IPW", "DR"))
 
     def test_fixed_partition_only_frame_rejected(self, tmp_path):
         pop = generate_population(dict(POP_PARAMS, N=300), RngStream(8, 0))
@@ -361,12 +361,6 @@ class TestRunMc:
                           run_test=False)
         with pytest.raises(DegenerateMetrics, match="total is 0"):
             run_mc(config)
-
-    def test_nondefault_level_widens_intervals(self):
-        s90 = run_mc(small_config(replications=12, level=0.90, estimators=("DI",)))
-        s99 = run_mc(small_config(replications=12, level=0.99, estimators=("DI",)))
-        assert np.array_equal(s90.arms[0].points, s99.arms[0].points)
-        assert s99.arms[0].coverage >= s90.arms[0].coverage
 
 
 class TestReplicationFailure:

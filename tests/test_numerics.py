@@ -6,11 +6,9 @@ import pytest
 from seqdi.errors import NoConvergence, NotPositiveDefinite, Separation
 from seqdi.numerics import (
     RngStream,
-    Z_975,
     chisq_sf,
     inv_spd,
     logistic_fit,
-    normal_quantile,
     solve_spd,
     weighted_ls,
 )
@@ -206,17 +204,6 @@ class TestChisqSf:
     def test_integral_df_types_agree(self):
         for x in (0.5, 3.0, 12.0):
             assert chisq_sf(x, np.int64(3)) == chisq_sf(x, 3.0) == chisq_sf(x, 3)
-
-
-class TestNormalQuantile:
-    def test_pinned_constant(self):
-        assert normal_quantile(0.975) == Z_975 == 1.959964
-
-    def test_symmetry_and_accuracy(self):
-        for p in (0.6, 0.9, 0.95, 0.99, 0.999):
-            z = normal_quantile(p)
-            assert normal_quantile(1.0 - p) == pytest.approx(-z, abs=2e-9)
-            assert normal_sf_by_quadrature(z) == pytest.approx(1.0 - p, abs=1e-8)
 
 
 class TestRngStream:

@@ -21,7 +21,6 @@ from seqdi.numerics import (
     gram,
     inv_spd,
     logistic_fit,
-    normal_quantile,
     quantile,
     solve_spd,
 )
@@ -217,12 +216,3 @@ def test_chisq_sf_large_df_matches_scipy(df):
     xs = np.linspace(df / 2.0, 2.0 * df, 301)
     ours = np.array([chisq_sf(float(v), df) for v in xs])
     np.testing.assert_allclose(ours, stats.chi2.sf(xs, df), rtol=0, atol=1e-10)
-
-
-def test_normal_quantile_matches_scipy():
-    stats = pytest.importorskip("scipy.stats")
-    tail = np.logspace(-15, -1, 141)
-    ps = np.concatenate([tail, np.linspace(0.01, 0.99, 197), 1.0 - tail])
-    ps = ps[ps != 0.975]  # pinned to Z_975 for reproducible intervals
-    ours = np.array([normal_quantile(float(p)) for p in ps])
-    np.testing.assert_allclose(ours, stats.norm.ppf(ps), rtol=1e-13, atol=0)
