@@ -14,8 +14,6 @@ The files live in a temporary directory that is removed at the end.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from seqdi import (
     RngStream,
     SelectionMechanism,
@@ -25,7 +23,7 @@ from seqdi import (
     save_population_csv,
 )
 from seqdi.cli import main
-from seqdi.population import read_csv, write_csv
+from seqdi.population import load_sample_csv, write_csv
 
 with tempfile.TemporaryDirectory(prefix="seqdi_demo_") as tmp:
     workdir = Path(tmp)
@@ -50,11 +48,10 @@ with tempfile.TemporaryDirectory(prefix="seqdi_demo_") as tmp:
           "--kind", "optimal", "--out", str(design_path)])
 
     # Draw the Poisson sample from the design file and store id, pi.
-    rows = list(read_csv(design_path))
-    pi = np.array([float(r["pi"]) for r in rows])
+    ids, pi, _ = load_sample_csv(design_path)
     selected = RngStream(11, 2).bernoulli(pi)
     write_csv(sample_path, ["id", "pi"],
-              ([r["id"], p] for r, p, sel in zip(rows, pi, selected) if sel))
+              ([uid, p] for uid, p, sel in zip(ids, pi, selected) if sel))
     print(f"sample file: {sample_path} ({int(selected.sum())} units)")
 
     # One-shot estimation and the homogeneity diagnostic.

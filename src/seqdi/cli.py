@@ -14,8 +14,8 @@ import numpy as np
 
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
-from .errors import ConfigError, InvalidParams, SeqdiError, SingularVariance, stage
-from .harness import ESTIMATORS, McConfig, check_choices, emit_results, run_mc, stratum_inputs
+from .errors import ConfigError, InvalidParams, SeqdiError, stage
+from .harness import ESTIMATORS, McConfig, StratumInputs, check_choices, emit_results, run_mc
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
 
@@ -98,7 +98,7 @@ def _sample_inputs(args, need_pilot, need_test):
         )
     rows = np.asarray([data.ids[sid] for sid in sample_ids], dtype=int)
     with stage(f"{'pilot' if need_pilot else 'certainty-stratum FGLS'} fit on {args.pop}"):
-        inputs = stratum_inputs(pop, partition, need_pilot, need_test)
+        inputs = StratumInputs(pop, partition, need_pilot, need_test)
     inputs.y_s = y_override if y_override is not None else pop.y[rows]
     inputs.x_s, inputs.pi_s = pop.rows(rows), pi_s
     return inputs
@@ -195,9 +195,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except SingularVariance as err:
-        print(f"error: singular variance matrix ({err})", file=sys.stderr)
-        return 1
     except (SeqdiError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

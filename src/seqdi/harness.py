@@ -314,7 +314,7 @@ def _plan(config: McConfig):
         "sequential": [tag for tag in SEQUENTIAL_TAGS if tag in computed],
         "frame": [tag for tag in FRAME_TAGS if tag in computed],
         "need_test": need_test,
-        "need_pilot": need_test or "pilot" in needs or "optimal" in config.designs,
+        "need_pilot": "pilot" in needs or "optimal" in config.designs,
         "columns": columns,
         "tests": tests,
         "width": width + 2 * len(tests),
@@ -330,45 +330,29 @@ def _draw_with_retry(dsgn, rng):
     raise EmptySample(f"empty sample after {MAX_REDRAWS} redraws")
 
 
-def stratum_inputs(pop, partition, need_pilot, need_test):
-    """The :class:`_Inputs` of one certainty stratum: its rows, the pilot fit
-    (when ``need_pilot``) and the certainty-stratum FGLS fit of the
-    homogeneity test (when ``need_test``)."""
-    s_np = partition.certainty_idx
-    x_np, y_np = pop.rows(s_np), pop.y[s_np]
-    pilot = fit_pilot(x_np, y_np) if need_pilot else None
-    np_fit = homog.fgls_np(x_np, y_np, model=pilot) if need_test else None
-    return _Inputs(pop, partition, x_np, y_np, pilot, np_fit)
+class StratumInputs:
+    """What the estimators of ESTIMATORS read for one certainty stratum: its
+    rows, the pilot (fitted when ``need_pilot`` or ``need_test``, since the
+    test's stratum fit uses it), that FGLS fit (when ``need_test``) and, given
+    ``config``, its designs, which use no randomness and so are built before
+    any draw.  A replication works on a copy with its own rng, sets the arm
+    fields (y_s, x_s, pi_s, test) per design and makes the frame inputs on
+    first use."""
 
-
-def _stratum_setup(config, plan, pop, partition):
-    """:func:`stratum_inputs` plus the designs of ``config``, before any draw.
-
-    Designs use no randomness, so building them all before any draw
-    leaves every draw unchanged."""
-    inputs = stratum_inputs(pop, partition, plan["need_pilot"], plan["need_test"])
-    u1 = partition.complement_idx
-    n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
-    x_u1 = pop.rows(u1)
-    inputs.config = config
-    inputs.designs = {
-        kind: design_mod.build_design(kind, x_u1, n_p, inputs.pilot, u1)
-        for kind in config.designs
-    }
-    return inputs
-
-
-class _Inputs:
-    """What the estimators of ESTIMATORS read.  The stratum part comes from
-    :func:`stratum_inputs`; a replication works on a copy of it with its own
-    rng, sets the arm fields (y_s, x_s, pi_s, test) per design and makes the
-    frame inputs on first use."""
-
-    def __init__(self, pop, partition, x_np, y_np, pilot, np_fit):
-        self.pop, self.partition = pop, partition
-        self.x_np, self.y_np, self.pilot, self.np_fit = x_np, y_np, pilot, np_fit
+    def __init__(self, pop, partition, need_pilot, need_test, config=None):
+        s_np = partition.certainty_idx
+        self.pop, self.partition, self.config = pop, partition, config
+        self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
-        self.config = self.designs = None
+        self.pilot = fit_pilot(x_np, y_np) if need_pilot or need_test else None
+        self.np_fit = homog.fgls_np(x_np, y_np, model=self.pilot) if need_test else None
+        self.designs = {}
+        if config is not None:
+            u1 = partition.complement_idx
+            n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
+            x_u1 = pop.rows(u1)
+            for kind in config.designs:
+                self.designs[kind] = design_mod.build_design(kind, x_u1, n_p, self.pilot, u1)
         self.rng = self.y_s = self.x_s = self.pi_s = self.test = None
 
     @functools.cached_property
@@ -403,7 +387,8 @@ def _replicate(r, config, pop, mech, plan, stratum):
 
     with stage(f"{at}, stratum set-up"):
         if stratum is None:
-            stratum = _stratum_setup(config, plan, pop, draw_nonprob(pop, mech, rng))
+            stratum = StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
+                                    plan["need_test"], config)
     inputs = copy.copy(stratum)
     inputs.rng = rng
     for kind in config.designs:
@@ -461,7 +446,8 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     stratum = None
     if config.mechanism == "FixedPartition":
         with stage(f"FixedPartition set-up on {config.population_csv}"):
-            stratum = _stratum_setup(config, plan, pop, data.require_partition())
+            stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
+                                    plan["need_test"], config)
 
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)

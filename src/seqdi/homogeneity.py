@@ -105,7 +105,7 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
     try:
         statistic = float(diff @ solve_spd(total, diff))
     except NotPositiveDefinite as err:
-        raise SingularVariance(str(err)) from err
+        raise SingularVariance(f"singular variance matrix ({err})") from err
     statistic = max(statistic, 0.0)
     df = len(diff)
     p_value = chisq_sf(statistic, df)

@@ -244,12 +244,6 @@ def _uncommented(handle):
     return itertools.dropwhile(lambda line: line.startswith("#"), handle)
 
 
-def read_csv(path) -> csv.DictReader:
-    """Rows of a CSV file as dicts, past the comment lines of :func:`_uncommented`."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        return csv.DictReader(list(_uncommented(handle)))
-
-
 def _records(path, what: str, required: tuple, ids: dict):
     """Yield the header of a ``what`` input file (its comments and a UTF-8 BOM
     dropped), then, as the file is read, each data row as (row from 1, dict),

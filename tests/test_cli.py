@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqdi import estimators as est
+from seqdi import homogeneity, numerics
 from seqdi.cli import main
 from seqdi.errors import ConfigError
 from seqdi.harness import McConfig
@@ -621,6 +622,34 @@ class TestFailingStageNamed:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: sepDI_b on {sample}: pivot ")
+
+    def test_singular_wald_matrix_names_replication(self, config_path, tmp_path, capsys,
+                                                    monkeypatch):
+        # the second Wald matrix of the run, replication 1's, is not positive definite
+        calls = []
+
+        def solve_spd(a, b):
+            calls.append(a)
+            return numerics.solve_spd(-a if len(calls) == 2 else a, b)
+
+        monkeypatch.setattr(homogeneity, "solve_spd", solve_spd)
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: replication 1 (stream 2), design optimal: "
+                               "singular variance matrix (pivot -")
+        assert last.endswith(" at column 0)")
+        assert not (tmp_path / "o").exists()
+
+    def test_singular_wald_matrix_test_command(self, pop_csv, tmp_path, capsys, monkeypatch):
+        path, _, delta = pop_csv
+        rows, pi_s = _strata_and_sample(path, delta)[4:]
+        sample = tmp_path / "sample.csv"
+        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        monkeypatch.setattr(homogeneity, "solve_spd", lambda a, b: numerics.solve_spd(-a, b))
+        assert main(["test", "--pop", str(path), "--sample", str(sample)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular variance matrix (pivot -")
+        assert err.endswith(" at column 0)\n")
 
     def test_fixed_partition_set_up(self, tmp_path, capsys):
         pop, _ = _stage_files(tmp_path, y_np=0.0)

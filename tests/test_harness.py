@@ -1,10 +1,12 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from seqdi import harness
-from seqdi.design import poisson_draw
+from seqdi.design import build_design, poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
     ESTIMATORS,
@@ -14,8 +16,9 @@ from seqdi.harness import (
     metrics,
     run_mc,
 )
-from seqdi.homogeneity import fgls_p, homogeneity_test
+from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
+from seqdi.pilot import fit_pilot
 from seqdi.population import (
     Partition,
     Population,
@@ -23,7 +26,6 @@ from seqdi.population import (
     calibrate_intercept,
     draw_nonprob,
     generate_population,
-    read_csv,
     save_population_csv,
 )
 
@@ -201,8 +203,9 @@ class TestRegistry:
         mech = SelectionMechanism("MAR", config.slopes, config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
         rng = RngStream(config.seed, 1)
-        inputs = harness._stratum_setup(config, harness._plan(config), pop,
-                                        draw_nonprob(pop, mech, rng))
+        plan = harness._plan(config)
+        inputs = harness.StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
+                                       plan["need_test"], config)
         inputs.rng = rng
         sample = poisson_draw(inputs.designs["equal"], rng)
         inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
@@ -213,6 +216,48 @@ class TestRegistry:
         for tag, estimator in ESTIMATORS.items():
             done[tag] = estimator.compute(inputs, done)
             assert (done[tag].variance is None) == (not estimator.variance), tag
+
+
+class TestStratumInputs:
+    @pytest.fixture(scope="class")
+    def stratum(self):
+        pop = generate_population(POP_PARAMS, RngStream(3, 0))
+        mech = SelectionMechanism("MAR", (2.0, -2.0), 0.7)
+        mech.intercept = calibrate_intercept(mech, pop)
+        partition = draw_nonprob(pop, mech, RngStream(3, 1))
+        s_np = partition.certainty_idx
+        return pop, partition, pop.rows(s_np), pop.y[s_np]
+
+    def test_test_fit_brings_its_pilot(self, stratum):
+        # the homogeneity test's stratum fit uses the pilot, asked for or not,
+        # and gives what fgls_np gives when it fits the pilot itself
+        pop, partition, x_np, y_np = stratum
+        inputs = harness.StratumInputs(pop, partition, need_pilot=False, need_test=True)
+        pilot = fit_pilot(x_np, y_np)
+        for f in dataclasses.fields(pilot):
+            got, want = getattr(inputs.pilot, f.name), getattr(pilot, f.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        beta, v = fgls_np(x_np, y_np)
+        assert inputs.np_fit[0].tobytes() == beta.tobytes()
+        assert inputs.np_fit[1].tobytes() == v.tobytes()
+
+    def test_no_config_no_designs(self, stratum):
+        pop, partition, _, _ = stratum
+        inputs = harness.StratumInputs(pop, partition, need_pilot=False, need_test=False)
+        assert inputs.designs == {}
+        assert inputs.pilot is None and inputs.np_fit is None
+
+    def test_designs_match_build_design(self, stratum):
+        pop, partition, x_np, y_np = stratum
+        config = small_config(designs=("optimal", "equal", "pps"))
+        inputs = harness.StratumInputs(pop, partition, need_pilot=True, need_test=False,
+                                       config=config)
+        u1 = partition.complement_idx
+        n_p = int(config.f_p * len(u1))
+        assert list(inputs.designs) == list(config.designs)
+        for kind in config.designs:
+            want = build_design(kind, pop.rows(u1), n_p, fit_pilot(x_np, y_np), u1)
+            assert inputs.designs[kind].pi.tobytes() == want.pi.tobytes(), kind
 
 
 class TestRunMc:
@@ -381,7 +426,9 @@ class TestEmit:
     def test_round_trip_reproduces_metrics(self, tmp_path):
         summary = run_mc(small_config(replications=30))
         emit_results(summary, tmp_path)
-        records = list(read_csv(tmp_path / "replication_errors.csv"))
+        with open(tmp_path / "replication_errors.csv", newline="", encoding="utf-8") as handle:
+            next(handle)  # the "# seed=" line
+            records = list(csv.DictReader(handle))
         for arm in summary.arms:
             key = (arm.estimator, arm.design)
             rows = [r for r in records if (r["estimator"], r["design"]) == key]
