@@ -176,35 +176,26 @@ def y_greg_independent(
     return _regression_estimate("GREG", (), y_s, x_s, pi_s, x_total_population, coef)
 
 
-def estimate_propensity(pop: Population, partition: Partition) -> np.ndarray:
-    """Logistic MLE of certainty-stratum membership on the full frame covariates."""
-    return logistic_fit(pop.x, partition.delta.astype(float))
+def estimate_propensity(pop: Population, partition: Partition,
+                        x_certainty: np.ndarray) -> np.ndarray:
+    """Membership propensities of the certainty rows x_certainty, fitted on the full frame."""
+    return _logistic(x_certainty @ logistic_fit(pop.x, partition.delta.astype(float)))
 
 
-def _ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray):
-    """Certainty-stratum rows of X and y, their membership propensities under
-    the fitted logistic coefficient alpha_hat and the IPW total sum y_i / p_i."""
-    idx = partition.certainty_idx
-    x_np, y_np = pop.rows(idx), pop.y[idx]
-    prop = _logistic(x_np @ np.asarray(alpha_hat, dtype=float))
-    return x_np, y_np, prop, float(np.sum(y_np / prop))
-
-
-def y_ipw(pop: Population, partition: Partition, alpha_hat: np.ndarray) -> Estimate:
-    """Inverse probability weighting with the membership propensity that
-    :func:`estimate_propensity` fitted as alpha_hat.
+def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:
+    """Inverse probability weighting, sum y_i / p_i over the certainty stratum,
+    with the propensities of :func:`estimate_propensity`.
 
     No variance is reported; the estimator is a point-only competitor.
     """
-    return _make_estimate("IPW", _ipw(pop, partition, alpha_hat)[3])
+    return _make_estimate("IPW", float(np.sum(y_np / prop)))
 
 
-def y_dr(pop: Population, partition: Partition, alpha_hat: np.ndarray) -> Estimate:
+def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarray) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals."""
-    x_np, y_np, prop, ipw_point = _ipw(pop, partition, alpha_hat)
     beta = weighted_ls(x_np, y_np, np.ones(len(y_np)))
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
-    point = ipw_point + float((pop.x_total - x_ipw) @ beta)
+    point = float(np.sum(y_np / prop)) + float((x_total - x_ipw) @ beta)
     return _make_estimate("DR", point)
 
 

@@ -32,6 +32,7 @@ from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, 
 from .numerics import RngStream, Z_975
 from .pilot import fit_pilot
 from .population import (
+    DEFAULT_SLOPES,
     SelectionMechanism,
     calibrate_intercept,
     draw_nonprob,
@@ -40,7 +41,6 @@ from .population import (
     write_csv,
 )
 
-DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
 MAX_REDRAWS = 20
 
 
@@ -132,10 +132,9 @@ ESTIMATORS = {
     "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
         c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
         c.ind_sample.pi_realized)),
-    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.pop, c.partition, c.alpha_hat),
-                     variance=False),
-    "DR": Estimator("frame", lambda c, done: est.y_dr(c.pop, c.partition, c.alpha_hat),
-                    variance=False),
+    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.y_np, c.propensity), variance=False),
+    "DR": Estimator("frame", lambda c, done: est.y_dr(c.x_np, c.y_np, c.propensity,
+                                                      c.pop.x_total), variance=False),
     "GREG_DR": Estimator("frame", lambda c, done: est.y_fusion(
         done["GREG"], done["DR"], c.ind_sample.size / (c.ind_sample.size + len(c.y_np))),
         combines=("GREG", "DR"), variance=False),
@@ -356,8 +355,8 @@ class StratumInputs:
         self.rng = self.y_s = self.x_s = self.pi_s = self.test = None
 
     @functools.cached_property
-    def alpha_hat(self):
-        return est.estimate_propensity(self.pop, self.partition)
+    def propensity(self):
+        return est.estimate_propensity(self.pop, self.partition, self.x_np)
 
     @functools.cached_property
     def ind_sample(self):
@@ -438,13 +437,11 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
         raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
                                 "a nonzero target")
 
-    mech = None
-    if config.mechanism in ("MAR", "NMAR"):
+    mech = stratum = None
+    if config.mechanism in DEFAULT_SLOPES:
         mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
-
-    stratum = None
-    if config.mechanism == "FixedPartition":
+    else:
         with stage(f"FixedPartition set-up on {config.population_csv}"):
             stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
                                     plan["need_test"], config)

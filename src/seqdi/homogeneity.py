@@ -59,13 +59,8 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = Non
     return model.beta, v
 
 
-def fgls_p(
-    x_s: np.ndarray,
-    y_s: np.ndarray,
-    pi_s: np.ndarray,
-    fgls_iterations: int = 1,
-    include_model_variance: bool = False,
-):
+def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
+           include_model_variance: bool = False):
     """Probability-sample FGLS coefficient and its design-based variance.
 
     The per-unit variance proxies come from the same two-stage
@@ -83,7 +78,7 @@ def fgls_p(
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
-    tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s, fgls_iterations)
+    tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s)
     tau2 = predict_sigma2(tau_model, x_s)
     residuals = y_s - x_s @ tau_model.beta
 

@@ -2,7 +2,7 @@
 
 Two-stage procedure: a pilot regression for the mean, then a log-log
 regression of squared residuals on fitted means for the variance scale
-and exponent, optionally refined by feasible generalized least squares.
+and exponent, refined by one feasible generalized least squares step.
 The fitted model predicts a per-unit variance for any covariate vector,
 with floors keeping predictions positive and bounded away from zero.
 """
@@ -72,24 +72,23 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     return sigma2, gamma
 
 
-def fit_pilot(x: np.ndarray, y: np.ndarray, fgls_iterations: int = 1) -> PilotVarianceModel:
+def fit_pilot(x: np.ndarray, y: np.ndarray) -> PilotVarianceModel:
     """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
     probability samples.
     """
-    return fit_power_variance(x, y, np.ones(len(y)), fgls_iterations)
+    return fit_power_variance(x, y, np.ones(len(y)))
 
 
-def fit_power_variance(
-    x: np.ndarray, y: np.ndarray, base_weights: np.ndarray, fgls_iterations: int = 1
-) -> PilotVarianceModel:
+def fit_power_variance(x: np.ndarray, y: np.ndarray,
+                       base_weights: np.ndarray) -> PilotVarianceModel:
     """Two-stage power-variance fit with externally supplied base weights.
 
     Stage one regresses y on x with the base weights (equal weights for a
     pilot fit, inverse inclusion probabilities on a probability sample).
-    Stage two fits the variance regression on the residuals.  Each FGLS
-    iteration refits the mean with weights base/sigma2_i and re-estimates
+    Stage two fits the variance regression on the residuals.  One FGLS
+    step then refits the mean with weights base/sigma2_i and re-estimates
     the variance model from the fresh residuals.
     """
     x = np.asarray(x, dtype=float)
@@ -101,8 +100,7 @@ def fit_power_variance(
     sigma2_floor = _sigma2_floor(y)
     beta = weighted_ls(x, y, base_weights)
     noise_floor = 1e-24 * max(float(np.mean(y**2)), 1e-300)
-    sigma2 = gamma = mean_floor = None
-    for iteration in range(fgls_iterations + 1):
+    for refit in (True, False):
         m = x @ beta
         e = y - m
         positive = m[m > 0]
@@ -117,7 +115,7 @@ def fit_power_variance(
         sigma2, gamma = _variance_regression(e, m)
         sigma2 = max(sigma2, sigma2_floor)
 
-        if iteration < fgls_iterations:
+        if refit:
             s2i = np.maximum(sigma2 * np.maximum(m, mean_floor) ** gamma, sigma2_floor)
             beta = weighted_ls(x, y, base_weights / s2i)
 

@@ -62,6 +62,10 @@ class Population:
         return np.take(self.x.T, idx, axis=1).T
 
 
+# The selection mechanisms and their default slopes, one per feature.
+DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
+
+
 @dataclass
 class SelectionMechanism:
     """Certainty-stratum selection model: logit(p) = intercept + slopes . features.
@@ -76,9 +80,9 @@ class SelectionMechanism:
     intercept: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("MAR", "NMAR"):
+        if self.kind not in DEFAULT_SLOPES:
             raise InvalidParams(f"unknown mechanism kind {self.kind!r}")
-        want = 2 if self.kind == "MAR" else 3
+        want = len(DEFAULT_SLOPES[self.kind])
         if len(self.slopes) != want:
             raise InvalidParams(f"{self.kind} mechanism needs {want} slopes")
         if not 0.0 < self.target_rate < 1.0:

@@ -163,7 +163,7 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_fgls_iterations_unknown_key(self, tmp_path, capsys):
-        # fit_pilot and fgls_p keep their argument; a run always takes one FGLS step
+        # every fit takes one FGLS step; no key or argument sets a step count
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 3, "fgls_iterations": 2, "estimators": ["DI"],
                                     "population": {"N": 100, "beta": [1, 1, 1, 0], "sigma": 0.5}}))

@@ -181,17 +181,18 @@ class TestIpwDr:
         pop = generate_population(LOGNORMAL_PARAMS, RngStream(10, 0))
         delta = RngStream(11, 0).uniform(size=pop.size) < 0.5
         part = Partition(delta=delta)
-        # huge planted intercept drives every propensity to 1
-        out = y_ipw(pop, part, alpha_hat=np.array([500.0, 0.0, 0.0]))
+        # every planted propensity is 1
+        out = y_ipw(pop.y[part.certainty_idx], np.ones(len(part.certainty_idx)))
         assert out.point == pytest.approx(pop.y[part.certainty_idx].sum(), rel=1e-12)
         assert out.variance is None
 
     def test_dr_equals_ipw_when_weights_reproduce_totals(self):
         pop = Population(x=np.ones((2, 1)), y=np.array([3.0, 9.0]))
         part = Partition(delta=np.array([1, 0]))
-        # planted alpha gives propensity 0.5, so sum x/pi over the stratum is 2 = N
-        ipw = y_ipw(pop, part, alpha_hat=np.array([0.0]))
-        dr = y_dr(pop, part, alpha_hat=np.array([0.0]))
+        # planted propensity 0.5, so sum x/pi over the stratum is 2 = N
+        idx, prop = part.certainty_idx, np.array([0.5])
+        ipw = y_ipw(pop.y[idx], prop)
+        dr = y_dr(pop.rows(idx), pop.y[idx], prop, pop.x_total)
         assert dr.point == pytest.approx(ipw.point, rel=1e-12)
 
     def test_dr_exact_for_linear_outcome(self):
@@ -202,7 +203,9 @@ class TestIpwDr:
         pop = Population(x=x, y=y + 12.0)  # keep positive, still linear via intercept
         delta = rng.uniform(size=n) < 0.6
         part = Partition(delta=delta)
-        out = y_dr(pop, part, alpha_hat=np.array([0.3, -0.2, 0.1]))
+        idx = part.certainty_idx
+        prop = 1.0 / (1.0 + np.exp(-x[idx] @ np.array([0.3, -0.2, 0.1])))  # planted propensities
+        out = y_dr(x[idx], pop.y[idx], prop, pop.x_total)
         assert out.point == pytest.approx(pop.true_total, rel=1e-9)
 
 

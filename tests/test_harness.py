@@ -17,7 +17,7 @@ from seqdi.harness import (
     run_mc,
 )
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
-from seqdi.numerics import RngStream
+from seqdi.numerics import RngStream, logistic_fit
 from seqdi.pilot import fit_pilot
 from seqdi.population import (
     Partition,
@@ -216,6 +216,24 @@ class TestRegistry:
         for tag, estimator in ESTIMATORS.items():
             done[tag] = estimator.compute(inputs, done)
             assert (done[tag].variance is None) == (not estimator.variance), tag
+
+
+class TestFrameEstimators:
+    def test_ipw_and_dr_on_a_mar_stratum(self):
+        # IPW and DR read the stratum's rows and its propensities; written
+        # out here from the frame-wide logistic fit of the membership delta
+        pop = generate_population(POP_PARAMS, RngStream(4, 0))
+        mech = SelectionMechanism("MAR", harness.DEFAULT_SLOPES["MAR"], 0.7)
+        mech.intercept = calibrate_intercept(mech, pop)
+        part = draw_nonprob(pop, mech, RngStream(4, 1))
+        inputs = harness.StratumInputs(pop, part, need_pilot=False, need_test=False)
+        x, y = pop.x[part.certainty_idx], pop.y[part.certainty_idx]
+        p = 1.0 / (1.0 + np.exp(-x @ logistic_fit(pop.x, part.delta.astype(float))))
+        beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        ipw = float(np.sum(y / p))
+        dr = ipw + float((pop.x.sum(axis=0) - (x / p[:, None]).sum(axis=0)) @ beta)
+        assert ESTIMATORS["IPW"].compute(inputs, {}).point == pytest.approx(ipw, rel=1e-12)
+        assert ESTIMATORS["DR"].compute(inputs, {}).point == pytest.approx(dr, rel=1e-12)
 
 
 class TestStratumInputs:

@@ -82,6 +82,21 @@ class TestFglsP:
         extra = v_both - v_design
         assert np.all(np.diag(extra) > 0)
 
+    def test_certainty_stratum_is_the_pi_one_sample(self):
+        # the certainty stratum is a sample with every pi = 1: no design
+        # variance, and the model sandwich is fgls_np's, whose weight
+        # 1/sigma2^2 fgls_p forms as (1/(1*tau2))/tau2, so V agrees to rounding
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(20, 300))
+            x = np.column_stack([np.ones(n), rng.uniform(size=n), rng.uniform(size=n)])
+            mu = x @ rng.uniform(1.0, 10.0, size=3)
+            y = mu * np.exp(rng.normal(0.0, rng.uniform(0.1, 0.8), size=n))
+            beta_np, v_np = fgls_np(x, y)
+            beta_p, v_p = fgls_p(x, y, np.ones(n), include_model_variance=True)
+            assert beta_np.tobytes() == beta_p.tobytes()
+            np.testing.assert_allclose(v_p, v_np, rtol=0, atol=1e-13 * np.max(np.abs(v_np)))
+
 
 class TestHomogeneityTest:
     def test_identical_coefficients(self):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from seqdi.errors import Unidentifiable
-from seqdi.numerics import RngStream
+from seqdi.numerics import RngStream, weighted_ls
 from seqdi.pilot import (
     PilotVarianceModel,
+    _variance_regression,
     fit_pilot,
     fit_power_variance,
     predict_sigma2,
@@ -32,10 +33,9 @@ def planted_design(n_pairs, exponent, seed=0):
 class TestFitPilot:
     def test_planted_line_gamma_one(self):
         x, y = planted_design(60, 1.0)
-        for iters in (0, 1):
-            model = fit_pilot(x, y, fgls_iterations=iters)
-            assert model.gamma == pytest.approx(1.0, abs=1e-8)
-            assert model.sigma2 == pytest.approx(1.0, abs=1e-8)
+        model = fit_pilot(x, y)
+        assert model.gamma == pytest.approx(1.0, abs=1e-8)
+        assert model.sigma2 == pytest.approx(1.0, abs=1e-8)
 
     def test_lognormal_dgp_recovery(self):
         pop = generate_population(LOGNORMAL_PARAMS, RngStream(100, 0))
@@ -45,12 +45,12 @@ class TestFitPilot:
 
     def test_gamma_cap_exact(self):
         x, y = planted_design(80, 10.0)
-        model = fit_pilot(x, y, fgls_iterations=0)
+        model = fit_pilot(x, y)
         assert model.gamma == 3.0
 
     def test_negative_gamma_cap(self):
         x, y = planted_design(80, -9.0)
-        model = fit_pilot(x, y, fgls_iterations=0)
+        model = fit_pilot(x, y)
         assert model.gamma == -3.0
 
     def test_fgls_noop_under_constant_variance(self):
@@ -62,11 +62,12 @@ class TestFitPilot:
         e = np.full(100, 0.7)
         e[1::2] *= -1.0
         y = y + e
-        m0 = fit_pilot(x, y, fgls_iterations=0)
-        m1 = fit_pilot(x, y, fgls_iterations=1)
-        assert m0.gamma == 0.0
+        # the fit before the FGLS step: equal-weight beta, its variance regression
+        beta0 = weighted_ls(x, y, np.ones(100))
+        m1 = fit_pilot(x, y)
+        assert _variance_regression(y - x @ beta0, x @ beta0)[1] == 0.0
         assert abs(m1.gamma) < 1e-12
-        np.testing.assert_allclose(m0.beta, m1.beta, atol=1e-10)
+        np.testing.assert_allclose(beta0, m1.beta, atol=1e-10)
 
     def test_unidentifiable_single_mean(self):
         x = np.ones((30, 1))
@@ -109,7 +110,7 @@ class TestFitPilot:
             n = int(rng.integers(20, 200))
             x = np.column_stack([np.ones(n), rng.uniform(0.5, 2.0, size=n)])
             y = np.abs(rng.normal(size=n)) + 0.1
-            model = fit_pilot(x, y, fgls_iterations=int(rng.integers(0, 3)))
+            model = fit_pilot(x, y)
             assert abs(model.gamma) <= 3.0
             assert model.sigma2 > 0.0
 
