@@ -15,6 +15,7 @@ import numpy as np
 from . import homogeneity as homog
 from .design import DESIGN_KINDS, build_design, design_to_csv
 from .errors import ConfigError, InvalidParams, SeqdiError, stage
+from .estimators import Arm
 from .harness import ESTIMATORS, McConfig, StratumInputs, check_choices, emit_results, run_mc
 from .pilot import fit_pilot
 from .population import load_population_csv, load_sample_csv, write_csv
@@ -87,7 +88,8 @@ _ESTIMATE_TAGS = {"di": "DI", "ht": "HT_seq", "sep": "sepDI_{}", "com": "comDI_{
 
 
 def _sample_inputs(args, need_pilot, need_test):
-    """The stratum inputs of --pop, with the arm fields y_s, x_s and pi_s of --sample."""
+    """The stratum inputs of --pop and the Arm of --sample (with the pilot's
+    variances of its rows when ``need_pilot``)."""
     data = load_population_csv(args.pop)
     pop, partition = data.population, data.require_partition()
     sample_ids, pi_s, y_override = load_sample_csv(args.sample)
@@ -98,10 +100,10 @@ def _sample_inputs(args, need_pilot, need_test):
         )
     rows = np.asarray([data.ids[sid] for sid in sample_ids], dtype=int)
     with stage(f"{'pilot' if need_pilot else 'certainty-stratum FGLS'} fit on {args.pop}"):
-        inputs = StratumInputs(pop, partition, need_pilot, need_test)
-    inputs.y_s = y_override if y_override is not None else pop.y[rows]
-    inputs.x_s, inputs.pi_s = pop.rows(rows), pi_s
-    return inputs
+        stratum = StratumInputs(pop, partition, need_pilot, need_test)
+    y_s = y_override if y_override is not None else pop.y[rows]
+    return stratum, Arm.of(y_s, pop.rows(rows), pi_s,
+                           stratum.sigma2_frame[rows] if need_pilot else None)
 
 
 def cmd_estimate(args):
@@ -109,12 +111,12 @@ def cmd_estimate(args):
     check_choices(wanted, _ESTIMATE_TAGS, "estimator", "estimators")
     tags = [_ESTIMATE_TAGS[name].format(args.weights) for name in wanted]
     need_pilot = any("pilot" in ESTIMATORS[tag].needs for tag in tags)
-    inputs = _sample_inputs(args, need_pilot, need_test=False)
+    stratum, arm = _sample_inputs(args, need_pilot, need_test=False)
 
     out_rows = []
     for tag in tags:  # every estimate before any output, so a failure prints no partial table
         with stage(f"{tag} on {args.sample}"):
-            out_rows.append(ESTIMATORS[tag].compute(inputs, {}))
+            out_rows.append(ESTIMATORS[tag].compute(stratum, arm, {}))
     for record in out_rows:
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
         var = "" if record.variance is None else f"  variance={record.variance:.6g}"
@@ -130,10 +132,10 @@ def cmd_estimate(args):
 def cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie strictly between 0 and 1")
-    inputs = _sample_inputs(args, need_pilot=False, need_test=True)
+    stratum, arm = _sample_inputs(args, need_pilot=False, need_test=True)
     with stage(f"sample FGLS fit on {args.sample}"):
-        p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s)
-    result = homog.homogeneity_test(inputs.np_fit, p_fit, args.alpha)
+        p_fit = homog.fgls_p(arm.x_s, arm.y_s, arm.pi_s)
+    result = homog.homogeneity_test(stratum.np_fit, p_fit, args.alpha)
     decision = "reject homogeneity" if result.reject else "do not reject homogeneity"
     print(
         f"F = {result.statistic:.6g}, df = {result.df}, p = {result.p_value:.6g} "

@@ -12,12 +12,24 @@ All design variances ship in their Poisson specialization
 sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySample
-from .numerics import Z_975, logistic_fit, quantile, weighted_ls, _logistic
+from .numerics import (
+    Z_975,
+    _logistic,
+    largest,
+    logistic_fit,
+    normal_equations,
+    quantile,
+    quantile_of_tops,
+    solve_spd,
+    top_count,
+    weighted_ls,
+)
 from .pilot import PilotVarianceModel, predict_sigma2
 from .population import Partition, Population
 
@@ -37,6 +49,10 @@ class WeightSpec:
         if not 0.0 < self.truncation_quantile <= 1.0:
             raise ValueError("truncation quantile must lie in (0, 1]")
 
+    @property
+    def truncates(self) -> bool:
+        return self.truncation_quantile < 1.0
+
     def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
         pi = np.asarray(pi, dtype=float)
         if self.kind == "inverse_pi":
@@ -45,7 +61,11 @@ class WeightSpec:
             if sigma2 is None:
                 raise ValueError("variance-scaled weights need per-unit variances")
             q = 1.0 / (pi * np.asarray(sigma2, dtype=float))
-        if self.truncation_quantile < 1.0 and len(q) > 1:
+        return self.truncate(q)
+
+    def truncate(self, q: np.ndarray) -> np.ndarray:
+        """q capped at its truncation quantile, when that is below 1 and q has two or more rows."""
+        if self.truncates and len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
 
@@ -79,55 +99,112 @@ def poisson_plugin_variance(residuals: np.ndarray, pi: np.ndarray) -> float:
     return float(np.sum((1.0 - pi) / pi**2 * residuals**2))
 
 
+@dataclass(frozen=True)
+class Arm:
+    """One realized Poisson sample and what every sequential estimator reads of it.
+
+    ``inv_pi`` is 1/pi, ``ht_y`` and ``ht_x`` the HT totals sum y/pi and
+    sum x/pi (None without x), ``sigma2`` the pilot model's variances of the
+    rows (None unless an estimator with variance-scaled weights runs) and
+    ``test`` the homogeneity test of the sample (None unless adDI or the
+    test runs).
+    """
+
+    y_s: np.ndarray
+    x_s: np.ndarray | None
+    pi_s: np.ndarray
+    inv_pi: np.ndarray
+    ht_y: float
+    ht_x: np.ndarray | None
+    sigma2: np.ndarray | None = None
+    test: object = None
+
+    @classmethod
+    def of(cls, y_s, x_s, pi_s, sigma2=None, test=None) -> "Arm":
+        y_s = np.asarray(y_s, dtype=float)
+        pi_s = np.asarray(pi_s, dtype=float)
+        inv = 1.0 / pi_s
+        x_s = None if x_s is None else np.asarray(x_s, dtype=float)
+        ht_x = None if x_s is None else (x_s * inv[:, None]).sum(axis=0)
+        return cls(y_s, x_s, pi_s, inv, float(np.sum(inv * y_s)), ht_x, sigma2, test)
+
+    @property
+    def size(self) -> int:
+        return len(self.y_s)
+
+    def weights(self, wspec: WeightSpec) -> np.ndarray:
+        """The untruncated working weights of the rows, 1/pi or 1/(pi*sigma2)."""
+        if wspec.kind == "inverse_pi":
+            return self.inv_pi
+        if self.sigma2 is None:
+            raise ValueError("variance-scaled weights need a fitted pilot model")
+        return 1.0 / (self.pi_s * self.sigma2)
+
+
+def _pilot_sigma2(wspec, model, x):
+    """The pilot model's variances of rows x when ``wspec`` scales by them, else None."""
+    if wspec.kind == "inverse_pi":
+        return None
+    if model is None:
+        raise ValueError("variance-scaled weights need a fitted pilot model")
+    return predict_sigma2(model, x)
+
+
+# The estimators of a sample take either its raw rows (the documented form)
+# or, first, its Arm and the certainty stratum's statistics; the raw form
+# builds those and calls the Arm form.
+
+@functools.singledispatch
 def y_di(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
          n_complement: int) -> Estimate:
     """Stratified estimator: exact certainty total plus N1 times the Hajek mean.
 
     Variance by the standard ratio linearization with z_i = y_i - hajek
-    mean: N1^2 (sum 1/pi)^-2 sum (1-pi) z_i^2 / pi_i^2.
+    mean: N1^2 (sum 1/pi)^-2 sum (1-pi) z_i^2 / pi_i^2.  Arm form:
+    ``y_di(arm, certainty_total, n_complement)``.
     """
-    if len(y_s) == 0:
+    return y_di(Arm.of(y_s, None, pi_s), float(np.sum(y_certainty)), n_complement)
+
+
+@y_di.register
+def _(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
+    if arm.size == 0:
         raise EmptySample("Hajek mean needs a nonempty sample")
-    inv = 1.0 / np.asarray(pi_s, dtype=float)
-    hajek = float(np.sum(inv * y_s) / np.sum(inv))
-    point = float(np.sum(y_certainty)) + n_complement * hajek
-    z = np.asarray(y_s, dtype=float) - hajek
-    variance = n_complement**2 / float(np.sum(inv)) ** 2 * poisson_plugin_variance(z, pi_s)
+    inv_total = float(np.sum(arm.inv_pi))
+    hajek = arm.ht_y / inv_total
+    point = certainty_total + n_complement * hajek
+    plugin = poisson_plugin_variance(arm.y_s - hajek, arm.pi_s)
+    variance = n_complement**2 / inv_total**2 * plugin
     return _make_estimate("DI", point, variance)
 
 
+@functools.singledispatch
 def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray) -> Estimate:
-    """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples."""
-    point = float(np.sum(y_certainty)) + float(np.sum(np.asarray(y_s) / np.asarray(pi_s)))
-    variance = poisson_plugin_variance(y_s, pi_s) if len(y_s) else 0.0
-    return _make_estimate("HT_seq", point, variance)
+    """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples.
+    Arm form: ``y_ht_seq(arm, certainty_total)``."""
+    return y_ht_seq(Arm.of(y_s, None, pi_s), float(np.sum(y_certainty)))
 
 
-def _regression_estimate(tag, y_certainty, y_s, x_s, pi_s, x_total, coef):
+@y_ht_seq.register
+def _(arm: Arm, certainty_total: float) -> Estimate:
+    return _make_estimate("HT_seq", certainty_total + arm.ht_y,
+                          poisson_plugin_variance(arm.y_s, arm.pi_s))
+
+
+def _regression_estimate(tag, certainty_total, arm, x_total, coef):
     """GREG total at a given coefficient with its Poisson plug-in variance.
 
     The point is the certainty total plus the HT total of y plus the
     regression correction (x_total - HT total of x)'coef; the variance
     takes the sample residuals at coef.
     """
-    inv = 1.0 / np.asarray(pi_s, dtype=float)
-    ht_y = float(np.sum(inv * y_s))
-    ht_x = (np.asarray(x_s, dtype=float) * inv[:, None]).sum(axis=0)
-    correction = float((np.asarray(x_total, dtype=float) - ht_x) @ coef)
-    point = float(np.sum(y_certainty)) + ht_y + correction
-    residuals = np.asarray(y_s) - np.asarray(x_s) @ coef
-    return _make_estimate(tag, point, poisson_plugin_variance(residuals, pi_s))
+    correction = float((np.asarray(x_total, dtype=float) - arm.ht_x) @ coef)
+    point = certainty_total + arm.ht_y + correction
+    residuals = arm.y_s - arm.x_s @ coef
+    return _make_estimate(tag, point, poisson_plugin_variance(residuals, arm.pi_s))
 
 
-def _working_coef(wspec, model, x, y, pi):
-    """Regression coefficient under the working weights wspec builds from pi
-    (and, for variance-scaled weights, the pilot model's predicted variances)."""
-    if wspec.kind == "inverse_pi_sigma" and model is None:
-        raise ValueError("variance-scaled weights need a fitted pilot model")
-    sigma2 = predict_sigma2(model, x) if wspec.kind == "inverse_pi_sigma" else None
-    return weighted_ls(x, y, wspec.build(pi, sigma2))
-
-
+@functools.singledispatch
 def y_sep_di(
     y_certainty: np.ndarray,
     y_s: np.ndarray,
@@ -137,11 +214,63 @@ def y_sep_di(
     wspec: WeightSpec,
     model: PilotVarianceModel | None = None,
 ) -> Estimate:
-    """Separate regression estimator: coefficient fitted on the probability sample only."""
-    coef = _working_coef(wspec, model, x_s, y_s, pi_s)
-    return _regression_estimate("sepDI", y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
+    """Separate regression estimator: coefficient fitted on the probability sample only.
+    Arm form: ``y_sep_di(arm, certainty_total, x_total_complement, wspec)``."""
+    arm = Arm.of(y_s, x_s, pi_s, _pilot_sigma2(wspec, model, x_s))
+    return y_sep_di(arm, float(np.sum(y_certainty)), x_total_complement, wspec)
 
 
+@y_sep_di.register
+def _(arm: Arm, certainty_total: float, x_total_complement, wspec: WeightSpec) -> Estimate:
+    coef = weighted_ls(arm.x_s, arm.y_s, wspec.truncate(arm.weights(wspec)))
+    return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
+
+
+@dataclass(frozen=True)
+class CertaintyBlock:
+    """The certainty rows' share of the combined estimator's pooled fit under ``wspec``.
+
+    Certainty rows enter with pi = 1, so their working weights (1, or
+    1/sigma2 from the pilot) never change.  ``top_w`` holds the largest of
+    them in descending order, as many as the pooled quantile can need; the
+    rows of the first ``len(top_y)``, the most that truncation can cut, are
+    kept apart in ``top_x``/``top_y``, and every other row is summed once
+    into ``gram``/``xty``.  Valid for pooled fits of up to ``n_max`` rows.
+    """
+
+    wspec: WeightSpec
+    n: int
+    n_max: int
+    gram: np.ndarray
+    xty: np.ndarray
+    top_x: np.ndarray
+    top_y: np.ndarray
+    top_w: np.ndarray
+
+
+def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
+                    sigma2: np.ndarray | None, n_max: int) -> CertaintyBlock:
+    """The :class:`CertaintyBlock` of certainty rows x, y (pilot variances sigma2 for
+    variance-scaled weights) for pooled fits of at most n_max rows."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    w = np.ones(n) if wspec.kind == "inverse_pi" else 1.0 / np.asarray(sigma2, dtype=float)
+    most = 0  # the largest top_count over the pooled sizes
+    sizes = np.arange(max(n, 1), n_max + 1)
+    if wspec.truncates and sizes.size:
+        most = int(np.max(top_count(sizes, wspec.truncation_quantile)))
+    take = min(most, n)
+    top = np.argpartition(w, n - take)[n - take:] if take else np.zeros(0, dtype=int)
+    top = top[np.argsort(-w[top], kind="stable")]
+    cut = top[:max(most - 1, 0)]  # values above the quantile: at most top_count - 1
+    rest = w.copy()
+    rest[cut] = 0.0
+    g, b = normal_equations(x, y, rest)
+    return CertaintyBlock(wspec, n, n_max, g, b, x[cut], y[cut], w[top])
+
+
+@functools.singledispatch
 def y_com_di(
     y_certainty: np.ndarray,
     x_certainty: np.ndarray,
@@ -157,23 +286,50 @@ def y_com_di(
     Certainty-stratum rows enter the pooled fit with inclusion
     probability one; the variance keeps the Poisson plug-in form with
     residuals at the pooled coefficient over the probability sample.
+    Arm form: ``y_com_di(arm, certainty_total, block, x_total_complement)``
+    with the :func:`certainty_block` of the certainty rows.
     """
-    pooled_x = np.vstack([np.asarray(x_certainty, dtype=float), np.asarray(x_s, dtype=float)])
-    pooled_y = np.concatenate([np.asarray(y_certainty, dtype=float), np.asarray(y_s, dtype=float)])
-    pooled_pi = np.concatenate([np.ones(len(y_certainty)), np.asarray(pi_s, dtype=float)])
-    coef = _working_coef(wspec, model, pooled_x, pooled_y, pooled_pi)
-    return _regression_estimate("comDI", y_certainty, y_s, x_s, pi_s, x_total_complement, coef)
+    arm = Arm.of(y_s, x_s, pi_s, _pilot_sigma2(wspec, model, x_s))
+    block = certainty_block(x_certainty, y_certainty, wspec,
+                            _pilot_sigma2(wspec, model, x_certainty), len(y_certainty) + arm.size)
+    return y_com_di(arm, float(np.sum(y_certainty)), block, x_total_complement)
 
 
+@y_com_di.register
+def _(arm: Arm, certainty_total: float, block: CertaintyBlock, x_total_complement) -> Estimate:
+    # The pooled weights are the block's and the arm's; truncation caps both at
+    # the pooled quantile, read from the top values of each part.
+    wspec, n = block.wspec, block.n + arm.size
+    if n > block.n_max:
+        raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
+    w_s, w_top = arm.weights(wspec), block.top_w[:len(block.top_y)]
+    if wspec.truncates and n > 1:
+        need = int(top_count(n, wspec.truncation_quantile))
+        cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
+                               wspec.truncation_quantile)
+        w_s, w_top = np.minimum(w_s, cap), np.minimum(w_top, cap)
+    top_g, top_b = normal_equations(block.top_x, block.top_y, w_top)
+    s_g, s_b = normal_equations(arm.x_s, arm.y_s, w_s)
+    coef = solve_spd(block.gram + top_g + s_g, block.xty + top_b + s_b)
+    return _regression_estimate("comDI", certainty_total, arm, x_total_complement, coef)
+
+
+@functools.singledispatch
 def y_greg_independent(
     x_total_population: np.ndarray,
     y_s: np.ndarray,
     x_s: np.ndarray,
     pi_s: np.ndarray,
 ) -> Estimate:
-    """Classical GREG on an independent probability sample from the whole frame."""
-    coef = weighted_ls(x_s, y_s, 1.0 / np.asarray(pi_s, dtype=float))
-    return _regression_estimate("GREG", (), y_s, x_s, pi_s, x_total_population, coef)
+    """Classical GREG on an independent probability sample from the whole frame.
+    Arm form: ``y_greg_independent(arm, x_total_population)``."""
+    return y_greg_independent(Arm.of(y_s, x_s, pi_s), x_total_population)
+
+
+@y_greg_independent.register
+def _(arm: Arm, x_total_population) -> Estimate:
+    coef = weighted_ls(arm.x_s, arm.y_s, arm.inv_pi)
+    return _regression_estimate("GREG", 0.0, arm, x_total_population, coef)
 
 
 def estimate_propensity(pop: Population, partition: Partition,

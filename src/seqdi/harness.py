@@ -12,7 +12,6 @@ bit-reproducible.
 
 import concurrent.futures
 import contextlib
-import copy
 import dataclasses
 import functools
 import json
@@ -20,6 +19,7 @@ import math
 import numbers
 import os
 import sys
+import time
 import typing
 from dataclasses import dataclass, field
 
@@ -30,7 +30,7 @@ from . import estimators as est
 from . import homogeneity as homog
 from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, stage
 from .numerics import RngStream, Z_975
-from .pilot import fit_pilot
+from .pilot import fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
     SelectionMechanism,
@@ -99,10 +99,14 @@ def _check_population_params(block: dict) -> None:
 @dataclass(frozen=True)
 class Estimator:
     """One estimator tag: ``stage`` "sequential" runs once per design arm,
-    "frame" once per replication.  ``compute(inputs, done)`` may read the
-    estimates ``done`` of the ``combines`` tags, listed before it in
-    ESTIMATORS; ``needs`` names the stratum fits it uses.  A point-only
-    estimator (``variance`` False) returns an Estimate whose variance is None."""
+    "frame" once per replication.  ``compute(stratum, arm, done)`` reads the
+    StratumInputs, the arm (an estimators.Arm) and the estimates ``done`` of
+    the ``combines`` tags, listed before it in ESTIMATORS.  ``needs`` names
+    what it reads beyond the rows: "pilot" (the arm's pilot variances),
+    "test" (the arm's homogeneity test) or "sample" (for a frame estimator,
+    an arm drawn from the whole frame; without it the arm is None).  A
+    point-only estimator (``variance`` False) returns an Estimate whose
+    variance is None."""
 
     stage: str
     compute: object
@@ -111,32 +115,33 @@ class Estimator:
     variance: bool = True
 
 
+_BY_PI = est.WeightSpec("inverse_pi")
+_BY_SIGMA = est.WeightSpec("inverse_pi_sigma")
+
 # The callables look the estimator up on its module at call time, so that
 # a rebinding of the module attribute (a tracer, a test double) is seen.
 ESTIMATORS = {
-    "DI": Estimator("sequential", lambda c, done: est.y_di(c.y_np, c.y_s, c.pi_s, c.n1)),
-    "HT_seq": Estimator("sequential", lambda c, done: est.y_ht_seq(c.y_np, c.y_s, c.pi_s)),
-    "sepDI_b": Estimator("sequential", lambda c, done: est.y_sep_di(
-        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi"))),
-    "sepDI_sigma": Estimator("sequential", lambda c, done: est.y_sep_di(
-        c.y_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi_sigma"),
-        c.pilot), needs=("pilot",)),
-    "comDI_b": Estimator("sequential", lambda c, done: est.y_com_di(
-        c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1, est.WeightSpec("inverse_pi"))),
-    "comDI_sigma": Estimator("sequential", lambda c, done: est.y_com_di(
-        c.y_np, c.x_np, c.y_s, c.x_s, c.pi_s, c.x_total_u1,
-        est.WeightSpec("inverse_pi_sigma"), c.pilot), needs=("pilot",)),
-    "adDI": Estimator("sequential", lambda c, done: homog.adaptive_estimate(
-        done["sepDI_sigma"], done["comDI_sigma"], c.test),
+    "DI": Estimator("sequential", lambda c, a, done: est.y_di(a, c.y_total, c.n1)),
+    "HT_seq": Estimator("sequential", lambda c, a, done: est.y_ht_seq(a, c.y_total)),
+    "sepDI_b": Estimator("sequential", lambda c, a, done: est.y_sep_di(
+        a, c.y_total, c.x_total_u1, _BY_PI)),
+    "sepDI_sigma": Estimator("sequential", lambda c, a, done: est.y_sep_di(
+        a, c.y_total, c.x_total_u1, _BY_SIGMA), needs=("pilot",)),
+    "comDI_b": Estimator("sequential", lambda c, a, done: est.y_com_di(
+        a, c.y_total, c.certainty_block(_BY_PI), c.x_total_u1)),
+    "comDI_sigma": Estimator("sequential", lambda c, a, done: est.y_com_di(
+        a, c.y_total, c.certainty_block(_BY_SIGMA), c.x_total_u1), needs=("pilot",)),
+    "adDI": Estimator("sequential", lambda c, a, done: homog.adaptive_estimate(
+        done["sepDI_sigma"], done["comDI_sigma"], a.test),
         combines=("sepDI_sigma", "comDI_sigma"), needs=("test",)),
-    "GREG": Estimator("frame", lambda c, done: est.y_greg_independent(
-        c.pop.x_total, c.pop.y[c.ind_sample.members], c.pop.rows(c.ind_sample.members),
-        c.ind_sample.pi_realized)),
-    "IPW": Estimator("frame", lambda c, done: est.y_ipw(c.y_np, c.propensity), variance=False),
-    "DR": Estimator("frame", lambda c, done: est.y_dr(c.x_np, c.y_np, c.propensity,
-                                                      c.pop.x_total), variance=False),
-    "GREG_DR": Estimator("frame", lambda c, done: est.y_fusion(
-        done["GREG"], done["DR"], c.ind_sample.size / (c.ind_sample.size + len(c.y_np))),
+    "GREG": Estimator("frame", lambda c, a, done: est.y_greg_independent(a, c.pop.x_total),
+                      needs=("sample",)),
+    "IPW": Estimator("frame", lambda c, a, done: est.y_ipw(c.y_np, c.propensity),
+                     variance=False),
+    "DR": Estimator("frame", lambda c, a, done: est.y_dr(c.x_np, c.y_np, c.propensity,
+                                                         c.pop.x_total), variance=False),
+    "GREG_DR": Estimator("frame", lambda c, a, done: est.y_fusion(
+        done["GREG"], done["DR"], a.size / (a.size + len(c.y_np))),
         combines=("GREG", "DR"), variance=False),
 }
 SEQUENTIAL_TAGS = tuple(t for t, e in ESTIMATORS.items() if e.stage == "sequential")
@@ -314,6 +319,8 @@ def _plan(config: McConfig):
         "frame": [tag for tag in FRAME_TAGS if tag in computed],
         "need_test": need_test,
         "need_pilot": "pilot" in needs or "optimal" in config.designs,
+        "need_sigma2": "pilot" in needs,
+        "need_sample": "sample" in needs,
         "columns": columns,
         "tests": tests,
         "width": width + 2 * len(tests),
@@ -330,21 +337,22 @@ def _draw_with_retry(dsgn, rng):
 
 
 class StratumInputs:
-    """What the estimators of ESTIMATORS read for one certainty stratum: its
-    rows, the pilot (fitted when ``need_pilot`` or ``need_test``, since the
-    test's stratum fit uses it), that FGLS fit (when ``need_test``) and, given
-    ``config``, its designs, which use no randomness and so are built before
-    any draw.  A replication works on a copy with its own rng, sets the arm
-    fields (y_s, x_s, pi_s, test) per design and makes the frame inputs on
-    first use."""
+    """What the estimators of ESTIMATORS read of one certainty stratum, the
+    same for every design arm: its rows and totals, the pilot (fitted when
+    ``need_pilot`` or ``need_test``, since the test's stratum fit uses it),
+    that FGLS fit (when ``need_test``) and, given ``config``, its designs,
+    which use no randomness and so are built before any draw.  The pilot's
+    variances, the combined estimator's certainty blocks and the
+    propensities are computed on first use and kept."""
 
     def __init__(self, pop, partition, need_pilot, need_test, config=None):
         s_np = partition.certainty_idx
-        self.pop, self.partition, self.config = pop, partition, config
+        self.pop, self.partition = pop, partition
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
+        self.y_total = float(np.sum(y_np))
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
         self.pilot = fit_pilot(x_np, y_np) if need_pilot or need_test else None
-        self.np_fit = homog.fgls_np(x_np, y_np, model=self.pilot) if need_test else None
+        self.np_fit = homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np) if need_test else None
         self.designs = {}
         if config is not None:
             u1 = partition.complement_idx
@@ -352,16 +360,33 @@ class StratumInputs:
             x_u1 = pop.rows(u1)
             for kind in config.designs:
                 self.designs[kind] = design_mod.build_design(kind, x_u1, n_p, self.pilot, u1)
-        self.rng = self.y_s = self.x_s = self.pi_s = self.test = None
+        self._blocks = {}
+
+    @functools.cached_property
+    def sigma2_np(self):
+        """The pilot's variances of the certainty rows."""
+        return predict_sigma2(self.pilot, self.x_np)
+
+    @functools.cached_property
+    def sigma2_frame(self):
+        """The pilot's variances of the complement rows, by frame row (NaN on certainty rows)."""
+        u1 = self.partition.complement_idx
+        out = np.full(self.pop.size, np.nan)
+        out[u1] = predict_sigma2(self.pilot, self.pop.rows(u1))
+        return out
+
+    def certainty_block(self, wspec):
+        """The combined estimator's estimators.CertaintyBlock under ``wspec``, for
+        pooled fits of up to the frame size."""
+        if wspec not in self._blocks:
+            sigma2 = self.sigma2_np if wspec.kind == "inverse_pi_sigma" else None
+            self._blocks[wspec] = est.certainty_block(self.x_np, self.y_np, wspec, sigma2,
+                                                      self.pop.size)
+        return self._blocks[wspec]
 
     @functools.cached_property
     def propensity(self):
         return est.estimate_propensity(self.pop, self.partition, self.x_np)
-
-    @functools.cached_property
-    def ind_sample(self):
-        n_ind = int(self.config.f_p * (1.0 - self.config.f_np) * self.pop.size)
-        return _draw_with_retry(design_mod.equal_probabilities(self.pop.size, n_ind), self.rng)
 
 
 def _replicate(r, config, pop, mech, plan, stratum):
@@ -374,10 +399,10 @@ def _replicate(r, config, pop, mech, plan, stratum):
     at = f"replication {r} (stream {r + 1})"
     row = np.full(plan["width"], np.nan)
 
-    def keep(tags, kind):
+    def keep(tags, kind, arm):
         done = {}
         for tag in tags:
-            done[tag] = ESTIMATORS[tag].compute(inputs, done)
+            done[tag] = ESTIMATORS[tag].compute(stratum, arm, done)
             if (tag, kind) in plan["columns"]:
                 col = plan["columns"][tag, kind]
                 row[col] = done[tag].point
@@ -388,23 +413,29 @@ def _replicate(r, config, pop, mech, plan, stratum):
         if stratum is None:
             stratum = StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
                                     plan["need_test"], config)
-    inputs = copy.copy(stratum)
-    inputs.rng = rng
     for kind in config.designs:
         with stage(f"{at}, design {kind}"):
-            sample = _draw_with_retry(inputs.designs[kind], rng)
-            inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
-            inputs.pi_s = sample.pi_realized
+            sample = _draw_with_retry(stratum.designs[kind], rng)
+            members, pi_s = sample.members, sample.pi_realized
+            y_s, x_s = pop.y[members], pop.rows(members)
+            test = None
             if plan["need_test"]:
-                p_fit = homog.fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s,
+                p_fit = homog.fgls_p(x_s, y_s, pi_s,
                                      include_model_variance=config.include_model_variance)
-                inputs.test = homog.homogeneity_test(inputs.np_fit, p_fit, config.alpha)
+                test = homog.homogeneity_test(stratum.np_fit, p_fit, config.alpha)
             if kind in plan["tests"]:
                 col = plan["tests"][kind]
-                row[col], row[col + 1] = inputs.test.p_value, inputs.test.reject
-            keep(plan["sequential"], kind)
+                row[col], row[col + 1] = test.p_value, test.reject
+            sigma2 = stratum.sigma2_frame[members] if plan["need_sigma2"] else None
+            keep(plan["sequential"], kind, est.Arm.of(y_s, x_s, pi_s, sigma2, test))
     with stage(f"{at}, frame estimators"):
-        keep(plan["frame"], "")
+        arm = None
+        if plan["need_sample"]:  # an independent sample from the whole frame
+            n_ind = int(config.f_p * (1.0 - config.f_np) * pop.size)
+            sample = _draw_with_retry(design_mod.equal_probabilities(pop.size, n_ind), rng)
+            arm = est.Arm.of(pop.y[sample.members], pop.rows(sample.members),
+                             sample.pi_realized)
+        keep(plan["frame"], "", arm)
     return row
 
 
@@ -450,6 +481,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     workers = min(threads, n_rep, os.cpu_count() or 1)
     args = (config, pop, mech, plan, stratum)
     table = np.empty((plan["width"], n_rep))  # one row per column, one column per replication
+    began = time.monotonic()
     with contextlib.ExitStack() as stack:
         if workers == 1:
             _init_worker(*args)
@@ -461,9 +493,17 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
         for r, row in enumerate(outcomes):
             table[:, r] = row
             if progress and (r + 1) % max(1, n_rep // 20) == 0:
-                print(f"replication {r + 1}/{n_rep}", file=sys.stderr, flush=True)
+                print(_progress_line(r + 1, n_rep, time.monotonic() - began), file=sys.stderr,
+                      flush=True)
 
     return _aggregate(config, pop, plan, table)
+
+
+def _progress_line(done: int, total: int, elapsed: float) -> str:
+    """The progress line of ``done`` of ``total`` replications after ``elapsed`` seconds,
+    with the rate so far and the time left at that rate."""
+    rate = done / max(elapsed, 1e-9)
+    return f"replication {done}/{total} ({rate:.1f} reps/s, ETA {(total - done) / rate:.0f} s)"
 
 
 def _aggregate(config, pop, plan, table):

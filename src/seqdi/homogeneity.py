@@ -40,20 +40,23 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
-def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = None):
+def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = None,
+            sigma2: np.ndarray | None = None):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
     A prefitted pilot variance model can be supplied to avoid refitting;
-    otherwise :func:`fit_pilot` runs first.  The sandwich uses the
-    residuals at the final coefficient and the model's variance
-    predictions, and stays consistent even when the variance model is
-    misspecified.
+    otherwise :func:`fit_pilot` runs first.  ``sigma2``, the model's
+    predicted variances of the rows, is computed unless given.  The
+    sandwich uses the residuals at the final coefficient and the model's
+    variance predictions, and stays consistent even when the variance
+    model is misspecified.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if model is None:
         model = fit_pilot(x, y)
-    sigma2 = predict_sigma2(model, x)
+    if sigma2 is None:
+        sigma2 = predict_sigma2(model, x)
     residuals = y - x @ model.beta
     v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
     return model.beta, v

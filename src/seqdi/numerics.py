@@ -130,18 +130,44 @@ def gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least squares, argmin over beta of sum w_i (y_i - x_i'beta)^2.
+def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """X' diag(w) X, symmetrized, and X' diag(w) y of a weighted least-squares fit.
 
-    Requires nonnegative weights with at least d strictly positive ones;
-    rank problems surface as NotPositiveDefinite from the normal equations.
+    Raises ValueError unless every weight is nonnegative.  Blocks of rows add:
+    the equations of a stack of row blocks are the sums of theirs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    return solve_spd(gram(x, w), x.T @ (w * y))
+    return gram(x, w), x.T @ (w * y)
+
+
+def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted least squares, argmin over beta of sum w_i (y_i - x_i'beta)^2.
+
+    Requires nonnegative weights with at least d strictly positive ones;
+    rank problems surface as NotPositiveDefinite from the normal equations.
+    """
+    return solve_spd(*normal_equations(x, y, w))
+
+
+def _position(n, q: float):
+    """numpy's linear-method (lo, hi, t) for the q-quantile of n sorted values:
+    the value is interpolated between positions lo and hi = lo + 1 with weight
+    t, and lo = hi = -1 marks the maximum, weighted by index + 1."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must lie in [0, 1]")
+    index = (n - 1) * q
+    lo = -1 if index >= n - 1 else math.floor(index)
+    return lo, (lo + 1 if lo >= 0 else -1), index - lo
+
+
+def _interpolate(a: float, b: float, t: float) -> float:
+    """numpy's interpolation between order statistics a <= b, with its form for t >= 0.5."""
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
 def quantile(v: np.ndarray, q: float) -> float:
@@ -154,24 +180,45 @@ def quantile(v: np.ndarray, q: float) -> float:
     It skips np.quantile's general-purpose wrapper, which dominates the
     cost on the arrays of a few thousand rows this package passes.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must lie in [0, 1]")
     v = np.asarray(v, dtype=float)
-    n = v.size
-    index = (n - 1) * q
-    if index >= n - 1:
-        lo = hi = -1  # numpy's marker for the last element, weighted by index + 1
-    else:
-        lo = math.floor(index)
-        hi = lo + 1
-    t = index - lo
+    lo, hi, t = _position(v.size, q)
     # numpy's own kth set, so that even the sign of a tied zero matches
     part = np.partition(v, sorted({0, -1, lo, hi}))
     if math.isnan(part[-1]):
         return math.nan
-    a, b = float(part[lo]), float(part[hi])
-    diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+    return _interpolate(float(part[lo]), float(part[hi]), t)
+
+
+def top_count(n, q: float):
+    """How many of the largest of n values fix their q-quantile: n - floor((n-1)q),
+    or 1 where the quantile is the maximum.  ``n`` may be an integer array."""
+    n = np.asarray(n)
+    index = (n - 1) * q
+    return np.where(index >= n - 1, 1, n - np.floor(index)).astype(int)
+
+
+def largest(v: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of v in no particular order, or all of v when it has no more."""
+    v = np.asarray(v, dtype=float)
+    return v if k >= v.size else np.partition(v, v.size - k)[v.size - k:]
+
+
+def quantile_of_tops(tops, n: int, q: float) -> float:
+    """The q-quantile of n values that fall into parts, from the parts' largest values.
+
+    ``tops`` holds, for each part, its ``top_count(n, q)`` largest values
+    (all of a smaller part), in any order: the order statistics the
+    interpolation needs are among them.  For values without NaN, and without
+    zeros of both signs, the result equals ``quantile`` of all n values bit
+    for bit.
+    """
+    v = np.sort(np.concatenate(tops))
+    lo, hi, t = _position(n, q)
+    if lo >= 0:  # positions among the n values, counted within the tops
+        lo, hi = lo - (n - v.size), hi - (n - v.size)
+        if lo < 0:
+            raise ValueError(f"{v.size} top values cannot fix the {q} quantile of {n}")
+    return _interpolate(float(v[lo]), float(v[hi]), t)
 
 
 def _logistic(eta, t=None):

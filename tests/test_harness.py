@@ -1,12 +1,18 @@
 import csv
 import dataclasses
+import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqdi import harness
-from seqdi.design import build_design, poisson_draw
+from seqdi.design import build_design, equal_probabilities, poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
     ESTIMATORS,
@@ -16,6 +22,7 @@ from seqdi.harness import (
     metrics,
     run_mc,
 )
+from seqdi.estimators import Arm
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream, logistic_fit
 from seqdi.pilot import fit_pilot
@@ -29,6 +36,7 @@ from seqdi.population import (
     save_population_csv,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 POP_PARAMS = {"N": 1200, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
 
@@ -206,15 +214,16 @@ class TestRegistry:
         plan = harness._plan(config)
         inputs = harness.StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
                                        plan["need_test"], config)
-        inputs.rng = rng
         sample = poisson_draw(inputs.designs["equal"], rng)
-        inputs.y_s, inputs.x_s = pop.y[sample.members], pop.rows(sample.members)
-        inputs.pi_s = sample.pi_realized
-        inputs.test = homogeneity_test(inputs.np_fit, fgls_p(inputs.x_s, inputs.y_s, inputs.pi_s),
-                                       config.alpha)
+        y_s, x_s = pop.y[sample.members], pop.rows(sample.members)
+        test = homogeneity_test(inputs.np_fit, fgls_p(x_s, y_s, sample.pi_realized), config.alpha)
+        arms = {"sequential": Arm.of(y_s, x_s, sample.pi_realized,
+                                     inputs.sigma2_frame[sample.members], test)}
+        ind = poisson_draw(equal_probabilities(pop.size, 300), rng)
+        arms["frame"] = Arm.of(pop.y[ind.members], pop.rows(ind.members), ind.pi_realized)
         done = {}
         for tag, estimator in ESTIMATORS.items():
-            done[tag] = estimator.compute(inputs, done)
+            done[tag] = estimator.compute(inputs, arms[estimator.stage], done)
             assert (done[tag].variance is None) == (not estimator.variance), tag
 
 
@@ -232,8 +241,8 @@ class TestFrameEstimators:
         beta = np.linalg.lstsq(x, y, rcond=None)[0]
         ipw = float(np.sum(y / p))
         dr = ipw + float((pop.x.sum(axis=0) - (x / p[:, None]).sum(axis=0)) @ beta)
-        assert ESTIMATORS["IPW"].compute(inputs, {}).point == pytest.approx(ipw, rel=1e-12)
-        assert ESTIMATORS["DR"].compute(inputs, {}).point == pytest.approx(dr, rel=1e-12)
+        assert ESTIMATORS["IPW"].compute(inputs, None, {}).point == pytest.approx(ipw, rel=1e-12)
+        assert ESTIMATORS["DR"].compute(inputs, None, {}).point == pytest.approx(dr, rel=1e-12)
 
 
 class TestStratumInputs:
@@ -424,6 +433,104 @@ class TestRunMc:
                           run_test=False)
         with pytest.raises(DegenerateMetrics, match="total is 0"):
             run_mc(config)
+
+
+class TestStratumStatistics:
+    @staticmethod
+    def workload_config(name, **overrides):
+        """A benchmark workload's McConfig (bench/workloads.py), so that the
+        condition checked here is the one that workload runs under."""
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        return McConfig(**{**workloads.WORKLOADS[name].config, **overrides})
+
+    def test_no_com_di_builds_no_certainty_block(self, monkeypatch):
+        # the homogeneity-null workload runs DI only: it must build no pooled
+        # Gram or top-K block, nor predict the complement's variances
+        built = []
+        original = harness.est.certainty_block
+
+        def recording(*args):
+            built.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(harness.est, "certainty_block", recording)
+        config = self.workload_config("mar_homnull_20k", replications=2, seed=5)
+        plan = harness._plan(config)
+        assert not plan["need_sigma2"]
+        run_mc(config)
+        assert built == []
+        # the recorder does see a combined estimator: one block per stratum and weight kind
+        run_mc(small_config(replications=2, estimators=("comDI_b", "comDI_sigma"),
+                            designs=("optimal", "equal")))
+        assert built == [harness.est.WeightSpec("inverse_pi"),
+                         harness.est.WeightSpec("inverse_pi_sigma")] * 2
+
+    def test_block_built_once_per_fixed_stratum(self, monkeypatch, tmp_path):
+        pop = generate_population(dict(POP_PARAMS, N=600), RngStream(8, 0))
+        delta = (RngStream(9, 0).uniform(size=600) < 0.6).astype(int)
+        path = tmp_path / "pop.csv"
+        save_population_csv(path, pop, partition=Partition(delta=delta))
+        built = []
+        original = harness.est.certainty_block
+        monkeypatch.setattr(harness.est, "certainty_block",
+                            lambda *args: built.append(1) or original(*args))
+        run_mc(McConfig(replications=5, seed=3, mechanism="FixedPartition",
+                        population_csv=str(path), designs=("optimal", "equal", "pps"),
+                        estimators=("comDI_sigma",)))
+        assert len(built) == 1
+
+
+class TestProgress:
+    def test_line_format(self):
+        assert harness._progress_line(5, 20, 2.0) == "replication 5/20 (2.5 reps/s, ETA 6 s)"
+        assert harness._progress_line(20, 20, 0.5) == "replication 20/20 (40.0 reps/s, ETA 0 s)"
+
+    def test_run_reports_on_stderr_only(self, capsys):
+        quiet = run_mc(small_config(replications=20, estimators=("DI",)))
+        capsys.readouterr()
+        loud = run_mc(small_config(replications=20, estimators=("DI",)), progress=True)
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert [int(re.match(r"replication (\d+)/20 \(\d+\.\d reps/s, ETA \d+ s\)$", line)[1])
+                for line in lines] == list(range(1, 21))
+        assert np.array_equal(quiet.arms[0].points, loud.arms[0].points)
+
+
+# Run in a fresh interpreter: the start method is set once per process.
+_START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+
+from seqdi.harness import ALL_TAGS, McConfig, run_mc
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    config = McConfig(replications=8, seed=5, mechanism="NMAR",
+                      population_params={"N": 1500, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                      designs=("optimal", "pps"), estimators=ALL_TAGS)
+    one, two = (run_mc(config, threads=threads) for threads in (1, 2))
+    arrays = [(a.points, b.points) for a, b in zip(one.arms, two.arms)]
+    arrays += [(a.variances, b.variances) for a, b in zip(one.arms, two.arms)
+               if a.variances is not None]
+    arrays += [(a.p_values, b.p_values) for a, b in zip(one.tests, two.tests)]
+    same = len(one.arms) == len(two.arms) and all(a.tobytes() == b.tobytes() for a, b in arrays)
+    print(multiprocessing.get_start_method(), "same" if same else "different")
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_worker_count_invariance_under_start_method(method, tmp_path):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: run_mc starts no pool")
+    script = tmp_path / "start_method.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    proc = subprocess.run([sys.executable, str(script), method], capture_output=True, text=True,
+                          timeout=600, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [method, "same"]
 
 
 class TestReplicationFailure:
