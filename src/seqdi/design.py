@@ -103,15 +103,19 @@ def _design(kind: str, raw: np.ndarray, n_p: int,
 
 def optimal_probabilities(
     model: PilotVarianceModel, x_complement: np.ndarray, n_p: int,
-    indices: np.ndarray | None = None,
+    indices: np.ndarray | None = None, sigma2: np.ndarray | None = None,
 ) -> SecondStageDesign:
     """Estimated-optimal Poisson design: pi proportional to predicted std dev.
 
     Minimizes anticipated variance of the separate regression estimator
     under the working variance model; probabilities are scale free in the
     outcome because the normalization cancels the variance scale.
+    ``sigma2``, the model's predicted variances of the rows, is computed
+    unless given.
     """
-    return _design("optimal", np.sqrt(predict_sigma2(model, x_complement)), n_p, indices)
+    if sigma2 is None:
+        sigma2 = predict_sigma2(model, x_complement)
+    return _design("optimal", np.sqrt(sigma2), n_p, indices)
 
 
 def equal_probabilities(
@@ -136,13 +140,15 @@ def pps_probabilities(
 
 
 def build_design(kind: str, x_frame: np.ndarray, n_p: int,
-                 pilot: PilotVarianceModel | None, indices: np.ndarray) -> SecondStageDesign:
+                 pilot: PilotVarianceModel | None, indices: np.ndarray,
+                 sigma2: np.ndarray | None = None) -> SecondStageDesign:
     """Design of one of DESIGN_KINDS over the frame rows ``x_frame``.
 
-    The optimal design needs the pilot model; pps takes x1 as its size.
+    The optimal design needs the pilot model, or ``sigma2``, its predicted
+    variances of the rows; pps takes x1 as its size.
     """
     if kind == "optimal":
-        return optimal_probabilities(pilot, x_frame, n_p, indices=indices)
+        return optimal_probabilities(pilot, x_frame, n_p, indices=indices, sigma2=sigma2)
     if kind == "equal":
         return equal_probabilities(len(x_frame), n_p, indices=indices)
     if x_frame.shape[1] < 2:

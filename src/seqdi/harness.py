@@ -341,9 +341,10 @@ class StratumInputs:
     same for every design arm: its rows and totals, the pilot (fitted when
     ``need_pilot`` or ``need_test``, since the test's stratum fit uses it),
     that FGLS fit (when ``need_test``) and, given ``config``, its designs,
-    which use no randomness and so are built before any draw.  The pilot's
-    variances, the combined estimator's certainty blocks and the
-    propensities are computed on first use and kept."""
+    which use no randomness and so are built before any draw.  The complement
+    rows, the pilot's variances (one prediction per stratum, shared by the
+    optimal design and the arms), the combined estimator's certainty blocks
+    and the propensities are computed on first use and kept."""
 
     def __init__(self, pop, partition, need_pilot, need_test, config=None):
         s_np = partition.certainty_idx
@@ -357,9 +358,10 @@ class StratumInputs:
         if config is not None:
             u1 = partition.complement_idx
             n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
-            x_u1 = pop.rows(u1)
             for kind in config.designs:
-                self.designs[kind] = design_mod.build_design(kind, x_u1, n_p, self.pilot, u1)
+                sigma2 = self.sigma2_u1 if kind == "optimal" else None
+                self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, self.pilot,
+                                                             u1, sigma2)
         self._blocks = {}
 
     @functools.cached_property
@@ -368,11 +370,21 @@ class StratumInputs:
         return predict_sigma2(self.pilot, self.x_np)
 
     @functools.cached_property
+    def x_u1(self):
+        """The complement rows."""
+        return self.pop.rows(self.partition.complement_idx)
+
+    @functools.cached_property
+    def sigma2_u1(self):
+        """The pilot's variances of the complement rows, shared by the optimal
+        design and sigma2_frame."""
+        return predict_sigma2(self.pilot, self.x_u1)
+
+    @functools.cached_property
     def sigma2_frame(self):
         """The pilot's variances of the complement rows, by frame row (NaN on certainty rows)."""
-        u1 = self.partition.complement_idx
         out = np.full(self.pop.size, np.nan)
-        out[u1] = predict_sigma2(self.pilot, self.pop.rows(u1))
+        out[self.partition.complement_idx] = self.sigma2_u1
         return out
 
     def certainty_block(self, wspec):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
 from .numerics import chisq_sf, gram, inv_spd, solve_spd
-from .pilot import PilotVarianceModel, fit_pilot, fit_power_variance, predict_sigma2
+from .pilot import PilotVarianceModel, _sigma2_at, fit_pilot, fit_power_variance
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,10 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = Non
     y = np.asarray(y, dtype=float)
     if model is None:
         model = fit_pilot(x, y)
+    m = x @ model.beta
     if sigma2 is None:
-        sigma2 = predict_sigma2(model, x)
-    residuals = y - x @ model.beta
+        sigma2 = _sigma2_at(model, m)
+    residuals = y - m
     v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
     return model.beta, v
 
@@ -82,8 +83,8 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
     tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s)
-    tau2 = predict_sigma2(tau_model, x_s)
-    residuals = y_s - x_s @ tau_model.beta
+    m = x_s @ tau_model.beta
+    tau2, residuals = _sigma2_at(tau_model, m), y_s - m
 
     w = 1.0 / (pi_s * tau2)
     inv_bread = inv_spd(gram(x_s, w))

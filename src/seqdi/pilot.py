@@ -1,8 +1,10 @@
 """Power variance model fitted on the certainty stratum.
 
 Two-stage procedure: a pilot regression for the mean, then a log-log
-regression of squared residuals on fitted means for the variance scale
-and exponent, refined by one feasible generalized least squares step.
+regression of squared residuals on fitted means for the variance
+exponent (its slope from centred moments, no design matrix) with the
+scale matched to the mean squared residual, refined by one feasible
+generalized least squares step.
 The fitted model predicts a per-unit variance for any covariate vector,
 with floors keeping predictions positive and bounded away from zero.
 """
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Unidentifiable
+from .errors import NotPositiveDefinite, Unidentifiable
 from .numerics import quantile, weighted_ls
 
 GAMMA_CAP = 3.0
@@ -54,10 +56,15 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     """Fit log e^2 = log sigma2 + gamma log m on rows with usable values.
 
     Rows with nonpositive fitted mean or with squared residual below
-    1e-12 times the average squared residual are dropped.  The scale is
-    recalibrated by moment matching at the fitted (capped) exponent, so
-    sigma2 * m^gamma reproduces the average squared residual instead of
-    its log-scale geometric counterpart.
+    1e-12 times the average squared residual are dropped.  gamma is the
+    least-squares slope from centred moments, lc'le / lc'lc with lc and le
+    the centred log m and log e^2, so no design matrix is built.  lc'lc is
+    the second Cholesky pivot of the unit-weight Gram of [1, log m]; at or
+    below 1e-12 times that Gram's mean diagonal it raises
+    NotPositiveDefinite, as that Cholesky did.  The intercept is never
+    needed: the scale is recalibrated by moment matching at the fitted
+    (capped) exponent, so sigma2 * m^gamma reproduces the average squared
+    residual instead of its log-scale geometric counterpart.
     """
     e2 = e**2
     mean_e2 = float(np.mean(e2))
@@ -65,10 +72,17 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     mk = m[keep]
     if mk.size < 2 or float(np.ptp(mk)) <= 1e-12 * max(1.0, float(np.max(np.abs(mk)))):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
-    z = np.array([np.ones(mk.size), np.log(mk)]).T  # column-major: a faster Gram
-    coef = weighted_ls(z, np.log(e2[keep]), np.ones(mk.size))
-    gamma = float(np.clip(coef[1], -GAMMA_CAP, GAMMA_CAP))
-    sigma2 = float(np.mean(e2[keep] / mk**gamma))
+    e2k = e2[keep]
+    lm = np.log(mk)
+    lc = lm - np.mean(lm)
+    pivot = float(lc @ lc)
+    if pivot <= 1e-12 * (mk.size + float(lm @ lm)) / 2:
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} at column 1")
+    # le centred too: sum(lc) is zero only to rounding, and lc'log e^2 alone
+    # strays from an extended-precision slope by up to 5e-12 relative
+    le = np.log(e2k)
+    gamma = float(np.clip(lc @ (le - np.mean(le)) / pivot, -GAMMA_CAP, GAMMA_CAP))
+    sigma2 = float(np.mean(e2k / mk**gamma))
     return sigma2, gamma
 
 
@@ -131,5 +145,10 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray,
 def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
     """Predicted variance max(sigma2 * max(x'beta, mean_floor)^gamma, sigma2_floor)
     for each row of x; total thanks to the floors."""
-    m = np.maximum(np.asarray(x, dtype=float) @ model.beta, model.mean_floor)
-    return np.maximum(model.sigma2 * m**model.gamma, model.sigma2_floor)
+    return _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
+
+
+def _sigma2_at(model: PilotVarianceModel, m: np.ndarray) -> np.ndarray:
+    """:func:`predict_sigma2` of the rows whose linear predictor x'beta is m."""
+    return np.maximum(model.sigma2 * np.maximum(m, model.mean_floor) ** model.gamma,
+                      model.sigma2_floor)

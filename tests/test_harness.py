@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqdi import harness
+from seqdi import design as design_mod, harness
 from seqdi.design import build_design, equal_probabilities, poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
 from seqdi.harness import (
@@ -25,7 +25,7 @@ from seqdi.harness import (
 from seqdi.estimators import Arm
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream, logistic_fit
-from seqdi.pilot import fit_pilot
+from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import (
     Partition,
     Population,
@@ -284,6 +284,32 @@ class TestStratumInputs:
         assert list(inputs.designs) == list(config.designs)
         for kind in config.designs:
             want = build_design(kind, pop.rows(u1), n_p, fit_pilot(x_np, y_np), u1)
+            assert inputs.designs[kind].pi.tobytes() == want.pi.tobytes(), kind
+
+    def test_complement_predicted_once(self, stratum, monkeypatch):
+        # the optimal design and the arms' variances share one prediction,
+        # and the design's pi is build_design's, which predicts its own
+        pop, partition, x_np, y_np = stratum
+        calls = []
+
+        def counted(model, x):
+            calls.append(len(x))
+            return predict_sigma2(model, x)
+
+        for module in (harness, design_mod):
+            monkeypatch.setattr(module, "predict_sigma2", counted)
+        config = small_config(designs=("optimal", "equal", "pps"))
+        inputs = harness.StratumInputs(pop, partition, need_pilot=True, need_test=False,
+                                       config=config)
+        u1 = partition.complement_idx
+        sigma2_u1 = inputs.sigma2_frame[u1]
+        assert calls == [len(u1)]
+        monkeypatch.undo()
+        pilot = fit_pilot(x_np, y_np)
+        assert sigma2_u1.tobytes() == predict_sigma2(pilot, pop.rows(u1)).tobytes()
+        n_p = int(config.f_p * len(u1))
+        for kind in config.designs:
+            want = build_design(kind, pop.rows(u1), n_p, pilot, u1)
             assert inputs.designs[kind].pi.tobytes() == want.pi.tobytes(), kind
 
 

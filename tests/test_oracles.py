@@ -23,8 +23,16 @@ from seqdi.numerics import (
     logistic_fit,
     quantile,
     solve_spd,
+    weighted_ls,
 )
-from seqdi.pilot import fit_power_variance, predict_sigma2
+from seqdi.pilot import (
+    GAMMA_CAP,
+    RESIDUAL_DROP_TOL,
+    _variance_regression,
+    fit_power_variance,
+    predict_sigma2,
+)
+from test_layout import frame
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -180,6 +188,28 @@ def test_fgls_p_model_variance_matches_explicit_inverse(case):
     expected = m_inv @ m_design @ m_inv + m_inv @ m_model @ m_inv
     assert np.array_equal(beta, tau_model.beta)
     np.testing.assert_allclose(v, expected, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(50, 600), seed=SEEDS)
+def test_variance_slope_matches_linregress_and_cholesky_form(n, seed):
+    # on the first-stage residuals of C- and F-ordered copies of one frame
+    stats = pytest.importorskip("scipy.stats")
+    x_c, y, pi = frame(n, seed)
+    for x in (x_c, np.asfortranarray(x_c)):
+        m = x @ weighted_ls(x, y, 1.0 / pi)
+        e = y - m
+        sigma2, gamma = _variance_regression(e, m)
+        e2 = e**2
+        keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * np.mean(e2))
+        mk, e2k = m[keep], e2[keep]
+        # the form it replaced: least squares on [1, log m] through the Cholesky
+        z = np.array([np.ones(mk.size), np.log(mk)]).T
+        for slope in (stats.linregress(np.log(mk), np.log(e2k)).slope,
+                      weighted_ls(z, np.log(e2k), np.ones(mk.size))[1]):
+            want = float(np.clip(slope, -GAMMA_CAP, GAMMA_CAP))
+            assert gamma == pytest.approx(want, rel=1e-12, abs=0)
+        assert sigma2 == float(np.mean(e2k / mk**gamma))
 
 
 def test_logistic_fit_matches_scipy_minimize():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqdi.errors import Unidentifiable
+from seqdi.errors import NotPositiveDefinite, Unidentifiable
 from seqdi.numerics import RngStream, weighted_ls
 from seqdi.pilot import (
     PilotVarianceModel,
@@ -65,7 +65,9 @@ class TestFitPilot:
         # the fit before the FGLS step: equal-weight beta, its variance regression
         beta0 = weighted_ls(x, y, np.ones(100))
         m1 = fit_pilot(x, y)
-        assert _variance_regression(y - x @ beta0, x @ beta0)[1] == 0.0
+        # beta0 is off by ~2e-15, so log e^2 follows m over a 1.5e-14 spread
+        # and the fitted slope is ~1e-15, not 0
+        assert abs(_variance_regression(y - x @ beta0, x @ beta0)[1]) <= 1e-14
         assert abs(m1.gamma) < 1e-12
         np.testing.assert_allclose(beta0, m1.beta, atol=1e-10)
 
@@ -74,6 +76,27 @@ class TestFitPilot:
         y = RngStream(6, 0).normal(5.0, 1.0, size=30)
         with pytest.raises(Unidentifiable):
             fit_pilot(x, y)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_constant_means_are_singular(self, seed):
+        # m = 50 (1 + spread U): log m varies too little to fit a slope.  It
+        # raises where the Cholesky of the [1, log m] fit it replaced raised:
+        # for every draw up to spread 1e-7, for some at 1e-5, for none at 1e-4
+        raised = []
+        for spread in (1e-11, 1e-9, 1e-7, 1e-5, 3e-5, 1e-4):
+            rng = np.random.default_rng(seed)
+            m = 50.0 * (1.0 + spread * rng.uniform(size=400))
+            e = rng.normal(size=400)
+            z = np.column_stack([np.ones(400), np.log(m)])
+            try:
+                weighted_ls(z, np.log(e**2), np.ones(400))
+            except NotPositiveDefinite:
+                with pytest.raises(NotPositiveDefinite, match="at column 1"):
+                    _variance_regression(e, m)
+                raised.append(spread)
+            else:
+                _variance_regression(e, m)
+        assert raised[:3] == [1e-11, 1e-9, 1e-7] and 1e-4 not in raised
 
     def test_too_few_rows(self):
         with pytest.raises(Unidentifiable):
