@@ -10,11 +10,13 @@ population total together with the coefficient homogeneity test.
 import numpy as np
 
 from seqdi import (
+    Arm,
     RngStream,
     SelectionMechanism,
     WeightSpec,
     adaptive_estimate,
     calibrate_intercept,
+    certainty_block,
     draw_nonprob,
     fgls_np,
     fgls_p,
@@ -23,6 +25,7 @@ from seqdi import (
     homogeneity_test,
     optimal_probabilities,
     poisson_draw,
+    predict_sigma2,
     y_com_di,
     y_di,
     y_ht_seq,
@@ -57,25 +60,27 @@ design = optimal_probabilities(pilot, pop.x[u1], n_p, indices=u1)
 sample = poisson_draw(design, RngStream(SEED, 2))
 print(f"second stage: expected size {n_p}, realized size {sample.size}")
 
-# 5. Sequential estimators with design-based variances.
-y_np_vals = pop.y[s_np]
+# 5. Sequential estimators with design-based variances.  The Arm holds the
+#    sample with its 1/pi, HT totals and the pilot's variances of its rows;
+#    the combined estimator adds the certainty rows' block of its pooled fit.
+x_np, y_np_vals = pop.x[s_np], pop.y[s_np]
 y_s, x_s, pi_s = pop.y[sample.members], pop.x[sample.members], sample.pi_realized
-x_total_u1 = pop.x[u1].sum(axis=0)
+arm = Arm.of(y_s, x_s, pi_s, predict_sigma2(pilot, x_s))
+y_total, x_total_u1 = float(y_np_vals.sum()), pop.x[u1].sum(axis=0)
+by_sigma = WeightSpec("inverse_pi_sigma")
+block = certainty_block(x_np, y_np_vals, by_sigma, predict_sigma2(pilot, x_np),
+                        len(y_np_vals) + arm.size)
 
 results = [
-    y_di(y_np_vals, y_s, pi_s, partition.n_complement),
-    y_ht_seq(y_np_vals, y_s, pi_s),
-    y_sep_di(y_np_vals, y_s, x_s, pi_s, x_total_u1, WeightSpec("inverse_pi")),
-    y_sep_di(y_np_vals, y_s, x_s, pi_s, x_total_u1, WeightSpec("inverse_pi_sigma"), pilot),
-    y_com_di(y_np_vals, pop.x[s_np], y_s, x_s, pi_s, x_total_u1,
-             WeightSpec("inverse_pi_sigma"), pilot),
+    y_di(arm, y_total, partition.n_complement),
+    y_ht_seq(arm, y_total),
+    y_sep_di(arm, y_total, x_total_u1, WeightSpec("inverse_pi")),
+    y_sep_di(arm, y_total, x_total_u1, by_sigma),
+    y_com_di(arm, y_total, block, x_total_u1),
 ]
 
 # 6. Homogeneity diagnostic decides between separate and combined fits.
-test = homogeneity_test(
-    fgls_np(pop.x[s_np], y_np_vals, model=pilot),
-    fgls_p(x_s, y_s, pi_s),
-)
+test = homogeneity_test(fgls_np(x_np, y_np_vals, pilot), fgls_p(x_s, y_s, pi_s))
 results.append(adaptive_estimate(results[3], results[4], test))
 
 print(f"\nhomogeneity test: F = {test.statistic:.2f}, p = {test.p_value:.2e}, "

@@ -16,8 +16,10 @@ from .design import (
     pps_probabilities,
 )
 from .estimators import (
+    Arm,
     Estimate,
     WeightSpec,
+    certainty_block,
     y_com_di,
     y_di,
     y_dr,

@@ -12,7 +12,6 @@ All design variances ship in their Poisson specialization
 sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .numerics import (
     top_count,
     weighted_ls,
 )
-from .pilot import PilotVarianceModel, predict_sigma2
 from .population import Partition, Population
 
 
@@ -53,18 +51,20 @@ class WeightSpec:
     def truncates(self) -> bool:
         return self.truncation_quantile < 1.0
 
-    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
+    def weights(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
+        """The untruncated working weights of rows with inclusion probabilities pi
+        (and, for variance-scaled weights, variances sigma2): 1/pi or 1/(pi*sigma2)."""
         pi = np.asarray(pi, dtype=float)
         if self.kind == "inverse_pi":
-            q = 1.0 / pi
-        else:
-            if sigma2 is None:
-                raise ValueError("variance-scaled weights need per-unit variances")
-            q = 1.0 / (pi * np.asarray(sigma2, dtype=float))
-        return self.truncate(q)
+            return 1.0 / pi
+        if sigma2 is None:
+            raise ValueError("variance-scaled weights need per-unit variances")
+        return 1.0 / (pi * np.asarray(sigma2, dtype=float))
 
-    def truncate(self, q: np.ndarray) -> np.ndarray:
-        """q capped at its truncation quantile, when that is below 1 and q has two or more rows."""
+    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
+        """The working weights q of :meth:`weights`, capped at their truncation quantile
+        when that is below 1 and q has two or more rows."""
+        q = self.weights(pi, sigma2)
         if self.truncates and len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
@@ -132,42 +132,14 @@ class Arm:
     def size(self) -> int:
         return len(self.y_s)
 
-    def weights(self, wspec: WeightSpec) -> np.ndarray:
-        """The untruncated working weights of the rows, 1/pi or 1/(pi*sigma2)."""
-        if wspec.kind == "inverse_pi":
-            return self.inv_pi
-        if self.sigma2 is None:
-            raise ValueError("variance-scaled weights need a fitted pilot model")
-        return 1.0 / (self.pi_s * self.sigma2)
 
-
-def _pilot_sigma2(wspec, model, x):
-    """The pilot model's variances of rows x when ``wspec`` scales by them, else None."""
-    if wspec.kind == "inverse_pi":
-        return None
-    if model is None:
-        raise ValueError("variance-scaled weights need a fitted pilot model")
-    return predict_sigma2(model, x)
-
-
-# The estimators of a sample take either its raw rows (the documented form)
-# or, first, its Arm and the certainty stratum's statistics; the raw form
-# builds those and calls the Arm form.
-
-@functools.singledispatch
-def y_di(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
-         n_complement: int) -> Estimate:
-    """Stratified estimator: exact certainty total plus N1 times the Hajek mean.
+def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
+    """Stratified estimator: exact certainty total plus N1 times the Hajek mean
+    of the sample ``arm``, with N1 = n_complement.
 
     Variance by the standard ratio linearization with z_i = y_i - hajek
-    mean: N1^2 (sum 1/pi)^-2 sum (1-pi) z_i^2 / pi_i^2.  Arm form:
-    ``y_di(arm, certainty_total, n_complement)``.
+    mean: N1^2 (sum 1/pi)^-2 sum (1-pi) z_i^2 / pi_i^2.
     """
-    return y_di(Arm.of(y_s, None, pi_s), float(np.sum(y_certainty)), n_complement)
-
-
-@y_di.register
-def _(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     if arm.size == 0:
         raise EmptySample("Hajek mean needs a nonempty sample")
     inv_total = float(np.sum(arm.inv_pi))
@@ -178,15 +150,8 @@ def _(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     return _make_estimate("DI", point, variance)
 
 
-@functools.singledispatch
-def y_ht_seq(y_certainty: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray) -> Estimate:
-    """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples.
-    Arm form: ``y_ht_seq(arm, certainty_total)``."""
-    return y_ht_seq(Arm.of(y_s, None, pi_s), float(np.sum(y_certainty)))
-
-
-@y_ht_seq.register
-def _(arm: Arm, certainty_total: float) -> Estimate:
+def y_ht_seq(arm: Arm, certainty_total: float) -> Estimate:
+    """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples."""
     return _make_estimate("HT_seq", certainty_total + arm.ht_y,
                           poisson_plugin_variance(arm.y_s, arm.pi_s))
 
@@ -204,25 +169,10 @@ def _regression_estimate(tag, certainty_total, arm, x_total, coef):
     return _make_estimate(tag, point, poisson_plugin_variance(residuals, arm.pi_s))
 
 
-@functools.singledispatch
-def y_sep_di(
-    y_certainty: np.ndarray,
-    y_s: np.ndarray,
-    x_s: np.ndarray,
-    pi_s: np.ndarray,
-    x_total_complement: np.ndarray,
-    wspec: WeightSpec,
-    model: PilotVarianceModel | None = None,
-) -> Estimate:
-    """Separate regression estimator: coefficient fitted on the probability sample only.
-    Arm form: ``y_sep_di(arm, certainty_total, x_total_complement, wspec)``."""
-    arm = Arm.of(y_s, x_s, pi_s, _pilot_sigma2(wspec, model, x_s))
-    return y_sep_di(arm, float(np.sum(y_certainty)), x_total_complement, wspec)
-
-
-@y_sep_di.register
-def _(arm: Arm, certainty_total: float, x_total_complement, wspec: WeightSpec) -> Estimate:
-    coef = weighted_ls(arm.x_s, arm.y_s, wspec.truncate(arm.weights(wspec)))
+def y_sep_di(arm: Arm, certainty_total: float, x_total_complement,
+             wspec: WeightSpec) -> Estimate:
+    """Separate regression estimator: coefficient fitted on the probability sample only."""
+    coef = weighted_ls(arm.x_s, arm.y_s, wspec.build(arm.pi_s, arm.sigma2))
     return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
 
 
@@ -255,7 +205,7 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    w = np.ones(n) if wspec.kind == "inverse_pi" else 1.0 / np.asarray(sigma2, dtype=float)
+    w = wspec.weights(np.ones(n), sigma2)
     most = 0  # the largest top_count over the pooled sizes
     sizes = np.arange(max(n, 1), n_max + 1)
     if wspec.truncates and sizes.size:
@@ -270,39 +220,21 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     return CertaintyBlock(wspec, n, n_max, g, b, x[cut], y[cut], w[top])
 
 
-@functools.singledispatch
-def y_com_di(
-    y_certainty: np.ndarray,
-    x_certainty: np.ndarray,
-    y_s: np.ndarray,
-    x_s: np.ndarray,
-    pi_s: np.ndarray,
-    x_total_complement: np.ndarray,
-    wspec: WeightSpec,
-    model: PilotVarianceModel | None = None,
-) -> Estimate:
+def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
+             x_total_complement) -> Estimate:
     """Combined regression estimator: coefficient pooled over both samples.
 
     Certainty-stratum rows enter the pooled fit with inclusion
-    probability one; the variance keeps the Poisson plug-in form with
+    probability one, through ``block``, the :func:`certainty_block` of the
+    certainty rows; the variance keeps the Poisson plug-in form with
     residuals at the pooled coefficient over the probability sample.
-    Arm form: ``y_com_di(arm, certainty_total, block, x_total_complement)``
-    with the :func:`certainty_block` of the certainty rows.
     """
-    arm = Arm.of(y_s, x_s, pi_s, _pilot_sigma2(wspec, model, x_s))
-    block = certainty_block(x_certainty, y_certainty, wspec,
-                            _pilot_sigma2(wspec, model, x_certainty), len(y_certainty) + arm.size)
-    return y_com_di(arm, float(np.sum(y_certainty)), block, x_total_complement)
-
-
-@y_com_di.register
-def _(arm: Arm, certainty_total: float, block: CertaintyBlock, x_total_complement) -> Estimate:
     # The pooled weights are the block's and the arm's; truncation caps both at
     # the pooled quantile, read from the top values of each part.
     wspec, n = block.wspec, block.n + arm.size
     if n > block.n_max:
         raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
-    w_s, w_top = arm.weights(wspec), block.top_w[:len(block.top_y)]
+    w_s, w_top = wspec.weights(arm.pi_s, arm.sigma2), block.top_w[:len(block.top_y)]
     if wspec.truncates and n > 1:
         need = int(top_count(n, wspec.truncation_quantile))
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
@@ -314,20 +246,8 @@ def _(arm: Arm, certainty_total: float, block: CertaintyBlock, x_total_complemen
     return _regression_estimate("comDI", certainty_total, arm, x_total_complement, coef)
 
 
-@functools.singledispatch
-def y_greg_independent(
-    x_total_population: np.ndarray,
-    y_s: np.ndarray,
-    x_s: np.ndarray,
-    pi_s: np.ndarray,
-) -> Estimate:
-    """Classical GREG on an independent probability sample from the whole frame.
-    Arm form: ``y_greg_independent(arm, x_total_population)``."""
-    return y_greg_independent(Arm.of(y_s, x_s, pi_s), x_total_population)
-
-
-@y_greg_independent.register
-def _(arm: Arm, x_total_population) -> Estimate:
+def y_greg_independent(arm: Arm, x_total_population) -> Estimate:
+    """Classical GREG on an independent probability sample from the whole frame."""
     coef = weighted_ls(arm.x_s, arm.y_s, arm.inv_pi)
     return _regression_estimate("GREG", 0.0, arm, x_total_population, coef)
 

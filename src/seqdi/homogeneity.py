@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
 from .numerics import chisq_sf, gram, inv_spd, solve_spd
-from .pilot import PilotVarianceModel, _sigma2_at, fit_pilot, fit_power_variance
+from .pilot import PilotVarianceModel, _sigma2_at, fit_power_variance
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,19 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
-def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel | None = None,
+def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel,
             sigma2: np.ndarray | None = None):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
-    A prefitted pilot variance model can be supplied to avoid refitting;
-    otherwise :func:`fit_pilot` runs first.  ``sigma2``, the model's
-    predicted variances of the rows, is computed unless given.  The
-    sandwich uses the residuals at the final coefficient and the model's
-    variance predictions, and stays consistent even when the variance
-    model is misspecified.
+    ``model`` is the pilot variance model fitted on these rows (as by
+    :func:`~seqdi.pilot.fit_pilot`), whose coefficient is the FGLS one.
+    ``sigma2``, the model's predicted variances of the rows, is computed
+    unless given.  The sandwich uses the residuals at that coefficient and
+    the model's variance predictions, and stays consistent even when the
+    variance model is misspecified.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if model is None:
-        model = fit_pilot(x, y)
     m = x @ model.beta
     if sigma2 is None:
         sigma2 = _sigma2_at(model, m)

@@ -124,22 +124,13 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray,
 
         if float(np.mean(e**2)) <= noise_floor:
             # residuals at floating-point noise: homoscedastic model at the floor
-            sigma2, gamma = sigma2_floor, 0.0
-            break
+            return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
         sigma2, gamma = _variance_regression(e, m)
-        sigma2 = max(sigma2, sigma2_floor)
-
+        model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
+                                   sigma2_floor)
         if refit:
-            s2i = np.maximum(sigma2 * np.maximum(m, mean_floor) ** gamma, sigma2_floor)
-            beta = weighted_ls(x, y, base_weights / s2i)
-
-    return PilotVarianceModel(
-        beta=beta,
-        sigma2=sigma2,
-        gamma=gamma,
-        mean_floor=mean_floor,
-        sigma2_floor=sigma2_floor,
-    )
+            beta = weighted_ls(x, y, base_weights / _sigma2_at(model, m))
+    return model
 
 
 def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ import pytest
 
 from seqdi.design import optimal_probabilities
 from seqdi.estimators import (
+    Arm,
     WeightSpec,
+    certainty_block,
     poisson_plugin_variance,
     y_com_di,
     y_di,
@@ -25,7 +27,7 @@ from seqdi.estimators import (
 from seqdi.harness import McConfig, run_mc
 from seqdi.homogeneity import design_variance_meat, fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream, inv_spd
-from seqdi.pilot import fit_pilot
+from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import generate_population
 
 SEED = 20240901
@@ -198,7 +200,7 @@ class TestCriterion5:
             y_np_vals = rng.uniform(5.0, 9.0, size=3)
             target = y_np_vals.sum() + y.sum()
             mean = sum(
-                prob * y_ht_seq(y_np_vals, y[mask], pi[mask]).point
+                prob * y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np_vals.sum()).point
                 for mask, prob in enumerate_outcomes(pi)
             )
             worst_gap = max(worst_gap, abs(mean - target) / abs(target))
@@ -282,13 +284,12 @@ class TestCriterion6:
             y_np_vals = rng.uniform(1.0, 9.0, size=5)
             target = y_np_vals.sum() + y.sum()
             wspec = WeightSpec("inverse_pi", truncation_quantile=float(rng.uniform(0.9, 1.0)))
-            sep = y_sep_di(y_np_vals, y[members], x[members], pi[members], x.sum(axis=0), wspec)
+            arm = Arm.of(y[members], x[members], pi[members])
+            sep = y_sep_di(arm, y_np_vals.sum(), x.sum(axis=0), wspec)
             x_np = np.column_stack([np.ones(5), rng.uniform(0.1, 2.0, size=(5, 2))])
-            com = y_com_di(
-                x_np @ coef, x_np, y[members], x[members], pi[members],
-                x.sum(axis=0), wspec,
-            )
-            greg = y_greg_independent(x.sum(axis=0), y[members], x[members], pi[members])
+            block = certainty_block(x_np, x_np @ coef, wspec, None, 5 + arm.size)
+            com = y_com_di(arm, (x_np @ coef).sum(), block, x.sum(axis=0))
+            greg = y_greg_independent(arm, x.sum(axis=0))
             worst = max(
                 worst,
                 abs(sep.point - target) / target,
@@ -320,20 +321,19 @@ class TestCriterion6:
             members = rng.uniform(size=n1) < pi
             if members.sum() < 4:
                 continue
-            args1 = (y[members], x[members], pi[members], x.sum(axis=0))
-            args2 = (c * y[members], x[members], pi[members], x.sum(axis=0))
-            for maker, extra1, extra2 in (
-                (y_di, (n1,), (n1,)),
-                (y_ht_seq, (), ()),
-            ):
-                e1 = maker(y_np_vals, y[members], pi[members], *extra1)
-                e2 = maker(c * y_np_vals, c * y[members], pi[members], *extra2)
+            arm1 = Arm.of(y[members], x[members], pi[members], predict_sigma2(model1, x[members]))
+            arm2 = Arm.of(c * y[members], x[members], pi[members],
+                          predict_sigma2(model2, x[members]))
+            for maker, extra in ((y_di, (n1,)), (y_ht_seq, ())):
+                e1 = maker(arm1, y_np_vals.sum(), *extra)
+                e2 = maker(arm2, (c * y_np_vals).sum(), *extra)
                 worst_pt = max(worst_pt, abs(e2.point - c * e1.point) / (abs(c * e1.point)))
                 worst_var = max(
                     worst_var, abs(e2.variance - c**2 * e1.variance) / max(c**2 * e1.variance, 1e-30)
                 )
-            s1 = y_sep_di(y_np_vals, *args1, WeightSpec("inverse_pi_sigma"), model1)
-            s2 = y_sep_di(c * y_np_vals, *args2, WeightSpec("inverse_pi_sigma"), model2)
+            s1 = y_sep_di(arm1, y_np_vals.sum(), x.sum(axis=0), WeightSpec("inverse_pi_sigma"))
+            s2 = y_sep_di(arm2, (c * y_np_vals).sum(), x.sum(axis=0),
+                          WeightSpec("inverse_pi_sigma"))
             worst_pt = max(worst_pt, abs(s2.point - c * s1.point) / abs(c * s1.point))
             worst_var = max(
                 worst_var, abs(s2.variance - c**2 * s1.variance) / max(c**2 * s1.variance, 1e-30)
@@ -349,11 +349,14 @@ class TestCriterion6:
         x_np, y_np_vals = pop.x[split], pop.y[split]
         x_p, y_p = pop.x[~split], pop.y[~split]
         pi_p = np.full((~split).sum(), 0.45)
-        base = homogeneity_test(fgls_np(x_np, y_np_vals), fgls_p(x_p, y_p, pi_p))
+        base = homogeneity_test(fgls_np(x_np, y_np_vals, fit_pilot(x_np, y_np_vals)),
+                                fgls_p(x_p, y_p, pi_p))
         arng = np.random.default_rng(13)
         for _ in range(self.CASES):
             a = np.eye(3) + arng.uniform(-0.25, 0.25, size=(3, 3))
-            rep = homogeneity_test(fgls_np(x_np @ a, y_np_vals), fgls_p(x_p @ a, y_p, pi_p))
+            x_a = x_np @ a
+            rep = homogeneity_test(fgls_np(x_a, y_np_vals, fit_pilot(x_a, y_np_vals)),
+                                   fgls_p(x_p @ a, y_p, pi_p))
             worst_f = max(worst_f, abs(rep.statistic - base.statistic) / base.statistic)
         checks.append((f"F reparametrization drift {worst_f:.2e} <= 1e-6", worst_f <= 1e-6))
 

@@ -10,7 +10,7 @@ from seqdi.errors import ConfigError
 from seqdi.harness import McConfig
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
-from seqdi.pilot import fit_pilot
+from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import (
     Partition,
     generate_population,
@@ -292,11 +292,17 @@ class TestEstimate:
         y_s, x_s = pop.y[rows], pop.rows(rows)
         pilot = fit_pilot(x_np, y_np)
         wspec = est.WeightSpec("inverse_pi_sigma" if weights == "sigma" else "inverse_pi")
+        # the smallest certainty block and variances predicted from the rows,
+        # where the CLI sizes its block to the frame and gathers sigma2_frame
+        arm = est.Arm.of(y_s, x_s, pi_s, predict_sigma2(pilot, x_s))
+        block = est.certainty_block(x_np, y_np, wspec, predict_sigma2(pilot, x_np),
+                                    len(y_np) + arm.size)
+        y_total, n1 = float(y_np.sum()), len(pop.y) - len(y_np)
         direct = {
-            "di": lambda: est.y_di(y_np, y_s, pi_s, len(pop.y) - len(y_np)),
-            "ht": lambda: est.y_ht_seq(y_np, y_s, pi_s),
-            "sep": lambda: est.y_sep_di(y_np, y_s, x_s, pi_s, x_total_u1, wspec, pilot),
-            "com": lambda: est.y_com_di(y_np, x_np, y_s, x_s, pi_s, x_total_u1, wspec, pilot),
+            "di": lambda: est.y_di(arm, y_total, n1),
+            "ht": lambda: est.y_ht_seq(arm, y_total),
+            "sep": lambda: est.y_sep_di(arm, y_total, x_total_u1, wspec),
+            "com": lambda: est.y_com_di(arm, y_total, block, x_total_u1),
         }
         wanted = names.split(",") if names else list(direct)
         expected = tmp_path / "expected.csv"
@@ -499,7 +505,7 @@ class TestTestCommand:
         sample = tmp_path / "sample.csv"
         write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
         p_fit = fgls_p(pop.rows(rows), pop.y[rows], pi_s)
-        result = homogeneity_test(fgls_np(x_np, y_np), p_fit, 0.1)
+        result = homogeneity_test(fgls_np(x_np, y_np, fit_pilot(x_np, y_np)), p_fit, 0.1)
         assert main(["test", "--pop", str(path), "--sample", str(sample), "--alpha", "0.1"]) == 0
         assert capsys.readouterr().out.startswith(
             f"F = {result.statistic:.6g}, df = {result.df}, p = {result.p_value:.6g} -> ")

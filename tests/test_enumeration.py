@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from seqdi.estimators import poisson_plugin_variance, y_ht_seq
+from seqdi.estimators import Arm, poisson_plugin_variance, y_ht_seq
 from seqdi.homogeneity import design_variance_meat
 from seqdi.numerics import inv_spd
 
@@ -58,7 +58,7 @@ class TestHtUnbiasedness:
         target = y_np.sum() + y.sum()
         mean = 0.0
         for mask, prob in enumerate_outcomes(pi):
-            mean += prob * y_ht_seq(y_np, y[mask], pi[mask]).point
+            mean += prob * y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np.sum()).point
         assert mean == pytest.approx(target, rel=1e-10)
 
     @pytest.mark.parametrize("case", HT_CASES)
@@ -66,7 +66,7 @@ class TestHtUnbiasedness:
         y_np, y, pi = ht_strata(case)
         mean = second = plugin_mean = 0.0
         for mask, prob in enumerate_outcomes(pi):
-            est = y_ht_seq(y_np, y[mask], pi[mask])
+            est = y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np.sum())
             mean += prob * est.point
             second += prob * est.point**2
             plugin_mean += prob * est.variance

@@ -3,8 +3,10 @@ import pytest
 
 from seqdi.errors import EmptySample
 from seqdi.estimators import (
+    Arm,
     Estimate,
     WeightSpec,
+    certainty_block,
     poisson_plugin_variance,
     y_com_di,
     y_di,
@@ -15,8 +17,8 @@ from seqdi.estimators import (
     y_ipw,
     y_sep_di,
 )
-from seqdi.numerics import RngStream, Z_975, weighted_ls
-from seqdi.pilot import fit_pilot
+from seqdi.numerics import RngStream, Z_975, quantile, weighted_ls
+from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import Partition, Population, generate_population
 
 LOGNORMAL_PARAMS = {"N": 2000, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
@@ -39,20 +41,20 @@ class TestYDi:
     def test_census_second_stage(self):
         y_np = np.array([4.0, 6.0])
         y_u1 = np.array([1.0, 2.0, 3.0])
-        out = y_di(y_np, y_u1, np.ones(3), 3)
+        out = y_di(Arm.of(y_u1, None, np.ones(3)), y_np.sum(), 3)
         assert out.point == pytest.approx(16.0, rel=1e-12)
         assert out.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_example(self):
-        out = y_di(np.array([10.0]), np.array([2.0]), np.array([0.5]), 2)
+        out = y_di(Arm.of([2.0], None, [0.5]), 10.0, 2)
         assert out.point == pytest.approx(14.0, rel=1e-12)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
-            y_di(np.array([1.0]), np.array([]), np.array([]), 2)
+            y_di(Arm.of([], None, []), 1.0, 2)
 
     def test_wald_interval_uses_pinned_quantile(self):
-        out = y_di(np.array([10.0]), np.array([2.0, 5.0]), np.array([0.5, 0.5]), 4)
+        out = y_di(Arm.of([2.0, 5.0], None, [0.5, 0.5]), 10.0, 4)
         half = Z_975 * np.sqrt(out.variance)
         assert out.ci_low == pytest.approx(out.point - half, rel=1e-12)
         assert out.ci_high == pytest.approx(out.point + half, rel=1e-12)
@@ -60,17 +62,17 @@ class TestYDi:
 
 class TestYHtSeq:
     def test_census(self):
-        out = y_ht_seq(np.array([4.0]), np.array([1.0, 2.0]), np.ones(2))
+        out = y_ht_seq(Arm.of([1.0, 2.0], None, np.ones(2)), 4.0)
         assert out.point == pytest.approx(7.0, rel=1e-12)
         assert out.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_poisson_variance(self):
-        out = y_ht_seq(np.array([]), np.array([3.0]), np.array([0.5]))
+        out = y_ht_seq(Arm.of([3.0], None, [0.5]), 0.0)
         assert out.point == pytest.approx(6.0, rel=1e-12)
         assert out.variance == pytest.approx(18.0, rel=1e-12)
 
     def test_empty_sample_is_defined(self):
-        out = y_ht_seq(np.array([5.0, 5.0]), np.array([]), np.array([]))
+        out = y_ht_seq(Arm.of([], None, []), 10.0)
         assert out.point == pytest.approx(10.0)
         assert out.variance == 0.0
 
@@ -100,10 +102,8 @@ class TestGregExactness:
     def test_sep_exact_for_spanned_outcome(self, kind):
         x, y, pi, members = random_setup(3, span_y=True)
         model = fit_pilot(x, y + np.random.default_rng(4).normal(size=len(y)))
-        out = y_sep_di(
-            np.array([100.0]), y[members], x[members], pi[members],
-            x.sum(axis=0), WeightSpec(kind), model,
-        )
+        arm = Arm.of(y[members], x[members], pi[members], predict_sigma2(model, x[members]))
+        out = y_sep_di(arm, 100.0, x.sum(axis=0), WeightSpec(kind))
         assert out.point == pytest.approx(100.0 + y.sum(), rel=1e-9)
         assert out.variance == pytest.approx(0.0, abs=1e-9)
 
@@ -112,29 +112,30 @@ class TestGregExactness:
         coef = np.linalg.lstsq(x, y, rcond=None)[0]
         x_np = np.column_stack([np.ones(7), np.linspace(0.2, 1.4, 7), np.linspace(2.0, 0.4, 7)])
         y_np = x_np @ coef
-        out = y_com_di(
-            y_np, x_np, y[members], x[members], pi[members],
-            x.sum(axis=0), WeightSpec("inverse_pi"),
-        )
+        arm = Arm.of(y[members], x[members], pi[members])
+        block = certainty_block(x_np, y_np, WeightSpec("inverse_pi"), None, len(y_np) + arm.size)
+        out = y_com_di(arm, y_np.sum(), block, x.sum(axis=0))
         assert out.point == pytest.approx(y_np.sum() + y.sum(), rel=1e-9)
 
     def test_greg_independent_census_and_exact(self):
         x, y, _, _ = random_setup(6)
-        out = y_greg_independent(x.sum(axis=0), y, x, np.ones(len(y)))
+        out = y_greg_independent(Arm.of(y, x, np.ones(len(y))), x.sum(axis=0))
         assert out.point == pytest.approx(y.sum(), rel=1e-12)
         x2, y2, pi2, members2 = random_setup(7, span_y=True)
-        out2 = y_greg_independent(x2.sum(axis=0), y2[members2], x2[members2], pi2[members2])
+        out2 = y_greg_independent(Arm.of(y2[members2], x2[members2], pi2[members2]), x2.sum(axis=0))
         assert out2.point == pytest.approx(y2.sum(), rel=1e-9)
 
 
 class TestComSepRelations:
     def test_com_with_empty_certainty_equals_sep(self):
         x, y, pi, members = random_setup(8)
-        args = (y[members], x[members], pi[members], x.sum(axis=0))
         model = fit_pilot(x, y)
+        arm = Arm.of(y[members], x[members], pi[members], predict_sigma2(model, x[members]))
         for kind in ("inverse_pi", "inverse_pi_sigma"):
-            sep = y_sep_di(np.array([]), *args, WeightSpec(kind), model)
-            com = y_com_di(np.array([]), np.empty((0, x.shape[1])), *args, WeightSpec(kind), model)
+            sep = y_sep_di(arm, 0.0, x.sum(axis=0), WeightSpec(kind))
+            block = certainty_block(np.empty((0, x.shape[1])), np.empty(0), WeightSpec(kind),
+                                    np.empty(0), arm.size)
+            com = y_com_di(arm, 0.0, block, x.sum(axis=0))
             assert com.point == sep.point
             assert com.variance == sep.variance
 
@@ -236,6 +237,19 @@ class TestWeightSpec:
         with pytest.raises(ValueError):
             WeightSpec("inverse_pi_sigma").build(np.array([0.5]))
 
+    def test_weights_are_build_untruncated(self):
+        rng = np.random.default_rng(3)
+        pi, sigma2 = rng.uniform(1e-4, 1.0, 500), rng.uniform(0.1, 9.0, 500)
+        by_pi, by_sigma = WeightSpec("inverse_pi", 0.9), WeightSpec("inverse_pi_sigma", 0.9)
+        assert np.array_equal(by_pi.weights(pi), 1.0 / pi)
+        assert np.array_equal(by_sigma.weights(pi, sigma2), 1.0 / (pi * sigma2))
+        for spec in (by_pi, by_sigma):
+            w = spec.weights(pi, sigma2)
+            assert np.array_equal(spec.build(pi, sigma2), np.minimum(w, quantile(w, 0.9)))
+        # certainty rows (pi = 1) weigh 1 or 1/sigma2, bit for bit
+        assert np.array_equal(by_pi.weights(np.ones(500)), np.ones(500))
+        assert np.array_equal(by_sigma.weights(np.ones(500), sigma2), 1.0 / sigma2)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             WeightSpec("bogus")
@@ -243,7 +257,7 @@ class TestWeightSpec:
 
 class TestSerialization:
     def test_csv_row(self):
-        out = y_ht_seq(np.array([1.0]), np.array([3.0]), np.array([0.5]))
+        out = y_ht_seq(Arm.of([3.0], None, [0.5]), 1.0)
         row = out.to_csv_row()
         assert row[0] == "HT_seq"
         assert float(row[1]) == out.point

@@ -257,14 +257,14 @@ class TestStratumInputs:
 
     def test_test_fit_brings_its_pilot(self, stratum):
         # the homogeneity test's stratum fit uses the pilot, asked for or not,
-        # and gives what fgls_np gives when it fits the pilot itself
+        # and gives what fgls_np gives with the pilot fitted on the stratum
         pop, partition, x_np, y_np = stratum
         inputs = harness.StratumInputs(pop, partition, need_pilot=False, need_test=True)
         pilot = fit_pilot(x_np, y_np)
         for f in dataclasses.fields(pilot):
             got, want = getattr(inputs.pilot, f.name), getattr(pilot, f.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
-        beta, v = fgls_np(x_np, y_np)
+        beta, v = fgls_np(x_np, y_np, pilot)
         assert inputs.np_fit[0].tobytes() == beta.tobytes()
         assert inputs.np_fit[1].tobytes() == v.tobytes()
 

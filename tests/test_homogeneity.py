@@ -13,7 +13,7 @@ from seqdi.homogeneity import (
     homogeneity_test,
 )
 from seqdi.numerics import RngStream
-from seqdi.pilot import PilotVarianceModel
+from seqdi.pilot import PilotVarianceModel, fit_pilot
 from seqdi.population import generate_population
 
 LOGNORMAL_PARAMS = {"N": 20_000, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
@@ -48,14 +48,14 @@ class TestFglsNp:
     def test_zero_residuals_zero_variance(self):
         x, _ = stratum_data(2, 100)
         y = x @ np.array([2.0, 1.0, 0.5])
-        beta, v = fgls_np(x, y)
+        beta, v = fgls_np(x, y, fit_pilot(x, y))
         np.testing.assert_allclose(v, 0.0, atol=1e-18)
 
     def test_variance_shrinks_with_sample_size(self):
         pop = generate_population(LOGNORMAL_PARAMS, RngStream(3, 0))
         half = pop.size // 2
-        _, v_half = fgls_np(pop.x[:half], pop.y[:half])
-        _, v_full = fgls_np(pop.x, pop.y)
+        _, v_half = fgls_np(pop.x[:half], pop.y[:half], fit_pilot(pop.x[:half], pop.y[:half]))
+        _, v_full = fgls_np(pop.x, pop.y, fit_pilot(pop.x, pop.y))
         for j in range(3):
             ratio = v_half[j, j] / v_full[j, j]
             assert 1.7 <= ratio <= 2.3
@@ -92,7 +92,7 @@ class TestFglsP:
             x = np.column_stack([np.ones(n), rng.uniform(size=n), rng.uniform(size=n)])
             mu = x @ rng.uniform(1.0, 10.0, size=3)
             y = mu * np.exp(rng.normal(0.0, rng.uniform(0.1, 0.8), size=n))
-            beta_np, v_np = fgls_np(x, y)
+            beta_np, v_np = fgls_np(x, y, fit_pilot(x, y))
             beta_p, v_p = fgls_p(x, y, np.ones(n), include_model_variance=True)
             assert beta_np.tobytes() == beta_p.tobytes()
             np.testing.assert_allclose(v_p, v_np, rtol=0, atol=1e-13 * np.max(np.abs(v_np)))
@@ -142,11 +142,13 @@ class TestHomogeneityTest:
         x_p, y_p = pop.x[~split], pop.y[~split]
         pi = np.full((~split).sum(), 0.45)
 
-        base = homogeneity_test(fgls_np(x_np, y_np_vals), fgls_p(x_p, y_p, pi))
+        base = homogeneity_test(fgls_np(x_np, y_np_vals, fit_pilot(x_np, y_np_vals)),
+                                fgls_p(x_p, y_p, pi))
         for _ in range(5):
             a = np.eye(3) + rng.uniform(-0.3, 0.3, size=(3, 3))
+            x_a = x_np @ a
             rep = homogeneity_test(
-                fgls_np(x_np @ a, y_np_vals), fgls_p(x_p @ a, y_p, pi)
+                fgls_np(x_a, y_np_vals, fit_pilot(x_a, y_np_vals)), fgls_p(x_p @ a, y_p, pi)
             )
             assert rep.statistic == pytest.approx(base.statistic, rel=1e-6)
 

@@ -9,10 +9,10 @@ copies of the same inputs.
 import numpy as np
 import pytest
 
-from seqdi.estimators import WeightSpec, y_com_di, y_sep_di
+from seqdi.estimators import Arm, WeightSpec, certainty_block, y_com_di, y_sep_di
 from seqdi.homogeneity import fgls_p
 from seqdi.numerics import RngStream, logistic_fit, weighted_ls
-from seqdi.pilot import fit_power_variance
+from seqdi.pilot import fit_power_variance, predict_sigma2
 from seqdi.population import (
     Population,
     generate_population,
@@ -98,10 +98,12 @@ def test_kernels_agree_on_both_layouts(n, seed):
     x_total = x_c[half:].sum(axis=0) * 1.5
     for kind in ("inverse_pi", "inverse_pi_sigma"):
         wspec = WeightSpec(kind)
-        sep = [y_sep_di(y[:half], y[half:], x[half:], pi[half:], x_total, wspec, model)
-               for x in (x_f, x_c)]
-        com = [y_com_di(y[:half], x[:half], y[half:], x[half:], pi[half:], x_total, wspec, model)
-               for x in (x_f, x_c)]
+        sep, com = [], []
+        for x in (x_f, x_c):
+            arm = Arm.of(y[half:], x[half:], pi[half:], predict_sigma2(model, x[half:]))
+            block = certainty_block(x[:half], y[:half], wspec, predict_sigma2(model, x[:half]), n)
+            sep.append(y_sep_di(arm, float(y[:half].sum()), x_total, wspec))
+            com.append(y_com_di(arm, float(y[:half].sum()), block, x_total))
         for got, want in (sep, com):
             assert_same(got.point, want.point)
             assert_same(got.variance, want.variance)

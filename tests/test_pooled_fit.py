@@ -89,9 +89,12 @@ def test_com_di_is_the_pooled_fit(seed, n_c, n_u1, q, kind, gamma):
                                         sigma2_s, x_total, wspec)
     assert got.point == pytest.approx(point, rel=1e-12, abs=0)
     assert got.variance == pytest.approx(variance, rel=1e-12, abs=1e-12 * np.sum(y_u1**2))
-    # the raw-row form predicts the sample's variances itself
-    raw = y_com_di(y_c, x_c, arm.y_s, arm.x_s, arm.pi_s, x_total, wspec, model)
-    assert raw.point == pytest.approx(point, rel=1e-12, abs=0)
+    # the smallest block, with the sample's variances predicted from its rows
+    direct = y_com_di(Arm.of(arm.y_s, arm.x_s, arm.pi_s, predict_sigma2(model, arm.x_s)),
+                      float(y_c.sum()),
+                      certainty_block(x_c, y_c, wspec, predict_sigma2(model, x_c), n_c + arm.size),
+                      x_total)
+    assert direct.point == pytest.approx(point, rel=1e-12, abs=0)
 
 
 def test_truncation_cuts_certainty_rows():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from seqdi.design import optimal_probabilities, poisson_draw
-from seqdi.estimators import WeightSpec, y_com_di, y_di, y_ht_seq, y_sep_di
+from seqdi.estimators import Arm, WeightSpec, certainty_block, y_com_di, y_di, y_ht_seq, y_sep_di
 from seqdi.numerics import RngStream
-from seqdi.pilot import fit_pilot
+from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import generate_population
 
 pytest.importorskip("hypothesis")
@@ -39,11 +39,14 @@ def all_estimates(pop, y, s_np, u1, members, pi_s, model):
     x_np, y_np = pop.rows(s_np), y[s_np]
     x_s, y_s = pop.rows(members), y[members]
     x_total_u1 = pop.rows(u1).sum(axis=0)
-    out = {"DI": y_di(y_np, y_s, pi_s, len(u1)), "HT_seq": y_ht_seq(y_np, y_s, pi_s)}
+    arm, y_total = Arm.of(y_s, x_s, pi_s, predict_sigma2(model, x_s)), float(np.sum(y_np))
+    out = {"DI": y_di(arm, y_total, len(u1)), "HT_seq": y_ht_seq(arm, y_total)}
     for kind in WEIGHTS:
-        out[f"sepDI/{kind}"] = y_sep_di(y_np, y_s, x_s, pi_s, x_total_u1, WeightSpec(kind), model)
-        out[f"comDI/{kind}"] = y_com_di(y_np, x_np, y_s, x_s, pi_s, x_total_u1,
-                                        WeightSpec(kind), model)
+        wspec = WeightSpec(kind)
+        block = certainty_block(x_np, y_np, wspec, predict_sigma2(model, x_np),
+                                len(y_np) + arm.size)
+        out[f"sepDI/{kind}"] = y_sep_di(arm, y_total, x_total_u1, wspec)
+        out[f"comDI/{kind}"] = y_com_di(arm, y_total, block, x_total_u1)
     return out
 
 
