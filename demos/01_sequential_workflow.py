@@ -54,9 +54,10 @@ print(f"certainty stratum: n = {partition.n_certainty}, complement: N1 = {partit
 pilot = fit_pilot(pop.x[s_np], pop.y[s_np])
 print(f"pilot fit: gamma = {pilot.gamma:.3f}, sigma2 = {pilot.sigma2:.4f}")
 
-# 4. Estimated-optimal Poisson design on the complement and one draw.
+# 4. Estimated-optimal Poisson design on the complement, from the pilot's
+#    predicted variances of its rows, and one draw.
 n_p = int(0.40 * partition.n_complement)
-design = optimal_probabilities(pilot, pop.x[u1], n_p, indices=u1)
+design = optimal_probabilities(predict_sigma2(pilot, pop.x[u1]), n_p, indices=u1)
 sample = poisson_draw(design, RngStream(SEED, 2))
 print(f"second stage: expected size {n_p}, realized size {sample.size}")
 
@@ -64,12 +65,12 @@ print(f"second stage: expected size {n_p}, realized size {sample.size}")
 #    sample with its 1/pi, HT totals and the pilot's variances of its rows;
 #    the combined estimator adds the certainty rows' block of its pooled fit.
 x_np, y_np_vals = pop.x[s_np], pop.y[s_np]
+sigma2_np = predict_sigma2(pilot, x_np)
 y_s, x_s, pi_s = pop.y[sample.members], pop.x[sample.members], sample.pi_realized
 arm = Arm.of(y_s, x_s, pi_s, predict_sigma2(pilot, x_s))
 y_total, x_total_u1 = float(y_np_vals.sum()), pop.x[u1].sum(axis=0)
 by_sigma = WeightSpec("inverse_pi_sigma")
-block = certainty_block(x_np, y_np_vals, by_sigma, predict_sigma2(pilot, x_np),
-                        len(y_np_vals) + arm.size)
+block = certainty_block(x_np, y_np_vals, by_sigma, sigma2_np, len(y_np_vals) + arm.size)
 
 results = [
     y_di(arm, y_total, partition.n_complement),
@@ -80,7 +81,7 @@ results = [
 ]
 
 # 6. Homogeneity diagnostic decides between separate and combined fits.
-test = homogeneity_test(fgls_np(x_np, y_np_vals, pilot), fgls_p(x_s, y_s, pi_s))
+test = homogeneity_test(fgls_np(x_np, y_np_vals, pilot, sigma2_np), fgls_p(x_s, y_s, pi_s))
 results.append(adaptive_estimate(results[3], results[4], test))
 
 print(f"\nhomogeneity test: F = {test.statistic:.2f}, p = {test.p_value:.2e}, "

@@ -17,7 +17,7 @@ from .design import DESIGN_KINDS, build_design, design_to_csv
 from .errors import ConfigError, InvalidParams, SeqdiError, stage
 from .estimators import Arm
 from .harness import ESTIMATORS, McConfig, StratumInputs, check_choices, emit_results, run_mc
-from .pilot import fit_pilot
+from .pilot import fit_pilot, predict_sigma2
 from .population import load_population_csv, load_sample_csv, write_csv
 
 
@@ -75,9 +75,11 @@ def cmd_design(args):
 
     ids = list(data.ids)
     frame_ids = [ids[i] for i in frame_idx]
+    x_frame = pop.rows(frame_idx)
     with stage(f"pilot fit on {args.pilot or args.pop}"):
-        pilot = fit_pilot(pilot_x, pilot_y) if args.kind == "optimal" else None
-    dsgn = build_design(args.kind, pop.rows(frame_idx), args.np_size, pilot, frame_idx)
+        sigma2 = (predict_sigma2(fit_pilot(pilot_x, pilot_y), x_frame)
+                  if args.kind == "optimal" else None)
+    dsgn = build_design(args.kind, x_frame, args.np_size, frame_idx, sigma2)
     design_to_csv(dsgn, args.out, frame_ids)
     print(f"wrote {args.out}: {len(frame_ids)} rows, total pi = {float(np.sum(dsgn.pi)):.6f}")
     return 0

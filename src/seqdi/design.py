@@ -4,7 +4,7 @@ Three allocations: anticipated-variance optimal (inclusion probability
 proportional to the predicted conditional standard deviation), equal
 probability, and probability proportional to size.  The optimal and
 equal designs enforce the probability floor of 0.01; the PPS design only
-truncates at 1, so it keeps the raw proportional-to-size behavior (and
+caps at 1, so it keeps the raw proportional-to-size behavior (and
 its instability when tiny sizes occur).  Every allocation keeps the
 expected size whenever the bounds leave room.
 """
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import EmptySample, Infeasible, InvalidParams, NonpositiveSize
 from .numerics import RngStream
-from .pilot import PilotVarianceModel, predict_sigma2
 from .population import write_csv
 
 PI_FLOOR = 0.01
@@ -102,19 +101,16 @@ def _design(kind: str, raw: np.ndarray, n_p: int,
 
 
 def optimal_probabilities(
-    model: PilotVarianceModel, x_complement: np.ndarray, n_p: int,
-    indices: np.ndarray | None = None, sigma2: np.ndarray | None = None,
+    sigma2: np.ndarray, n_p: int, indices: np.ndarray | None = None
 ) -> SecondStageDesign:
     """Estimated-optimal Poisson design: pi proportional to predicted std dev.
 
-    Minimizes anticipated variance of the separate regression estimator
-    under the working variance model; probabilities are scale free in the
-    outcome because the normalization cancels the variance scale.
-    ``sigma2``, the model's predicted variances of the rows, is computed
-    unless given.
+    ``sigma2`` holds the pilot model's predicted variances of the rows
+    (:func:`~seqdi.pilot.predict_sigma2`).  Minimizes anticipated variance of
+    the separate regression estimator under the working variance model;
+    probabilities are scale free in the outcome because the normalization
+    cancels the variance scale.
     """
-    if sigma2 is None:
-        sigma2 = predict_sigma2(model, x_complement)
     return _design("optimal", np.sqrt(sigma2), n_p, indices)
 
 
@@ -139,16 +135,15 @@ def pps_probabilities(
     return _design("pps", size_var, n_p, indices)
 
 
-def build_design(kind: str, x_frame: np.ndarray, n_p: int,
-                 pilot: PilotVarianceModel | None, indices: np.ndarray,
+def build_design(kind: str, x_frame: np.ndarray, n_p: int, indices: np.ndarray,
                  sigma2: np.ndarray | None = None) -> SecondStageDesign:
     """Design of one of DESIGN_KINDS over the frame rows ``x_frame``.
 
-    The optimal design needs the pilot model, or ``sigma2``, its predicted
-    variances of the rows; pps takes x1 as its size.
+    The optimal design needs ``sigma2``, the pilot's predicted variances of
+    the rows; pps takes x1 as its size.
     """
     if kind == "optimal":
-        return optimal_probabilities(pilot, x_frame, n_p, indices=indices, sigma2=sigma2)
+        return optimal_probabilities(sigma2, n_p, indices=indices)
     if kind == "equal":
         return equal_probabilities(len(x_frame), n_p, indices=indices)
     if x_frame.shape[1] < 2:

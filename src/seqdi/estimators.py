@@ -47,10 +47,6 @@ class WeightSpec:
         if not 0.0 < self.truncation_quantile <= 1.0:
             raise ValueError("truncation quantile must lie in (0, 1]")
 
-    @property
-    def truncates(self) -> bool:
-        return self.truncation_quantile < 1.0
-
     def weights(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
         """The untruncated working weights of rows with inclusion probabilities pi
         (and, for variance-scaled weights, variances sigma2): 1/pi or 1/(pi*sigma2)."""
@@ -63,9 +59,9 @@ class WeightSpec:
 
     def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
         """The working weights q of :meth:`weights`, capped at their truncation quantile
-        when that is below 1 and q has two or more rows."""
+        when q has two or more rows (at quantile 1 the cap is the maximum)."""
         q = self.weights(pi, sigma2)
-        if self.truncates and len(q) > 1:
+        if len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
 
@@ -104,18 +100,17 @@ class Arm:
     """One realized Poisson sample and what every sequential estimator reads of it.
 
     ``inv_pi`` is 1/pi, ``ht_y`` and ``ht_x`` the HT totals sum y/pi and
-    sum x/pi (None without x), ``sigma2`` the pilot model's variances of the
-    rows (None unless an estimator with variance-scaled weights runs) and
-    ``test`` the homogeneity test of the sample (None unless adDI or the
-    test runs).
+    sum x/pi, ``sigma2`` the pilot model's variances of the rows (None
+    unless an estimator with variance-scaled weights runs) and ``test`` the
+    homogeneity test of the sample (None unless adDI or the test runs).
     """
 
     y_s: np.ndarray
-    x_s: np.ndarray | None
+    x_s: np.ndarray
     pi_s: np.ndarray
     inv_pi: np.ndarray
     ht_y: float
-    ht_x: np.ndarray | None
+    ht_x: np.ndarray
     sigma2: np.ndarray | None = None
     test: object = None
 
@@ -124,9 +119,9 @@ class Arm:
         y_s = np.asarray(y_s, dtype=float)
         pi_s = np.asarray(pi_s, dtype=float)
         inv = 1.0 / pi_s
-        x_s = None if x_s is None else np.asarray(x_s, dtype=float)
-        ht_x = None if x_s is None else (x_s * inv[:, None]).sum(axis=0)
-        return cls(y_s, x_s, pi_s, inv, float(np.sum(inv * y_s)), ht_x, sigma2, test)
+        x_s = np.asarray(x_s, dtype=float)
+        return cls(y_s, x_s, pi_s, inv, float(np.sum(inv * y_s)),
+                   (x_s * inv[:, None]).sum(axis=0), sigma2, test)
 
     @property
     def size(self) -> int:
@@ -208,7 +203,7 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     w = wspec.weights(np.ones(n), sigma2)
     most = 0  # the largest top_count over the pooled sizes
     sizes = np.arange(max(n, 1), n_max + 1)
-    if wspec.truncates and sizes.size:
+    if sizes.size:
         most = int(np.max(top_count(sizes, wspec.truncation_quantile)))
     take = min(most, n)
     top = np.argpartition(w, n - take)[n - take:] if take else np.zeros(0, dtype=int)
@@ -235,7 +230,7 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
     if n > block.n_max:
         raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
     w_s, w_top = wspec.weights(arm.pi_s, arm.sigma2), block.top_w[:len(block.top_y)]
-    if wspec.truncates and n > 1:
+    if n > 1:
         need = int(top_count(n, wspec.truncation_quantile))
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
                                wspec.truncation_quantile)

@@ -360,8 +360,7 @@ class StratumInputs:
             n_p = config.n_p if config.n_p is not None else int(config.f_p * len(u1))
             for kind in config.designs:
                 sigma2 = self.sigma2_u1 if kind == "optimal" else None
-                self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, self.pilot,
-                                                             u1, sigma2)
+                self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, u1, sigma2)
         self._blocks = {}
 
     @functools.cached_property

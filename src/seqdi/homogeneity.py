@@ -40,22 +40,19 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
-def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel,
-            sigma2: np.ndarray | None = None):
+def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.ndarray):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
     ``model`` is the pilot variance model fitted on these rows (as by
-    :func:`~seqdi.pilot.fit_pilot`), whose coefficient is the FGLS one.
-    ``sigma2``, the model's predicted variances of the rows, is computed
-    unless given.  The sandwich uses the residuals at that coefficient and
-    the model's variance predictions, and stays consistent even when the
-    variance model is misspecified.
+    :func:`~seqdi.pilot.fit_pilot`), whose coefficient is the FGLS one, and
+    ``sigma2`` its predicted variances of the rows
+    (:func:`~seqdi.pilot.predict_sigma2`).  The sandwich uses the residuals
+    at that coefficient and those variances, and stays consistent even when
+    the variance model is misspecified.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m = x @ model.beta
-    if sigma2 is None:
-        sigma2 = _sigma2_at(model, m)
     residuals = y - m
     v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
     return model.beta, v

@@ -25,10 +25,11 @@ from seqdi.estimators import (
     y_sep_di,
 )
 from seqdi.harness import McConfig, run_mc
-from seqdi.homogeneity import design_variance_meat, fgls_np, fgls_p, homogeneity_test
+from seqdi.homogeneity import design_variance_meat, fgls_p, homogeneity_test
 from seqdi.numerics import RngStream, inv_spd
 from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import generate_population
+from test_homogeneity import certainty_fgls
 
 SEED = 20240901
 R_DESK = 5000
@@ -200,7 +201,7 @@ class TestCriterion5:
             y_np_vals = rng.uniform(5.0, 9.0, size=3)
             target = y_np_vals.sum() + y.sum()
             mean = sum(
-                prob * y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np_vals.sum()).point
+                prob * y_ht_seq(Arm.of(y[mask], x[mask], pi[mask]), y_np_vals.sum()).point
                 for mask, prob in enumerate_outcomes(pi)
             )
             worst_gap = max(worst_gap, abs(mean - target) / abs(target))
@@ -313,8 +314,8 @@ class TestCriterion6:
             model1 = fit_pilot(x_np * 1.0, y_np_vals)
             model2 = fit_pilot(x_np, c * y_np_vals)
             n_p = int(rng.integers(5, n1 // 2))
-            d1 = optimal_probabilities(model1, x, n_p)
-            d2 = optimal_probabilities(model2, x, n_p)
+            d1 = optimal_probabilities(predict_sigma2(model1, x), n_p)
+            d2 = optimal_probabilities(predict_sigma2(model2, x), n_p)
             worst_pi = max(worst_pi, float(np.max(np.abs(d1.pi - d2.pi))))
 
             pi = rng.uniform(0.25, 0.95, size=n1)
@@ -349,13 +350,13 @@ class TestCriterion6:
         x_np, y_np_vals = pop.x[split], pop.y[split]
         x_p, y_p = pop.x[~split], pop.y[~split]
         pi_p = np.full((~split).sum(), 0.45)
-        base = homogeneity_test(fgls_np(x_np, y_np_vals, fit_pilot(x_np, y_np_vals)),
+        base = homogeneity_test(certainty_fgls(x_np, y_np_vals),
                                 fgls_p(x_p, y_p, pi_p))
         arng = np.random.default_rng(13)
         for _ in range(self.CASES):
             a = np.eye(3) + arng.uniform(-0.25, 0.25, size=(3, 3))
             x_a = x_np @ a
-            rep = homogeneity_test(fgls_np(x_a, y_np_vals, fit_pilot(x_a, y_np_vals)),
+            rep = homogeneity_test(certainty_fgls(x_a, y_np_vals),
                                    fgls_p(x_p @ a, y_p, pi_p))
             worst_f = max(worst_f, abs(rep.statistic - base.statistic) / base.statistic)
         checks.append((f"F reparametrization drift {worst_f:.2e} <= 1e-6", worst_f <= 1e-6))

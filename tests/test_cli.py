@@ -7,8 +7,8 @@ from seqdi import estimators as est
 from seqdi import homogeneity, numerics
 from seqdi.cli import main
 from seqdi.errors import ConfigError
-from seqdi.harness import McConfig
-from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
+from seqdi.harness import McConfig, StratumInputs
+from seqdi.homogeneity import fgls_p, homogeneity_test
 from seqdi.numerics import RngStream
 from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import (
@@ -18,6 +18,7 @@ from seqdi.population import (
     save_population_csv,
     write_csv,
 )
+from test_homogeneity import certainty_fgls
 
 POP_PARAMS = {"N": 600, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
@@ -246,6 +247,21 @@ class TestDesign:
         assert len(rows) == 607
         total = sum(float(r.split(",")[1]) for r in rows)
         assert total == pytest.approx(242.0, abs=1e-6 * 242)
+
+    def test_optimal_matches_harness_design(self, pop_csv, tmp_path):
+        # seqdi design and a FixedPartition run on the same file build the
+        # optimal design from the same pilot variances, bit for bit
+        path, _, _ = pop_csv
+        n_p = 90
+        out = tmp_path / "design.csv"
+        assert main(["design", "--pop", str(path), "--np", str(n_p),
+                     "--kind", "optimal", "--out", str(out)]) == 0
+        pi = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+        data = load_population_csv(path)
+        config = McConfig(replications=1, mechanism="FixedPartition", population_csv=str(path),
+                          designs=("optimal",), n_p=n_p)
+        inputs = StratumInputs(data.population, data.require_partition(), True, False, config)
+        assert pi.tobytes() == inputs.designs["optimal"].pi.tobytes()
 
     def test_pps_without_size_covariate_exit_one(self, tmp_path, capsys):
         (tmp_path / "pop.csv").write_text("id,y,delta\n1,10,1\n2,2,0\n3,4,0\n")
@@ -505,7 +521,7 @@ class TestTestCommand:
         sample = tmp_path / "sample.csv"
         write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
         p_fit = fgls_p(pop.rows(rows), pop.y[rows], pi_s)
-        result = homogeneity_test(fgls_np(x_np, y_np, fit_pilot(x_np, y_np)), p_fit, 0.1)
+        result = homogeneity_test(certainty_fgls(x_np, y_np), p_fit, 0.1)
         assert main(["test", "--pop", str(path), "--sample", str(sample), "--alpha", "0.1"]) == 0
         assert capsys.readouterr().out.startswith(
             f"F = {result.statistic:.6g}, df = {result.df}, p = {result.p_value:.6g} -> ")

@@ -11,7 +11,7 @@ from seqdi.design import (
 )
 from seqdi.errors import EmptySample, Infeasible, NonpositiveSize
 from seqdi.numerics import RngStream
-from seqdi.pilot import PilotVarianceModel, fit_pilot
+from seqdi.pilot import PilotVarianceModel, fit_pilot, predict_sigma2
 from seqdi.population import generate_population
 
 
@@ -26,28 +26,28 @@ def model_with_sd(values):
 class TestOptimal:
     def test_constant_sd_gives_equal_design(self):
         model, x = model_with_sd([2.0] * 10)
-        dsgn = optimal_probabilities(model, x, 4)
+        dsgn = optimal_probabilities(predict_sigma2(model, x), 4)
         np.testing.assert_allclose(dsgn.pi, 0.4, rtol=1e-12)
 
     def test_hand_scaling_with_unit_at_ceiling(self):
         model, x = model_with_sd([1.0, 2.0, 3.0])
-        dsgn = optimal_probabilities(model, x, 2)
+        dsgn = optimal_probabilities(predict_sigma2(model, x), 2)
         np.testing.assert_allclose(dsgn.pi, [1.0 / 3.0, 2.0 / 3.0, 1.0], rtol=1e-12)
 
     def test_floor_binds_and_remainder_splits(self):
         model, x = model_with_sd([0.0001, 1.0, 1.0])
-        dsgn = optimal_probabilities(model, x, 1)
+        dsgn = optimal_probabilities(predict_sigma2(model, x), 1)
         np.testing.assert_allclose(dsgn.pi, [0.01, 0.495, 0.495], rtol=1e-12)
 
     def test_infeasible_size(self):
         model, x = model_with_sd([1.0, 2.0])
         with pytest.raises(Infeasible):
-            optimal_probabilities(model, x, 3)
+            optimal_probabilities(predict_sigma2(model, x), 3)
 
     def test_floor_exceeds_size(self):
         model, x = model_with_sd([1.0] * 300)
         with pytest.raises(Infeasible):
-            optimal_probabilities(model, x, 2)
+            optimal_probabilities(predict_sigma2(model, x), 2)
 
     def test_scale_invariance_under_outcome_scaling(self):
         rng = np.random.default_rng(1)
@@ -56,8 +56,8 @@ class TestOptimal:
         mu = x @ np.array([5.0, 4.0, 3.0])
         y = mu * np.exp(rng.normal(-0.05, 0.3, size=n))
         for c in (0.25, 8.0, 1024.0):
-            d1 = optimal_probabilities(fit_pilot(x, y), x, 200)
-            d2 = optimal_probabilities(fit_pilot(x, c * y), x, 200)
+            d1 = optimal_probabilities(predict_sigma2(fit_pilot(x, y), x), 200)
+            d2 = optimal_probabilities(predict_sigma2(fit_pilot(x, c * y), x), 200)
             np.testing.assert_allclose(d1.pi, d2.pi, rtol=1e-9)
 
 
@@ -97,7 +97,7 @@ class TestClampProperties:
             sd = rng.uniform(0.001, 10.0, size=n1)
             n_p = int(rng.integers(1, n1 + 1))
             model, x = model_with_sd(sd)
-            dsgn = optimal_probabilities(model, x, n_p)
+            dsgn = optimal_probabilities(predict_sigma2(model, x), n_p)
             assert np.all(dsgn.pi >= PI_FLOOR - 1e-12)
             assert np.all(dsgn.pi <= 1.0 + 1e-12)
             interior = (dsgn.pi > PI_FLOOR + 1e-12) & (dsgn.pi < 1.0 - 1e-12)
@@ -172,7 +172,7 @@ class TestPoissonDraw:
 
     def test_members_subset_and_pi_recorded(self):
         model, x = model_with_sd(np.linspace(1, 4, 30))
-        dsgn = optimal_probabilities(model, x, 10, indices=np.arange(100, 130))
+        dsgn = optimal_probabilities(predict_sigma2(model, x), 10, indices=np.arange(100, 130))
         draw = poisson_draw(dsgn, RngStream(7, 0))
         assert set(draw.members).issubset(set(dsgn.indices))
         lookup = dict(zip(dsgn.indices, dsgn.pi))
@@ -185,7 +185,7 @@ class TestExpectedSizeProperty:
             {"N": 400, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}, RngStream(8, 0)
         )
         model = fit_pilot(pop.x, pop.y)
-        dsgn = optimal_probabilities(model, pop.x, 150)
+        dsgn = optimal_probabilities(predict_sigma2(model, pop.x), 150)
         m = 100_000
         gen = RngStream(9, 0)
         count = 0.0

@@ -58,7 +58,8 @@ class TestHtUnbiasedness:
         target = y_np.sum() + y.sum()
         mean = 0.0
         for mask, prob in enumerate_outcomes(pi):
-            mean += prob * y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np.sum()).point
+            arm = Arm.of(y[mask], np.ones((mask.sum(), 1)), pi[mask])
+            mean += prob * y_ht_seq(arm, y_np.sum()).point
         assert mean == pytest.approx(target, rel=1e-10)
 
     @pytest.mark.parametrize("case", HT_CASES)
@@ -66,7 +67,7 @@ class TestHtUnbiasedness:
         y_np, y, pi = ht_strata(case)
         mean = second = plugin_mean = 0.0
         for mask, prob in enumerate_outcomes(pi):
-            est = y_ht_seq(Arm.of(y[mask], None, pi[mask]), y_np.sum())
+            est = y_ht_seq(Arm.of(y[mask], np.ones((mask.sum(), 1)), pi[mask]), y_np.sum())
             mean += prob * est.point
             second += prob * est.point**2
             plugin_mean += prob * est.variance

@@ -41,20 +41,20 @@ class TestYDi:
     def test_census_second_stage(self):
         y_np = np.array([4.0, 6.0])
         y_u1 = np.array([1.0, 2.0, 3.0])
-        out = y_di(Arm.of(y_u1, None, np.ones(3)), y_np.sum(), 3)
+        out = y_di(Arm.of(y_u1, np.ones((3, 1)), np.ones(3)), y_np.sum(), 3)
         assert out.point == pytest.approx(16.0, rel=1e-12)
         assert out.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_example(self):
-        out = y_di(Arm.of([2.0], None, [0.5]), 10.0, 2)
+        out = y_di(Arm.of([2.0], np.ones((1, 1)), [0.5]), 10.0, 2)
         assert out.point == pytest.approx(14.0, rel=1e-12)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):
-            y_di(Arm.of([], None, []), 1.0, 2)
+            y_di(Arm.of([], np.ones((0, 1)), []), 1.0, 2)
 
     def test_wald_interval_uses_pinned_quantile(self):
-        out = y_di(Arm.of([2.0, 5.0], None, [0.5, 0.5]), 10.0, 4)
+        out = y_di(Arm.of([2.0, 5.0], np.ones((2, 1)), [0.5, 0.5]), 10.0, 4)
         half = Z_975 * np.sqrt(out.variance)
         assert out.ci_low == pytest.approx(out.point - half, rel=1e-12)
         assert out.ci_high == pytest.approx(out.point + half, rel=1e-12)
@@ -62,17 +62,17 @@ class TestYDi:
 
 class TestYHtSeq:
     def test_census(self):
-        out = y_ht_seq(Arm.of([1.0, 2.0], None, np.ones(2)), 4.0)
+        out = y_ht_seq(Arm.of([1.0, 2.0], np.ones((2, 1)), np.ones(2)), 4.0)
         assert out.point == pytest.approx(7.0, rel=1e-12)
         assert out.variance == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_poisson_variance(self):
-        out = y_ht_seq(Arm.of([3.0], None, [0.5]), 0.0)
+        out = y_ht_seq(Arm.of([3.0], np.ones((1, 1)), [0.5]), 0.0)
         assert out.point == pytest.approx(6.0, rel=1e-12)
         assert out.variance == pytest.approx(18.0, rel=1e-12)
 
     def test_empty_sample_is_defined(self):
-        out = y_ht_seq(Arm.of([], None, []), 10.0)
+        out = y_ht_seq(Arm.of([], np.ones((0, 1)), []), 10.0)
         assert out.point == pytest.approx(10.0)
         assert out.variance == 0.0
 
@@ -257,7 +257,7 @@ class TestWeightSpec:
 
 class TestSerialization:
     def test_csv_row(self):
-        out = y_ht_seq(Arm.of([3.0], None, [0.5]), 1.0)
+        out = y_ht_seq(Arm.of([3.0], np.ones((1, 1)), [0.5]), 1.0)
         row = out.to_csv_row()
         assert row[0] == "HT_seq"
         assert float(row[1]) == out.point

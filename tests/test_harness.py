@@ -264,7 +264,7 @@ class TestStratumInputs:
         for f in dataclasses.fields(pilot):
             got, want = getattr(inputs.pilot, f.name), getattr(pilot, f.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
-        beta, v = fgls_np(x_np, y_np, pilot)
+        beta, v = fgls_np(x_np, y_np, pilot, predict_sigma2(pilot, x_np))
         assert inputs.np_fit[0].tobytes() == beta.tobytes()
         assert inputs.np_fit[1].tobytes() == v.tobytes()
 
@@ -282,13 +282,14 @@ class TestStratumInputs:
         u1 = partition.complement_idx
         n_p = int(config.f_p * len(u1))
         assert list(inputs.designs) == list(config.designs)
+        sigma2 = predict_sigma2(fit_pilot(x_np, y_np), pop.rows(u1))
         for kind in config.designs:
-            want = build_design(kind, pop.rows(u1), n_p, fit_pilot(x_np, y_np), u1)
+            want = build_design(kind, pop.rows(u1), n_p, u1, sigma2)
             assert inputs.designs[kind].pi.tobytes() == want.pi.tobytes(), kind
 
     def test_complement_predicted_once(self, stratum, monkeypatch):
-        # the optimal design and the arms' variances share one prediction,
-        # and the design's pi is build_design's, which predicts its own
+        # the optimal design and the arms' variances share one prediction; the
+        # design module takes the variances and has no prediction of its own
         pop, partition, x_np, y_np = stratum
         calls = []
 
@@ -296,20 +297,20 @@ class TestStratumInputs:
             calls.append(len(x))
             return predict_sigma2(model, x)
 
-        for module in (harness, design_mod):
-            monkeypatch.setattr(module, "predict_sigma2", counted)
+        monkeypatch.setattr(harness, "predict_sigma2", counted)
         config = small_config(designs=("optimal", "equal", "pps"))
         inputs = harness.StratumInputs(pop, partition, need_pilot=True, need_test=False,
                                        config=config)
         u1 = partition.complement_idx
         sigma2_u1 = inputs.sigma2_frame[u1]
         assert calls == [len(u1)]
+        assert not hasattr(design_mod, "predict_sigma2")
         monkeypatch.undo()
         pilot = fit_pilot(x_np, y_np)
         assert sigma2_u1.tobytes() == predict_sigma2(pilot, pop.rows(u1)).tobytes()
         n_p = int(config.f_p * len(u1))
         for kind in config.designs:
-            want = build_design(kind, pop.rows(u1), n_p, pilot, u1)
+            want = build_design(kind, pop.rows(u1), n_p, u1, predict_sigma2(pilot, pop.rows(u1)))
             assert inputs.designs[kind].pi.tobytes() == want.pi.tobytes(), kind
 
 

@@ -68,8 +68,8 @@ def test_scale_equivariance(n_np, n1, seed, c):
     x_np, x_u1 = pop.rows(s_np), pop.rows(u1)
     model = fit_pilot(x_np, pop.y[s_np])
     scaled_model = fit_pilot(x_np, c * pop.y[s_np])
-    design = optimal_probabilities(model, x_u1, n1 // 2, indices=u1)
-    scaled_design = optimal_probabilities(scaled_model, x_u1, n1 // 2, indices=u1)
+    design = optimal_probabilities(predict_sigma2(model, x_u1), n1 // 2, indices=u1)
+    scaled_design = optimal_probabilities(predict_sigma2(scaled_model, x_u1), n1 // 2, indices=u1)
     # 1e-10, not 1e-12: the log e^2 regression of the refit moves gamma by
     # ~eps/|e| for a small residual e, and pi follows.  Over 3 200 random
     # frames drawn like these, pi moved by up to 7.4e-12 relative with the
