@@ -247,10 +247,17 @@ def y_greg_independent(arm: Arm, x_total_population) -> Estimate:
     return _regression_estimate("GREG", 0.0, arm, x_total_population, coef)
 
 
-def estimate_propensity(pop: Population, partition: Partition,
-                        x_certainty: np.ndarray) -> np.ndarray:
-    """Membership propensities of the certainty rows x_certainty, fitted on the full frame."""
-    return _logistic(x_certainty @ logistic_fit(pop.x, partition.delta.astype(float)))
+def estimate_propensity(pop: Population, partition: Partition, x_certainty: np.ndarray,
+                        start=None, out=None) -> np.ndarray:
+    """Membership propensities of the certainty rows x_certainty, fitted on the full frame.
+
+    ``start`` and ``out`` go to :func:`~seqdi.numerics.logistic_fit`: the
+    Newton start (zero when None) and a LogisticWorkspace built for pop.x.
+    A Monte Carlo run passes every replication the same start, the fit to
+    its mechanism's selection probabilities, and one workspace.
+    """
+    delta = partition.delta.astype(float)
+    return _logistic(x_certainty @ logistic_fit(pop.x, delta, start, out))
 
 
 def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:

@@ -28,8 +28,9 @@ import numpy as np
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
-from .errors import ConfigError, DegenerateMetrics, EmptySample, InvalidParams, stage
-from .numerics import RngStream, Z_975
+from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
+                     NotPositiveDefinite, Separation, stage)
+from .numerics import LogisticWorkspace, RngStream, Z_975, logistic_fit
 from .pilot import fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
@@ -103,8 +104,9 @@ class Estimator:
     StratumInputs, the arm (an estimators.Arm) and the estimates ``done`` of
     the ``combines`` tags, listed before it in ESTIMATORS.  ``needs`` names
     what it reads beyond the rows: "pilot" (the arm's pilot variances),
-    "test" (the arm's homogeneity test) or "sample" (for a frame estimator,
-    an arm drawn from the whole frame; without it the arm is None).  A
+    "test" (the arm's homogeneity test), "propensity" (the stratum's
+    membership propensities) or "sample" (for a frame estimator, an arm
+    drawn from the whole frame; without it the arm is None).  A
     point-only estimator (``variance`` False) returns an Estimate whose
     variance is None."""
 
@@ -137,9 +139,10 @@ ESTIMATORS = {
     "GREG": Estimator("frame", lambda c, a, done: est.y_greg_independent(a, c.pop.x_total),
                       needs=("sample",)),
     "IPW": Estimator("frame", lambda c, a, done: est.y_ipw(c.y_np, c.propensity),
-                     variance=False),
+                     needs=("propensity",), variance=False),
     "DR": Estimator("frame", lambda c, a, done: est.y_dr(c.x_np, c.y_np, c.propensity,
-                                                         c.pop.x_total), variance=False),
+                                                         c.pop.x_total),
+                    needs=("propensity",), variance=False),
     "GREG_DR": Estimator("frame", lambda c, a, done: est.y_fusion(
         done["GREG"], done["DR"], a.size / (a.size + len(c.y_np))),
         combines=("GREG", "DR"), variance=False),
@@ -321,6 +324,7 @@ def _plan(config: McConfig):
         "need_pilot": "pilot" in needs or "optimal" in config.designs,
         "need_sigma2": "pilot" in needs,
         "need_sample": "sample" in needs,
+        "need_propensity": "propensity" in needs,
         "columns": columns,
         "tests": tests,
         "width": width + 2 * len(tests),
@@ -344,9 +348,11 @@ class StratumInputs:
     which use no randomness and so are built before any draw.  The complement
     rows, the pilot's variances (one prediction per stratum, shared by the
     optimal design and the arms), the combined estimator's certainty blocks
-    and the propensities are computed on first use and kept."""
+    and the propensities are computed on first use and kept; ``newton``
+    holds the propensity fit's ``start`` and ``out`` (see
+    estimators.estimate_propensity), which a run shares across its strata."""
 
-    def __init__(self, pop, partition, need_pilot, need_test, config=None):
+    def __init__(self, pop, partition, need_pilot, need_test, config=None, newton=None):
         s_np = partition.certainty_idx
         self.pop, self.partition = pop, partition
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
@@ -362,6 +368,7 @@ class StratumInputs:
                 sigma2 = self.sigma2_u1 if kind == "optimal" else None
                 self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, u1, sigma2)
         self._blocks = {}
+        self._newton = newton or {}
 
     @functools.cached_property
     def sigma2_np(self):
@@ -397,13 +404,14 @@ class StratumInputs:
 
     @functools.cached_property
     def propensity(self):
-        return est.estimate_propensity(self.pop, self.partition, self.x_np)
+        return est.estimate_propensity(self.pop, self.partition, self.x_np, **self._newton)
 
 
-def _replicate(r, config, pop, mech, plan, stratum):
+def _replicate(r, config, pop, mech, plan, stratum, newton):
     """One Monte Carlo replication as a float64 row in ``plan``'s layout, drawn from stream r + 1.
 
-    ``stratum`` is a fixed stratum's set-up, or None to draw one.  A
+    ``stratum`` is a fixed stratum's set-up, or None to draw one with the
+    propensity fit's ``newton`` arguments (see StratumInputs).  A
     SeqdiError is raised again as the same class, its message led by the
     replication, its stream id and the design or stage that failed."""
     rng = RngStream(config.seed, r + 1)
@@ -423,7 +431,7 @@ def _replicate(r, config, pop, mech, plan, stratum):
     with stage(f"{at}, stratum set-up"):
         if stratum is None:
             stratum = StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
-                                    plan["need_test"], config)
+                                    plan["need_test"], config, newton)
     for kind in config.designs:
         with stage(f"{at}, design {kind}"):
             sample = _draw_with_retry(stratum.designs[kind], rng)
@@ -461,6 +469,42 @@ def _run_one(r):
     return _replicate(r, *_WORKER_GLOBALS["args"])
 
 
+def _run_state(config: McConfig):
+    """The arguments after r of every _replicate call of a run: (config, pop,
+    mech, plan, stratum, newton).
+
+    Under MAR and NMAR, when the plan needs propensities, ``newton`` holds
+    the one start and the one LogisticWorkspace (a copy in each worker
+    process) of every replication's propensity fit (see StratumInputs).  The
+    start is the fit to the mechanism's selection probabilities on the frame:
+    the population-level limit of each replication's fit, under MAR its
+    intercept and slopes.  It is the same for every replication, so no result
+    depends on the order in which replications run; when that fit fails,
+    every fit starts from zero.
+    """
+    pop, data = _build_population(config)
+    plan = _plan(config)
+    if pop.true_total == 0:
+        raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
+                                "a nonzero target")
+
+    mech = stratum = None
+    newton = {}
+    if config.mechanism in DEFAULT_SLOPES:
+        mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
+        mech.intercept = calibrate_intercept(mech, pop)
+        if plan["need_propensity"]:
+            newton["out"] = LogisticWorkspace(pop.x)
+            with contextlib.suppress(Separation, NoConvergence, NotPositiveDefinite, ValueError):
+                newton["start"] = logistic_fit(pop.x, mech.probabilities(pop),
+                                               out=newton["out"])
+    else:
+        with stage(f"FixedPartition set-up on {config.population_csv}"):
+            stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
+                                    plan["need_test"], config)
+    return config, pop, mech, plan, stratum, newton
+
+
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
     """Execute the Monte Carlo experiment described by ``config``.
 
@@ -473,24 +517,11 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    pop, data = _build_population(config)
-    plan = _plan(config)
-    if pop.true_total == 0:
-        raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
-                                "a nonzero target")
-
-    mech = stratum = None
-    if config.mechanism in DEFAULT_SLOPES:
-        mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
-        mech.intercept = calibrate_intercept(mech, pop)
-    else:
-        with stage(f"FixedPartition set-up on {config.population_csv}"):
-            stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
-                                    plan["need_test"], config)
+    args = _run_state(config)
+    _, pop, _, plan, _, _ = args
 
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)
-    args = (config, pop, mech, plan, stratum)
     table = np.empty((plan["width"], n_rep))  # one row per column, one column per replication
     began = time.monotonic()
     with contextlib.ExitStack() as stack:

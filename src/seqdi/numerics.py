@@ -124,9 +124,13 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding."""
-    g = x.T @ (w[:, None] * x)
+def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding.
+
+    ``out``, an array shaped and laid out like x, receives the weighted copy
+    diag(w) X instead of a new array.
+    """
+    g = x.T @ np.multiply(w[:, None], x, out=out)
     return (g + g.T) / 2.0
 
 
@@ -221,33 +225,68 @@ def quantile_of_tops(tops, n: int, q: float) -> float:
     return _interpolate(float(v[lo]), float(v[hi]), t)
 
 
-def _logistic(eta, t=None):
+def _logistic(eta):
     """1/(1+exp(-eta)) with one exp: 1/(1+t) for eta >= 0 and t/(1+t) otherwise,
-    where t = exp(-|eta|) (pass t when it is already known).  Equal bit for
-    bit to the two-branch form 1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on
-    every input but NaN, where only the sign of the NaN may differ."""
-    if t is None:
-        t = np.exp(-np.abs(eta))
+    where t = exp(-|eta|).  Equal bit for bit to the two-branch form
+    1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on every input but NaN, where
+    only the sign of the NaN may differ."""
+    t = np.exp(-np.abs(eta))
     return np.where(eta >= 0, 1.0, t) / (1.0 + t)
 
 
-def _log_likelihood(eta, delta):
-    """Logistic log-likelihood sum delta*eta - log(1+exp(eta)) and t = exp(-|eta|).
+class LogisticWorkspace:
+    """The per-step arrays of :func:`logistic_fit` on design matrices shaped like x,
+    allocated once so that repeated fits allocate no frame-sized array.
+
+    They are the linear predictor eta and t = exp(-|eta|) of the current point
+    (then of each candidate of the line search), the probabilities p, a work
+    vector w (the Newton weights, then the residuals), the sign mask of eta
+    and :func:`gram`'s weighted copy of x, laid out like x.  A fit writes
+    every array before it reads it, so a workspace carries nothing from one
+    fit to the next; it serves one fit at a time.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        n = x.shape[0]
+        self.eta, self.t, self.p, self.w = (np.empty(n) for _ in range(4))
+        self.positive = np.empty(n, dtype=bool)
+        self.wx = np.empty_like(x)
+
+
+def _log_likelihood(eta, delta, t, ws):
+    """Logistic log-likelihood sum delta*eta - log(1+exp(eta)); writes t = exp(-|eta|).
 
     log(1+exp(eta)) is np.logaddexp(0, eta) written out as
     max(eta, 0) + log1p(t), stable for large |eta|; t also gives the fitted
-    probabilities, so a Newton point takes one exp.
+    probabilities, so a Newton point takes one exp.  ws.p and ws.w are scratch.
     """
-    t = np.exp(-np.abs(eta))
-    return float(np.sum(delta * eta - (np.maximum(eta, 0.0) + np.log1p(t)))), t
+    np.exp(np.negative(np.abs(eta, out=t), out=t), out=t)
+    np.add(np.maximum(eta, 0.0, out=ws.p), np.log1p(t, out=ws.w), out=ws.p)
+    return float(np.sum(np.subtract(np.multiply(delta, eta, out=ws.w), ws.p, out=ws.w)))
 
 
-def logistic_fit(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _fitted(eta, t, ws):
+    """_logistic(eta) into ws.p from t = exp(-|eta|), with ws.w as scratch."""
+    np.copyto(ws.p, t)
+    np.copyto(ws.p, 1.0, where=np.greater_equal(eta, 0, out=ws.positive))
+    return np.divide(ws.p, np.add(1.0, t, out=ws.w), out=ws.p)
+
+
+def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.ndarray:
     """Newton-Raphson MLE of logit P(delta=1 | x) = x'alpha.
 
-    Halves the step while the log-likelihood decreases.  Raises
-    Separation when any coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute
-    value, and NoConvergence after LOGISTIC_MAX_ITER iterations.
+    delta may hold fractional responses in [0, 1]: the fit then maximizes the
+    same concave log-likelihood, as for the expected selection probabilities
+    of a mechanism.  Newton starts from ``start`` (zero when None) and halves
+    the step while the log-likelihood decreases; it stops once a step moves
+    no coefficient by more than LOGISTIC_TOL, so fits from two starts agree
+    to about that bound, and without a start the result does not depend on
+    ``out``.  ``out``, a :class:`LogisticWorkspace` built for an x of this
+    shape, receives the per-step arrays (a fit without one allocates its
+    own).  Raises Separation when any coefficient exceeds
+    LOGISTIC_MAX_ABS_COEF in absolute value, and NoConvergence after
+    LOGISTIC_MAX_ITER iterations.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -256,23 +295,30 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
         raise ValueError("need at least as many rows as coefficients")
     if delta.min() == delta.max():
         raise ValueError("both classes must be present")
+    alpha = np.zeros(d) if start is None else np.array(start, dtype=float)
+    if alpha.shape != (d,):
+        raise ValueError(f"start must hold {d} coefficients")
+    ws = LogisticWorkspace(x) if out is None else out
+    if ws.wx.shape != x.shape:
+        raise ValueError(f"workspace built for shape {ws.wx.shape}, not {x.shape}")
 
-    alpha = np.zeros(d)
-    eta = x @ alpha
-    loglik, t = _log_likelihood(eta, delta)
+    eta, t = ws.eta, ws.t
+    loglik = _log_likelihood(np.matmul(x, alpha, out=eta), delta, t, ws)
     for _ in range(LOGISTIC_MAX_ITER):
-        p = _logistic(eta, t)
-        step = solve_spd(gram(x, p * (1.0 - p)), x.T @ (delta - p))
+        p = _fitted(eta, t, ws)
+        g = gram(x, np.multiply(p, np.subtract(1.0, p, out=ws.w), out=ws.w), out=ws.wx)
+        step = solve_spd(g, x.T @ np.subtract(delta, p, out=ws.w))
 
+        # the step needs no more of the current point's arrays: each candidate's
+        # eta and t overwrite them, and the accepted one's stay for the next step
         factor = 1.0
         for _ in range(30):
             cand = alpha + factor * step
-            cand_eta = x @ cand
-            cand_ll, cand_t = _log_likelihood(cand_eta, delta)
+            cand_ll = _log_likelihood(np.matmul(x, cand, out=eta), delta, t, ws)
             if cand_ll >= loglik - 1e-12:
                 break
             factor /= 2.0
-        alpha, eta, loglik, t = cand, cand_eta, cand_ll, cand_t
+        alpha, loglik = cand, cand_ll
 
         if np.max(np.abs(alpha)) > LOGISTIC_MAX_ABS_COEF:
             raise Separation("coefficient escaped toward infinity")

@@ -13,7 +13,7 @@ import pytest
 
 from seqdi import design as design_mod, harness
 from seqdi.design import build_design, equal_probabilities, poisson_draw
-from seqdi.errors import ConfigError, DegenerateMetrics, Unidentifiable
+from seqdi.errors import ConfigError, DegenerateMetrics, Separation, Unidentifiable
 from seqdi.harness import (
     ESTIMATORS,
     McConfig,
@@ -243,6 +243,63 @@ class TestFrameEstimators:
         dr = ipw + float((pop.x.sum(axis=0) - (x / p[:, None]).sum(axis=0)) @ beta)
         assert ESTIMATORS["IPW"].compute(inputs, None, {}).point == pytest.approx(ipw, rel=1e-12)
         assert ESTIMATORS["DR"].compute(inputs, None, {}).point == pytest.approx(dr, rel=1e-12)
+
+
+class TestPropensityStart:
+    """Every propensity fit of a MAR or NMAR run starts from the run's fit to
+    its mechanism's selection probabilities and writes into one workspace."""
+
+    def test_warm_and_cold_fits_agree_to_the_stop_rule(self):
+        # the stop rule takes a step of at most 1e-8 as the last, so two
+        # starts may stop that far apart.  Measured over these 400 draws:
+        # 2.95e-9 at MAR draw 70, where the line search halves the warm fit's
+        # last step, and at most 5.5e-14 elsewhere
+        gaps = []
+        for mechanism in ("MAR", "NMAR"):
+            config = small_config(seed=7, mechanism=mechanism, estimators=("IPW",),
+                                  population_params=dict(POP_PARAMS, N=10_000))
+            _, pop, mech, _, _, newton = harness._run_state(config)
+            assert set(newton) == {"start", "out"}
+            for r in range(200):
+                delta = draw_nonprob(pop, mech, RngStream(config.seed, r + 1)).delta * 1.0
+                cold = logistic_fit(pop.x, delta)
+                warm = logistic_fit(pop.x, delta, **newton)
+                gaps.append(np.max(np.abs(warm - cold)))
+        assert max(gaps) <= 1e-8
+
+    def test_mar_start_is_the_mechanism(self):
+        config = small_config(estimators=("DR",), population_params=dict(POP_PARAMS, N=5000))
+        _, pop, mech, _, _, newton = harness._run_state(config)
+        np.testing.assert_allclose(newton["start"], [mech.intercept, *mech.slopes],
+                                   rtol=0, atol=1e-8)
+        # no propensity estimator, no census fit
+        assert harness._run_state(small_config(estimators=("DI", "GREG")))[5] == {}
+
+    def test_replication_does_not_depend_on_earlier_ones(self):
+        # replication r on a freshly built run state, whose workspace no fit
+        # has used, equals replication r of the run bit for bit
+        config = small_config(mechanism="NMAR", replications=6,
+                              estimators=("IPW", "DR", "GREG_DR"))
+        summary = run_mc(config)
+        plan = harness._plan(config)
+        for r in range(config.replications):
+            row = harness._replicate(r, *harness._run_state(config))
+            for arm, col in zip(summary.arms, plan["columns"].values()):
+                assert row[col].tobytes() == arm.points[r].tobytes(), (r, arm.estimator)
+
+    def test_failed_census_fit_leaves_the_run_as_it_was(self):
+        # the census fit separates, so every fit starts from zero and the
+        # replication's own fit fails as it did before there was a start
+        config = small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
+                              estimators=("DI", "IPW", "DR", "GREG_DR"), replications=3)
+        _, pop, mech, _, _, newton = harness._run_state(config)
+        with pytest.raises(Separation):
+            logistic_fit(pop.x, mech.probabilities(pop))
+        assert "start" not in newton
+        with pytest.raises(Separation) as err:
+            run_mc(config)
+        assert str(err.value) == ("replication 0 (stream 1), frame estimators: "
+                                  "coefficient escaped toward infinity")
 
 
 class TestStratumInputs:

@@ -5,6 +5,7 @@ import pytest
 
 from seqdi.errors import NoConvergence, NotPositiveDefinite, Separation
 from seqdi.numerics import (
+    LogisticWorkspace,
     RngStream,
     chisq_sf,
     inv_spd,
@@ -157,6 +158,92 @@ class TestLogisticFit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             logistic_fit(np.ones((10, 1)), np.ones(10))
+
+    def test_start_and_workspace_must_fit_x(self):
+        x = np.column_stack([np.ones(10), np.arange(10.0)])
+        delta = np.arange(10) % 2
+        with pytest.raises(ValueError, match="start must hold 2"):
+            logistic_fit(x, delta, start=np.zeros(3))
+        with pytest.raises(ValueError, match="workspace"):
+            logistic_fit(x, delta, out=LogisticWorkspace(x[:9]))
+
+    def test_start_at_the_fit_takes_one_step(self):
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(3000), rng.uniform(size=3000), rng.normal(size=3000)])
+        delta = (rng.uniform(size=3000) < 1.0 / (1.0 + np.exp(-(x @ [0.4, -1.0, 0.5])))) * 1.0
+        alpha = logistic_fit(x, delta)
+        solves = []
+
+        def counting(a, b):
+            solves.append(1)
+            return solve_spd(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("seqdi.numerics.solve_spd", counting)
+            again = logistic_fit(x, delta, start=alpha, out=LogisticWorkspace(x))
+        assert len(solves) == 1
+        np.testing.assert_allclose(again, alpha, rtol=0, atol=1e-8)
+
+
+def frozen_logistic_fit(x, delta):
+    """logistic_fit as it was before it took a start and a workspace, kept as the
+    oracle of its cold path: every per-step array a new temporary.  Only the
+    SPD solve is the package's."""
+    x = np.asarray(x, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+
+    def log_likelihood(eta):
+        t = np.exp(-np.abs(eta))
+        return float(np.sum(delta * eta - (np.maximum(eta, 0.0) + np.log1p(t)))), t
+
+    alpha = np.zeros(x.shape[1])
+    eta = x @ alpha
+    loglik, t = log_likelihood(eta)
+    for _ in range(100):
+        p = np.where(eta >= 0, 1.0, t) / (1.0 + t)
+        g = x.T @ ((p * (1.0 - p))[:, None] * x)
+        step = solve_spd((g + g.T) / 2.0, x.T @ (delta - p))
+        factor = 1.0
+        for _ in range(30):
+            cand = alpha + factor * step
+            cand_eta = x @ cand
+            cand_ll, cand_t = log_likelihood(cand_eta)
+            if cand_ll >= loglik - 1e-12:
+                break
+            factor /= 2.0
+        alpha, eta, loglik, t = cand, cand_eta, cand_ll, cand_t
+        if np.max(np.abs(alpha)) > 30.0:
+            raise Separation("coefficient escaped toward infinity")
+        if np.max(np.abs(factor * step)) <= 1e-8:
+            return alpha
+    raise NoConvergence("no convergence in 100 iterations")
+
+
+def oracle_frames():
+    """Seeded frames of 1 to 4 columns, C- and F-ordered, with 0/1 and fractional
+    responses, and the intercept-only cases of TestLogisticFit."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n, fractional = int(rng.integers(40, 6000)), seed % 2 == 1
+        d = int(rng.integers(2 if fractional else 1, 5))
+        x = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(d - 1)])
+        p = 1.0 / (1.0 + np.exp(-(x @ rng.normal(scale=0.8, size=d))))
+        delta = p if fractional else (rng.uniform(size=n) < p).astype(float)
+        yield x, delta
+        yield np.asfortranarray(x), delta
+    delta = np.zeros(1000)
+    delta[:300] = 1.0
+    yield np.ones((1000, 1)), delta
+    yield np.ones((100, 1)), np.array([0.0, 1.0] * 50)
+
+
+def test_cold_path_equals_the_frozen_loop_bit_for_bit():
+    for x, delta in oracle_frames():
+        want = frozen_logistic_fit(x, delta).tobytes()
+        workspace = LogisticWorkspace(x)
+        assert logistic_fit(x, delta).tobytes() == want
+        for _ in range(2):  # a used workspace gives the same bits
+            assert logistic_fit(x, delta, out=workspace).tobytes() == want
 
 
 class TestChisqSf:
