@@ -31,7 +31,7 @@ from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
 from .numerics import LogisticWorkspace, RngStream, Z_975, logistic_fit
-from .pilot import fit_pilot, predict_sigma2
+from .pilot import _sigma2_at, fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
     SelectionMechanism,
@@ -358,8 +358,12 @@ class StratumInputs:
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
         self.y_total = float(np.sum(y_np))
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
-        self.pilot = fit_pilot(x_np, y_np) if need_pilot or need_test else None
-        self.np_fit = homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np) if need_test else None
+        self.pilot = self.m_np = None
+        if need_pilot or need_test:
+            self.m_np = np.empty(len(y_np))  # the pilot's fitted means of the certainty rows
+            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np)
+        self.np_fit = (homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np, self.m_np)
+                       if need_test else None)
         self.designs = {}
         if config is not None:
             u1 = partition.complement_idx
@@ -372,8 +376,8 @@ class StratumInputs:
 
     @functools.cached_property
     def sigma2_np(self):
-        """The pilot's variances of the certainty rows."""
-        return predict_sigma2(self.pilot, self.x_np)
+        """The pilot's variances of the certainty rows, from its fitted means."""
+        return _sigma2_at(self.pilot, self.m_np)
 
     @functools.cached_property
     def x_u1(self):

@@ -40,20 +40,20 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
     return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
 
 
-def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.ndarray):
+def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.ndarray,
+            fitted: np.ndarray):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
     ``model`` is the pilot variance model fitted on these rows (as by
-    :func:`~seqdi.pilot.fit_pilot`), whose coefficient is the FGLS one, and
+    :func:`~seqdi.pilot.fit_pilot`), whose coefficient is the FGLS one,
     ``sigma2`` its predicted variances of the rows
-    (:func:`~seqdi.pilot.predict_sigma2`).  The sandwich uses the residuals
-    at that coefficient and those variances, and stays consistent even when
-    the variance model is misspecified.
+    (:func:`~seqdi.pilot.predict_sigma2`) and ``fitted`` its fitted means
+    x @ model.beta (the fit's ``fitted=`` output).  The sandwich uses the
+    residuals at that coefficient and those variances, and stays consistent
+    even when the variance model is misspecified.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = x @ model.beta
-    residuals = y - m
+    residuals = np.asarray(y, dtype=float) - fitted
     v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
     return model.beta, v
 
@@ -77,8 +77,8 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
-    tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s)
-    m = x_s @ tau_model.beta
+    m = np.empty(len(y_s))
+    tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s, fitted=m)
     tau2, residuals = _sigma2_at(tau_model, m), y_s - m
 
     w = 1.0 / (pi_s * tau2)

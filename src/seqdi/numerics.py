@@ -178,15 +178,27 @@ def quantile(v: np.ndarray, q: float) -> float:
     """The q-quantile of a nonempty 1-D array, equal bit for bit to
     ``np.quantile(v, q)`` with the default linear method.
 
-    One partition places the two order statistics around the virtual index
-    (n-1)q, the minimum and the maximum, which is NaN when v holds a NaN;
-    the interpolation is numpy's, including its form for weights t >= 0.5.
-    It skips np.quantile's general-purpose wrapper, which dominates the
-    cost on the arrays of a few thousand rows this package passes.
+    The order statistics at lo = floor((n-1)q) and hi = lo + 1 come from one
+    partition at the single kth lo (numpy selects one kth with SIMD, several
+    with a scalar introselect) and the minimum of the values above it, which
+    is NaN when v holds a NaN, since NaN sorts last.  Where the quantile is
+    the maximum (lo < 0), or either order statistic is a zero, whose sign a
+    tie of -0.0 and 0.0 leaves to the partition, one partition at numpy's
+    own kth set {0, lo, hi, -1} runs instead, with its last value as the NaN
+    test.  The interpolation is numpy's, including its form for weights
+    t >= 0.5.  It skips np.quantile's general-purpose wrapper, which
+    dominates the cost on the arrays of a few thousand rows this package
+    passes.
     """
     v = np.asarray(v, dtype=float)
     lo, hi, t = _position(v.size, q)
-    # numpy's own kth set, so that even the sign of a tied zero matches
+    if lo >= 0:
+        part = np.partition(v, lo)
+        a, b = float(part[lo]), float(part[hi:].min())
+        if math.isnan(b):
+            return math.nan
+        if a != 0.0 and b != 0.0:
+            return _interpolate(a, b, t)
     part = np.partition(v, sorted({0, -1, lo, hi}))
     if math.isnan(part[-1]):
         return math.nan

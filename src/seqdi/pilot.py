@@ -67,10 +67,18 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     residual instead of its log-scale geometric counterpart.
     """
     e2 = e**2
-    mean_e2 = float(np.mean(e2))
+    return _power_regression(e2, float(np.mean(e2)), m)
+
+
+def _power_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
+    """:func:`_variance_regression` from the squared residuals e2 and their mean."""
     keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * mean_e2)
     mk = m[keep]
-    if mk.size < 2 or float(np.ptp(mk)) <= 1e-12 * max(1.0, float(np.max(np.abs(mk)))):
+    if mk.size < 2:
+        raise Unidentifiable("variance exponent needs two distinct positive fitted means")
+    # mk is positive: its largest |value| is its maximum, and max - min its spread
+    top = float(mk.max())
+    if top - float(mk.min()) <= 1e-12 * max(1.0, top):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
     e2k = e2[keep]
     lm = np.log(mk)
@@ -81,22 +89,23 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     # le centred too: sum(lc) is zero only to rounding, and lc'log e^2 alone
     # strays from an extended-precision slope by up to 5e-12 relative
     le = np.log(e2k)
-    gamma = float(np.clip(lc @ (le - np.mean(le)) / pivot, -GAMMA_CAP, GAMMA_CAP))
+    # Python's min and max keep a NaN slope as np.clip does
+    gamma = min(max(float(lc @ (le - np.mean(le)) / pivot), -GAMMA_CAP), GAMMA_CAP)
     sigma2 = float(np.mean(e2k / mk**gamma))
     return sigma2, gamma
 
 
-def fit_pilot(x: np.ndarray, y: np.ndarray) -> PilotVarianceModel:
+def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None) -> PilotVarianceModel:
     """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
-    probability samples.
+    probability samples and for ``fitted``.
     """
-    return fit_power_variance(x, y, np.ones(len(y)))
+    return fit_power_variance(x, y, np.ones(len(y)), fitted=fitted)
 
 
-def fit_power_variance(x: np.ndarray, y: np.ndarray,
-                       base_weights: np.ndarray) -> PilotVarianceModel:
+def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
+                       fitted=None) -> PilotVarianceModel:
     """Two-stage power-variance fit with externally supplied base weights.
 
     Stage one regresses y on x with the base weights (equal weights for a
@@ -104,6 +113,11 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray,
     Stage two fits the variance regression on the residuals.  One FGLS
     step then refits the mean with weights base/sigma2_i and re-estimates
     the variance model from the fresh residuals.
+
+    ``fitted``, a float array of one entry per row, receives the fitted
+    means x @ model.beta of the returned model (those of the last pass,
+    bit for bit), so that a caller predicting the rows' variances
+    (``_sigma2_at(model, fitted)``) or residuals need not form them again.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -115,17 +129,18 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray,
     beta = weighted_ls(x, y, base_weights)
     noise_floor = 1e-24 * max(float(np.mean(y**2)), 1e-300)
     for refit in (True, False):
-        m = x @ beta
-        e = y - m
+        m = np.matmul(x, beta, out=fitted)
+        e2 = (y - m) ** 2
         positive = m[m > 0]
         if positive.size == 0:
             raise Unidentifiable("no positive fitted means")
         mean_floor = quantile(positive, MEAN_FLOOR_QUANTILE)
 
-        if float(np.mean(e**2)) <= noise_floor:
+        mean_e2 = float(np.mean(e2))
+        if mean_e2 <= noise_floor:
             # residuals at floating-point noise: homoscedastic model at the floor
             return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-        sigma2, gamma = _variance_regression(e, m)
+        sigma2, gamma = _power_regression(e2, mean_e2, m)
         model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
                                    sigma2_floor)
         if refit:

@@ -321,7 +321,7 @@ class TestStratumInputs:
         for f in dataclasses.fields(pilot):
             got, want = getattr(inputs.pilot, f.name), getattr(pilot, f.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
-        beta, v = fgls_np(x_np, y_np, pilot, predict_sigma2(pilot, x_np))
+        beta, v = fgls_np(x_np, y_np, pilot, predict_sigma2(pilot, x_np), x_np @ pilot.beta)
         assert inputs.np_fit[0].tobytes() == beta.tobytes()
         assert inputs.np_fit[1].tobytes() == v.tobytes()
 

@@ -22,7 +22,7 @@ LOGNORMAL_PARAMS = {"N": 20_000, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 def certainty_fgls(x, y):
     """fgls_np of the rows x, y at the pilot fitted on them, as the harness runs it."""
     model = fit_pilot(x, y)
-    return fgls_np(x, y, model, predict_sigma2(model, x))
+    return fgls_np(x, y, model, predict_sigma2(model, x), x @ model.beta)
 
 
 def stratum_data(seed, n, het=True):
@@ -42,7 +42,7 @@ class TestFglsNp:
                 beta=np.linalg.lstsq(x, y, rcond=None)[0],
                 sigma2=s, gamma=0.0, mean_floor=1.0, sigma2_floor=1e-12,
             )
-            results.append(fgls_np(x, y, model, predict_sigma2(model, x))[1])
+            results.append(fgls_np(x, y, model, predict_sigma2(model, x), x @ model.beta)[1])
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
         # collapse to the classical OLS sandwich
         beta = np.linalg.lstsq(x, y, rcond=None)[0]
