@@ -83,14 +83,17 @@ def _power_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
     e2k = e2[keep]
     lm = np.log(mk)
     lc = lm - np.mean(lm)
-    pivot = float(lc @ lc)
-    if pivot <= 1e-12 * (mk.size + float(lm @ lm)) / 2:
+    # the sums over rows are einsum's, not BLAS's: OpenBLAS ddot splits a sum
+    # of more than 10 000 terms across threads, whose count would move its bits
+    pivot = float(np.einsum("i,i", lc, lc))
+    if pivot <= 1e-12 * (mk.size + float(np.einsum("i,i", lm, lm))) / 2:
         raise NotPositiveDefinite(f"pivot {pivot:.3e} at column 1")
     # le centred too: sum(lc) is zero only to rounding, and lc'log e^2 alone
     # strays from an extended-precision slope by up to 5e-12 relative
     le = np.log(e2k)
     # Python's min and max keep a NaN slope as np.clip does
-    gamma = min(max(float(lc @ (le - np.mean(le)) / pivot), -GAMMA_CAP), GAMMA_CAP)
+    slope = float(np.einsum("i,i", lc, le - np.mean(le))) / pivot
+    gamma = min(max(slope, -GAMMA_CAP), GAMMA_CAP)
     sigma2 = float(np.mean(e2k / mk**gamma))
     return sigma2, gamma
 

@@ -617,6 +617,55 @@ def test_worker_count_invariance_under_start_method(method, tmp_path):
     assert proc.stdout.split() == [method, "same"]
 
 
+# Run in a fresh interpreter, since BLAS reads its thread count once at load.
+# OpenBLAS splits a dot product of more than 10 000 terms across its threads,
+# so a 1-D reduction over a stratum's rows handed to BLAS changes its last
+# bits with the thread count; a homogeneous-null stratum has ~14 000 rows.
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+
+import numpy as np
+
+from seqdi.harness import McConfig, run_mc
+from seqdi.numerics import RngStream
+from seqdi.pilot import fit_pilot, predict_sigma2
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, float).tobytes() for a in arrays)).hexdigest()
+
+
+rng = RngStream(3, 0)
+n = 14_000
+x = np.column_stack([np.ones(n), rng.uniform(size=(n, 2)) * 3.0])
+mu = x @ np.array([10.0, 15.0, 10.0])
+model = fit_pilot(x, mu + mu * 0.05 * rng.normal(size=n))
+print(digest(model.beta, model.gamma, model.sigma2, predict_sigma2(model, x)))
+config = McConfig(replications=3, seed=11, mechanism="MAR",
+                  population_params={"N": 20_000, "beta": [10, 15, 10, 0], "sigma": 0.6},
+                  designs=("optimal",), estimators=("DI",), include_model_variance=True)
+summary = run_mc(config)
+print(digest(summary.arms[0].points, summary.arms[0].variances, summary.tests[0].p_values))
+"""
+
+
+def test_blas_thread_count_leaves_the_bits(tmp_path):
+    script = tmp_path / "blas_threads.py"
+    script.write_text(_BLAS_THREADS_SCRIPT)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    fit_1, reps_1 = outputs[0].splitlines()
+    fit_2, reps_2 = outputs[1].splitlines()
+    assert fit_1 == fit_2, "fit_pilot on 14 000 rows"
+    assert reps_1 == reps_2, "homogeneous-null replications"
+
+
 class TestReplicationFailure:
     def test_failure_names_replication_stream_and_design(self):
         # f_p = 0.012 leaves ~7 expected units per arm, too few for fgls_p
