@@ -81,7 +81,9 @@ results = [
 ]
 
 # 6. Homogeneity diagnostic decides between separate and combined fits.
-test = homogeneity_test(fgls_np(x_np, y_np_vals, pilot, sigma2_np), fgls_p(x_s, y_s, pi_s))
+#    fgls_np reads the pilot's variances and fitted means of the certainty rows.
+np_fit = fgls_np(x_np, y_np_vals, pilot, sigma2_np, x_np @ pilot.beta)
+test = homogeneity_test(np_fit, fgls_p(x_s, y_s, pi_s))
 results.append(adaptive_estimate(results[3], results[4], test))
 
 print(f"\nhomogeneity test: F = {test.statistic:.2f}, p = {test.p_value:.2e}, "

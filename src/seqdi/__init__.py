@@ -6,6 +6,8 @@ under a pilot-informed Poisson design, and stratified regression
 estimators with design-based variances deliver the integrated total.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: harness records it
+
 from . import errors
 from .design import (
     DrawnSample,
@@ -49,5 +51,3 @@ from .population import (
     load_population_csv,
     save_population_csv,
 )
-
-__version__ = "0.1.0"

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import platform
 import sys
 import time
 import typing
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import design as design_mod
 from . import estimators as est
 from . import homogeneity as homog
@@ -43,6 +45,8 @@ from .population import (
 )
 
 MAX_REDRAWS = 20
+# The environment variables that set the BLAS thread count, recorded in run_metadata.json.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # Name and accepted types of each McConfig field annotation: JSON's int,
@@ -569,7 +573,12 @@ def _aggregate(config, pop, plan, table):
 
 
 def emit_results(summary: McSummary, out_dir) -> list:
-    """Write summary, test summary, per-replication errors, and metadata files."""
+    """Write summary, test summary, per-replication errors, and metadata files.
+
+    The metadata records the seqdi, numpy and Python versions and the BLAS
+    thread variables of BLAS_THREAD_VARS (null when unset), but not the
+    worker count, so that every worker count writes the same bytes.
+    """
     os.makedirs(out_dir, exist_ok=True)
     tables = (
         ("summary.csv", ["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"],
@@ -601,6 +610,10 @@ def emit_results(summary: McSummary, out_dir) -> list:
                 "level": 0.95,
                 "boxplot_truncation_quantiles": {"estimators_panel": 0.999,
                                                  "designs_panel": 0.99},
+                "software": {"seqdi": __version__, "numpy": np.__version__,
+                             "python": platform.python_version()},
+                # the last bits of a BLAS sum may depend on its thread count
+                "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
             },
             handle,
             indent=2,

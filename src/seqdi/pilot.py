@@ -74,11 +74,8 @@ def _power_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
     """:func:`_variance_regression` from the squared residuals e2 and their mean."""
     keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * mean_e2)
     mk = m[keep]
-    if mk.size < 2:
-        raise Unidentifiable("variance exponent needs two distinct positive fitted means")
     # mk is positive: its largest |value| is its maximum, and max - min its spread
-    top = float(mk.max())
-    if top - float(mk.min()) <= 1e-12 * max(1.0, top):
+    if mk.size < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
     e2k = e2[keep]
     lm = np.log(mk)

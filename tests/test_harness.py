@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import importlib.util
+import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqdi
 from seqdi import design as design_mod, harness
 from seqdi.design import build_design, equal_probabilities, poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Separation, Unidentifiable
@@ -324,6 +327,13 @@ class TestStratumInputs:
         beta, v = fgls_np(x_np, y_np, pilot, predict_sigma2(pilot, x_np), x_np @ pilot.beta)
         assert inputs.np_fit[0].tobytes() == beta.tobytes()
         assert inputs.np_fit[1].tobytes() == v.tobytes()
+
+    def test_certainty_variances_are_the_pilot_predictions(self, stratum):
+        # sigma2_np comes from the pilot's own fitted means, not a new x @ beta
+        pop, partition, x_np, _ = stratum
+        inputs = harness.StratumInputs(pop, partition, need_pilot=True, need_test=False)
+        assert inputs.m_np.tobytes() == (x_np @ inputs.pilot.beta).tobytes()
+        assert inputs.sigma2_np.tobytes() == predict_sigma2(inputs.pilot, x_np).tobytes()
 
     def test_no_config_no_designs(self, stratum):
         pop, partition, _, _ = stratum
@@ -707,6 +717,19 @@ class TestEmit:
         assert lines[0].startswith("# seed=")
         assert lines[1] == "Estimator,Design,RB,RRMSE,VarRatio,Coverage"
         assert len(lines) == 2
+
+    def test_metadata_records_software_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        summary = McSummary(y_true=10.0, replications=0, seed=1, mechanism="MAR", arms=[],
+                            tests=[])
+        emit_results(summary, tmp_path)
+        meta = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert meta["software"] == {"seqdi": seqdi.__version__, "numpy": np.__version__,
+                                    "python": platform.python_version()}
+        assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": None}
 
     def test_seed_recorded_in_headers(self, tmp_path):
         summary = run_mc(small_config(replications=5))

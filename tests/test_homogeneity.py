@@ -7,13 +7,15 @@ from seqdi.errors import SingularVariance
 from seqdi.estimators import Estimate
 from seqdi.homogeneity import (
     HomogeneityResult,
+    _sandwich,
     adaptive_estimate,
+    design_variance_meat,
     fgls_np,
     fgls_p,
     homogeneity_test,
 )
-from seqdi.numerics import RngStream
-from seqdi.pilot import PilotVarianceModel, fit_pilot, predict_sigma2
+from seqdi.numerics import RngStream, gram, inv_spd
+from seqdi.pilot import PilotVarianceModel, fit_pilot, fit_power_variance, predict_sigma2
 from seqdi.population import generate_population
 
 LOGNORMAL_PARAMS = {"N": 20_000, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
@@ -102,6 +104,28 @@ class TestFglsP:
             beta_p, v_p = fgls_p(x, y, np.ones(n), include_model_variance=True)
             assert beta_np.tobytes() == beta_p.tobytes()
             np.testing.assert_allclose(v_p, v_np, rtol=0, atol=1e-13 * np.max(np.abs(v_np)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("include_model_variance", [False, True])
+    def test_equals_its_predict_sigma2_form(self, order, include_model_variance):
+        # fgls_p reads the fit's own fitted means; written out with the rows'
+        # variances and residuals formed again from the model, it is the same
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(20, 3000))
+            x, y = stratum_data(int(rng.integers(2**31)), n)
+            x = np.asarray(x, order=order)
+            pi = rng.uniform(0.05, 1.0, size=n)
+            model = fit_power_variance(x, y, 1.0 / pi)
+            tau2, residuals = predict_sigma2(model, x), y - x @ model.beta
+            w = 1.0 / (pi * tau2)
+            inv_bread = inv_spd(gram(x, w))
+            v = inv_bread @ design_variance_meat(x, residuals, pi, tau2) @ inv_bread
+            if include_model_variance:
+                v = v + _sandwich(x, inv_bread, w / tau2, residuals)
+            beta_p, v_p = fgls_p(x, y, pi, include_model_variance=include_model_variance)
+            assert beta_p.tobytes() == model.beta.tobytes()
+            assert v_p.tobytes() == v.tobytes()
 
 
 class TestHomogeneityTest:

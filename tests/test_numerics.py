@@ -10,6 +10,7 @@ from seqdi.numerics import (
     chisq_sf,
     inv_spd,
     logistic_fit,
+    quantile,
     solve_spd,
     weighted_ls,
 )
@@ -244,6 +245,52 @@ def test_cold_path_equals_the_frozen_loop_bit_for_bit():
         assert logistic_fit(x, delta).tobytes() == want
         for _ in range(2):  # a used workspace gives the same bits
             assert logistic_fit(x, delta, out=workspace).tobytes() == want
+
+
+def same_as_numpy_quantile(v, q):
+    """quantile(v, q) and np.quantile(v, q) are both NaN or equal byte for byte."""
+    got, want = np.float64(quantile(v, q)), np.quantile(v, q)
+    return (math.isnan(got) and math.isnan(want)) or got.tobytes() == want.tobytes()
+
+
+class TestQuantile:
+    # One partition at floor((n-1)q) and the minimum above it, except at the
+    # maximum and where an order statistic is a zero of either sign.
+
+    def test_signed_zero_ties_at_the_order_statistics(self):
+        rng = np.random.default_rng(11)
+        for zeros in (1, 2, 3, 6):
+            for _ in range(40):
+                signs = rng.integers(0, 2, size=zeros)
+                v = np.concatenate([np.where(signs, -0.0, 0.0), [-2.0, -1.0, 1.0, 2.5]])
+                v = rng.permutation(v)
+                n = v.size
+                # every position, exactly and halfway to the next, so that zeros
+                # fall at lo, at hi and at both, with t = 0, 0.5 and above
+                for index in np.arange(0.0, n - 1.0, 0.25):
+                    assert same_as_numpy_quantile(v, index / (n - 1)), (v.tolist(), index)
+
+    @pytest.mark.parametrize("v, q", [
+        ([1.0, np.nan, 2.0, 3.0], 0.0),
+        ([np.nan, 5.0, 1.0], 0.25),
+        ([4.0, 1.0, 2.0, 3.0, np.nan], 0.6),
+        ([2.0, np.nan, np.nan, 1.0], 0.1),
+    ])
+    def test_nan_only_above_the_lower_order_statistic(self, v, q):
+        assert math.isnan(quantile(np.array(v), q))
+        assert same_as_numpy_quantile(np.array(v), q)
+
+    @pytest.mark.parametrize("q", [0.999, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 1001, 14_012])
+    def test_top_levels(self, n, q):
+        v = np.random.default_rng(n).lognormal(size=n)
+        assert same_as_numpy_quantile(v, q)
+
+    @pytest.mark.parametrize("v", [[3.5], [-0.0], [2.0, 1.0], [1.0, 1.0], [0.0, -0.0],
+                                   [-0.0, 0.0], [-1.0, 0.0], [np.nan, 1.0]])
+    def test_one_and_two_values(self, v):
+        for q in (0.0, 0.05, 0.25, 0.5, 0.75, 0.999, 1.0):
+            assert same_as_numpy_quantile(np.array(v), q), (v, q)
 
 
 class TestChisqSf:

@@ -145,6 +145,35 @@ class TestFitPilot:
         assert not np.allclose(m_flat.beta, m_wt.beta)
 
 
+class TestFittedOutput:
+    # fitted= receives the fitted means of the returned model, x @ model.beta
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fitted_is_x_beta(self, order):
+        pop = generate_population(dict(LOGNORMAL_PARAMS, N=3000), RngStream(12, 0))
+        x = np.asarray(pop.x, order=order)
+        weights = np.linspace(1.0, 5.0, 3000)
+        fits = (lambda out: fit_pilot(x, pop.y, fitted=out),
+                lambda out: fit_power_variance(x, pop.y, weights, fitted=out))
+        for fit in fits:
+            fitted = np.full(3000, np.nan)
+            model, plain = fit(fitted), fit(None)
+            assert fitted.tobytes() == (x @ model.beta).tobytes()
+            for field in ("beta", "sigma2", "gamma", "mean_floor", "sigma2_floor"):
+                got, want = getattr(model, field), getattr(plain, field)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_homoscedastic_early_return(self, order):
+        # residuals at rounding noise end the fit on its first pass
+        x = np.asarray(np.column_stack([np.ones(30), np.linspace(1.0, 2.0, 30)]), order=order)
+        y = x @ np.array([2.0, 3.0])
+        fitted = np.full(30, np.nan)
+        model = fit_pilot(x, y, fitted=fitted)
+        assert model.gamma == 0.0 and model.sigma2 == model.sigma2_floor
+        assert fitted.tobytes() == (x @ model.beta).tobytes()
+
+
 class TestPredictSigma2:
     def test_constant_when_gamma_zero(self):
         model = PilotVarianceModel(
