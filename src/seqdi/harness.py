@@ -45,8 +45,6 @@ from .population import (
 )
 
 MAX_REDRAWS = 20
-# The environment variables that set the BLAS thread count, recorded in run_metadata.json.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # Name and accepted types of each McConfig field annotation: JSON's int,
@@ -576,8 +574,8 @@ def emit_results(summary: McSummary, out_dir) -> list:
     """Write summary, test summary, per-replication errors, and metadata files.
 
     The metadata records the seqdi, numpy and Python versions and the BLAS
-    thread variables of BLAS_THREAD_VARS (null when unset), but not the
-    worker count, so that every worker count writes the same bytes.
+    thread variables (null when unset), but not the worker count, so that
+    every worker count writes the same bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
     tables = (
@@ -613,7 +611,8 @@ def emit_results(summary: McSummary, out_dir) -> list:
                 "software": {"seqdi": __version__, "numpy": np.__version__,
                              "python": platform.python_version()},
                 # the last bits of a BLAS sum may depend on its thread count
-                "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+                "blas_threads": {name: os.environ.get(name) for name in
+                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             },
             handle,
             indent=2,
