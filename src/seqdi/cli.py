@@ -104,8 +104,9 @@ def _sample_inputs(args, need_pilot, need_test):
     with stage(f"{'pilot' if need_pilot else 'certainty-stratum FGLS'} fit on {args.pop}"):
         stratum = StratumInputs(pop, partition, need_pilot, need_test)
     y_s = y_override if y_override is not None else pop.y[rows]
-    return stratum, Arm.of(y_s, pop.rows(rows), pi_s,
-                           stratum.sigma2_frame[rows] if need_pilot else None)
+    at = np.searchsorted(partition.complement_idx, rows)  # the rows' complement positions
+    sigma2 = stratum.sigma2_u1[at] if need_pilot else None
+    return stratum, Arm.of(y_s, pop.rows(rows), pi_s, sigma2)
 
 
 def cmd_estimate(args):

@@ -44,10 +44,11 @@ class SecondStageDesign:
 
 @dataclass(frozen=True)
 class DrawnSample:
-    """Realized Poisson sample: selected unit ids and their design probabilities."""
+    """Realized Poisson sample: selected unit ids, their design probabilities and positions."""
 
     members: np.ndarray
     pi_realized: np.ndarray
+    positions: np.ndarray  # in the design: design.indices[positions] == members
 
     @property
     def size(self) -> int:
@@ -153,12 +154,10 @@ def build_design(kind: str, x_frame: np.ndarray, n_p: int, indices: np.ndarray,
 
 def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:
     """Independent Bernoulli(pi_i) inclusion; raises EmptySample on an empty draw."""
-    selected = rng.bernoulli(design.pi)
-    if not selected.any():
+    positions = np.flatnonzero(rng.bernoulli(design.pi))
+    if positions.size == 0:
         raise EmptySample("no unit selected")
-    return DrawnSample(
-        members=design.indices[selected], pi_realized=design.pi[selected]
-    )
+    return DrawnSample(design.indices[positions], design.pi[positions], positions)
 
 
 def design_to_csv(design: SecondStageDesign, path, ids) -> None:

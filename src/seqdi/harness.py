@@ -389,15 +389,8 @@ class StratumInputs:
     @functools.cached_property
     def sigma2_u1(self):
         """The pilot's variances of the complement rows, shared by the optimal
-        design and sigma2_frame."""
+        design and the arms, which gather theirs by design position."""
         return predict_sigma2(self.pilot, self.x_u1)
-
-    @functools.cached_property
-    def sigma2_frame(self):
-        """The pilot's variances of the complement rows, by frame row (NaN on certainty rows)."""
-        out = np.full(self.pop.size, np.nan)
-        out[self.partition.complement_idx] = self.sigma2_u1
-        return out
 
     def certainty_block(self, wspec):
         """The combined estimator's estimators.CertaintyBlock under ``wspec``, for
@@ -451,7 +444,7 @@ def _replicate(r, config, pop, mech, plan, stratum, newton):
             if kind in plan["tests"]:
                 col = plan["tests"][kind]
                 row[col], row[col + 1] = test.p_value, test.reject
-            sigma2 = stratum.sigma2_frame[members] if plan["need_sigma2"] else None
+            sigma2 = stratum.sigma2_u1[sample.positions] if plan["need_sigma2"] else None
             keep(plan["sequential"], kind, est.Arm.of(y_s, x_s, pi_s, sigma2, test))
     with stage(f"{at}, frame estimators"):
         arm = None

@@ -181,14 +181,12 @@ def quantile(v: np.ndarray, q: float) -> float:
     The order statistics at lo = floor((n-1)q) and hi = lo + 1 come from one
     partition at the single kth lo (numpy selects one kth with SIMD, several
     with a scalar introselect) and the minimum of the values above it, which
-    is NaN when v holds a NaN, since NaN sorts last.  Where the quantile is
+    is NaN when v holds a NaN, since NaN sorts last.  The interpolation is
+    numpy's, including its form for weights t >= 0.5.  Where the quantile is
     the maximum (lo < 0), or either order statistic is a zero, whose sign a
-    tie of -0.0 and 0.0 leaves to the partition, one partition at numpy's
-    own kth set {0, lo, hi, -1} runs instead, with its last value as the NaN
-    test.  The interpolation is numpy's, including its form for weights
-    t >= 0.5.  It skips np.quantile's general-purpose wrapper, which
-    dominates the cost on the arrays of a few thousand rows this package
-    passes.
+    tie of -0.0 and 0.0 leaves to the partition, np.quantile itself answers.
+    Otherwise its general-purpose wrapper, which dominates the cost on the
+    arrays of a few thousand rows this package passes, is skipped.
     """
     v = np.asarray(v, dtype=float)
     lo, hi, t = _position(v.size, q)
@@ -199,10 +197,7 @@ def quantile(v: np.ndarray, q: float) -> float:
             return math.nan
         if a != 0.0 and b != 0.0:
             return _interpolate(a, b, t)
-    part = np.partition(v, sorted({0, -1, lo, hi}))
-    if math.isnan(part[-1]):
-        return math.nan
-    return _interpolate(float(part[lo]), float(part[hi]), t)
+    return float(np.quantile(v, q))
 
 
 def top_count(n, q: float):

@@ -52,8 +52,9 @@ def _sigma2_floor(y: np.ndarray) -> float:
     return SIGMA2_FLOOR_SCALE * base
 
 
-def _variance_regression(e: np.ndarray, m: np.ndarray):
-    """Fit log e^2 = log sigma2 + gamma log m on rows with usable values.
+def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
+    """Fit log e^2 = log sigma2 + gamma log m on rows with usable values,
+    from the squared residuals e2 and their mean.
 
     Rows with nonpositive fitted mean or with squared residual below
     1e-12 times the average squared residual are dropped.  gamma is the
@@ -66,12 +67,6 @@ def _variance_regression(e: np.ndarray, m: np.ndarray):
     (capped) exponent, so sigma2 * m^gamma reproduces the average squared
     residual instead of its log-scale geometric counterpart.
     """
-    e2 = e**2
-    return _power_regression(e2, float(np.mean(e2)), m)
-
-
-def _power_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
-    """:func:`_variance_regression` from the squared residuals e2 and their mean."""
     keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * mean_e2)
     mk = m[keep]
     # mk is positive: its largest |value| is its maximum, and max - min its spread
@@ -140,7 +135,7 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
         if mean_e2 <= noise_floor:
             # residuals at floating-point noise: homoscedastic model at the floor
             return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-        sigma2, gamma = _power_regression(e2, mean_e2, m)
+        sigma2, gamma = _variance_regression(e2, mean_e2, m)
         model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
                                    sigma2_floor)
         if refit:

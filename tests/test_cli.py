@@ -309,7 +309,7 @@ class TestEstimate:
         pilot = fit_pilot(x_np, y_np)
         wspec = est.WeightSpec("inverse_pi_sigma" if weights == "sigma" else "inverse_pi")
         # the smallest certainty block and variances predicted from the rows,
-        # where the CLI sizes its block to the frame and gathers sigma2_frame
+        # where the CLI sizes its block to the frame and gathers sigma2_u1
         arm = est.Arm.of(y_s, x_s, pi_s, predict_sigma2(pilot, x_s))
         block = est.certainty_block(x_np, y_np, wspec, predict_sigma2(pilot, x_np),
                                     len(y_np) + arm.size)

@@ -177,6 +177,8 @@ class TestPoissonDraw:
         assert set(draw.members).issubset(set(dsgn.indices))
         lookup = dict(zip(dsgn.indices, dsgn.pi))
         np.testing.assert_allclose(draw.pi_realized, [lookup[m] for m in draw.members])
+        assert draw.members.tobytes() == dsgn.indices[draw.positions].tobytes()
+        assert draw.pi_realized.tobytes() == dsgn.pi[draw.positions].tobytes()
 
 
 class TestExpectedSizeProperty:

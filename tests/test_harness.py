@@ -221,7 +221,7 @@ class TestRegistry:
         y_s, x_s = pop.y[sample.members], pop.rows(sample.members)
         test = homogeneity_test(inputs.np_fit, fgls_p(x_s, y_s, sample.pi_realized), config.alpha)
         arms = {"sequential": Arm.of(y_s, x_s, sample.pi_realized,
-                                     inputs.sigma2_frame[sample.members], test)}
+                                     inputs.sigma2_u1[sample.positions], test)}
         ind = poisson_draw(equal_probabilities(pop.size, 300), rng)
         arms["frame"] = Arm.of(pop.y[ind.members], pop.rows(ind.members), ind.pi_realized)
         done = {}
@@ -369,7 +369,7 @@ class TestStratumInputs:
         inputs = harness.StratumInputs(pop, partition, need_pilot=True, need_test=False,
                                        config=config)
         u1 = partition.complement_idx
-        sigma2_u1 = inputs.sigma2_frame[u1]
+        sigma2_u1 = inputs.sigma2_u1
         assert calls == [len(u1)]
         assert not hasattr(design_mod, "predict_sigma2")
         monkeypatch.undo()

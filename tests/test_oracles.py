@@ -199,8 +199,8 @@ def test_variance_slope_matches_linregress_and_cholesky_form(n, seed):
     for x in (x_c, np.asfortranarray(x_c)):
         m = x @ weighted_ls(x, y, 1.0 / pi)
         e = y - m
-        sigma2, gamma = _variance_regression(e, m)
         e2 = e**2
+        sigma2, gamma = _variance_regression(e2, float(np.mean(e2)), m)
         keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * np.mean(e2))
         mk, e2k = m[keep], e2[keep]
         # the form it replaced: least squares on [1, log m] through the Cholesky

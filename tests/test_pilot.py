@@ -67,7 +67,8 @@ class TestFitPilot:
         m1 = fit_pilot(x, y)
         # beta0 is off by ~2e-15, so log e^2 follows m over a 1.5e-14 spread
         # and the fitted slope is ~1e-15, not 0
-        assert abs(_variance_regression(y - x @ beta0, x @ beta0)[1]) <= 1e-14
+        e2 = (y - x @ beta0) ** 2
+        assert abs(_variance_regression(e2, float(np.mean(e2)), x @ beta0)[1]) <= 1e-14
         assert abs(m1.gamma) < 1e-12
         np.testing.assert_allclose(beta0, m1.beta, atol=1e-10)
 
@@ -92,10 +93,10 @@ class TestFitPilot:
                 weighted_ls(z, np.log(e**2), np.ones(400))
             except NotPositiveDefinite:
                 with pytest.raises(NotPositiveDefinite, match="at column 1"):
-                    _variance_regression(e, m)
+                    _variance_regression(e**2, float(np.mean(e**2)), m)
                 raised.append(spread)
             else:
-                _variance_regression(e, m)
+                _variance_regression(e**2, float(np.mean(e**2)), m)
         assert raised[:3] == [1e-11, 1e-9, 1e-7] and 1e-4 not in raised
 
     def test_too_few_rows(self):
