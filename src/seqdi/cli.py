@@ -119,7 +119,11 @@ def cmd_estimate(args):
     out_rows = []
     for tag in tags:  # every estimate before any output, so a failure prints no partial table
         with stage(f"{tag} on {args.sample}"):
-            out_rows.append(ESTIMATORS[tag].compute(stratum, arm, {}))
+            record = ESTIMATORS[tag].compute(stratum, arm, {})
+            if not (np.isfinite(record.point) and np.isfinite(record.variance or 0.0)):
+                raise SeqdiError(f"non-finite estimate (point={record.point}, "
+                                 f"variance={record.variance})")
+            out_rows.append(record)
     for record in out_rows:
         ci = "" if record.variance is None else f"  ci=[{record.ci_low:.6g}, {record.ci_high:.6g}]"
         var = "" if record.variance is None else f"  variance={record.variance:.6g}"

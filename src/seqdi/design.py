@@ -35,10 +35,11 @@ class SecondStageDesign:
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
         if len(self.indices) != len(self.pi):
             raise ValueError("one probability per unit")
-        if np.any(self.pi <= 0.0) or np.any(self.pi > 1.0 + 1e-12):
+        # written so that a NaN probability fails them
+        if not np.all((self.pi > 0.0) & (self.pi <= 1.0 + 1e-12)):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         floor = FLOORS[self.kind]
-        if np.any(self.pi < floor - 1e-12):
+        if not np.all(self.pi >= floor - 1e-12):
             raise ValueError(f"{self.kind} design must respect the {floor} floor")
 
 
@@ -110,8 +111,14 @@ def optimal_probabilities(
     (:func:`~seqdi.pilot.predict_sigma2`).  Minimizes anticipated variance of
     the separate regression estimator under the working variance model;
     probabilities are scale free in the outcome because the normalization
-    cancels the variance scale.
+    cancels the variance scale.  Raises InvalidParams unless every variance
+    is finite and positive (a pilot fit to huge outcomes can overflow).
     """
+    sigma2 = np.asarray(sigma2, dtype=float)
+    usable = np.isfinite(sigma2) & (sigma2 > 0.0)
+    if not usable.all():
+        raise InvalidParams(f"optimal design: {np.sum(~usable)} of {usable.size} predicted "
+                            "variances are not finite and positive")
     return _design("optimal", np.sqrt(sigma2), n_p, indices)
 
 

@@ -137,7 +137,7 @@ def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     """
     if arm.size == 0:
         raise EmptySample("Hajek mean needs a nonempty sample")
-    inv_total = float(np.sum(arm.inv_pi))
+    inv_total = np.sum(arm.inv_pi)  # a numpy scalar: its square overflows to inf, not raises
     hajek = arm.ht_y / inv_total
     point = certainty_total + n_complement * hajek
     plugin = poisson_plugin_variance(arm.y_s - hajek, arm.pi_s)

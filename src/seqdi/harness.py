@@ -70,8 +70,9 @@ def _check_type(key: str, annotation, value) -> None:
         raise ConfigError(f"config key {key!r} must be {name}")
 
 
+# a finite real number, not a bool: Python's json reads NaN and Infinity
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_choices(values, allowed, what: str, name: str) -> None:
@@ -206,7 +207,7 @@ class McConfig:
             self.slopes = DEFAULT_SLOPES[self.mechanism] if self.slopes is None else self.slopes
             want = len(DEFAULT_SLOPES[self.mechanism])
             if len(self.slopes) != want or not all(map(_is_number, self.slopes)):
-                raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} numbers")
+                raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} finite numbers")
         if not all(0.0 < frac < 1.0 for frac in (self.f_np, self.f_p) if frac is not None):
             raise ConfigError("sampling fractions must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:

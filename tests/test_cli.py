@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,7 +100,9 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mechanism, slopes", [("MAR", ["a", "b"]), ("MAR", [1]),
-                                                   ("NMAR", [1, 2]), ("NMAR", [1, True, 2])])
+                                                   ("NMAR", [1, 2]), ("NMAR", [1, True, 2]),
+                                                   ("MAR", [math.nan, -2.0]),
+                                                   ("NMAR", [2.0, -2.0, math.inf])])
     def test_bad_slopes_exit_two(self, tmp_path, capsys, mechanism, slopes):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"replications": 3, "mechanism": mechanism, "slopes": slopes,

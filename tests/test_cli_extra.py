@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqdi.cli import main
 from seqdi.numerics import RngStream
-from seqdi.population import Partition, Population, generate_population, save_population_csv
+from seqdi.population import (Partition, Population, generate_population, save_population_csv,
+                              write_csv)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 POP_PARAMS = {"N": 500, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
 
@@ -199,3 +206,54 @@ class TestConfigBuilding:
         }))
         with pytest.raises(ConfigError, match="beta"):
             _config_from_json(cfg, None, False)
+
+
+def run_cli(work, *argv):
+    """``seqdi argv`` in a fresh interpreter in ``work``: pytest's error::RuntimeWarning
+    filter would turn numpy's overflow warnings into exceptions in process."""
+    return subprocess.run([sys.executable, "-m", "seqdi.cli", *argv], cwd=work, timeout=120,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+
+
+def assert_clean_failure(proc, code, message):
+    """Exit ``code``, empty stdout, no traceback and one error line holding ``message``."""
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+
+
+class TestNonFiniteFailsCleanly:
+    @pytest.mark.parametrize("pi, estimators, message", [
+        (1e-200, "di,ht,sep,com", "error: DI on sample.csv: non-finite estimate (point="),
+        (5e-324, "di,ht,sep,com", "error: DI on sample.csv: non-finite estimate (point=nan"),
+        (1e-160, "ht", "error: HT_seq on sample.csv: non-finite estimate (point="),
+    ])
+    def test_estimate_with_tiny_pi_exit_one(self, tmp_path, pi, estimators, message):
+        # the population of the CI numpy-only step, and every other complement unit
+        # at pi = 0.5 but the first, whose 1/pi or 1/pi^2 overflows
+        pop = generate_population({"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                                  RngStream(1, 0))
+        delta = RngStream(2, 0).uniform(size=600) < 0.6
+        save_population_csv(tmp_path / "pop.csv", pop, partition=Partition(delta=delta))
+        rows = [[i + 1, 0.5] for i in np.flatnonzero(~delta)[::2]]
+        rows[0][1] = pi
+        write_csv(tmp_path / "sample.csv", ["id", "pi"], rows)
+        proc = run_cli(tmp_path, "estimate", "--pop", "pop.csv", "--sample", "sample.csv",
+                       "--estimators", estimators, "--out", "f.csv")
+        assert_clean_failure(proc, 1, message)
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_design_with_overflowing_variances_exit_one(self, tmp_path):
+        # outcomes near 1e160: the pilot's squared residuals, and so its
+        # predicted variances, overflow to inf
+        rng = np.random.default_rng(3)
+        write_csv(tmp_path / "pop.csv", ["id", "x1", "y", "delta"],
+                  ([i + 1, 1 + i / 10, rng.uniform(1, 2) * 1e160, int(i < 12)]
+                   for i in range(36)))
+        proc = run_cli(tmp_path, "design", "--pop", "pop.csv", "--np", "10", "--out", "d.csv")
+        assert_clean_failure(proc, 1, "error: optimal design: 24 of 24 predicted variances "
+                                      "are not finite and positive")
+        assert not (tmp_path / "d.csv").exists()

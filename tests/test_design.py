@@ -3,13 +3,14 @@ import pytest
 
 from seqdi.design import (
     PI_FLOOR,
+    SecondStageDesign,
     _scale_clamp_rescale,
     equal_probabilities,
     optimal_probabilities,
     poisson_draw,
     pps_probabilities,
 )
-from seqdi.errors import EmptySample, Infeasible, NonpositiveSize
+from seqdi.errors import EmptySample, Infeasible, InvalidParams, NonpositiveSize
 from seqdi.numerics import RngStream
 from seqdi.pilot import PilotVarianceModel, fit_pilot, predict_sigma2
 from seqdi.population import generate_population
@@ -59,6 +60,27 @@ class TestOptimal:
             d1 = optimal_probabilities(predict_sigma2(fit_pilot(x, y), x), 200)
             d2 = optimal_probabilities(predict_sigma2(fit_pilot(x, c * y), x), 200)
             np.testing.assert_allclose(d1.pi, d2.pi, rtol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_unusable_variance_rejected(self, bad):
+        # a pilot fit to outcomes near 1e160 predicts variances that overflow to inf
+        sigma2 = np.array([1.0, 2.0, bad, 4.0])
+        with pytest.raises(InvalidParams, match="1 of 4 predicted variances are not finite"):
+            optimal_probabilities(sigma2, 2)
+
+
+class TestSecondStageDesign:
+    @pytest.mark.parametrize("kind", ["optimal", "equal", "pps"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.5])
+    def test_probability_outside_range_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            SecondStageDesign(indices=np.arange(3), pi=[0.5, bad, 0.5], kind=kind)
+
+    @pytest.mark.parametrize("kind", ["optimal", "equal"])
+    def test_probability_below_floor_rejected(self, kind):
+        with pytest.raises(ValueError, match="floor"):
+            SecondStageDesign(indices=np.arange(2), pi=[0.5, 0.005], kind=kind)
+        SecondStageDesign(indices=np.arange(2), pi=[0.5, 0.005], kind="pps")
 
 
 class TestEqual:
@@ -146,8 +168,6 @@ class TestPoissonDraw:
 
     def test_empty_sample_frequency_at_floor(self):
         # three units at the pi floor of 0.01
-        from seqdi.design import SecondStageDesign
-
         tiny = SecondStageDesign(
             indices=np.arange(3), pi=np.full(3, 0.01), kind="equal"
         )

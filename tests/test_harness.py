@@ -143,7 +143,9 @@ class TestConfigValidation:
             small_config(seed=-1)
 
     @pytest.mark.parametrize("mechanism, slopes", [("MAR", (1.0,)), ("MAR", ("a", "b")),
-                                                   ("NMAR", (2.0, -2.0)), ("MAR", (1.0, None))])
+                                                   ("NMAR", (2.0, -2.0)), ("MAR", (1.0, None)),
+                                                   ("MAR", (math.nan, -2.0)),
+                                                   ("NMAR", (2.0, -2.0, math.inf))])
     def test_bad_slopes(self, mechanism, slopes):
         with pytest.raises(ConfigError, match="slopes"):
             small_config(mechanism=mechanism, slopes=slopes)
