@@ -20,6 +20,7 @@ from .errors import EmptySample
 from .numerics import (
     Z_975,
     _logistic,
+    _workspace,
     largest,
     logistic_fit,
     normal_equations,
@@ -165,9 +166,10 @@ def _regression_estimate(tag, certainty_total, arm, x_total, coef):
 
 
 def y_sep_di(arm: Arm, certainty_total: float, x_total_complement,
-             wspec: WeightSpec) -> Estimate:
-    """Separate regression estimator: coefficient fitted on the probability sample only."""
-    coef = weighted_ls(arm.x_s, arm.y_s, wspec.build(arm.pi_s, arm.sigma2))
+             wspec: WeightSpec, out=None) -> Estimate:
+    """Separate regression estimator: coefficient fitted on the probability sample only,
+    with the numerics.Workspace ``out`` (see :func:`~seqdi.numerics.weighted_ls`)."""
+    coef = weighted_ls(arm.x_s, arm.y_s, wspec.build(arm.pi_s, arm.sigma2), out)
     return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
 
 
@@ -194,9 +196,10 @@ class CertaintyBlock:
 
 
 def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
-                    sigma2: np.ndarray | None, n_max: int) -> CertaintyBlock:
+                    sigma2: np.ndarray | None, n_max: int, out=None) -> CertaintyBlock:
     """The :class:`CertaintyBlock` of certainty rows x, y (pilot variances sigma2 for
-    variance-scaled weights) for pooled fits of at most n_max rows."""
+    variance-scaled weights) for pooled fits of at most n_max rows, with the
+    numerics.Workspace ``out``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -211,18 +214,19 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     cut = top[:max(most - 1, 0)]  # values above the quantile: at most top_count - 1
     rest = w.copy()
     rest[cut] = 0.0
-    g, b = normal_equations(x, y, rest)
+    g, b = normal_equations(x, y, rest, out)
     return CertaintyBlock(wspec, n, n_max, g, b, x[cut], y[cut], w[top])
 
 
 def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
-             x_total_complement) -> Estimate:
+             x_total_complement, out=None) -> Estimate:
     """Combined regression estimator: coefficient pooled over both samples.
 
     Certainty-stratum rows enter the pooled fit with inclusion
     probability one, through ``block``, the :func:`certainty_block` of the
     certainty rows; the variance keeps the Poisson plug-in form with
     residuals at the pooled coefficient over the probability sample.
+    ``out`` is the numerics.Workspace of its normal equations.
     """
     # The pooled weights are the block's and the arm's; truncation caps both at
     # the pooled quantile, read from the top values of each part.
@@ -235,15 +239,16 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
                                wspec.truncation_quantile)
         w_s, w_top = np.minimum(w_s, cap), np.minimum(w_top, cap)
-    top_g, top_b = normal_equations(block.top_x, block.top_y, w_top)
-    s_g, s_b = normal_equations(arm.x_s, arm.y_s, w_s)
+    top_g, top_b = normal_equations(block.top_x, block.top_y, w_top, out)
+    s_g, s_b = normal_equations(arm.x_s, arm.y_s, w_s, out)
     coef = solve_spd(block.gram + top_g + s_g, block.xty + top_b + s_b)
     return _regression_estimate("comDI", certainty_total, arm, x_total_complement, coef)
 
 
-def y_greg_independent(arm: Arm, x_total_population) -> Estimate:
-    """Classical GREG on an independent probability sample from the whole frame."""
-    coef = weighted_ls(arm.x_s, arm.y_s, arm.inv_pi)
+def y_greg_independent(arm: Arm, x_total_population, out=None) -> Estimate:
+    """Classical GREG on an independent probability sample from the whole frame,
+    fitted in the numerics.Workspace ``out``."""
+    coef = weighted_ls(arm.x_s, arm.y_s, arm.inv_pi, out)
     return _regression_estimate("GREG", 0.0, arm, x_total_population, coef)
 
 
@@ -252,7 +257,7 @@ def estimate_propensity(pop: Population, partition: Partition, x_certainty: np.n
     """Membership propensities of the certainty rows x_certainty, fitted on the full frame.
 
     ``start`` and ``out`` go to :func:`~seqdi.numerics.logistic_fit`: the
-    Newton start (zero when None) and a LogisticWorkspace built for pop.x.
+    Newton start (zero when None) and a Workspace for at least pop.x's rows.
     A Monte Carlo run passes every replication the same start, the fit to
     its mechanism's selection probabilities, and one workspace.
     """
@@ -269,9 +274,17 @@ def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:
     return _make_estimate("IPW", float(np.sum(y_np / prop)))
 
 
-def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarray) -> Estimate:
-    """Doubly robust estimator: IPW plus a regression correction on covariate totals."""
-    beta = weighted_ls(x_np, y_np, np.ones(len(y_np)))
+def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarray,
+         out=None) -> Estimate:
+    """Doubly robust estimator: IPW plus a regression correction on covariate totals.
+
+    The regression is fitted in the numerics.Workspace ``out``, whose
+    ``vec[5]`` holds its unit weights.
+    """
+    ws = _workspace(out, x_np)
+    ones = ws.vec[5][:len(y_np)]
+    ones.fill(1.0)
+    beta = weighted_ls(x_np, y_np, ones, ws)
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
     point = float(np.sum(y_np / prop)) + float((x_total - x_ipw) @ beta)
     return _make_estimate("DR", point)

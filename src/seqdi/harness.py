@@ -32,7 +32,7 @@ from . import estimators as est
 from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
-from .numerics import LogisticWorkspace, RngStream, Z_975, logistic_fit
+from .numerics import RngStream, Workspace, Z_975, logistic_fit
 from .pilot import _sigma2_at, fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
@@ -129,22 +129,22 @@ ESTIMATORS = {
     "DI": Estimator("sequential", lambda c, a, done: est.y_di(a, c.y_total, c.n1)),
     "HT_seq": Estimator("sequential", lambda c, a, done: est.y_ht_seq(a, c.y_total)),
     "sepDI_b": Estimator("sequential", lambda c, a, done: est.y_sep_di(
-        a, c.y_total, c.x_total_u1, _BY_PI)),
+        a, c.y_total, c.x_total_u1, _BY_PI, c.ws)),
     "sepDI_sigma": Estimator("sequential", lambda c, a, done: est.y_sep_di(
-        a, c.y_total, c.x_total_u1, _BY_SIGMA), needs=("pilot",)),
+        a, c.y_total, c.x_total_u1, _BY_SIGMA, c.ws), needs=("pilot",)),
     "comDI_b": Estimator("sequential", lambda c, a, done: est.y_com_di(
-        a, c.y_total, c.certainty_block(_BY_PI), c.x_total_u1)),
+        a, c.y_total, c.certainty_block(_BY_PI), c.x_total_u1, c.ws)),
     "comDI_sigma": Estimator("sequential", lambda c, a, done: est.y_com_di(
-        a, c.y_total, c.certainty_block(_BY_SIGMA), c.x_total_u1), needs=("pilot",)),
+        a, c.y_total, c.certainty_block(_BY_SIGMA), c.x_total_u1, c.ws), needs=("pilot",)),
     "adDI": Estimator("sequential", lambda c, a, done: homog.adaptive_estimate(
         done["sepDI_sigma"], done["comDI_sigma"], a.test),
         combines=("sepDI_sigma", "comDI_sigma"), needs=("test",)),
-    "GREG": Estimator("frame", lambda c, a, done: est.y_greg_independent(a, c.pop.x_total),
-                      needs=("sample",)),
+    "GREG": Estimator("frame", lambda c, a, done: est.y_greg_independent(
+        a, c.pop.x_total, c.ws), needs=("sample",)),
     "IPW": Estimator("frame", lambda c, a, done: est.y_ipw(c.y_np, c.propensity),
                      needs=("propensity",), variance=False),
     "DR": Estimator("frame", lambda c, a, done: est.y_dr(c.x_np, c.y_np, c.propensity,
-                                                         c.pop.x_total),
+                                                         c.pop.x_total, c.ws),
                     needs=("propensity",), variance=False),
     "GREG_DR": Estimator("frame", lambda c, a, done: est.y_fusion(
         done["GREG"], done["DR"], a.size / (a.size + len(c.y_np))),
@@ -351,11 +351,15 @@ class StratumInputs:
     which use no randomness and so are built before any draw.  The complement
     rows, the pilot's variances (one prediction per stratum, shared by the
     optimal design and the arms), the combined estimator's certainty blocks
-    and the propensities are computed on first use and kept; ``newton``
-    holds the propensity fit's ``start`` and ``out`` (see
-    estimators.estimate_propensity), which a run shares across its strata."""
+    and the propensities are computed on first use and kept.  ``start`` is
+    the propensity fit's Newton start (see estimators.estimate_propensity)
+    and ``out``, kept as ``ws``, the numerics.Workspace of every fit on the
+    stratum's and its samples' rows, both of which a run shares across its
+    strata (None: from zero, and a workspace per fit); nothing kept is a
+    view of the workspace."""
 
-    def __init__(self, pop, partition, need_pilot, need_test, config=None, newton=None):
+    def __init__(self, pop, partition, need_pilot, need_test, config=None, start=None,
+                 out=None):
         s_np = partition.certainty_idx
         self.pop, self.partition = pop, partition
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
@@ -364,8 +368,8 @@ class StratumInputs:
         self.pilot = self.m_np = None
         if need_pilot or need_test:
             self.m_np = np.empty(len(y_np))  # the pilot's fitted means of the certainty rows
-            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np)
-        self.np_fit = (homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np, self.m_np)
+            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np, out=out)
+        self.np_fit = (homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np, self.m_np, out)
                        if need_test else None)
         self.designs = {}
         if config is not None:
@@ -375,7 +379,7 @@ class StratumInputs:
                 sigma2 = self.sigma2_u1 if kind == "optimal" else None
                 self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, u1, sigma2)
         self._blocks = {}
-        self._newton = newton or {}
+        self._start, self.ws = start, out
 
     @functools.cached_property
     def sigma2_np(self):
@@ -399,19 +403,21 @@ class StratumInputs:
         if wspec not in self._blocks:
             sigma2 = self.sigma2_np if wspec.kind == "inverse_pi_sigma" else None
             self._blocks[wspec] = est.certainty_block(self.x_np, self.y_np, wspec, sigma2,
-                                                      self.pop.size)
+                                                      self.pop.size, self.ws)
         return self._blocks[wspec]
 
     @functools.cached_property
     def propensity(self):
-        return est.estimate_propensity(self.pop, self.partition, self.x_np, **self._newton)
+        return est.estimate_propensity(self.pop, self.partition, self.x_np, self._start,
+                                       self.ws)
 
 
-def _replicate(r, config, pop, mech, plan, stratum, newton):
+def _replicate(r, config, pop, mech, plan, stratum, start, ws):
     """One Monte Carlo replication as a float64 row in ``plan``'s layout, drawn from stream r + 1.
 
     ``stratum`` is a fixed stratum's set-up, or None to draw one with the
-    propensity fit's ``newton`` arguments (see StratumInputs).  A
+    propensity fit's ``start``; every stratum and sample fit writes into the
+    workspace ``ws`` (see StratumInputs).  A
     SeqdiError is raised again as the same class, its message led by the
     replication, its stream id and the design or stage that failed."""
     rng = RngStream(config.seed, r + 1)
@@ -431,7 +437,7 @@ def _replicate(r, config, pop, mech, plan, stratum, newton):
     with stage(f"{at}, stratum set-up"):
         if stratum is None:
             stratum = StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
-                                    plan["need_test"], config, newton)
+                                    plan["need_test"], config, start, ws)
     for kind in config.designs:
         with stage(f"{at}, design {kind}"):
             sample = _draw_with_retry(stratum.designs[kind], rng)
@@ -439,8 +445,7 @@ def _replicate(r, config, pop, mech, plan, stratum, newton):
             y_s, x_s = pop.y[members], pop.rows(members)
             test = None
             if plan["need_test"]:
-                p_fit = homog.fgls_p(x_s, y_s, pi_s,
-                                     include_model_variance=config.include_model_variance)
+                p_fit = homog.fgls_p(x_s, y_s, pi_s, config.include_model_variance, ws)
                 test = homog.homogeneity_test(stratum.np_fit, p_fit, config.alpha)
             if kind in plan["tests"]:
                 col = plan["tests"][kind]
@@ -471,16 +476,18 @@ def _run_one(r):
 
 def _run_state(config: McConfig):
     """The arguments after r of every _replicate call of a run: (config, pop,
-    mech, plan, stratum, newton).
+    mech, plan, stratum, start, ws).
 
-    Under MAR and NMAR, when the plan needs propensities, ``newton`` holds
-    the one start and the one LogisticWorkspace (a copy in each worker
-    process) of every replication's propensity fit (see StratumInputs).  The
-    start is the fit to the mechanism's selection probabilities on the frame:
-    the population-level limit of each replication's fit, under MAR its
-    intercept and slopes.  It is the same for every replication, so no result
-    depends on the order in which replications run; when that fit fails,
-    every fit starts from zero.
+    ``ws`` is the run's one numerics.Workspace, sized to the frame (a copy in
+    each worker process): every replication's stratum, sample and propensity
+    fits write into it.  Under MAR and NMAR, when the plan needs
+    propensities, ``start`` is the one start of every replication's
+    propensity fit (see StratumInputs): the fit to the mechanism's selection
+    probabilities on the frame, the population-level limit of each
+    replication's fit, under MAR its intercept and slopes.  It is the same
+    for every replication, so no result depends on the order in which
+    replications run.  It is None, and every fit starts from zero, when the
+    plan needs no propensities or that fit fails.
     """
     pop, data = _build_population(config)
     plan = _plan(config)
@@ -488,21 +495,19 @@ def _run_state(config: McConfig):
         raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
                                 "a nonzero target")
 
-    mech = stratum = None
-    newton = {}
+    mech = stratum = start = None
+    ws = Workspace(*pop.x.shape)
     if config.mechanism in DEFAULT_SLOPES:
         mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
         if plan["need_propensity"]:
-            newton["out"] = LogisticWorkspace(pop.x)
             with contextlib.suppress(Separation, NoConvergence, NotPositiveDefinite, ValueError):
-                newton["start"] = logistic_fit(pop.x, mech.probabilities(pop),
-                                               out=newton["out"])
+                start = logistic_fit(pop.x, mech.probabilities(pop), out=ws)
     else:
         with stage(f"FixedPartition set-up on {config.population_csv}"):
             stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
-                                    plan["need_test"], config)
-    return config, pop, mech, plan, stratum, newton
+                                    plan["need_test"], config, out=ws)
+    return config, pop, mech, plan, stratum, start, ws
 
 
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
@@ -518,7 +523,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     args = _run_state(config)
-    _, pop, _, plan, _, _ = args
+    _, pop, _, plan, *_ = args
 
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)
@@ -527,6 +532,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     with contextlib.ExitStack() as stack:
         if workers == 1:
             _init_worker(*args)
+            stack.callback(_WORKER_GLOBALS.clear)  # the run's state goes with the run
             outcomes = map(_run_one, range(n_rep))
         else:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
-from .numerics import chisq_sf, gram, inv_spd, solve_spd
+from .numerics import _workspace, chisq_sf, gram, inv_spd, solve_spd
 from .pilot import PilotVarianceModel, _sigma2_at, fit_power_variance
 
 
@@ -25,23 +25,33 @@ class HomogeneityResult:
     reject: bool
 
 
-def _sandwich(x, inv_bread, meat_scale, residuals):
-    """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i'."""
-    return inv_bread @ gram(x, meat_scale * residuals**2) @ inv_bread
+def _sandwich(x, inv_bread, meat_scale, residuals, out=None):
+    """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i';
+    writes ``vec[0]`` of the workspace ``out``."""
+    ws = _workspace(out, x)
+    meat = np.square(residuals, out=ws.vec[0][:len(x)])
+    return inv_bread @ gram(x, np.multiply(meat_scale, meat, out=meat), ws) @ inv_bread
 
 
-def design_variance_meat(x_s, residuals, pi_s, tau2_s) -> np.ndarray:
+def design_variance_meat(x_s, residuals, pi_s, tau2_s, out=None) -> np.ndarray:
     """Poisson design-variance meat sum (1-pi) (x e)(x e)' / (pi tau2)^2.
 
     This is the inner matrix of the coefficient design variance; the full
     estimate wraps it in the inverse weighted Gram matrix on both sides.
+    ``out`` is a :class:`~seqdi.numerics.Workspace`, of which it writes
+    ``vec[0]`` and ``vec[3]``.
     """
     x_s = np.asarray(x_s, dtype=float)
-    return gram(x_s, (1.0 - pi_s) * residuals**2 / (pi_s * tau2_s) ** 2)
+    ws = _workspace(out, x_s)
+    n = len(x_s)
+    weight, scale = ws.vec[3][:n], ws.vec[0][:n]
+    np.multiply(np.subtract(1.0, pi_s, out=weight), np.square(residuals, out=scale), out=weight)
+    np.square(np.multiply(pi_s, tau2_s, out=scale), out=scale)
+    return gram(x_s, np.divide(weight, scale, out=weight), ws)
 
 
 def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.ndarray,
-            fitted: np.ndarray):
+            fitted: np.ndarray, out=None):
     """Certainty-stratum FGLS coefficient and its sandwich variance.
 
     ``model`` is the pilot variance model fitted on these rows (as by
@@ -50,16 +60,21 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     (:func:`~seqdi.pilot.predict_sigma2`) and ``fitted`` its fitted means
     x @ model.beta (the fit's ``fitted=`` output).  The sandwich uses the
     residuals at that coefficient and those variances, and stays consistent
-    even when the variance model is misspecified.
+    even when the variance model is misspecified.  ``out`` is a
+    :class:`~seqdi.numerics.Workspace`, of which it writes ``vec[0:4]``.
     """
     x = np.asarray(x, dtype=float)
-    residuals = np.asarray(y, dtype=float) - fitted
-    v = _sandwich(x, inv_spd(gram(x, 1.0 / sigma2)), 1.0 / sigma2**2, residuals)
-    return model.beta, v
+    ws = _workspace(out, x)
+    n = len(x)
+    residuals, weight, meat_scale = ws.vec[1][:n], ws.vec[2][:n], ws.vec[3][:n]
+    np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
+    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
+    np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
+    return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
 
 
 def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
-           include_model_variance: bool = False):
+           include_model_variance: bool = False, out=None):
     """Probability-sample FGLS coefficient and its design-based variance.
 
     The per-unit variance proxies come from the same two-stage
@@ -73,19 +88,25 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     asymptotically dominated when the second-stage sampling fraction is
     small and is excluded by default; enabling it gives a statistic whose
     null calibration also holds at non-vanishing sampling fractions.
+    ``out`` is a :class:`~seqdi.numerics.Workspace`, of which it writes
+    every array.
     """
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
-    m = np.empty(len(y_s))
-    tau_model = fit_power_variance(x_s, y_s, 1.0 / pi_s, fitted=m)
-    tau2, residuals = _sigma2_at(tau_model, m), y_s - m
+    ws = _workspace(out, x_s)
+    n = len(x_s)
+    m, base = ws.vec[4][:n], ws.vec[5][:n]
+    tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m, out=ws)
+    tau2 = _sigma2_at(tau_model, m, out=ws.vec[1][:n])
+    residuals = np.subtract(y_s, m, out=m)
 
-    w = 1.0 / (pi_s * tau2)
-    inv_bread = inv_spd(gram(x_s, w))
-    v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2) @ inv_bread
+    w = ws.vec[2][:n]
+    np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
+    inv_bread = inv_spd(gram(x_s, w, ws))
+    v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
     if include_model_variance:
-        v = v + _sandwich(x_s, inv_bread, w / tau2, residuals)
+        v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
     return tau_model.beta, v
 
 

@@ -127,15 +127,17 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
 def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """Weighted Gram matrix X' diag(w) X, symmetrized against rounding.
 
-    ``out``, an array shaped and laid out like x, receives the weighted copy
-    diag(w) X instead of a new array.
+    The weighted copy diag(w) X goes into the workspace ``out`` (see
+    :class:`Workspace`), or into a new one when None.
     """
-    g = x.T @ np.multiply(w[:, None], x, out=out)
+    wx = _workspace(out, x).wx[:len(x)]
+    g = x.T @ np.multiply(w[:, None], x, out=wx)
     return (g + g.T) / 2.0
 
 
-def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """X' diag(w) X, symmetrized, and X' diag(w) y of a weighted least-squares fit.
+def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
+    """X' diag(w) X, symmetrized, and X' diag(w) y of a weighted least-squares fit,
+    with the workspace ``out`` as :func:`gram`'s.
 
     Raises ValueError unless every weight is nonnegative.  Blocks of rows add:
     the equations of a stack of row blocks are the sums of theirs.
@@ -143,18 +145,21 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
+    ws = _workspace(out, x)
+    n = len(x)
+    if np.any(np.less(w, 0, out=ws.flags[0][:n])):
         raise ValueError("weights must be nonnegative")
-    return gram(x, w), x.T @ (w * y)
+    return gram(x, w, ws), x.T @ np.multiply(w, y, out=ws.vec[0][:n])
 
 
-def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least squares, argmin over beta of sum w_i (y_i - x_i'beta)^2.
+def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """Weighted least squares, argmin over beta of sum w_i (y_i - x_i'beta)^2,
+    with the workspace ``out`` as :func:`normal_equations`'.
 
     Requires nonnegative weights with at least d strictly positive ones;
     rank problems surface as NotPositiveDefinite from the normal equations.
     """
-    return solve_spd(*normal_equations(x, y, w))
+    return solve_spd(*normal_equations(x, y, w, out))
 
 
 def _position(n, q: float):
@@ -241,43 +246,68 @@ def _logistic(eta):
     return np.where(eta >= 0, 1.0, t) / (1.0 + t)
 
 
-class LogisticWorkspace:
-    """The per-step arrays of :func:`logistic_fit` on design matrices shaped like x,
-    allocated once so that repeated fits allocate no frame-sized array.
+class Workspace:
+    """The frame-sized scratch arrays of the regression fits on at most n_max rows
+    of d covariates, allocated once so that repeated fits allocate none.
 
-    They are the linear predictor eta and t = exp(-|eta|) of the current point
-    (then of each candidate of the line search), the probabilities p, a work
-    vector w (the Newton weights, then the residuals), the sign mask of eta
-    and :func:`gram`'s weighted copy of x, laid out like x.  A fit writes
-    every array before it reads it, so a workspace carries nothing from one
-    fit to the next; it serves one fit at a time.
+    ``wx`` is :func:`gram`'s weighted copy diag(w) X, column-major;
+    ``vec`` holds six float vectors and ``flags`` two boolean ones.  A call
+    on n rows uses the leading n rows of each and writes every entry it
+    reads, so a workspace carries nothing from one call to the next; it
+    serves one call at a time.  A call passes it on to the calls it makes
+    and keeps what it holds meanwhile out of theirs:
+
+    - :func:`gram` writes ``wx``; :func:`normal_equations` and
+      :func:`weighted_ls` also ``vec[0]`` and ``flags[0]``;
+    - :func:`logistic_fit` writes ``vec[0:4]`` and ``flags[0]``;
+    - the power-variance fit (:mod:`~seqdi.pilot`) writes ``vec[0:5]``
+      (``vec[4]`` holds its fitted means unless given an array for them)
+      and ``flags``, and its callers hold their base weights in ``vec[5]``;
+    - the FGLS fits and their meat (:mod:`~seqdi.homogeneity`) write all six.
+
+    Nothing a call returns or keeps is a view of the workspace.  The arrays
+    come from ``np.empty``: building a workspace touches no page, and a
+    pickled one carries only its size.
     """
 
-    def __init__(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        self.eta, self.t, self.p, self.w = (np.empty(n) for _ in range(4))
-        self.positive = np.empty(n, dtype=bool)
-        self.wx = np.empty_like(x)
+    def __init__(self, n_max: int, d: int):
+        self.n_max, self.d = int(n_max), int(d)
+        self.wx = np.empty((self.n_max, self.d), order="F")
+        self.vec = tuple(np.empty((6, self.n_max)))
+        self.flags = tuple(np.empty((2, self.n_max), dtype=bool))
+
+    def __reduce__(self):
+        return Workspace, (self.n_max, self.d)
 
 
-def _log_likelihood(eta, delta, t, ws):
+def _workspace(out, x) -> Workspace:
+    """``out``, checked to hold x's rows and columns, or a new workspace of x's shape."""
+    n, d = x.shape
+    if out is None:
+        return Workspace(n, d)
+    if n > out.n_max or d != out.d:
+        raise ValueError(f"workspace built for {out.n_max} rows of {out.d} columns, "
+                         f"not {n} of {d}")
+    return out
+
+
+def _log_likelihood(eta, delta, t, p, w):
     """Logistic log-likelihood sum delta*eta - log(1+exp(eta)); writes t = exp(-|eta|).
 
     log(1+exp(eta)) is np.logaddexp(0, eta) written out as
     max(eta, 0) + log1p(t), stable for large |eta|; t also gives the fitted
-    probabilities, so a Newton point takes one exp.  ws.p and ws.w are scratch.
+    probabilities, so a Newton point takes one exp.  p and w are scratch.
     """
     np.exp(np.negative(np.abs(eta, out=t), out=t), out=t)
-    np.add(np.maximum(eta, 0.0, out=ws.p), np.log1p(t, out=ws.w), out=ws.p)
-    return float(np.sum(np.subtract(np.multiply(delta, eta, out=ws.w), ws.p, out=ws.w)))
+    np.add(np.maximum(eta, 0.0, out=p), np.log1p(t, out=w), out=p)
+    return float(np.sum(np.subtract(np.multiply(delta, eta, out=w), p, out=w)))
 
 
-def _fitted(eta, t, ws):
-    """_logistic(eta) into ws.p from t = exp(-|eta|), with ws.w as scratch."""
-    np.copyto(ws.p, t)
-    np.copyto(ws.p, 1.0, where=np.greater_equal(eta, 0, out=ws.positive))
-    return np.divide(ws.p, np.add(1.0, t, out=ws.w), out=ws.p)
+def _fitted(eta, t, p, w, positive):
+    """_logistic(eta) into p from t = exp(-|eta|), with w and positive as scratch."""
+    np.copyto(p, t)
+    np.copyto(p, 1.0, where=np.greater_equal(eta, 0, out=positive))
+    return np.divide(p, np.add(1.0, t, out=w), out=p)
 
 
 def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.ndarray:
@@ -289,11 +319,10 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     the step while the log-likelihood decreases; it stops once a step moves
     no coefficient by more than LOGISTIC_TOL, so fits from two starts agree
     to about that bound, and without a start the result does not depend on
-    ``out``.  ``out``, a :class:`LogisticWorkspace` built for an x of this
-    shape, receives the per-step arrays (a fit without one allocates its
-    own).  Raises Separation when any coefficient exceeds
-    LOGISTIC_MAX_ABS_COEF in absolute value, and NoConvergence after
-    LOGISTIC_MAX_ITER iterations.
+    ``out``.  ``out``, a :class:`Workspace` for at least x's rows, receives
+    the per-step arrays (a fit without one allocates its own).  Raises
+    Separation when any coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute
+    value, and NoConvergence after LOGISTIC_MAX_ITER iterations.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -305,23 +334,22 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     alpha = np.zeros(d) if start is None else np.array(start, dtype=float)
     if alpha.shape != (d,):
         raise ValueError(f"start must hold {d} coefficients")
-    ws = LogisticWorkspace(x) if out is None else out
-    if ws.wx.shape != x.shape:
-        raise ValueError(f"workspace built for shape {ws.wx.shape}, not {x.shape}")
+    ws = _workspace(out, x)
+    eta, t, p, w = (v[:n] for v in ws.vec[:4])
+    positive = ws.flags[0][:n]
 
-    eta, t = ws.eta, ws.t
-    loglik = _log_likelihood(np.matmul(x, alpha, out=eta), delta, t, ws)
+    loglik = _log_likelihood(np.matmul(x, alpha, out=eta), delta, t, p, w)
     for _ in range(LOGISTIC_MAX_ITER):
-        p = _fitted(eta, t, ws)
-        g = gram(x, np.multiply(p, np.subtract(1.0, p, out=ws.w), out=ws.w), out=ws.wx)
-        step = solve_spd(g, x.T @ np.subtract(delta, p, out=ws.w))
+        _fitted(eta, t, p, w, positive)
+        g = gram(x, np.multiply(p, np.subtract(1.0, p, out=w), out=w), ws)
+        step = solve_spd(g, x.T @ np.subtract(delta, p, out=w))
 
         # the step needs no more of the current point's arrays: each candidate's
         # eta and t overwrite them, and the accepted one's stay for the next step
         factor = 1.0
         for _ in range(30):
             cand = alpha + factor * step
-            cand_ll = _log_likelihood(np.matmul(x, cand, out=eta), delta, t, ws)
+            cand_ll = _log_likelihood(np.matmul(x, cand, out=eta), delta, t, p, w)
             if cand_ll >= loglik - 1e-12:
                 break
             factor /= 2.0

@@ -9,12 +9,13 @@ The fitted model predicts a per-unit variance for any covariate vector,
 with floors keeping predictions positive and bounded away from zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, Unidentifiable
-from .numerics import quantile, weighted_ls
+from .errors import InvalidParams, NotPositiveDefinite, Unidentifiable
+from .numerics import Workspace, _workspace, quantile, weighted_ls
 
 GAMMA_CAP = 3.0
 MEAN_FLOOR_QUANTILE = 0.05
@@ -41,66 +42,93 @@ class PilotVarianceModel:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if abs(self.gamma) > GAMMA_CAP:
             raise ValueError("gamma exceeds its cap")
-        if self.sigma2 <= 0 or self.mean_floor <= 0 or self.sigma2_floor <= 0:
-            raise ValueError("scale parameters must be positive")
+        scales = (self.sigma2, self.mean_floor, self.sigma2_floor)
+        if not all(0 < scale < math.inf for scale in scales):
+            raise ValueError("scale parameters must be positive and finite")
 
 
-def _sigma2_floor(y: np.ndarray) -> float:
-    base = float(np.var(y))
+def _mean(v: np.ndarray) -> float:
+    """np.mean(v) of a nonempty 1-D float array, bit for bit, without its wrapper."""
+    return float(np.add.reduce(v) / v.size)
+
+
+def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
+    """SIGMA2_FLOOR_SCALE times var(y), or times max(mean(y)^2, 1) when y is constant.
+
+    var(y) is np.var's computation, its squared deviations in ``scratch``;
+    InvalidParams when they overflow.
+    """
+    mean = np.add.reduce(y) / y.size
+    with np.errstate(over="ignore"):
+        base = _mean(np.square(np.subtract(y, mean, out=scratch), out=scratch))
+    if base == math.inf:
+        raise InvalidParams("var(y) overflows: the outcomes are too large to square")
     if base <= 0.0:
-        base = max(float(np.mean(y)) ** 2, 1.0)
+        base = max(float(mean) ** 2, 1.0)
     return SIGMA2_FLOOR_SCALE * base
 
 
-def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray):
+def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive: np.ndarray,
+                         out=None):
     """Fit log e^2 = log sigma2 + gamma log m on rows with usable values,
-    from the squared residuals e2 and their mean.
+    from the squared residuals e2, their mean and the mask ``positive`` of m > 0.
 
     Rows with nonpositive fitted mean or with squared residual below
-    1e-12 times the average squared residual are dropped.  gamma is the
-    least-squares slope from centred moments, lc'le / lc'lc with lc and le
-    the centred log m and log e^2, so no design matrix is built.  lc'lc is
-    the second Cholesky pivot of the unit-weight Gram of [1, log m]; at or
-    below 1e-12 times that Gram's mean diagonal it raises
-    NotPositiveDefinite, as that Cholesky did.  The intercept is never
-    needed: the scale is recalibrated by moment matching at the fitted
-    (capped) exponent, so sigma2 * m^gamma reproduces the average squared
-    residual instead of its log-scale geometric counterpart.
+    1e-12 times the average squared residual are dropped; when none is,
+    the fit reads m and e2 themselves.  gamma is the least-squares slope
+    from centred moments, lc'le / lc'lc with lc and le the centred log m
+    and log e^2, so no design matrix is built.  lc'lc is the second
+    Cholesky pivot of the unit-weight Gram of [1, log m]; at or below 1e-12
+    times that Gram's mean diagonal it raises NotPositiveDefinite, as that
+    Cholesky did.  The intercept is never needed: the scale is
+    recalibrated by moment matching at the fitted (capped) exponent, so
+    sigma2 * m^gamma reproduces the average squared residual instead of its
+    log-scale geometric counterpart.  Writes ``vec[2:4]`` and ``flags[0]`` of
+    the workspace ``out``.
     """
-    keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * mean_e2)
-    mk = m[keep]
+    n = len(m)
+    ws = Workspace(n, 1) if out is None else out
+    keep = np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=ws.flags[0][:n])
+    np.logical_and(keep, positive, out=keep)
+    mk, e2k = (m, e2) if np.all(keep) else (m[keep], e2[keep])
+    k = mk.size
     # mk is positive: its largest |value| is its maximum, and max - min its spread
-    if mk.size < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
+    if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
-    e2k = e2[keep]
-    lm = np.log(mk)
-    lc = lm - np.mean(lm)
+    lm, lc = ws.vec[2][:k], ws.vec[3][:k]
+    np.log(mk, out=lm)
+    np.subtract(lm, np.add.reduce(lm) / k, out=lc)
     # the sums over rows are einsum's, not BLAS's: OpenBLAS ddot splits a sum
     # of more than 10 000 terms across threads, whose count would move its bits
     pivot = float(np.einsum("i,i", lc, lc))
-    if pivot <= 1e-12 * (mk.size + float(np.einsum("i,i", lm, lm))) / 2:
+    if pivot <= 1e-12 * (k + float(np.einsum("i,i", lm, lm))) / 2:
         raise NotPositiveDefinite(f"pivot {pivot:.3e} at column 1")
     # le centred too: sum(lc) is zero only to rounding, and lc'log e^2 alone
     # strays from an extended-precision slope by up to 5e-12 relative
-    le = np.log(e2k)
+    le = np.log(e2k, out=lm)
     # Python's min and max keep a NaN slope as np.clip does
-    slope = float(np.einsum("i,i", lc, le - np.mean(le))) / pivot
+    slope = float(np.einsum("i,i", lc, np.subtract(le, np.add.reduce(le) / k, out=le))) / pivot
     gamma = min(max(slope, -GAMMA_CAP), GAMMA_CAP)
-    sigma2 = float(np.mean(e2k / mk**gamma))
-    return sigma2, gamma
+    np.copyto(lc, mk)
+    lc **= gamma  # mk**gamma, with its fast paths
+    return _mean(np.divide(e2k, lc, out=lc)), gamma
 
 
-def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None) -> PilotVarianceModel:
+def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None) -> PilotVarianceModel:
     """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
-    probability samples and for ``fitted``.
+    probability samples, for ``fitted`` and for the workspace ``out``.
     """
-    return fit_power_variance(x, y, np.ones(len(y)), fitted=fitted)
+    x = np.asarray(x, dtype=float)
+    ws = _workspace(out, x)
+    base = ws.vec[5][:len(x)]
+    base.fill(1.0)
+    return fit_power_variance(x, y, base, fitted=fitted, out=ws)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
-                       fitted=None) -> PilotVarianceModel:
+                       fitted=None, out=None) -> PilotVarianceModel:
     """Two-stage power-variance fit with externally supplied base weights.
 
     Stage one regresses y on x with the base weights (equal weights for a
@@ -113,33 +141,49 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     means x @ model.beta of the returned model (those of the last pass,
     bit for bit), so that a caller predicting the rows' variances
     (``_sigma2_at(model, fitted)``) or residuals need not form them again.
+    ``out``, a :class:`~seqdi.numerics.Workspace` for at least x's rows,
+    receives the fit's frame-sized arrays (a fit without one allocates its
+    own); it writes ``vec[0:5]`` and ``flags``, so the base weights may be
+    held in ``vec[5]`` and ``fitted`` in ``vec[4]``.  Raises InvalidParams
+    when var(y), the squared outcomes or the squared residuals overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = x.shape
     if n <= d + 2:
         raise Unidentifiable(f"{n} rows are too few to identify the variance model")
+    ws = _workspace(out, x)
+    e2, scratch = ws.vec[1][:n], ws.vec[2][:n]
+    positive = ws.flags[1][:n]
+    m = ws.vec[4][:n] if fitted is None else fitted
 
-    sigma2_floor = _sigma2_floor(y)
-    beta = weighted_ls(x, y, base_weights)
-    noise_floor = 1e-24 * max(float(np.mean(y**2)), 1e-300)
+    sigma2_floor = _sigma2_floor(y, scratch)
+    beta = weighted_ls(x, y, base_weights, ws)
+    with np.errstate(over="ignore"):
+        mean_y2 = _mean(np.square(y, out=scratch))
+    if mean_y2 == math.inf:
+        raise InvalidParams("the squared outcomes overflow")
+    noise_floor = 1e-24 * max(mean_y2, 1e-300)
     for refit in (True, False):
-        m = np.matmul(x, beta, out=fitted)
-        e2 = (y - m) ** 2
-        positive = m[m > 0]
-        if positive.size == 0:
+        np.matmul(x, beta, out=m)
+        with np.errstate(over="ignore"):
+            mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
+        if mean_e2 == math.inf:
+            raise InvalidParams("the squared residuals overflow")
+        count = np.count_nonzero(np.greater(m, 0, out=positive))
+        if count == 0:
             raise Unidentifiable("no positive fitted means")
-        mean_floor = quantile(positive, MEAN_FLOOR_QUANTILE)
+        mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
 
-        mean_e2 = float(np.mean(e2))
         if mean_e2 <= noise_floor:
             # residuals at floating-point noise: homoscedastic model at the floor
             return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-        sigma2, gamma = _variance_regression(e2, mean_e2, m)
+        sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws)
         model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
                                    sigma2_floor)
         if refit:
-            beta = weighted_ls(x, y, base_weights / _sigma2_at(model, m))
+            weights = _sigma2_at(model, m, out=scratch)
+            beta = weighted_ls(x, y, np.divide(base_weights, weights, out=weights), ws)
     return model
 
 
@@ -149,7 +193,10 @@ def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
     return _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
 
 
-def _sigma2_at(model: PilotVarianceModel, m: np.ndarray) -> np.ndarray:
-    """:func:`predict_sigma2` of the rows whose linear predictor x'beta is m."""
-    return np.maximum(model.sigma2 * np.maximum(m, model.mean_floor) ** model.gamma,
-                      model.sigma2_floor)
+def _sigma2_at(model: PilotVarianceModel, m: np.ndarray, out=None) -> np.ndarray:
+    """:func:`predict_sigma2` of the rows whose linear predictor x'beta is m, into
+    ``out`` (an array like m) when given."""
+    v = np.maximum(m, model.mean_floor, out=out)
+    v **= model.gamma  # m**gamma, with its fast paths
+    v *= model.sigma2
+    return np.maximum(v, model.sigma2_floor, out=out)

@@ -246,14 +246,29 @@ class TestNonFiniteFailsCleanly:
         assert_clean_failure(proc, 1, message)
         assert not (tmp_path / "f.csv").exists()
 
-    def test_design_with_overflowing_variances_exit_one(self, tmp_path):
-        # outcomes near 1e160: the pilot's squared residuals, and so its
-        # predicted variances, overflow to inf
+    @staticmethod
+    def write_huge_outcomes(path):
+        # outcomes near 1e160: their variance, and the pilot's squared
+        # residuals, overflow to inf
         rng = np.random.default_rng(3)
-        write_csv(tmp_path / "pop.csv", ["id", "x1", "y", "delta"],
+        write_csv(path, ["id", "x1", "y", "delta"],
                   ([i + 1, 1 + i / 10, rng.uniform(1, 2) * 1e160, int(i < 12)]
                    for i in range(36)))
+
+    def test_design_with_overflowing_variances_exit_one(self, tmp_path):
+        # the pilot fit refuses them before numpy warns of the overflow
+        self.write_huge_outcomes(tmp_path / "pop.csv")
         proc = run_cli(tmp_path, "design", "--pop", "pop.csv", "--np", "10", "--out", "d.csv")
-        assert_clean_failure(proc, 1, "error: optimal design: 24 of 24 predicted variances "
-                                      "are not finite and positive")
+        assert_clean_failure(proc, 1, "error: pilot fit on pop.csv: var(y) overflows")
+        assert "Warning" not in proc.stderr
         assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_with_overflowing_variances_exit_one(self, tmp_path):
+        self.write_huge_outcomes(tmp_path / "pop.csv")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "replications": 4, "seed": 7, "mechanism": "FixedPartition",
+            "population_csv": "pop.csv", "designs": ["optimal"], "estimators": ["DI"]}))
+        proc = run_cli(tmp_path, "simulate", "--config", "config.json", "--out", "results")
+        assert_clean_failure(proc, 1, "error: FixedPartition set-up on pop.csv: var(y) overflows")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "results").exists()

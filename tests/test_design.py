@@ -63,7 +63,7 @@ class TestOptimal:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
     def test_unusable_variance_rejected(self, bad):
-        # a pilot fit to outcomes near 1e160 predicts variances that overflow to inf
+        # a caller's own variances: the pilot fit refuses outcomes whose variances overflow
         sigma2 = np.array([1.0, 2.0, bad, 4.0])
         with pytest.raises(InvalidParams, match="1 of 4 predicted variances are not finite"):
             optimal_probabilities(sigma2, 2)

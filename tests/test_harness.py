@@ -263,22 +263,21 @@ class TestPropensityStart:
         for mechanism in ("MAR", "NMAR"):
             config = small_config(seed=7, mechanism=mechanism, estimators=("IPW",),
                                   population_params=dict(POP_PARAMS, N=10_000))
-            _, pop, mech, _, _, newton = harness._run_state(config)
-            assert set(newton) == {"start", "out"}
+            _, pop, mech, _, _, start, ws = harness._run_state(config)
+            assert start is not None
             for r in range(200):
                 delta = draw_nonprob(pop, mech, RngStream(config.seed, r + 1)).delta * 1.0
                 cold = logistic_fit(pop.x, delta)
-                warm = logistic_fit(pop.x, delta, **newton)
+                warm = logistic_fit(pop.x, delta, start, ws)
                 gaps.append(np.max(np.abs(warm - cold)))
         assert max(gaps) <= 1e-8
 
     def test_mar_start_is_the_mechanism(self):
         config = small_config(estimators=("DR",), population_params=dict(POP_PARAMS, N=5000))
-        _, pop, mech, _, _, newton = harness._run_state(config)
-        np.testing.assert_allclose(newton["start"], [mech.intercept, *mech.slopes],
-                                   rtol=0, atol=1e-8)
+        _, pop, mech, _, _, start, _ = harness._run_state(config)
+        np.testing.assert_allclose(start, [mech.intercept, *mech.slopes], rtol=0, atol=1e-8)
         # no propensity estimator, no census fit
-        assert harness._run_state(small_config(estimators=("DI", "GREG")))[5] == {}
+        assert harness._run_state(small_config(estimators=("DI", "GREG")))[5] is None
 
     def test_replication_does_not_depend_on_earlier_ones(self):
         # replication r on a freshly built run state, whose workspace no fit
@@ -297,14 +296,25 @@ class TestPropensityStart:
         # replication's own fit fails as it did before there was a start
         config = small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
                               estimators=("DI", "IPW", "DR", "GREG_DR"), replications=3)
-        _, pop, mech, _, _, newton = harness._run_state(config)
+        _, pop, mech, _, _, start, _ = harness._run_state(config)
         with pytest.raises(Separation):
             logistic_fit(pop.x, mech.probabilities(pop))
-        assert "start" not in newton
+        assert start is None
         with pytest.raises(Separation) as err:
             run_mc(config)
         assert str(err.value) == ("replication 0 (stream 1), frame estimators: "
                                   "coefficient escaped toward infinity")
+
+
+def test_in_process_run_keeps_no_state():
+    # the run's population, stratum, start and workspace go when run_mc
+    # returns, and when it raises
+    run_mc(small_config(mechanism="NMAR", replications=2, estimators=("DI", "DR")))
+    assert harness._WORKER_GLOBALS == {}
+    with pytest.raises(Separation):
+        run_mc(small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
+                            estimators=("IPW",), replications=2))
+    assert harness._WORKER_GLOBALS == {}
 
 
 class TestStratumInputs:

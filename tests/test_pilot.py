@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqdi.errors import NotPositiveDefinite, Unidentifiable
+from seqdi.errors import InvalidParams, NotPositiveDefinite, Unidentifiable
 from seqdi.numerics import RngStream, weighted_ls
 from seqdi.pilot import (
     PilotVarianceModel,
@@ -67,8 +67,9 @@ class TestFitPilot:
         m1 = fit_pilot(x, y)
         # beta0 is off by ~2e-15, so log e^2 follows m over a 1.5e-14 spread
         # and the fitted slope is ~1e-15, not 0
-        e2 = (y - x @ beta0) ** 2
-        assert abs(_variance_regression(e2, float(np.mean(e2)), x @ beta0)[1]) <= 1e-14
+        m0 = x @ beta0
+        e2 = (y - m0) ** 2
+        assert abs(_variance_regression(e2, float(np.mean(e2)), m0, m0 > 0)[1]) <= 1e-14
         assert abs(m1.gamma) < 1e-12
         np.testing.assert_allclose(beta0, m1.beta, atol=1e-10)
 
@@ -93,10 +94,10 @@ class TestFitPilot:
                 weighted_ls(z, np.log(e**2), np.ones(400))
             except NotPositiveDefinite:
                 with pytest.raises(NotPositiveDefinite, match="at column 1"):
-                    _variance_regression(e**2, float(np.mean(e**2)), m)
+                    _variance_regression(e**2, float(np.mean(e**2)), m, m > 0)
                 raised.append(spread)
             else:
-                _variance_regression(e**2, float(np.mean(e**2)), m)
+                _variance_regression(e**2, float(np.mean(e**2)), m, m > 0)
         assert raised[:3] == [1e-11, 1e-9, 1e-7] and 1e-4 not in raised
 
     def test_too_few_rows(self):
@@ -127,6 +128,19 @@ class TestFitPilot:
             np.testing.assert_allclose(
                 predict_sigma2(m2, xs), c**2 * np.asarray(predict_sigma2(m1, xs)), rtol=1e-9
             )
+
+    @pytest.mark.parametrize("scale, spread, message", [
+        (1e160, 1.0, "var\\(y\\) overflows"),  # outcomes and deviations beyond 1.3e154
+        (1e155, 1e-3, "squared outcomes overflow"),  # deviations near 1e152 square finitely
+    ])
+    def test_overflow_is_refused_before_numpy_warns(self, scale, spread, message):
+        # pytest turns numpy's RuntimeWarning into an error, so an overflow that
+        # reached numpy's warning would fail here before InvalidParams
+        rng = np.random.default_rng(3)
+        x = np.column_stack([np.ones(36), 1.0 + np.arange(36) / 10])
+        y = scale * (1.0 + spread * rng.uniform(size=36))
+        with pytest.raises(InvalidParams, match=message):
+            fit_pilot(x, y)
 
     def test_gamma_always_capped(self):
         rng = np.random.default_rng(8)
@@ -173,6 +187,16 @@ class TestFittedOutput:
         model = fit_pilot(x, y, fitted=fitted)
         assert model.gamma == 0.0 and model.sigma2 == model.sigma2_floor
         assert fitted.tobytes() == (x @ model.beta).tobytes()
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("field", ["sigma2", "mean_floor", "sigma2_floor"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_scales_must_be_finite_and_positive(self, field, bad):
+        fields = dict(beta=np.array([0.0, 1.0]), sigma2=1.0, gamma=1.0, mean_floor=0.5,
+                      sigma2_floor=1e-8)
+        with pytest.raises(ValueError, match="positive and finite"):
+            PilotVarianceModel(**dict(fields, **{field: bad}))
 
 
 class TestPredictSigma2:
