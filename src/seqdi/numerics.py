@@ -128,10 +128,13 @@ def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """Weighted Gram matrix X' diag(w) X, symmetrized against rounding.
 
     The weighted copy diag(w) X goes into the workspace ``out`` (see
-    :class:`Workspace`), or into a new one when None.
+    :class:`Workspace`), or into a new one when None.  It is formed as
+    (X' diag(w))', row by row of X', which keeps a C-ordered x as fast as a
+    column-major one.
     """
     wx = _workspace(out, x).wx[:len(x)]
-    g = x.T @ np.multiply(w[:, None], x, out=wx)
+    np.multiply(w, x.T, out=wx.T)
+    g = x.T @ wx
     return (g + g.T) / 2.0
 
 

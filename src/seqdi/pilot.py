@@ -58,13 +58,13 @@ def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
     var(y) is np.var's computation, its squared deviations in ``scratch``;
     InvalidParams when they overflow.
     """
-    mean = np.add.reduce(y) / y.size
     with np.errstate(over="ignore"):
+        mean = _mean(y)
         base = _mean(np.square(np.subtract(y, mean, out=scratch), out=scratch))
     if base == math.inf:
         raise InvalidParams("var(y) overflows: the outcomes are too large to square")
     if base <= 0.0:
-        base = max(float(mean) ** 2, 1.0)
+        base = max(mean**2, 1.0)
     return SIGMA2_FLOOR_SCALE * base
 
 
@@ -97,7 +97,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
     lm, lc = ws.vec[2][:k], ws.vec[3][:k]
     np.log(mk, out=lm)
-    np.subtract(lm, np.add.reduce(lm) / k, out=lc)
+    np.subtract(lm, _mean(lm), out=lc)
     # the sums over rows are einsum's, not BLAS's: OpenBLAS ddot splits a sum
     # of more than 10 000 terms across threads, whose count would move its bits
     pivot = float(np.einsum("i,i", lc, lc))
@@ -107,7 +107,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     # strays from an extended-precision slope by up to 5e-12 relative
     le = np.log(e2k, out=lm)
     # Python's min and max keep a NaN slope as np.clip does
-    slope = float(np.einsum("i,i", lc, np.subtract(le, np.add.reduce(le) / k, out=le))) / pivot
+    slope = float(np.einsum("i,i", lc, np.subtract(le, _mean(le), out=le))) / pivot
     gamma = min(max(slope, -GAMMA_CAP), GAMMA_CAP)
     np.copyto(lc, mk)
     lc **= gamma  # mk**gamma, with its fast paths
