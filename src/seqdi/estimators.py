@@ -12,6 +12,7 @@ All design variances ship in their Poisson specialization
 sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,12 @@ class WeightSpec:
         return 1.0 / (pi * np.asarray(sigma2, dtype=float))
 
     def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
-        """The working weights q of :meth:`weights`, capped at their truncation quantile
-        when q has two or more rows (at quantile 1 the cap is the maximum)."""
-        q = self.weights(pi, sigma2)
+        """The working weights of :meth:`weights`, truncated by :meth:`truncate`."""
+        return self.truncate(self.weights(pi, sigma2))
+
+    def truncate(self, q: np.ndarray) -> np.ndarray:
+        """Working weights q capped at their truncation quantile when q has two or
+        more rows (at quantile 1 the cap is the maximum); q itself is not written."""
         if len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
@@ -91,9 +95,17 @@ def _make_estimate(tag, point, variance=None) -> Estimate:
 
 def poisson_plugin_variance(residuals: np.ndarray, pi: np.ndarray) -> float:
     """Plug-in design variance for a Poisson HT-type total: sum (1-pi)/pi^2 e^2."""
-    residuals = np.asarray(residuals, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    return float(np.sum((1.0 - pi) / pi**2 * residuals**2))
+    return _plugin_sum(_plugin_factor(np.asarray(pi, dtype=float)), residuals)
+
+
+def _plugin_factor(pi: np.ndarray) -> np.ndarray:
+    """The plug-in variance's factor (1-pi)/pi^2 of each row."""
+    return (1.0 - pi) / pi**2
+
+
+def _plugin_sum(factor: np.ndarray, residuals) -> float:
+    """sum factor * e^2: the factor formed first, so the bits are the one-line sum's."""
+    return float(np.sum(factor * np.asarray(residuals, dtype=float)**2))
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,9 @@ class Arm:
     sum x/pi, ``sigma2`` the pilot model's variances of the rows (None
     unless an estimator with variance-scaled weights runs) and ``test`` the
     homogeneity test of the sample (None unless adDI or the test runs).
+    The plug-in variance's factor (:meth:`plugin_variance`) and each kind's
+    working weights (:meth:`weights`) are formed on first use and kept, so
+    the estimators of one arm share them; none of them is written after.
     """
 
     y_s: np.ndarray
@@ -128,6 +143,25 @@ class Arm:
     def size(self) -> int:
         return len(self.y_s)
 
+    @functools.cached_property
+    def _factor(self) -> np.ndarray:
+        return _plugin_factor(self.pi_s)
+
+    def plugin_variance(self, residuals: np.ndarray) -> float:
+        """:func:`poisson_plugin_variance` of the rows' residuals, bit for bit."""
+        return _plugin_sum(self._factor, residuals)
+
+    @functools.cached_property
+    def _weights(self) -> dict:
+        return {"inverse_pi": self.inv_pi}  # 1/pi, as WeightSpec.weights forms it
+
+    def weights(self, wspec: WeightSpec) -> np.ndarray:
+        """The untruncated working weights ``wspec.weights(pi_s, sigma2)``, per kind."""
+        kept = self._weights
+        if wspec.kind not in kept:
+            kept[wspec.kind] = wspec.weights(self.pi_s, self.sigma2)
+        return kept[wspec.kind]
+
 
 def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     """Stratified estimator: exact certainty total plus N1 times the Hajek mean
@@ -141,15 +175,14 @@ def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     inv_total = np.sum(arm.inv_pi)  # a numpy scalar: its square overflows to inf, not raises
     hajek = arm.ht_y / inv_total
     point = certainty_total + n_complement * hajek
-    plugin = poisson_plugin_variance(arm.y_s - hajek, arm.pi_s)
+    plugin = arm.plugin_variance(arm.y_s - hajek)
     variance = n_complement**2 / inv_total**2 * plugin
     return _make_estimate("DI", point, variance)
 
 
 def y_ht_seq(arm: Arm, certainty_total: float) -> Estimate:
     """Stratified Horvitz-Thompson total; defined (with zero HT part) on empty samples."""
-    return _make_estimate("HT_seq", certainty_total + arm.ht_y,
-                          poisson_plugin_variance(arm.y_s, arm.pi_s))
+    return _make_estimate("HT_seq", certainty_total + arm.ht_y, arm.plugin_variance(arm.y_s))
 
 
 def _regression_estimate(tag, certainty_total, arm, x_total, coef):
@@ -162,14 +195,14 @@ def _regression_estimate(tag, certainty_total, arm, x_total, coef):
     correction = float((np.asarray(x_total, dtype=float) - arm.ht_x) @ coef)
     point = certainty_total + arm.ht_y + correction
     residuals = arm.y_s - arm.x_s @ coef
-    return _make_estimate(tag, point, poisson_plugin_variance(residuals, arm.pi_s))
+    return _make_estimate(tag, point, arm.plugin_variance(residuals))
 
 
 def y_sep_di(arm: Arm, certainty_total: float, x_total_complement,
              wspec: WeightSpec, out=None) -> Estimate:
     """Separate regression estimator: coefficient fitted on the probability sample only,
     with the numerics.Workspace ``out`` (see :func:`~seqdi.numerics.weighted_ls`)."""
-    coef = weighted_ls(arm.x_s, arm.y_s, wspec.build(arm.pi_s, arm.sigma2), out)
+    coef = weighted_ls(arm.x_s, arm.y_s, wspec.truncate(arm.weights(wspec)), out)
     return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
 
 
@@ -204,10 +237,9 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     y = np.asarray(y, dtype=float)
     n = len(y)
     w = wspec.weights(np.ones(n), sigma2)
-    most = 0  # the largest top_count over the pooled sizes
-    sizes = np.arange(max(n, 1), n_max + 1)
-    if sizes.size:
-        most = int(np.max(top_count(sizes, wspec.truncation_quantile)))
+    # the largest top_count over the pooled sizes max(n, 1)..n_max: top_count
+    # never decreases in the size, so it is the one at n_max
+    most = int(top_count(n_max, wspec.truncation_quantile)) if n_max >= max(n, 1) else 0
     take = min(most, n)
     top = np.argpartition(w, n - take)[n - take:] if take else np.zeros(0, dtype=int)
     top = top[np.argsort(-w[top], kind="stable")]
@@ -233,7 +265,7 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
     wspec, n = block.wspec, block.n + arm.size
     if n > block.n_max:
         raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
-    w_s, w_top = wspec.weights(arm.pi_s, arm.sigma2), block.top_w[:len(block.top_y)]
+    w_s, w_top = arm.weights(wspec), block.top_w[:len(block.top_y)]
     if n > 1:
         need = int(top_count(n, wspec.truncation_quantile))
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
@@ -274,17 +306,22 @@ def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:
     return _make_estimate("IPW", float(np.sum(y_np / prop)))
 
 
+def unit_ols(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """The unit-weight least-squares coefficient ``weighted_ls(x, y, ones)``, fitted in
+    the numerics.Workspace ``out``, whose ``vec[5]`` holds the unit weights."""
+    ws = _workspace(out, x)
+    ones = ws.vec[5][:len(y)]
+    ones.fill(1.0)
+    return weighted_ls(x, y, ones, ws)
+
+
 def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarray,
-         out=None) -> Estimate:
+         beta: np.ndarray) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals.
 
-    The regression is fitted in the numerics.Workspace ``out``, whose
-    ``vec[5]`` holds its unit weights.
+    ``beta`` is the regression of the certainty rows, their :func:`unit_ols`
+    coefficient, which a stratum with a pilot fit has from its first stage.
     """
-    ws = _workspace(out, x_np)
-    ones = ws.vec[5][:len(y_np)]
-    ones.fill(1.0)
-    beta = weighted_ls(x_np, y_np, ones, ws)
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
     point = float(np.sum(y_np / prop)) + float((x_total - x_ipw) @ beta)
     return _make_estimate("DR", point)

@@ -144,7 +144,7 @@ ESTIMATORS = {
     "IPW": Estimator("frame", lambda c, a, done: est.y_ipw(c.y_np, c.propensity),
                      needs=("propensity",), variance=False),
     "DR": Estimator("frame", lambda c, a, done: est.y_dr(c.x_np, c.y_np, c.propensity,
-                                                         c.pop.x_total, c.ws),
+                                                         c.pop.x_total, c.ols),
                     needs=("propensity",), variance=False),
     "GREG_DR": Estimator("frame", lambda c, a, done: est.y_fusion(
         done["GREG"], done["DR"], a.size / (a.size + len(c.y_np))),
@@ -350,13 +350,14 @@ class StratumInputs:
     that FGLS fit (when ``need_test``) and, given ``config``, its designs,
     which use no randomness and so are built before any draw.  The complement
     rows, the pilot's variances (one prediction per stratum, shared by the
-    optimal design and the arms), the combined estimator's certainty blocks
-    and the propensities are computed on first use and kept.  ``start`` is
-    the propensity fit's Newton start (see estimators.estimate_propensity)
-    and ``out``, kept as ``ws``, the numerics.Workspace of every fit on the
-    stratum's and its samples' rows, both of which a run shares across its
-    strata (None: from zero, and a workspace per fit); nothing kept is a
-    view of the workspace."""
+    optimal design and the arms), the certainty rows' unit-weight OLS fit
+    (the pilot's first stage when there is a pilot), the combined
+    estimator's certainty blocks and the propensities are computed on first
+    use and kept.  ``start`` is the propensity fit's Newton start (see
+    estimators.estimate_propensity) and ``out``, kept as ``ws``, the
+    numerics.Workspace of every fit on the stratum's and its samples' rows,
+    both of which a run shares across its strata (None: from zero, and a
+    workspace per fit); nothing kept is a view of the workspace."""
 
     def __init__(self, pop, partition, need_pilot, need_test, config=None, start=None,
                  out=None):
@@ -368,7 +369,8 @@ class StratumInputs:
         self.pilot = self.m_np = None
         if need_pilot or need_test:
             self.m_np = np.empty(len(y_np))  # the pilot's fitted means of the certainty rows
-            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np, out=out)
+            self.ols = np.empty(x_np.shape[1])  # and its first stage, kept as ``ols``
+            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np, out=out, first=self.ols)
         self.np_fit = (homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np, self.m_np, out)
                        if need_test else None)
         self.designs = {}
@@ -380,6 +382,12 @@ class StratumInputs:
                 self.designs[kind] = design_mod.build_design(kind, self.x_u1, n_p, u1, sigma2)
         self._blocks = {}
         self._start, self.ws = start, out
+
+    @functools.cached_property
+    def ols(self):
+        """The unit-weight OLS coefficient of the certainty rows,
+        ``weighted_ls(x_np, y_np, ones)``; set by the pilot fit when there is one."""
+        return est.unit_ols(self.x_np, self.y_np, self.ws)
 
     @functools.cached_property
     def sigma2_np(self):
@@ -455,8 +463,7 @@ def _replicate(r, config, pop, mech, plan, stratum, start, ws):
     with stage(f"{at}, frame estimators"):
         arm = None
         if plan["need_sample"]:  # an independent sample from the whole frame
-            n_ind = int(config.f_p * (1.0 - config.f_np) * pop.size)
-            sample = _draw_with_retry(design_mod.equal_probabilities(pop.size, n_ind), rng)
+            sample = _draw_with_retry(plan["frame_design"], rng)
             arm = est.Arm.of(pop.y[sample.members], pop.rows(sample.members),
                              sample.pi_realized)
         keep(plan["frame"], "", arm)
@@ -478,6 +485,10 @@ def _run_state(config: McConfig):
     """The arguments after r of every _replicate call of a run: (config, pop,
     mech, plan, stratum, start, ws).
 
+    ``plan`` is :func:`_plan`'s, and when it needs an independent sample it
+    also holds that sample's equal-probability design on the whole frame
+    (``frame_design``), a run constant built here once.
+
     ``ws`` is the run's one numerics.Workspace, sized to the frame (a copy in
     each worker process): every replication's stratum, sample and propensity
     fits write into it.  Under MAR and NMAR, when the plan needs
@@ -494,6 +505,10 @@ def _run_state(config: McConfig):
     if pop.true_total == 0:
         raise DegenerateMetrics("the population total is 0; relative bias and RRMSE need "
                                 "a nonzero target")
+    if plan["need_sample"]:
+        with stage("frame sample set-up"):
+            n_ind = int(config.f_p * (1.0 - config.f_np) * pop.size)
+            plan["frame_design"] = design_mod.equal_probabilities(pop.size, n_ind)
 
     mech = stratum = start = None
     ws = Workspace(*pop.x.shape)

@@ -114,21 +114,24 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     return _mean(np.divide(e2k, lc, out=lc)), gamma
 
 
-def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None) -> PilotVarianceModel:
+def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,
+              first=None) -> PilotVarianceModel:
     """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
-    probability samples, for ``fitted`` and for the workspace ``out``.
+    probability samples, for ``fitted``, ``first`` and for the workspace
+    ``out``.  Here ``first`` receives the unit-weight OLS coefficient
+    ``weighted_ls(x, y, ones)``.
     """
     x = np.asarray(x, dtype=float)
     ws = _workspace(out, x)
     base = ws.vec[5][:len(x)]
     base.fill(1.0)
-    return fit_power_variance(x, y, base, fitted=fitted, out=ws)
+    return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
-                       fitted=None, out=None) -> PilotVarianceModel:
+                       fitted=None, out=None, first=None) -> PilotVarianceModel:
     """Two-stage power-variance fit with externally supplied base weights.
 
     Stage one regresses y on x with the base weights (equal weights for a
@@ -141,6 +144,9 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     means x @ model.beta of the returned model (those of the last pass,
     bit for bit), so that a caller predicting the rows' variances
     (``_sigma2_at(model, fitted)``) or residuals need not form them again.
+    ``first``, a float array of one entry per column, receives stage one's
+    coefficient, so that a caller needing that regression need not fit it
+    again.
     ``out``, a :class:`~seqdi.numerics.Workspace` for at least x's rows,
     receives the fit's frame-sized arrays (a fit without one allocates its
     own); it writes ``vec[0:5]`` and ``flags``, so the base weights may be
@@ -159,6 +165,8 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
 
     sigma2_floor = _sigma2_floor(y, scratch)
     beta = weighted_ls(x, y, base_weights, ws)
+    if first is not None:
+        first[:] = beta
     with np.errstate(over="ignore"):
         mean_y2 = _mean(np.square(y, out=scratch))
     if mean_y2 == math.inf:

@@ -62,6 +62,11 @@ class Population:
         return np.take(self.x.T, idx, axis=1).T
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # The selection mechanisms and their default slopes, one per feature.
 DEFAULT_SLOPES = {"MAR": (2.0, -2.0), "NMAR": (2.0, -2.0, 0.5)}
 
@@ -108,15 +113,15 @@ class SelectionMechanism:
         key = (self.kind, tuple(self.slopes), self.intercept)
         memo = self.__dict__.get("_memo")
         if memo is None or memo[0] is not pop or memo[1] != key:
-            p = _logistic(self.intercept + self.linear_predictor(pop))
-            p.flags.writeable = False
+            p = _read_only(_logistic(self.intercept + self.linear_predictor(pop)))
             memo = self._memo = (pop, key, p)
         return memo[2]
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Split of the population into the certainty stratum and its complement."""
+    """Split of the population into the certainty stratum and its complement.
+    The row indices of each stratum are found on first use and kept, read-only."""
 
     delta: np.ndarray
 
@@ -128,13 +133,13 @@ class Partition:
             d = d.astype(bool)
         object.__setattr__(self, "delta", d)
 
-    @property
+    @functools.cached_property
     def certainty_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.delta)
+        return _read_only(np.flatnonzero(self.delta))
 
-    @property
+    @functools.cached_property
     def complement_idx(self) -> np.ndarray:
-        return np.flatnonzero(~self.delta)
+        return _read_only(np.flatnonzero(~self.delta))
 
     @property
     def n_certainty(self) -> int:
@@ -236,9 +241,15 @@ def _parse_float(raw: str, row: int, column: str) -> float:
 
 
 def _parse_pi(raw: str, row: int) -> float:
+    """A pi in (0, 1] whose 1/pi^2, the scale of the Poisson plug-in variance, is a
+    finite float (pi above about 7.5e-155)."""
     value = _parse_float(raw, row, "pi")
     if not 0.0 < value <= 1.0:
         raise ParseError(f"pi = {raw} outside (0, 1] in row {row}", row=row, column="pi")
+    square = value * value
+    if square == 0.0 or math.isinf(1.0 / square):
+        raise ParseError(f"pi = {raw} in row {row}, column 'pi', is too small: 1/pi^2 overflows",
+                         row=row, column="pi")
     return value
 
 
@@ -331,7 +342,8 @@ def load_population_csv(path) -> PopulationData:
 
 def load_sample_csv(path):
     """Ids, pi and y (None without a y column) of a sample file with columns
-    id (unique), pi in (0, 1], and optional y; file rules as :func:`_records`."""
+    id (unique), pi in (0, 1] with a finite 1/pi^2, and optional y; file rules as
+    :func:`_records`."""
     ids = {}
     records = _records(path, "sample", ("id", "pi"), ids)
     has_y = "y" in next(records)

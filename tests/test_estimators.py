@@ -8,6 +8,7 @@ from seqdi.estimators import (
     WeightSpec,
     certainty_block,
     poisson_plugin_variance,
+    unit_ols,
     y_com_di,
     y_di,
     y_dr,
@@ -177,6 +178,67 @@ class TestPluginVariance:
             )
 
 
+class TestArmShares:
+    """An arm forms its plug-in factor and each kind's working weights once;
+    the estimates read from them equal those of poisson_plugin_variance and
+    WeightSpec.build called directly, bit for bit."""
+
+    @staticmethod
+    def arm(seed=21):
+        x, y, pi, members = random_setup(seed, n1=300)
+        sigma2 = predict_sigma2(fit_pilot(x, y), x[members])
+        return Arm.of(y[members], x[members], pi[members], sigma2), x
+
+    def test_factor_and_weights_are_the_direct_ones(self):
+        arm, _ = self.arm()
+        e = np.random.default_rng(1).normal(size=arm.size)
+        assert arm.plugin_variance(e) == poisson_plugin_variance(e, arm.pi_s)
+        for kind in ("inverse_pi", "inverse_pi_sigma"):
+            spec = WeightSpec(kind)
+            assert arm.weights(spec).tobytes() == spec.weights(arm.pi_s, arm.sigma2).tobytes()
+            assert arm.weights(spec) is arm.weights(WeightSpec(kind, 0.5))  # kept per kind
+        assert arm.weights(WeightSpec("inverse_pi")) is arm.inv_pi
+        with pytest.raises(ValueError, match="per-unit variances"):
+            Arm.of([1.0, 2.0], np.ones((2, 1)), [0.5, 0.5]).weights(WeightSpec("inverse_pi_sigma"))
+
+    def test_estimates_equal_the_direct_formulas(self):
+        arm, x = self.arm()
+        y_total, n1, x_total = 75.0, len(x), x.sum(axis=0)
+        inv_total = np.sum(1.0 / arm.pi_s)
+        hajek = arm.ht_y / inv_total
+        di = y_di(arm, y_total, n1)
+        assert di.variance == n1**2 / inv_total**2 * poisson_plugin_variance(arm.y_s - hajek,
+                                                                             arm.pi_s)
+        assert y_ht_seq(arm, y_total).variance == poisson_plugin_variance(arm.y_s, arm.pi_s)
+        for kind in ("inverse_pi", "inverse_pi_sigma"):
+            spec = WeightSpec(kind)
+            coef = weighted_ls(arm.x_s, arm.y_s, spec.build(arm.pi_s, arm.sigma2))
+            sep = y_sep_di(arm, y_total, x_total, spec)
+            assert sep.point == y_total + arm.ht_y + float((x_total - arm.ht_x) @ coef)
+            assert sep.variance == poisson_plugin_variance(arm.y_s - arm.x_s @ coef, arm.pi_s)
+
+    def test_shared_arm_gives_each_estimator_its_own_bits(self):
+        # on one arm in registry order, and each on a fresh arm of the same sample
+        arm, x = self.arm(22)
+        x_np = np.column_stack([np.ones(30), np.linspace(0.2, 1.9, 30), np.linspace(1.5, 0.1, 30)])
+        y_np = x_np @ np.array([1.0, 2.0, 3.0]) + np.linspace(-1.0, 1.0, 30)
+        sigma2_np = np.linspace(0.5, 2.0, 30)
+
+        def estimates(fresh):
+            out = []
+            for kind in ("inverse_pi", "inverse_pi_sigma"):
+                spec = WeightSpec(kind)
+                block = certainty_block(x_np, y_np, spec, sigma2_np, 30 + arm.size)
+                out += [y_di(fresh(), 9.0, len(x)), y_ht_seq(fresh(), 9.0),
+                        y_sep_di(fresh(), 9.0, x.sum(axis=0), spec),
+                        y_com_di(fresh(), 9.0, block, x.sum(axis=0))]
+            return out
+
+        shared = estimates(lambda: arm)
+        alone = estimates(lambda: Arm.of(arm.y_s, arm.x_s, arm.pi_s, arm.sigma2))
+        assert [(e.point, e.variance) for e in shared] == [(e.point, e.variance) for e in alone]
+
+
 class TestIpwDr:
     def test_ipw_unit_weights(self):
         pop = generate_population(LOGNORMAL_PARAMS, RngStream(10, 0))
@@ -193,7 +255,7 @@ class TestIpwDr:
         # planted propensity 0.5, so sum x/pi over the stratum is 2 = N
         idx, prop = part.certainty_idx, np.array([0.5])
         ipw = y_ipw(pop.y[idx], prop)
-        dr = y_dr(pop.rows(idx), pop.y[idx], prop, pop.x_total)
+        dr = y_dr(pop.rows(idx), pop.y[idx], prop, pop.x_total, unit_ols(pop.rows(idx), pop.y[idx]))
         assert dr.point == pytest.approx(ipw.point, rel=1e-12)
 
     def test_dr_exact_for_linear_outcome(self):
@@ -206,7 +268,7 @@ class TestIpwDr:
         part = Partition(delta=delta)
         idx = part.certainty_idx
         prop = 1.0 / (1.0 + np.exp(-x[idx] @ np.array([0.3, -0.2, 0.1])))  # planted propensities
-        out = y_dr(x[idx], pop.y[idx], prop, pop.x_total)
+        out = y_dr(x[idx], pop.y[idx], prop, pop.x_total, unit_ols(x[idx], pop.y[idx]))
         assert out.point == pytest.approx(pop.true_total, rel=1e-9)
 
 

@@ -16,7 +16,7 @@ import pytest
 import seqdi
 from seqdi import design as design_mod, harness
 from seqdi.design import build_design, equal_probabilities, poisson_draw
-from seqdi.errors import ConfigError, DegenerateMetrics, Separation, Unidentifiable
+from seqdi.errors import ConfigError, DegenerateMetrics, Infeasible, Separation, Unidentifiable
 from seqdi.harness import (
     ESTIMATORS,
     McConfig,
@@ -25,9 +25,9 @@ from seqdi.harness import (
     metrics,
     run_mc,
 )
-from seqdi.estimators import Arm
+from seqdi.estimators import Arm, y_dr
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
-from seqdi.numerics import RngStream, logistic_fit
+from seqdi.numerics import RngStream, Workspace, logistic_fit, weighted_ls
 from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import (
     Partition,
@@ -586,6 +586,55 @@ class TestStratumStatistics:
                         population_csv=str(path), designs=("optimal", "equal", "pps"),
                         estimators=("comDI_sigma",)))
         assert len(built) == 1
+
+
+class TestComputedOnce:
+    """What every replication or stratum shares is computed once, with the bits
+    that each of its users got when computing its own."""
+
+    @pytest.fixture(scope="class")
+    def stratum(self):
+        pop = generate_population(POP_PARAMS, RngStream(31, 0))
+        mech = SelectionMechanism("NMAR", harness.DEFAULT_SLOPES["NMAR"], 0.7)
+        mech.intercept = calibrate_intercept(mech, pop)
+        return pop, draw_nonprob(pop, mech, RngStream(31, 1))
+
+    @pytest.mark.parametrize("need_pilot", [True, False])
+    def test_stratum_ols_is_the_unit_weight_fit(self, stratum, need_pilot, monkeypatch):
+        # with a pilot, DR reads the pilot fit's first stage and fits nothing
+        # more; without one, DR fits it once on first use
+        pop, partition = stratum
+        x_np, y_np = pop.rows(partition.certainty_idx), pop.y[partition.certainty_idx]
+        want = weighted_ls(x_np, y_np, np.ones(len(y_np)))
+        inputs = harness.StratumInputs(pop, partition, need_pilot, need_test=False,
+                                       out=Workspace(*pop.x.shape))
+        calls = []
+        monkeypatch.setattr(harness.est, "weighted_ls",
+                            lambda *args: calls.append(1) or weighted_ls(*args))
+        dr = ESTIMATORS["DR"].compute(inputs, None, {})
+        assert inputs.ols.tobytes() == want.tobytes()
+        assert len(calls) == (0 if need_pilot else 1)
+        direct = y_dr(x_np, y_np, inputs.propensity, pop.x_total, want)
+        assert np.float64(dr.point).tobytes() == np.float64(direct.point).tobytes()
+
+    def test_frame_design_built_once_per_run(self, monkeypatch):
+        sizes = []
+        original = design_mod.equal_probabilities
+
+        def counted(n, *args, **kwargs):
+            sizes.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(design_mod, "equal_probabilities", counted)
+        run_mc(small_config(replications=6, designs=("equal",), estimators=("DI", "GREG")))
+        # one frame design per run, and each replication's design on its complement
+        assert sizes.count(POP_PARAMS["N"]) == 1
+        assert len(sizes) == 1 + 6
+
+    def test_infeasible_frame_sample_fails_at_set_up(self, monkeypatch):
+        monkeypatch.setattr(harness, "_replicate", None)  # no replication may start
+        with pytest.raises(Infeasible, match=r"^frame sample set-up: expected size 0 outside"):
+            run_mc(small_config(f_p=0.001, estimators=("DI", "GREG")))
 
 
 class TestProgress:

@@ -38,6 +38,17 @@ def test_quantile_of_tops_is_the_pooled_quantile(certainty, sample, q):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 200_000), min_size=2, max_size=2),
+       q=st.sampled_from([0.5, 0.9, 0.999, 1.0]))
+@example(sizes=[1, 1], q=0.999)
+@example(sizes=[1, 10_000], q=0.999)
+def test_top_count_is_largest_at_the_largest_size(sizes, q):
+    # certainty_block reads the most any pooled size n..N can need at N alone
+    n, big = sorted(sizes)
+    assert int(top_count(big, q)) == int(np.max(top_count(np.arange(n, big + 1), q)))
+
+
 def test_quantile_of_tops_refuses_too_few_values():
     with pytest.raises(ValueError, match="top values"):
         quantile_of_tops([np.array([5.0])], 100, 0.5)

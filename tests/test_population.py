@@ -120,6 +120,13 @@ class TestDrawNonprob:
         assert mech.probabilities(pop).tobytes() == changed.probabilities(pop).tobytes()
         assert mech.probabilities(pop).tobytes() != first.tobytes()
 
+    def test_stratum_indices_kept_read_only(self):
+        part = Partition(delta=np.array([1, 0, 1, 0, 0]))
+        assert part.certainty_idx is part.certainty_idx
+        assert part.complement_idx is part.complement_idx
+        assert (part.certainty_idx.tolist(), part.complement_idx.tolist()) == ([0, 2], [1, 3, 4])
+        assert not (part.certainty_idx.flags.writeable or part.complement_idx.flags.writeable)
+
     def test_degenerate_partition(self):
         pop = generate_population(dict(LOGNORMAL_PARAMS, N=50), RngStream(14, 0))
         mech = SelectionMechanism("MAR", (0.0, 0.0), 0.5, intercept=40.0)
@@ -221,6 +228,20 @@ class TestCsv:
         with pytest.raises(ParseError) as err:
             load_sample_csv(path)
         assert (err.value.row, err.value.column) == (2, "pi")
+
+    @pytest.mark.parametrize("pi", ["7.45e-155", "1e-160", "1e-200", "5e-324"])
+    def test_pi_whose_inverse_square_overflows_names_row(self, tmp_path, pi):
+        # the plug-in variance scales by 1/pi^2: a pi that overflows it is refused
+        path = tmp_path / "sample.csv"
+        path.write_text(f"id,pi\n1,0.25\n2,{pi}\n")
+        with pytest.raises(ParseError, match="1/pi\\^2 overflows") as err:
+            load_sample_csv(path)
+        assert (err.value.row, err.value.column) == (2, "pi")
+
+    def test_smallest_pi_with_a_finite_inverse_square_is_read(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("id,pi\n1,7.5e-155\n")
+        assert load_sample_csv(path)[1].tolist() == [7.5e-155]
 
     def test_repeated_id_names_both_rows(self, tmp_path):
         path = tmp_path / "dup.csv"
