@@ -59,13 +59,13 @@ class WeightSpec:
             raise ValueError("variance-scaled weights need per-unit variances")
         return 1.0 / (pi * np.asarray(sigma2, dtype=float))
 
-    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
-        """The working weights of :meth:`weights`, truncated by :meth:`truncate`."""
-        return self.truncate(self.weights(pi, sigma2))
-
-    def truncate(self, q: np.ndarray) -> np.ndarray:
-        """Working weights q capped at their truncation quantile when q has two or
-        more rows (at quantile 1 the cap is the maximum); q itself is not written."""
+    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None,
+              weights: np.ndarray | None = None) -> np.ndarray:
+        """The working weights q of :meth:`weights`, capped at their truncation quantile
+        when q has two or more rows (at quantile 1 the cap is the maximum).  A caller
+        that has q already (an :class:`Arm` keeps it) passes it as ``weights``,
+        which is not written."""
+        q = self.weights(pi, sigma2) if weights is None else weights
         if len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
@@ -202,7 +202,8 @@ def y_sep_di(arm: Arm, certainty_total: float, x_total_complement,
              wspec: WeightSpec, out=None) -> Estimate:
     """Separate regression estimator: coefficient fitted on the probability sample only,
     with the numerics.Workspace ``out`` (see :func:`~seqdi.numerics.weighted_ls`)."""
-    coef = weighted_ls(arm.x_s, arm.y_s, wspec.truncate(arm.weights(wspec)), out)
+    q = wspec.build(arm.pi_s, arm.sigma2, arm.weights(wspec))
+    coef = weighted_ls(arm.x_s, arm.y_s, q, out)
     return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
 
 
