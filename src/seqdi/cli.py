@@ -118,7 +118,8 @@ def cmd_estimate(args):
 
     out_rows = []
     for tag in tags:  # every estimate before any output, so a failure prints no partial table
-        with stage(f"{tag} on {args.sample}"):
+        # an overflow shows as the non-finite estimate refused below, not as a numpy warning
+        with stage(f"{tag} on {args.sample}"), np.errstate(all="ignore"):
             record = ESTIMATORS[tag].compute(stratum, arm, {})
             if not (np.isfinite(record.point) and np.isfinite(record.variance or 0.0)):
                 raise SeqdiError(f"non-finite estimate (point={record.point}, "

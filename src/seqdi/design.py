@@ -36,10 +36,10 @@ class SecondStageDesign:
         if len(self.indices) != len(self.pi):
             raise ValueError("one probability per unit")
         # written so that a NaN probability fails them
-        if not np.all((self.pi > 0.0) & (self.pi <= 1.0 + 1e-12)):
+        if not ((self.pi > 0.0) & (self.pi <= 1.0 + 1e-12)).all():
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         floor = FLOORS[self.kind]
-        if not np.all(self.pi >= floor - 1e-12):
+        if not (self.pi >= floor - 1e-12).all():
             raise ValueError(f"{self.kind} design must respect the {floor} floor")
 
 
@@ -69,27 +69,27 @@ def _scale_clamp_rescale(raw: np.ndarray, n_p: float, floor: float) -> np.ndarra
     if floor * n1 > n_p + 1e-12:
         raise Infeasible(f"floor {floor} over {n1} units already exceeds size {n_p}")
 
-    c = n_p / float(np.sum(raw))
+    c = n_p / float(raw.sum())
     pi = raw * c
-    if np.all((pi >= floor) & (pi <= 1.0)):
+    if ((pi >= floor) & (pi <= 1.0)).all():
         return pi
     if n_p == n1:
         return np.ones(n1)
-    lo, hi = 0.0, 1.0 / float(np.min(raw))  # sum pi <= n_p at lo, >= n_p at hi
+    lo, hi = 0.0, 1.0 / float(raw.min())  # sum pi <= n_p at lo, >= n_p at hi
     for _ in range(2 * n1 + 64):  # a Newton step per piece, then halvings
         scaled = c * raw
         at_ceiling, at_floor = scaled >= 1.0, scaled <= floor
         free = ~(at_ceiling | at_floor)
-        budget = n_p - np.sum(at_ceiling) - floor * np.sum(at_floor)
-        reached = float(np.clip(scaled, floor, 1.0).sum())
+        budget = n_p - at_ceiling.sum() - floor * at_floor.sum()
+        reached = float(scaled.clip(floor, 1.0).sum())
         if abs(reached - n_p) <= 1e-12 * n_p:
             break
-        step = budget / float(np.sum(raw[free])) if free.any() else np.nan
+        step = budget / float(raw[free].sum()) if free.any() else np.nan
         lo, hi = (c, hi) if reached < n_p else (lo, c)
         c = step if lo < step < hi else (lo + hi) / 2.0
     pi = np.where(at_ceiling, 1.0, floor)
     if free.any():
-        pi[free] = np.clip(raw[free] * (budget / float(np.sum(raw[free]))), floor, 1.0)
+        pi[free] = (raw[free] * (budget / float(raw[free].sum()))).clip(floor, 1.0)
     return pi
 
 
@@ -161,7 +161,7 @@ def build_design(kind: str, x_frame: np.ndarray, n_p: int, indices: np.ndarray,
 
 def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:
     """Independent Bernoulli(pi_i) inclusion; raises EmptySample on an empty draw."""
-    positions = np.flatnonzero(rng.bernoulli(design.pi))
+    positions = rng.bernoulli(design.pi).nonzero()[0]
     if positions.size == 0:
         raise EmptySample("no unit selected")
     return DrawnSample(design.indices[positions], design.pi[positions], positions)

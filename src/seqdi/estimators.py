@@ -105,7 +105,7 @@ def _plugin_factor(pi: np.ndarray) -> np.ndarray:
 
 def _plugin_sum(factor: np.ndarray, residuals) -> float:
     """sum factor * e^2: the factor formed first, so the bits are the one-line sum's."""
-    return float(np.sum(factor * np.asarray(residuals, dtype=float)**2))
+    return float((factor * np.asarray(residuals, dtype=float)**2).sum())
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class Arm:
         pi_s = np.asarray(pi_s, dtype=float)
         inv = 1.0 / pi_s
         x_s = np.asarray(x_s, dtype=float)
-        return cls(y_s, x_s, pi_s, inv, float(np.sum(inv * y_s)),
+        return cls(y_s, x_s, pi_s, inv, float((inv * y_s).sum()),
                    (x_s * inv[:, None]).sum(axis=0), sigma2, test)
 
     @property
@@ -172,7 +172,7 @@ def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
     """
     if arm.size == 0:
         raise EmptySample("Hajek mean needs a nonempty sample")
-    inv_total = np.sum(arm.inv_pi)  # a numpy scalar: its square overflows to inf, not raises
+    inv_total = arm.inv_pi.sum()  # a numpy scalar: its square overflows to inf, not raises
     hajek = arm.ht_y / inv_total
     point = certainty_total + n_complement * hajek
     plugin = arm.plugin_variance(arm.y_s - hajek)
@@ -291,8 +291,9 @@ def estimate_propensity(pop: Population, partition: Partition, x_certainty: np.n
 
     ``start`` and ``out`` go to :func:`~seqdi.numerics.logistic_fit`: the
     Newton start (zero when None) and a Workspace for at least pop.x's rows.
-    A Monte Carlo run passes every replication the same start, the fit to
-    its mechanism's selection probabilities, and one workspace.
+    A Monte Carlo run passes every replication the same start, a
+    numerics.NewtonStart on pop.x at the fit to its mechanism's selection
+    probabilities, and one workspace.
     """
     delta = partition.delta.astype(float)
     return _logistic(x_certainty @ logistic_fit(pop.x, delta, start, out))
@@ -304,7 +305,7 @@ def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:
 
     No variance is reported; the estimator is a point-only competitor.
     """
-    return _make_estimate("IPW", float(np.sum(y_np / prop)))
+    return _make_estimate("IPW", float((y_np / prop).sum()))
 
 
 def unit_ols(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -324,7 +325,7 @@ def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarr
     coefficient, which a stratum with a pilot fit has from its first stage.
     """
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
-    point = float(np.sum(y_np / prop)) + float((x_total - x_ipw) @ beta)
+    point = float((y_np / prop).sum()) + float((x_total - x_ipw) @ beta)
     return _make_estimate("DR", point)
 
 

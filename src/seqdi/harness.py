@@ -32,7 +32,7 @@ from . import estimators as est
 from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
-from .numerics import RngStream, Workspace, Z_975, logistic_fit
+from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit
 from .pilot import _sigma2_at, fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
@@ -364,7 +364,7 @@ class StratumInputs:
         s_np = partition.certainty_idx
         self.pop, self.partition = pop, partition
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
-        self.y_total = float(np.sum(y_np))
+        self.y_total = float(y_np.sum())
         self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
         self.pilot = self.m_np = None
         if need_pilot or need_test:
@@ -493,12 +493,14 @@ def _run_state(config: McConfig):
     each worker process): every replication's stratum, sample and propensity
     fits write into it.  Under MAR and NMAR, when the plan needs
     propensities, ``start`` is the one start of every replication's
-    propensity fit (see StratumInputs): the fit to the mechanism's selection
-    probabilities on the frame, the population-level limit of each
-    replication's fit, under MAR its intercept and slopes.  It is the same
-    for every replication, so no result depends on the order in which
-    replications run.  It is None, and every fit starts from zero, when the
-    plan needs no propensities or that fit fails.
+    propensity fit (see StratumInputs): a numerics.NewtonStart at the fit to
+    the mechanism's selection probabilities on the frame, the
+    population-level limit of each replication's fit, under MAR its intercept
+    and slopes.  The first Newton point's frame-sized arrays and Hessian do
+    not depend on the replication's selection, so they are built here once.
+    The start is the same for every replication, so no result depends on the
+    order in which replications run.  It is None, and every fit starts from
+    zero, when the plan needs no propensities or that fit fails.
     """
     pop, data = _build_population(config)
     plan = _plan(config)
@@ -517,7 +519,8 @@ def _run_state(config: McConfig):
         mech.intercept = calibrate_intercept(mech, pop)
         if plan["need_propensity"]:
             with contextlib.suppress(Separation, NoConvergence, NotPositiveDefinite, ValueError):
-                start = logistic_fit(pop.x, mech.probabilities(pop), out=ws)
+                alpha = logistic_fit(pop.x, mech.probabilities(pop), out=ws)
+                start = NewtonStart(pop.x, alpha, ws)
     else:
         with stage(f"FixedPartition set-up on {config.population_csv}"):
             stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],

@@ -51,38 +51,51 @@ class RngStream:
 def _cholesky(a) -> list:
     """Lower Cholesky factor of symmetric positive-definite A, as rows of floats.
 
-    The factor is built in Python floats from ``a.tolist()``: for the 2x2 to
-    6x6 systems of the regression callers that is several times faster than
-    numpy slicing.  Raises ValueError unless A is square and symmetric within
-    1e-10 of its largest entry, and NotPositiveDefinite when a pivot falls at
-    or below 1e-12 * trace(A)/d.
+    The factor is built row by row (Cholesky-Banachiewicz) in Python floats
+    from ``a.tolist()``: for the 2x2 to 6x6 systems of the regression callers
+    that is several times faster than numpy slicing.  Entry (i, k) takes the
+    dot of rows i and k over the columns j < k, summed from 0.0 in order j,
+    so a row-by-row and a column-by-column factor agree bit for bit.  Raises
+    ValueError unless A is square and symmetric within 1e-10 of its largest
+    entry, and NotPositiveDefinite unless every pivot exceeds
+    1e-12 * trace(A)/d; both tests are written so that a NaN fails them.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
     rows = a.tolist()
-    sym_tol = 1e-10 * max(1.0, max(abs(v) for row in rows for v in row))
-    if any(abs(rows[i][j] - rows[j][i]) > sym_tol for i in range(d) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
+    big = 1.0
+    for row in rows:
+        for v in row:
+            if abs(v) > big:
+                big = abs(v)
+    sym_tol, trace = 1e-10 * big, 0.0
+    for i in range(d):
+        row_a = rows[i]
+        for j in range(i):
+            if not abs(row_a[j] - rows[j][i]) <= sym_tol:
+                raise ValueError("matrix is not symmetric")
+        trace += row_a[i]
 
-    pivot_tol = 1e-12 * sum(rows[k][k] for k in range(d)) / d
-    lower = [[0.0] * d for _ in range(d)]
-    for k in range(d):
-        row_k = lower[k]
-        dot = 0.0
-        for j in range(k):
-            dot += row_k[j] * row_k[j]
-        pivot = rows[k][k] - dot
-        if pivot <= pivot_tol:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {k}")
-        diag = row_k[k] = math.sqrt(pivot)
-        for i in range(k + 1, d):
-            row_i = lower[i]
+    pivot_tol = 1e-12 * trace / d
+    lower = []
+    for i in range(d):
+        row_a, row_i = rows[i], [0.0] * d
+        for k in range(i):
+            row_k = lower[k]
             dot = 0.0
             for j in range(k):
                 dot += row_i[j] * row_k[j]
-            row_i[k] = (rows[i][k] - dot) / diag
+            row_i[k] = (row_a[k] - dot) / row_k[k]
+        dot = 0.0
+        for j in range(i):
+            dot += row_i[j] * row_i[j]
+        pivot = row_a[i] - dot
+        if not pivot > pivot_tol:
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {i}")
+        row_i[i] = math.sqrt(pivot)
+        lower.append(row_i)
     return lower
 
 
@@ -118,10 +131,18 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix: one Cholesky
-    factorization, then one solve per unit column."""
+    factorization, then one solve per unit column.  Entry (i, j) is the mean
+    (col_j[i] + col_i[j]) / 2.0 of the two solves' entries, in Python floats:
+    the arithmetic of symmetrizing the matrix of columns as (out + out.T) / 2."""
     lower = _cholesky(a)
-    out = np.array([_substitute(lower, e) for e in np.eye(len(lower)).tolist()]).T
-    return (out + out.T) / 2.0
+    d = len(lower)
+    cols = []
+    for j in range(d):
+        unit = [0.0] * d
+        unit[j] = 1.0
+        cols.append(_substitute(lower, unit))
+    return np.array([[(cols[j][i] + col_i[j]) / 2.0 for j in range(d)]
+                     for i, col_i in enumerate(cols)])
 
 
 def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -150,7 +171,7 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     w = np.asarray(w, dtype=float)
     ws = _workspace(out, x)
     n = len(x)
-    if np.any(np.less(w, 0, out=ws.flags[0][:n])):
+    if np.less(w, 0, out=ws.flags[0][:n]).any():
         raise ValueError("weights must be nonnegative")
     return gram(x, w, ws), x.T @ np.multiply(w, y, out=ws.vec[0][:n])
 
@@ -199,7 +220,8 @@ def quantile(v: np.ndarray, q: float) -> float:
     v = np.asarray(v, dtype=float)
     lo, hi, t = _position(v.size, q)
     if lo >= 0:
-        part = np.partition(v, lo)
+        part = v.copy()  # what np.partition does before the same call
+        part.partition(lo)
         a, b = float(part[lo]), float(part[hi:].min())
         if math.isnan(b):
             return math.nan
@@ -219,7 +241,11 @@ def top_count(n, q: float):
 def largest(v: np.ndarray, k: int) -> np.ndarray:
     """The k largest entries of v in no particular order, or all of v when it has no more."""
     v = np.asarray(v, dtype=float)
-    return v if k >= v.size else np.partition(v, v.size - k)[v.size - k:]
+    if k >= v.size:
+        return v
+    part = v.copy()
+    part.partition(v.size - k)
+    return part[v.size - k:]
 
 
 def quantile_of_tops(tops, n: int, q: float) -> float:
@@ -262,7 +288,8 @@ class Workspace:
 
     - :func:`gram` writes ``wx``; :func:`normal_equations` and
       :func:`weighted_ls` also ``vec[0]`` and ``flags[0]``;
-    - :func:`logistic_fit` writes ``vec[0:4]`` and ``flags[0]``;
+    - :func:`logistic_fit` and :class:`NewtonStart` write ``wx``, ``vec[0:4]``
+      and ``flags[0]``;
     - the power-variance fit (:mod:`~seqdi.pilot`) writes ``vec[0:5]``
       (``vec[4]`` holds its fitted means unless given an array for them)
       and ``flags``, and its callers hold their base weights in ``vec[5]``;
@@ -294,16 +321,17 @@ def _workspace(out, x) -> Workspace:
     return out
 
 
-def _log_likelihood(eta, delta, t, p, w):
-    """Logistic log-likelihood sum delta*eta - log(1+exp(eta)); writes t = exp(-|eta|).
-
-    log(1+exp(eta)) is np.logaddexp(0, eta) written out as
-    max(eta, 0) + log1p(t), stable for large |eta|; t also gives the fitted
-    probabilities, so a Newton point takes one exp.  p and w are scratch.
-    """
+def _softplus(eta, t, p, w):
+    """log(1+exp(eta)) into p, as np.logaddexp(0, eta) written out: max(eta, 0) + log1p(t),
+    stable for large |eta|.  Writes t = exp(-|eta|), which also gives the fitted
+    probabilities, so a Newton point takes one exp; w is scratch."""
     np.exp(np.negative(np.abs(eta, out=t), out=t), out=t)
-    np.add(np.maximum(eta, 0.0, out=p), np.log1p(t, out=w), out=p)
-    return float(np.sum(np.subtract(np.multiply(delta, eta, out=w), p, out=w)))
+    return np.add(np.maximum(eta, 0.0, out=p), np.log1p(t, out=w), out=p)
+
+
+def _log_likelihood(eta, delta, softplus, w):
+    """Logistic log-likelihood sum delta*eta - log(1+exp(eta)), with w as scratch."""
+    return float(np.subtract(np.multiply(delta, eta, out=w), softplus, out=w).sum())
 
 
 def _fitted(eta, t, p, w, positive):
@@ -313,20 +341,59 @@ def _fitted(eta, t, p, w, positive):
     return np.divide(p, np.add(1.0, t, out=w), out=p)
 
 
+def _newton_point(x, eta, t, p, w, positive, ws):
+    """The fitted probabilities (into p) and the Hessian X' diag(p(1-p)) X at eta,
+    from t = exp(-|eta|), with w, positive and the workspace ws as scratch."""
+    _fitted(eta, t, p, w, positive)
+    return p, gram(x, np.multiply(p, np.subtract(1.0, p, out=w), out=w), ws)
+
+
+class NewtonStart:
+    """A :func:`logistic_fit` start on the rows x whose first Newton point is formed once.
+
+    Every fit on x from ``alpha`` begins at the same point, whatever its
+    responses: ``eta`` = x @ alpha, the ``softplus`` term log(1+exp(eta)) of
+    the log-likelihood, the fitted probabilities ``p`` and the Hessian
+    ``hessian`` = X' diag(p(1-p)) X.  They are built by the fit's own ops in
+    the workspace ``out`` (a new one when None) and kept as copies, so a fit
+    from this start skips them and still gives the bits of a fit from
+    ``alpha``.  The start keeps the object x itself, and a fit given any
+    other object for x, even a view of it, refuses it.  Pickled together with
+    x, as a run's worker arguments are, it still holds that x.
+    """
+
+    def __init__(self, x: np.ndarray, alpha: np.ndarray, out=None):
+        self.x = x
+        x = np.asarray(x, dtype=float)
+        self.alpha = np.array(alpha, dtype=float)
+        n, d = x.shape
+        if self.alpha.shape != (d,):
+            raise ValueError(f"start must hold {d} coefficients")
+        ws = _workspace(out, x)
+        eta, t, p, w = (v[:n] for v in ws.vec[:4])
+        self.softplus = _softplus(np.matmul(x, self.alpha, out=eta), t, p, w).copy()
+        fitted, self.hessian = _newton_point(x, eta, t, p, w, ws.flags[0][:n], ws)
+        self.p, self.eta = fitted.copy(), eta.copy()
+
+
 def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.ndarray:
     """Newton-Raphson MLE of logit P(delta=1 | x) = x'alpha.
 
     delta may hold fractional responses in [0, 1]: the fit then maximizes the
     same concave log-likelihood, as for the expected selection probabilities
-    of a mechanism.  Newton starts from ``start`` (zero when None) and halves
-    the step while the log-likelihood decreases; it stops once a step moves
-    no coefficient by more than LOGISTIC_TOL, so fits from two starts agree
-    to about that bound, and without a start the result does not depend on
-    ``out``.  ``out``, a :class:`Workspace` for at least x's rows, receives
-    the per-step arrays (a fit without one allocates its own).  Raises
-    Separation when any coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute
-    value, and NoConvergence after LOGISTIC_MAX_ITER iterations.
+    of a mechanism.  Newton starts from ``start``: zero when None, a
+    coefficient array, or a :class:`NewtonStart` on this x, whose first point
+    is taken as built.  It halves the step while the log-likelihood
+    decreases, and stops once a step moves no coefficient by more than
+    LOGISTIC_TOL, so fits from two starts agree to about that bound, and
+    without a start the result does not depend on ``out``.  ``out``, a
+    :class:`Workspace` for at least x's rows, receives the per-step arrays (a
+    fit without one allocates its own).  Raises Separation when any
+    coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute value, and
+    NoConvergence after LOGISTIC_MAX_ITER iterations.
     """
+    if isinstance(start, NewtonStart) and start.x is not x:
+        raise ValueError("start was built on another x")
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
     n, d = x.shape
@@ -334,34 +401,40 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
         raise ValueError("need at least as many rows as coefficients")
     if delta.min() == delta.max():
         raise ValueError("both classes must be present")
-    alpha = np.zeros(d) if start is None else np.array(start, dtype=float)
-    if alpha.shape != (d,):
-        raise ValueError(f"start must hold {d} coefficients")
     ws = _workspace(out, x)
     eta, t, p, w = (v[:n] for v in ws.vec[:4])
     positive = ws.flags[0][:n]
 
-    loglik = _log_likelihood(np.matmul(x, alpha, out=eta), delta, t, p, w)
+    if isinstance(start, NewtonStart):
+        alpha, fitted, g = start.alpha, start.p, start.hessian
+        loglik = _log_likelihood(start.eta, delta, start.softplus, w)
+    else:
+        alpha = np.zeros(d) if start is None else np.array(start, dtype=float)
+        if alpha.shape != (d,):
+            raise ValueError(f"start must hold {d} coefficients")
+        np.matmul(x, alpha, out=eta)
+        loglik = _log_likelihood(eta, delta, _softplus(eta, t, p, w), w)
+        fitted, g = _newton_point(x, eta, t, p, w, positive, ws)
     for _ in range(LOGISTIC_MAX_ITER):
-        _fitted(eta, t, p, w, positive)
-        g = gram(x, np.multiply(p, np.subtract(1.0, p, out=w), out=w), ws)
-        step = solve_spd(g, x.T @ np.subtract(delta, p, out=w))
+        step = solve_spd(g, x.T @ np.subtract(delta, fitted, out=w))
 
         # the step needs no more of the current point's arrays: each candidate's
         # eta and t overwrite them, and the accepted one's stay for the next step
         factor = 1.0
         for _ in range(30):
             cand = alpha + factor * step
-            cand_ll = _log_likelihood(np.matmul(x, cand, out=eta), delta, t, p, w)
+            np.matmul(x, cand, out=eta)
+            cand_ll = _log_likelihood(eta, delta, _softplus(eta, t, p, w), w)
             if cand_ll >= loglik - 1e-12:
                 break
             factor /= 2.0
         alpha, loglik = cand, cand_ll
 
-        if np.max(np.abs(alpha)) > LOGISTIC_MAX_ABS_COEF:
+        if np.abs(alpha).max() > LOGISTIC_MAX_ABS_COEF:
             raise Separation("coefficient escaped toward infinity")
-        if np.max(np.abs(factor * step)) <= LOGISTIC_TOL:
+        if np.abs(factor * step).max() <= LOGISTIC_TOL:
             return alpha
+        fitted, g = _newton_point(x, eta, t, p, w, positive, ws)
     raise NoConvergence(f"no convergence in {LOGISTIC_MAX_ITER} iterations")
 
 
@@ -371,10 +444,11 @@ def chisq_sf(x: float, df: int) -> float:
     With h = x/2 and a = 0 for even df, 1/2 for odd df (A&S 26.4.4-5),
     Q = [erfc(sqrt(h)) if df is odd] + sum_{k < df//2} h^(k+a) e^(-h) / Gamma(k+a+1),
     each term formed in logs: the running product e^(-h) h^k / k! underflows
-    once h > ~745.  At df = 2 the value is exp(-x/2) exactly.
+    once h > ~745.  At df = 2 the value is exp(-x/2) exactly.  Raises
+    ValueError for a negative or NaN x.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not x >= 0:  # NaN fails too
+        raise ValueError(f"x must be nonnegative, not {x}")
     if not (df >= 1 and float(df).is_integer()):
         raise ValueError("df must be a positive integer")
     h = x / 2.0

@@ -90,7 +90,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     ws = Workspace(n, 1) if out is None else out
     keep = np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=ws.flags[0][:n])
     np.logical_and(keep, positive, out=keep)
-    mk, e2k = (m, e2) if np.all(keep) else (m[keep], e2[keep])
+    mk, e2k = (m, e2) if keep.all() else (m[keep], e2[keep])
     k = mk.size
     # mk is positive: its largest |value| is its maximum, and max - min its spread
     if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):

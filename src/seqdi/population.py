@@ -59,7 +59,7 @@ class Population:
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows ``idx`` (integers) of X as ``x[idx]``, but column-major and faster."""
-        return np.take(self.x.T, idx, axis=1).T
+        return self.x.T.take(idx, axis=1).T
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -143,7 +143,7 @@ class Partition:
 
     @property
     def n_certainty(self) -> int:
-        return int(np.sum(self.delta))
+        return int(self.delta.sum())
 
     @property
     def n_complement(self) -> int:

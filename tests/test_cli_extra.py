@@ -248,6 +248,32 @@ class TestNonFiniteFailsCleanly:
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize("pi, y, message", [
+        # 1/pi^2 is finite, but the plug-in sum (1-pi)/pi^2 * e^2 overflows
+        (7.5e-155, None, "error: HT_seq on sample.csv: non-finite estimate"),
+        # y^2 overflows in the plug-in variance
+        (0.5, 1e300, "error: DI on sample.csv: non-finite estimate"),
+    ])
+    def test_estimate_with_overflowing_sum_exit_one(self, tmp_path, pi, y, message):
+        # the sample file passes its checks; the estimator's overflow is refused
+        # as one error line, with no numpy warning above it
+        pop = generate_population({"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                                  RngStream(1, 0))
+        delta = RngStream(2, 0).uniform(size=600) < 0.6
+        save_population_csv(tmp_path / "pop.csv", pop, partition=Partition(delta=delta))
+        complement = np.flatnonzero(~delta)[::2]
+        if y is None:
+            write_csv(tmp_path / "sample.csv", ["id", "pi"],
+                      [[i + 1, pi if k == 0 else 0.5] for k, i in enumerate(complement)])
+        else:
+            write_csv(tmp_path / "sample.csv", ["id", "pi", "y"],
+                      [[i + 1, pi, y if k == 0 else 10.0] for k, i in enumerate(complement)])
+        proc = run_cli(tmp_path, "estimate", "--pop", "pop.csv", "--sample", "sample.csv",
+                       "--estimators", "ht" if y is None else "di", "--out", "f.csv")
+        assert_clean_failure(proc, 1, message)
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "f.csv").exists()
+
     @staticmethod
     def write_huge_outcomes(path):
         # outcomes near 1e160: their variance, and the pilot's squared

@@ -27,7 +27,7 @@ from seqdi.harness import (
 )
 from seqdi.estimators import Arm, y_dr
 from seqdi.homogeneity import fgls_np, fgls_p, homogeneity_test
-from seqdi.numerics import RngStream, Workspace, logistic_fit, weighted_ls
+from seqdi.numerics import NewtonStart, RngStream, Workspace, logistic_fit, weighted_ls
 from seqdi.pilot import fit_pilot, predict_sigma2
 from seqdi.population import (
     Partition,
@@ -254,28 +254,43 @@ class TestPropensityStart:
     """Every propensity fit of a MAR or NMAR run starts from the run's fit to
     its mechanism's selection probabilities and writes into one workspace."""
 
+    @staticmethod
+    def draws():
+        """200 MAR and 200 NMAR selections of one N = 10 000 frame, each with its
+        run's population, start and workspace."""
+        for mechanism in ("MAR", "NMAR"):
+            config = small_config(seed=7, mechanism=mechanism, estimators=("IPW",),
+                                  population_params=dict(POP_PARAMS, N=10_000))
+            _, pop, mech, _, _, start, ws = harness._run_state(config)
+            assert isinstance(start, NewtonStart)
+            for r in range(200):
+                delta = draw_nonprob(pop, mech, RngStream(config.seed, r + 1)).delta * 1.0
+                yield pop, delta, start, ws
+
     def test_warm_and_cold_fits_agree_to_the_stop_rule(self):
         # the stop rule takes a step of at most 1e-8 as the last, so two
         # starts may stop that far apart.  Measured over these 400 draws:
         # 2.95e-9 at MAR draw 70, where the line search halves the warm fit's
         # last step, and at most 5.5e-14 elsewhere
         gaps = []
-        for mechanism in ("MAR", "NMAR"):
-            config = small_config(seed=7, mechanism=mechanism, estimators=("IPW",),
-                                  population_params=dict(POP_PARAMS, N=10_000))
-            _, pop, mech, _, _, start, ws = harness._run_state(config)
-            assert start is not None
-            for r in range(200):
-                delta = draw_nonprob(pop, mech, RngStream(config.seed, r + 1)).delta * 1.0
-                cold = logistic_fit(pop.x, delta)
-                warm = logistic_fit(pop.x, delta, start, ws)
-                gaps.append(np.max(np.abs(warm - cold)))
+        for pop, delta, start, ws in self.draws():
+            cold = logistic_fit(pop.x, delta)
+            warm = logistic_fit(pop.x, delta, start, ws)
+            gaps.append(np.max(np.abs(warm - cold)))
         assert max(gaps) <= 1e-8
+
+    def test_first_point_built_once_gives_the_bits_of_its_coefficients(self):
+        # the run's NewtonStart skips the first Newton point's arrays and
+        # Hessian, which its coefficients alone would rebuild in every fit
+        for pop, delta, start, ws in self.draws():
+            from_alpha = logistic_fit(pop.x, delta, start.alpha, ws)
+            assert logistic_fit(pop.x, delta, start, ws).tobytes() == from_alpha.tobytes()
 
     def test_mar_start_is_the_mechanism(self):
         config = small_config(estimators=("DR",), population_params=dict(POP_PARAMS, N=5000))
         _, pop, mech, _, _, start, _ = harness._run_state(config)
-        np.testing.assert_allclose(start, [mech.intercept, *mech.slopes], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(start.alpha, [mech.intercept, *mech.slopes], rtol=0,
+                                   atol=1e-8)
         # no propensity estimator, no census fit
         assert harness._run_state(small_config(estimators=("DI", "GREG")))[5] is None
 

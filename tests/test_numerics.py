@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from seqdi.errors import NoConvergence, NotPositiveDefinite, Separation
 from seqdi.numerics import (
+    NewtonStart,
     Workspace,
     RngStream,
     chisq_sf,
@@ -76,6 +78,145 @@ class TestSolveSpd:
         m = rng.normal(size=(4, 4))
         a = m @ m.T + np.eye(4)
         np.testing.assert_allclose(inv_spd(a) @ a, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("a, error", [
+        ([[np.nan, 0.0], [0.0, 1.0]], NotPositiveDefinite),  # a NaN pivot
+        ([[1.0, 0.0], [0.0, np.nan]], NotPositiveDefinite),
+        ([[np.nan]], NotPositiveDefinite),
+        ([[2.0, np.nan], [np.nan, 2.0]], ValueError),  # NaN fails the symmetry test
+        ([[2.0, 0.5], [np.nan, 2.0]], ValueError),
+    ])
+    def test_nan_fails_the_checks(self, a, error):
+        for call in (lambda a: solve_spd(a, np.ones(len(a))), inv_spd):
+            with pytest.raises(error):
+                call(np.array(a))
+
+
+def frozen_cholesky(a):
+    """numerics._cholesky as it was before it was written row by row: column by
+    column, with generator expressions in its checks."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("matrix must be square")
+    rows = a.tolist()
+    sym_tol = 1e-10 * max(1.0, max(abs(v) for row in rows for v in row))
+    if any(abs(rows[i][j] - rows[j][i]) > sym_tol for i in range(d) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+
+    pivot_tol = 1e-12 * sum(rows[k][k] for k in range(d)) / d
+    lower = [[0.0] * d for _ in range(d)]
+    for k in range(d):
+        row_k = lower[k]
+        dot = 0.0
+        for j in range(k):
+            dot += row_k[j] * row_k[j]
+        pivot = rows[k][k] - dot
+        if pivot <= pivot_tol:
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {k}")
+        diag = row_k[k] = math.sqrt(pivot)
+        for i in range(k + 1, d):
+            row_i = lower[i]
+            dot = 0.0
+            for j in range(k):
+                dot += row_i[j] * row_k[j]
+            row_i[k] = (rows[i][k] - dot) / diag
+    return lower
+
+
+def frozen_substitute(lower, b):
+    """numerics._substitute as it was: forward, then back substitution."""
+    d = len(lower)
+    z = [0.0] * d
+    for i in range(d):
+        row_i = lower[i]
+        dot = 0.0
+        for j in range(i):
+            dot += row_i[j] * z[j]
+        z[i] = (b[i] - dot) / row_i[i]
+    x = [0.0] * d
+    for i in range(d - 1, -1, -1):
+        dot = 0.0
+        for j in range(i + 1, d):
+            dot += lower[j][i] * x[j]
+        x[i] = (z[i] - dot) / lower[i][i]
+    return x
+
+
+def frozen_solve_spd(a, b):
+    return np.array(frozen_substitute(frozen_cholesky(a), np.asarray(b, dtype=float).tolist()))
+
+
+def frozen_inv_spd(a):
+    """numerics.inv_spd as it was: symmetrized as numpy arrays."""
+    lower = frozen_cholesky(a)
+    out = np.array([frozen_substitute(lower, e) for e in np.eye(len(lower)).tolist()]).T
+    return (out + out.T) / 2.0
+
+
+def spd_matrices(count, seed):
+    """Random SPD matrices of sizes 1 to 6 over twelve orders of magnitude, some
+    near singular, each in C and in Fortran order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(1, 7))
+        m = rng.normal(size=(d, d + int(rng.integers(0, 3)))) * 10.0 ** rng.uniform(-6, 6)
+        a = m @ m.T
+        a = (a + a.T) / 2.0 + 10.0 ** rng.uniform(-14, 0) * np.trace(a) / d * np.eye(d)
+        yield a
+        yield np.asfortranarray(a)
+
+
+def test_spd_kernels_equal_the_frozen_ones_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for a in spd_matrices(2500, 30):
+        b = rng.normal(size=len(a)) * 10.0 ** rng.uniform(-3, 3)
+        assert solve_spd(a, b).tobytes() == frozen_solve_spd(a, b).tobytes()
+        assert inv_spd(a).tobytes() == frozen_inv_spd(a).tobytes()
+
+
+def failing_matrices():
+    """Matrices that fail the kernels' checks, at each place they can fail."""
+    yield np.ones((2, 3))  # not square
+    yield np.array([[1.0, 0.5], [0.2, 1.0]])  # not symmetric
+    yield np.array([[-1.0, 5.0], [0.0, 1.0]])  # not symmetric, nor a positive first pivot
+    yield np.ones((2, 2))  # singular
+    yield np.diag([1.0, 1.0, 0.0])
+    yield np.diag([1.0, -2.0, 3.0])
+    yield np.array([[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 5.0]])  # second pivot 0
+
+
+def outcome(call, *args):
+    """The bytes of call(*args), or the class and message of the error it raised."""
+    try:
+        return call(*args).tobytes()
+    except (ValueError, NotPositiveDefinite) as err:
+        return type(err), str(err)
+
+
+def test_spd_kernels_fail_as_the_frozen_ones():
+    for a in failing_matrices():
+        b = np.ones(len(a))
+        want = outcome(frozen_solve_spd, a, b)
+        assert isinstance(want, tuple), a
+        assert outcome(solve_spd, a, b) == outcome(inv_spd, a) == want, a
+        assert outcome(frozen_inv_spd, a) == want, a
+    # rank-deficient products, some off symmetry, C and Fortran ordered: rounding
+    # lets some pass the pivot test, and those must give the same bits
+    rng = np.random.default_rng(33)
+    failed = 0
+    for _ in range(300):
+        d = int(rng.integers(2, 7))
+        m = rng.normal(size=(d, int(rng.integers(1, d))))
+        product = m @ m.T
+        for a in ((product + product.T) / 2.0,
+                  np.asfortranarray(product + 1e-9 * rng.normal(size=(d, d)))):
+            b = rng.normal(size=d)
+            want = outcome(frozen_solve_spd, a, b)
+            assert outcome(solve_spd, a, b) == want, a
+            assert outcome(inv_spd, a) == outcome(frozen_inv_spd, a), a
+            failed += isinstance(want, tuple)
+    assert failed >= 300
 
 
 class TestWeightedLs:
@@ -185,6 +326,32 @@ class TestLogisticFit:
             again = logistic_fit(x, delta, start=alpha, out=Workspace(*x.shape))
         assert len(solves) == 1
         np.testing.assert_allclose(again, alpha, rtol=0, atol=1e-8)
+
+
+def test_newton_start_gives_the_bits_of_its_coefficients():
+    # over the oracle frames, from a start off the fit, with the start's
+    # workspace or another; pickled beside its x, as a run's worker arguments are
+    rng = np.random.default_rng(41)
+    for x, delta in oracle_frames():
+        alpha = rng.normal(scale=0.3, size=x.shape[1])
+        start = NewtonStart(x, alpha, Workspace(len(x) + 3, x.shape[1]))
+        want = logistic_fit(x, delta, alpha).tobytes()
+        assert logistic_fit(x, delta, start).tobytes() == want
+        assert logistic_fit(x, delta, start, Workspace(*x.shape)).tobytes() == want
+        x2, start2 = pickle.loads(pickle.dumps((x, start)))
+        assert start2.x is x2
+        assert logistic_fit(x2, delta, start2).tobytes() == want
+
+
+def test_newton_start_refuses_another_x():
+    x = np.column_stack([np.ones(10), np.arange(10.0)])
+    delta = np.arange(10) % 2
+    start = NewtonStart(x, np.zeros(2))
+    for other in (x.copy(), x[:], np.asarray(x, dtype=np.float32)):
+        with pytest.raises(ValueError, match="another x"):
+            logistic_fit(other, delta, start)
+    with pytest.raises(ValueError, match="start must hold 2"):
+        NewtonStart(x, np.zeros(3))
 
 
 def frozen_logistic_fit(x, delta):
@@ -326,6 +493,12 @@ class TestChisqSf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             chisq_sf(-1.0, 2)
+
+    def test_nan_rejected(self):
+        # a NaN statistic would otherwise give p = nan and reject = False
+        for df in (1, 2, 3):
+            with pytest.raises(ValueError, match="nonnegative"):
+                chisq_sf(math.nan, df)
 
     def test_infinite_statistic(self):
         for df in (1, 2, 3, 7, 50):
