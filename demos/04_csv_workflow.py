@@ -51,7 +51,7 @@ with tempfile.TemporaryDirectory(prefix="seqdi_demo_") as tmp:
     ids, pi, _ = load_sample_csv(design_path)
     selected = RngStream(11, 2).bernoulli(pi)
     write_csv(sample_path, ["id", "pi"],
-              ([uid, p] for uid, p, sel in zip(ids, pi, selected) if sel))
+              [[uid for uid, sel in zip(ids, selected) if sel], pi[selected]])
     print(f"sample file: {sample_path} ({int(selected.sum())} units)")
 
     # One-shot estimation and the homogeneity diagnostic.

@@ -132,7 +132,7 @@ def cmd_estimate(args):
 
     if args.out:
         write_csv(args.out, ["tag", "point", "variance", "ci_low", "ci_high"],
-                  (record.to_csv_row() for record in out_rows))
+                  list(zip(*(record.to_csv_row() for record in out_rows))))
         print(f"wrote {args.out}")
     return 0
 

@@ -169,4 +169,4 @@ def poisson_draw(design: SecondStageDesign, rng: RngStream) -> DrawnSample:
 
 def design_to_csv(design: SecondStageDesign, path, ids) -> None:
     """Write id, pi, kind rows, with ids[k] the id of the design's k-th unit."""
-    write_csv(path, ["id", "pi", "kind"], ([i, p, design.kind] for i, p in zip(ids, design.pi)))
+    write_csv(path, ["id", "pi", "kind"], [ids, design.pi, [design.kind] * len(design.pi)])

@@ -32,7 +32,7 @@ from . import estimators as est
 from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
-from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit
+from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit, median
 from .pilot import _sigma2_at, fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
@@ -42,9 +42,13 @@ from .population import (
     generate_population,
     load_population_csv,
     write_csv,
+    write_csv_blocks,
 )
 
 MAX_REDRAWS = 20
+# The most replications a pool worker takes at once, so that at the end of a
+# long run no worker waits long on another's last chunk.
+MAX_CHUNK = 64
 
 
 # Name and accepted types of each McConfig field annotation: JSON's int,
@@ -555,7 +559,8 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
         else:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=args))
-            outcomes = pool.map(_run_one, range(n_rep), chunksize=max(1, n_rep // (workers * 8)))
+            chunk = min(MAX_CHUNK, max(1, n_rep // (workers * 8)))
+            outcomes = pool.map(_run_one, range(n_rep), chunksize=chunk)
         for r, row in enumerate(outcomes):
             table[:, r] = row
             if progress and (r + 1) % max(1, n_rep // 20) == 0:
@@ -583,7 +588,7 @@ def _aggregate(config, pop, plan, table):
         arms.append(ArmMetrics(tag, kind, **m, points=points, variances=variances))
     tests = [TestSummary(kind, n_rep, config.alpha, reject_rate=float(np.mean(table[col + 1])),
                          mean_p=float(np.mean(table[col])),
-                         median_p=float(np.median(table[col])), p_values=table[col])
+                         median_p=median(table[col]), p_values=table[col])
              for kind, col in plan["tests"].items()]
     return McSummary(pop.true_total, n_rep, config.seed, config.mechanism, arms, tests)
 
@@ -596,24 +601,24 @@ def emit_results(summary: McSummary, out_dir) -> list:
     every worker count writes the same bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    tables = (
-        ("summary.csv", ["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"],
-         ([arm.estimator, arm.design, arm.rb, arm.rrmse, arm.var_ratio, arm.coverage]
-          for arm in summary.arms)),
-        ("test_summary.csv", ["Design", "R", "alpha", "reject_rate", "mean_p", "median_p"],
-         ([ts.design, ts.replications, ts.alpha, ts.reject_rate, ts.mean_p, ts.median_p]
-          for ts in summary.tests)),
-        ("replication_errors.csv", ["rep", "estimator", "design", "point", "variance", "re"],
-         ([r, arm.estimator, arm.design, arm.points[r],
-           None if arm.variances is None else arm.variances[r], re]
-          for arm in summary.arms
-          for r, re in enumerate(100.0 * (arm.points - summary.y_true) / summary.y_true))),
-    )
-    paths = []
-    for name, header, rows in tables:
-        path = os.path.join(out_dir, name)
-        write_csv(path, header, rows, seed=summary.seed)
-        paths.append(path)
+    arms, tests, n_rep = summary.arms, summary.tests, summary.replications
+    paths = [os.path.join(out_dir, name) for name in
+             ("summary.csv", "test_summary.csv", "replication_errors.csv")]
+    write_csv(paths[0], ["Estimator", "Design", "RB", "RRMSE", "VarRatio", "Coverage"],
+              [[getattr(arm, name) for arm in arms]
+               for name in ("estimator", "design", "rb", "rrmse", "var_ratio", "coverage")],
+              seed=summary.seed)
+    write_csv(paths[1], ["Design", "R", "alpha", "reject_rate", "mean_p", "median_p"],
+              [[getattr(ts, name) for ts in tests]
+               for name in ("design", "replications", "alpha", "reject_rate", "mean_p",
+                            "median_p")],
+              seed=summary.seed)
+    write_csv_blocks(paths[2], ["rep", "estimator", "design", "point", "variance", "re"],
+                     ([range(n_rep), [arm.estimator] * n_rep, [arm.design] * n_rep, arm.points,
+                       [None] * n_rep if arm.variances is None else arm.variances,
+                       100.0 * (arm.points - summary.y_true) / summary.y_true]
+                      for arm in arms),  # one arm at a time
+                     seed=summary.seed)
 
     meta_path = os.path.join(out_dir, "run_metadata.json")
     with open(meta_path, "w", encoding="utf-8") as handle:

@@ -57,8 +57,10 @@ def _cholesky(a) -> list:
     dot of rows i and k over the columns j < k, summed from 0.0 in order j,
     so a row-by-row and a column-by-column factor agree bit for bit.  Raises
     ValueError unless A is square and symmetric within 1e-10 of its largest
-    entry, and NotPositiveDefinite unless every pivot exceeds
-    1e-12 * trace(A)/d; both tests are written so that a NaN fails them.
+    entry, and NotPositiveDefinite unless every pivot exceeds 1e-12 * trace(A)/d
+    and 0; both tests are written so that a NaN fails them.  A trace at or
+    below 0 has a diagonal entry at or below 0, whose pivot is no larger, so
+    such a matrix fails at a pivot, never in the sqrt or a division.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
@@ -78,7 +80,7 @@ def _cholesky(a) -> list:
                 raise ValueError("matrix is not symmetric")
         trace += row_a[i]
 
-    pivot_tol = 1e-12 * trace / d
+    pivot_tol = max(1e-12 * trace / d, 0.0)
     lower = []
     for i in range(d):
         row_a, row_i = rows[i], [0.0] * d
@@ -228,6 +230,29 @@ def quantile(v: np.ndarray, q: float) -> float:
         if a != 0.0 and b != 0.0:
             return _interpolate(a, b, t)
     return float(np.quantile(v, q))
+
+
+def median(v: np.ndarray) -> float:
+    """The median of a nonempty 1-D array, equal bit for bit to ``np.median(v)``.
+
+    It partitions at numpy's kth set, the last position included, so that a
+    NaN lands there and is returned, as np.median returns it; otherwise it
+    takes the middle value, or the sum of the middle pair over 2, numpy's
+    mean of two.  Where a middle value is a zero, whose sign numpy's sum
+    decides, np.median itself answers.  Otherwise np.median's NaN check,
+    which imports numpy.ma on its first call, is skipped.
+    """
+    part = np.array(v, dtype=float)
+    n = part.size
+    half = n // 2
+    part.partition([half, -1] if n % 2 else [half - 1, half, -1])
+    last = float(part[-1])
+    if math.isnan(last):
+        return last
+    a, b = float(part[half - 1 + n % 2]), float(part[half])
+    if a != 0.0 and b != 0.0:
+        return (a + b) / 2.0 if n % 2 == 0 else b
+    return float(np.median(v))
 
 
 def top_count(n, q: float):

@@ -10,6 +10,7 @@ import csv
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,30 +228,79 @@ class PopulationData:
         return self.partition
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
-    """A finite float; ParseError naming the row and column for anything else."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(f"non-numeric value {raw!r} in row {row}, column {column!r}",
-                         row=row, column=column) from None
+# Each cell check takes the cell's float, its text, column and row (from 1) and
+# returns the message of its fault, or None.  Each passes a closed interval of
+# floats, so a column passes when its minimum and maximum do (a NaN fails).
+def _finite(value, raw, column, row):
     if not math.isfinite(value):
-        raise ParseError(f"non-finite value {raw!r} in row {row}, column {column!r}",
-                         row=row, column=column)
-    return value
+        return f"non-finite value {raw!r} in row {row}, column {column!r}"
+    return None
 
 
-def _parse_pi(raw: str, row: int) -> float:
+_COVARIATE_MAX = math.sqrt(sys.float_info.max)  # the largest |x| whose square is finite
+
+
+def _covariate(value, raw, column, row):
+    """A finite covariate whose square, a term of every Gram product, is finite."""
+    if abs(value) <= _COVARIATE_MAX:
+        return None
+    return _finite(value, raw, column, row) or (
+        f"{column} = {raw} in row {row}, column {column!r}, is too large: its square overflows")
+
+
+def _pi(value, raw, column, row):
     """A pi in (0, 1] whose 1/pi^2, the scale of the Poisson plug-in variance, is a
     finite float (pi above about 7.5e-155)."""
-    value = _parse_float(raw, row, "pi")
     if not 0.0 < value <= 1.0:
-        raise ParseError(f"pi = {raw} outside (0, 1] in row {row}", row=row, column="pi")
+        return _finite(value, raw, column, row) or f"pi = {raw} outside (0, 1] in row {row}"
     square = value * value
     if square == 0.0 or math.isinf(1.0 / square):
-        raise ParseError(f"pi = {raw} in row {row}, column 'pi', is too small: 1/pi^2 overflows",
-                         row=row, column="pi")
-    return value
+        return f"pi = {raw} in row {row}, column 'pi', is too small: 1/pi^2 overflows"
+    return None
+
+
+def _float_column(cells, column, check):
+    """The float64 array of a column's cells, or the ParseError of its first cell that
+    is not a float or fails the cell check ``check``."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        pass
+    else:  # the column's extremes decide
+        if not cells or not (check(float(values.min()), "", column, 0)
+                             or check(float(values.max()), "", column, 0)):
+            return values
+    for row, raw in enumerate(cells, start=1):  # the first fault, for its message
+        try:
+            value = float(raw)
+        except ValueError:
+            return ParseError(f"non-numeric value {raw!r} in row {row}, column {column!r}",
+                              row=row, column=column)
+        message = check(value, raw, column, row)
+        if message:
+            return ParseError(message, row=row, column=column)
+    raise AssertionError(f"column {column!r} failed as a whole but in no cell")
+
+
+def _delta_column(cells, column):
+    """The boolean array of a 0/1 column (blanks around a digit allowed), or the
+    ParseError of its first other cell."""
+    digits = list(map(str.strip, cells))
+    if set(digits) <= {"0", "1"}:
+        return np.fromiter(map("1".__eq__, digits), bool, len(digits))
+    row = next(i for i, d in enumerate(digits, start=1) if d not in ("0", "1"))
+    return ParseError(f"delta must be 0 or 1 in row {row}", row=row, column="delta")
+
+
+def _cells_fault(cells, header, row):
+    """The ParseError of a data row with a cell too many or too few, or an empty one."""
+    if len(cells) > len(header):
+        return ParseError(f"extra value in row {row}: {len(cells)} cells, "
+                          f"{len(header)} columns", row=row)
+    if len(cells) < len(header) or "" in cells:
+        name = header[cells.index("") if "" in cells else len(cells)]
+        return ParseError(f"missing value in row {row}, column {name!r}", row=row, column=name)
+    return None
 
 
 def _uncommented(handle):
@@ -259,12 +309,20 @@ def _uncommented(handle):
     return itertools.dropwhile(lambda line: line.startswith("#"), handle)
 
 
-def _records(path, what: str, required: tuple, ids: dict):
-    """Yield the header of a ``what`` input file (its comments and a UTF-8 BOM
-    dropped), then, as the file is read, each data row as (row from 1, dict),
-    with each id's row index put in ``ids``.  Fails on a column named twice, a
-    missing ``required`` column, a missing, empty or extra cell, a repeated id
-    or no data row."""
+def _read_columns(path, what, required, wanted):
+    """The header, the ids (id -> row index, in file order) and the parsed columns
+    of a ``what`` input file, its comments and a UTF-8 BOM dropped.
+
+    ``wanted(header)`` lists the (column, parse) to parse, in the order a
+    row's cells are checked: ``parse(cells, column)`` returns the column's
+    array or the ParseError of its first faulty cell.  The rows are read
+    once, then checked column by column.  Fails on a column named twice, a
+    missing ``required`` column, or no data row; otherwise on the first
+    faulty row in file order (rows from 1, blank lines skipped), and within it
+    on the first of: a missing, empty or extra cell, a repeated id, then each
+    wanted cell in turn.  An error that ends the reading (an undecodable
+    byte) is raised after the rows read before it, as if it were the next
+    row's fault."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(_uncommented(handle))
         header = next(reader, [])
@@ -274,93 +332,142 @@ def _records(path, what: str, required: tuple, ids: dict):
         for column in required:
             if column not in header:
                 raise MissingColumn(f"{what} file needs column {column!r}")
-        yield header
-        for i, cells in enumerate(filter(None, reader), start=1):
-            if len(cells) > len(header):
-                raise ParseError(f"extra value in row {i}: {len(cells)} cells, "
-                                 f"{len(header)} columns", row=i)
-            if len(cells) < len(header) or "" in cells:
-                name = header[cells.index("") if "" in cells else len(cells)]
-                raise ParseError(f"missing value in row {i}, column {name!r}", row=i, column=name)
-            record = dict(zip(header, cells))
-            uid = record["id"]
+        rows, fault = [], None
+        try:
+            rows.extend(filter(None, reader))  # keeps the rows read before a failure
+        except (ValueError, csv.Error) as err:
+            fault = err
+    # ``fault`` is the first fault found so far, in row ``limit`` (from 0); only
+    # rows above it are searched further
+    limit = len(rows)
+    if fault is None and not rows:
+        fault = ParseError(f"{what} file has no data rows", row=0)
+    width = len(header)
+    if list(map(len, rows)).count(width) != limit:
+        limit = next(i for i, cells in enumerate(rows) if len(cells) != width)
+    columns = list(zip(*rows[:limit])) if limit else [()] * width
+    del rows[limit + 1:]
+    empty = [col.index("") for col in columns if "" in col]
+    if empty:
+        limit = min(empty)
+        columns = [col[:limit] for col in columns]
+    if limit < len(rows):
+        fault = _cells_fault(rows[limit], header, limit + 1)
+    del rows  # its cells live on in ``columns``
+
+    column_ids = columns[header.index("id")]
+    ids = dict(zip(column_ids, range(limit)))
+    if len(ids) < limit:  # the first repeat, and each id's first row
+        ids = {}
+        for i, uid in enumerate(column_ids):
             if uid in ids:
-                raise ParseError(f"id {uid!r} repeated in rows {ids[uid] + 1} and {i}", row=i,
-                                 column="id")
-            ids[uid] = i - 1
-            yield i, record
-    if not ids:
-        raise ParseError(f"{what} file has no data rows", row=0)
+                limit, fault = i, ParseError(f"id {uid!r} repeated in rows {ids[uid] + 1} "
+                                             f"and {i + 1}", row=i + 1, column="id")
+                break
+            ids[uid] = i
+    parsed = {}
+    for column, parse in wanted(header):
+        values = parse(columns[header.index(column)][:limit], column)
+        if isinstance(values, ParseError):  # in a row above ``limit``
+            limit, fault = values.row - 1, values
+        parsed[column] = values
+    if fault is not None:
+        raise fault
+    return header, ids, parsed
 
 
-def _cell(value):
-    """None as an empty cell, a float as its round-tripping repr, anything else as is."""
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
+def _plain(column) -> list:
+    """A column's values as Python objects: a numpy array through ``tolist()``, and
+    any numpy scalar left (in a list, or an object array) through ``item()``."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if any(issubclass(kind, np.generic) for kind in set(map(type, values))):
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return values
 
 
-def write_csv(path, header, rows, seed=None) -> None:
+def write_csv(path, header, columns, seed=None) -> None:
     """Write an optional ``# seed=`` comment line, the header row and the data
-    rows, each cell as :func:`_cell` formats it."""
+    rows of ``columns``, one sequence per header column, all of one length.
+
+    Each column is converted once by :func:`_plain`, so csv.writer writes
+    a number as the text of a Python int or the round-tripping repr of a
+    Python float (never a numpy scalar's text), None as an empty cell and
+    anything else as its str."""
+    write_csv_blocks(path, header, [columns], seed)
+
+
+_ROWS_AT_ONCE = 1024
+
+
+def write_csv_blocks(path, header, blocks, seed=None) -> None:
+    """:func:`write_csv` of a table whose rows come in blocks, each a list of
+    columns as write_csv takes them, written in order.  A block is converted
+    to Python objects ``_ROWS_AT_ONCE`` rows at a time, so a long table
+    takes little memory; columns of different lengths raise ValueError."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if seed is not None:
             handle.write(f"# seed={seed}\n")
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        for columns in blocks:
+            columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+            lengths = set(map(len, columns))
+            if len(lengths) > 1:
+                raise ValueError(f"columns of different lengths {sorted(lengths)}")
+            for start in range(0, max(lengths, default=0), _ROWS_AT_ONCE):
+                writer.writerows(zip(*(_plain(c[start:start + _ROWS_AT_ONCE]) for c in columns)))
+
+
+def _covariates(header):
+    """The covariate columns x1, x2, ... of a header, in index order."""
+    return sorted((c for c in header if c.startswith("x") and c[1:].isdigit()),
+                  key=lambda c: int(c[1:]))
+
+
+_FINITE = functools.partial(_float_column, check=_finite)
+
+
+def _population_columns(header):
+    covariates = functools.partial(_float_column, check=_covariate)
+    return ([("y", _FINITE)] + [(c, covariates) for c in _covariates(header)]
+            + [("delta", _delta_column)] * ("delta" in header))
+
+
+def _sample_columns(header):
+    return ([("pi", functools.partial(_float_column, check=_pi))]
+            + [("y", _FINITE)] * ("y" in header))
 
 
 def load_population_csv(path) -> PopulationData:
-    """Read a population file under the file rules of :func:`_records`: columns
-    id and y, covariates x1, x2, ... (an intercept column is prepended), and
-    optional delta (0/1 certainty-stratum membership); other columns are
-    ignored."""
-    ids = {}
-    records = _records(path, "population", ("id", "y"), ids)
-    header = next(records)
-    xcols = sorted((c for c in header if c.startswith("x") and c[1:].isdigit()),
-                   key=lambda c: int(c[1:]))
-    columns = {c: [] for c in ["y", *xcols]}
-    deltas = []
-    for i, record in records:
-        for column, values in columns.items():
-            values.append(_parse_float(record[column], i, column))
-        if "delta" in header:
-            value = record["delta"].strip()
-            if value not in ("0", "1"):
-                raise ParseError(f"delta must be 0 or 1 in row {i}", row=i, column="delta")
-            deltas.append(int(value))
-
-    x = np.column_stack([np.ones(len(ids))] + [np.asarray(columns[c], dtype=float) for c in xcols])
-    pop = Population(x=x, y=np.asarray(columns["y"], dtype=float))
-    part = Partition(delta=np.asarray(deltas)) if "delta" in header else None
+    """Read a population file under the file rules of :func:`_read_columns`:
+    columns id and y, covariates x1, x2, ... (an intercept column is
+    prepended), each with a finite square, and optional delta (0/1
+    certainty-stratum membership); other columns are ignored."""
+    header, ids, columns = _read_columns(path, "population", ("id", "y"), _population_columns)
+    xcols = _covariates(header)
+    x = np.empty((len(ids), 1 + len(xcols)), order="F")
+    x[:, 0] = 1.0
+    for j, column in enumerate(xcols, start=1):
+        x[:, j] = columns[column]
+    pop = Population(x=x, y=columns["y"])
+    part = Partition(delta=columns["delta"]) if "delta" in columns else None
     return PopulationData(population=pop, partition=part, ids=ids)
 
 
 def load_sample_csv(path):
     """Ids, pi and y (None without a y column) of a sample file with columns
     id (unique), pi in (0, 1] with a finite 1/pi^2, and optional y; file rules as
-    :func:`_records`."""
-    ids = {}
-    records = _records(path, "sample", ("id", "pi"), ids)
-    has_y = "y" in next(records)
-    pis, ys = [], []
-    for i, record in records:
-        pis.append(_parse_pi(record["pi"], i))
-        if has_y:
-            ys.append(_parse_float(record["y"], i, "y"))
-    return list(ids), np.asarray(pis, dtype=float), np.asarray(ys, dtype=float) if has_y else None
+    :func:`_read_columns`."""
+    _, ids, columns = _read_columns(path, "sample", ("id", "pi"), _sample_columns)
+    return list(ids), columns["pi"], columns.get("y")
 
 
 def save_population_csv(path, pop: Population, partition: Partition | None = None) -> None:
     """Write a population file, ids 1..N, that reloads to exactly the same values."""
-    columns = {"id": range(1, pop.size + 1)}
+    columns = {"id": np.arange(1, pop.size + 1)}
     for j in range(1, pop.x.shape[1]):
         columns[f"x{j}"] = pop.x[:, j]
     columns["y"] = pop.y
     if partition is not None:
         columns["delta"] = partition.delta.astype(int)
-    write_csv(path, list(columns), zip(*columns.values(), strict=True))
+    write_csv(path, list(columns), columns.values())

@@ -307,7 +307,7 @@ class TestEstimate:
         path, _, delta = pop_csv
         pop, x_np, y_np, x_total_u1, rows, pi_s = _strata_and_sample(path, delta)
         sample = tmp_path / "sample.csv"
-        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        write_csv(sample, ["id", "pi"], [rows + 1, pi_s])
         y_s, x_s = pop.y[rows], pop.rows(rows)
         pilot = fit_pilot(x_np, y_np)
         wspec = est.WeightSpec("inverse_pi_sigma" if weights == "sigma" else "inverse_pi")
@@ -326,7 +326,7 @@ class TestEstimate:
         wanted = names.split(",") if names else list(direct)
         expected = tmp_path / "expected.csv"
         write_csv(expected, ["tag", "point", "variance", "ci_low", "ci_high"],
-                  (direct[name]().to_csv_row() for name in wanted))
+                  list(zip(*(direct[name]().to_csv_row() for name in wanted))))
         out = tmp_path / "est.csv"
         argv = ["estimate", "--pop", str(path), "--sample", str(sample), "--out", str(out)]
         argv += ["--estimators", names] if names else []
@@ -522,7 +522,7 @@ class TestTestCommand:
         path, _, delta = pop_csv
         pop, x_np, y_np, _, rows, pi_s = _strata_and_sample(path, delta)
         sample = tmp_path / "sample.csv"
-        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        write_csv(sample, ["id", "pi"], [rows + 1, pi_s])
         p_fit = fgls_p(pop.rows(rows), pop.y[rows], pi_s)
         result = homogeneity_test(certainty_fgls(x_np, y_np), p_fit, 0.1)
         assert main(["test", "--pop", str(path), "--sample", str(sample), "--alpha", "0.1"]) == 0
@@ -669,7 +669,7 @@ class TestFailingStageNamed:
         path, _, delta = pop_csv
         rows, pi_s = _strata_and_sample(path, delta)[4:]
         sample = tmp_path / "sample.csv"
-        write_csv(sample, ["id", "pi"], ([i + 1, p] for i, p in zip(rows, pi_s)))
+        write_csv(sample, ["id", "pi"], [rows + 1, pi_s])
         monkeypatch.setattr(homogeneity, "solve_spd", lambda a, b: numerics.solve_spd(-a, b))
         assert main(["test", "--pop", str(path), "--sample", str(sample)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqdi import harness
 from seqdi.cli import main
 from seqdi.numerics import RngStream
 from seqdi.population import (Partition, Population, generate_population, save_population_csv,
@@ -239,9 +241,8 @@ class TestNonFiniteFailsCleanly:
                                   RngStream(1, 0))
         delta = RngStream(2, 0).uniform(size=600) < 0.6
         save_population_csv(tmp_path / "pop.csv", pop, partition=Partition(delta=delta))
-        rows = [[i + 1, 0.5] for i in np.flatnonzero(~delta)[::2]]
-        rows[0][1] = pi
-        write_csv(tmp_path / "sample.csv", ["id", "pi"], rows)
+        ids = np.flatnonzero(~delta)[::2] + 1
+        write_csv(tmp_path / "sample.csv", ["id", "pi"], [ids, [pi] + [0.5] * (len(ids) - 1)])
         proc = run_cli(tmp_path, "estimate", "--pop", "pop.csv", "--sample", "sample.csv",
                        "--estimators", estimators, "--out", "f.csv")
         assert_clean_failure(proc, 1, message)
@@ -261,13 +262,13 @@ class TestNonFiniteFailsCleanly:
                                   RngStream(1, 0))
         delta = RngStream(2, 0).uniform(size=600) < 0.6
         save_population_csv(tmp_path / "pop.csv", pop, partition=Partition(delta=delta))
-        complement = np.flatnonzero(~delta)[::2]
+        ids = np.flatnonzero(~delta)[::2] + 1
         if y is None:
             write_csv(tmp_path / "sample.csv", ["id", "pi"],
-                      [[i + 1, pi if k == 0 else 0.5] for k, i in enumerate(complement)])
+                      [ids, [pi] + [0.5] * (len(ids) - 1)])
         else:
             write_csv(tmp_path / "sample.csv", ["id", "pi", "y"],
-                      [[i + 1, pi, y if k == 0 else 10.0] for k, i in enumerate(complement)])
+                      [ids, [pi] * len(ids), [y] + [10.0] * (len(ids) - 1)])
         proc = run_cli(tmp_path, "estimate", "--pop", "pop.csv", "--sample", "sample.csv",
                        "--estimators", "ht" if y is None else "di", "--out", "f.csv")
         assert_clean_failure(proc, 1, message)
@@ -279,9 +280,9 @@ class TestNonFiniteFailsCleanly:
         # outcomes near 1e160: their variance, and the pilot's squared
         # residuals, overflow to inf
         rng = np.random.default_rng(3)
+        i = np.arange(36)
         write_csv(path, ["id", "x1", "y", "delta"],
-                  ([i + 1, 1 + i / 10, rng.uniform(1, 2) * 1e160, int(i < 12)]
-                   for i in range(36)))
+                  [i + 1, 1 + i / 10, rng.uniform(1, 2, size=36) * 1e160, (i < 12).astype(int)])
 
     def test_design_with_overflowing_variances_exit_one(self, tmp_path):
         # the pilot fit refuses them before numpy warns of the overflow
@@ -300,3 +301,65 @@ class TestNonFiniteFailsCleanly:
         assert_clean_failure(proc, 1, "error: FixedPartition set-up on pop.csv: var(y) overflows")
         assert "Warning" not in proc.stderr
         assert not (tmp_path / "results").exists()
+
+
+class TestOutsizeCovariateFailsCleanly:
+    """A finite covariate whose square overflows is refused as the file is read,
+    naming its row and column, before any Gram product warns of the overflow."""
+
+    @staticmethod
+    def write_population(path):
+        pop = generate_population({"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                                  RngStream(1, 0))
+        delta = RngStream(2, 0).uniform(size=600) < 0.6
+        row = int(np.flatnonzero(~delta)[3])  # a complement row
+        x = pop.x.copy()
+        x[row, 1] = 1e200
+        save_population_csv(path, Population(x=x, y=pop.y), Partition(delta=delta))
+        return row + 1
+
+    @pytest.mark.parametrize("kind", ["optimal", "equal", "pps"])
+    def test_design_exit_one(self, tmp_path, kind):
+        row = self.write_population(tmp_path / "pop.csv")
+        proc = run_cli(tmp_path, "design", "--pop", "pop.csv", "--np", "50", "--kind", kind,
+                       "--out", "d.csv")
+        assert_clean_failure(proc, 1, f"error: x1 = 1e+200 in row {row}, column 'x1', "
+                                      "is too large: its square overflows")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_exit_one(self, tmp_path):
+        row = self.write_population(tmp_path / "pop.csv")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "replications": 4, "seed": 7, "mechanism": "FixedPartition",
+            "population_csv": "pop.csv", "designs": ["optimal"], "estimators": ["DI"]}))
+        proc = run_cli(tmp_path, "simulate", "--config", "config.json", "--out", "results")
+        assert_clean_failure(proc, 1, f"error: x1 = 1e+200 in row {row}, column 'x1', "
+                                      "is too large: its square overflows")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "results").exists()
+
+
+def test_pool_chunk_size_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
+    # chunks of at most MAX_CHUNK replications: here 2, where 48 replications on 2
+    # workers would otherwise go in chunks of 3; the files equal those of one worker
+    monkeypatch.setattr(harness, "MAX_CHUNK", 2)
+    chunks, pool_map = [], concurrent.futures.ProcessPoolExecutor.map
+
+    def spy(self, fn, *iterables, chunksize=1, **kwargs):
+        chunks.append(chunksize)
+        return pool_map(self, fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "map", spy)
+    config = {"replications": 48, "seed": 5, "mechanism": "NMAR",
+              "population": {"N": 300, "beta": [10, 15, 10, 20], "sigma": 0.6},
+              "designs": ["optimal", "pps"], "estimators": ["DI", "adDI", "IPW"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for threads in ("1", "2"):
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    assert chunks == ([2] if (os.cpu_count() or 1) >= 2 else [])  # a pool needs 2 CPUs
+    for name in ("summary.csv", "test_summary.csv", "replication_errors.csv",
+                 "run_metadata.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -12,6 +12,7 @@ from seqdi.numerics import (
     chisq_sf,
     inv_spd,
     logistic_fit,
+    median,
     quantile,
     solve_spd,
     weighted_ls,
@@ -39,6 +40,16 @@ class TestSolveSpd:
     def test_rank_deficient(self):
         with pytest.raises(NotPositiveDefinite):
             solve_spd(np.ones((2, 2)), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("diagonal", [[0.0, -5.0], [-1e-13, -5.0], [-1.0, -1.0, -1.0],
+                                          [3.0, -5.0], [1e-300, -1e-300]])
+    def test_trace_at_or_below_zero_rejected(self, diagonal):
+        # a nonpositive trace made the pivot bound 1e-12 * trace / d negative, so a
+        # zero or tiny negative pivot reached the division or the sqrt
+        a = np.diag(diagonal)
+        for call in (lambda a: solve_spd(a, np.ones(len(diagonal))), inv_spd):
+            with pytest.raises(NotPositiveDefinite, match="^pivot "):
+                call(a)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -530,3 +541,27 @@ class TestRngStream:
         drawn = RngStream(9, 1).bernoulli(p)
         uniforms = RngStream(9, 1).uniform(size=50)
         assert np.array_equal(drawn, uniforms < 0.3)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 99, 100, 1001])
+    def test_equals_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for case in range(40):
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5)
+            if case % 4 == 1:
+                v = np.round(v)  # ties, and zeros of both signs
+            if case % 4 == 2:
+                v[rng.integers(n)] = np.nan
+            if case % 8 == 3:
+                v = rng.uniform(size=n)  # p-values
+            got, want = np.float64(median(v)), np.median(v)
+            assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), (
+                v.tolist(), got, want)
+
+    def test_nan_propagates_and_input_is_kept(self):
+        v = np.array([3.0, np.nan, 1.0, 2.0])
+        kept = v.copy()
+        assert math.isnan(median(v))
+        assert np.array_equal(v, kept, equal_nan=True)
+        assert math.copysign(1.0, median(np.array([-0.0]))) == 1.0  # as np.median's sum

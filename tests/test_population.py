@@ -285,7 +285,8 @@ class TestCsv:
                   1.0 / 3.0, np.float64(2.5e-310), np.float64(-7.25)]
         path = tmp_path / "cells.csv"
         write_csv(path, ["value", "absent", "count", "name"],
-                  ([v, None, i, f"unit {i}"] for i, v in enumerate(floats)), seed=3)
+                  [floats, [None] * len(floats), range(len(floats)),
+                   [f"unit {i}" for i in range(len(floats))]], seed=3)
         assert path.read_text().startswith("# seed=3\n")
         with open(path, newline="", encoding="utf-8") as handle:
             next(handle)  # the "# seed=3" line
