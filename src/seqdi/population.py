@@ -300,7 +300,6 @@ def _cells_fault(cells, header, row):
     if len(cells) < len(header) or "" in cells:
         name = header[cells.index("") if "" in cells else len(cells)]
         return ParseError(f"missing value in row {row}, column {name!r}", row=row, column=name)
-    return None
 
 
 def _uncommented(handle):
@@ -377,9 +376,9 @@ def _read_columns(path, what, required, wanted):
 
 
 def _plain(column) -> list:
-    """A column's values as Python objects: a numpy array through ``tolist()``, and
-    any numpy scalar left (in a list, or an object array) through ``item()``."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    """A list or array's values as Python objects: an array through ``tolist()``,
+    and any numpy scalar left (in a list, or an object array) through ``item()``."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
     if any(issubclass(kind, np.generic) for kind in set(map(type, values))):
         values = [v.item() if isinstance(v, np.generic) else v for v in values]
     return values
@@ -389,8 +388,8 @@ def write_csv(path, header, columns, seed=None) -> None:
     """Write an optional ``# seed=`` comment line, the header row and the data
     rows of ``columns``, one sequence per header column, all of one length.
 
-    Each column is converted once by :func:`_plain`, so csv.writer writes
-    a number as the text of a Python int or the round-tripping repr of a
+    The columns are converted by :func:`_plain`, so csv.writer writes a
+    number as the text of a Python int or the round-tripping repr of a
     Python float (never a numpy scalar's text), None as an empty cell and
     anything else as its str."""
     write_csv_blocks(path, header, [columns], seed)
