@@ -4,8 +4,8 @@ The reader reads the rows once and checks them column by column, yet must
 raise what a reader that checks one row at a time, in file order, raises:
 the first faulty row's first fault.  ``reference_load`` below is such a
 reader, the package's own before it read by columns, plus the covariate
-check; a hypothesis test compares the two on fuzzed files.  hypothesis is a
-test-only dependency; its test skips without it.
+check; hypothesis tests compare the two on fuzzed files.  hypothesis is a
+test-only dependency; without it those two tests are not collected.
 """
 
 import csv
@@ -235,7 +235,7 @@ if given is not None:
 
 
 @pytest.mark.parametrize("body, row, column", [
-    # a later row's fault never hides an earlier row's, whatever its column
+    # an earlier row's fault wins over a later row's, whatever their columns
     ("1,0.5,nan,1\n2,abc,2,1\n", 1, "y"),
     ("1,abc,2,1\n2,0.5,nan,1\n", 1, "x1"),
     ("1,0.5,2,2\n2,abc,2,1\n", 1, "delta"),
