@@ -257,6 +257,20 @@ def test_first_fault_in_file_order(tmp_path, body, row, column):
     assert_same_population(path)
 
 
+@pytest.mark.parametrize("text", [
+    'id,x1,y\r\n"a,1",0.5,2\r\n"b""2",0.25,3\r\n',  # quoted ids, CRLF
+    'id,x1,y\n"line\nbreak",0.5,2\n\n\nb,0.3,1\n\n',  # a newline in a cell, blank lines
+    'id,x1,y\rone,0.5,2\rtwo,"0.3",1\r',  # CR line ends, a quoted number
+    '# note\nid,x1,y,delta\n1, 0.5 ,2, 1\n2,0.3,1,0 \n',  # blanks around cells
+    'id,x1,y\n1,0.5,2,\n',  # a trailing comma: an extra empty cell
+    'id,x1,y\n"",0.5,2\n',  # an empty quoted id
+])
+def test_quoting_and_line_ends_read_as_the_reference(tmp_path, text):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(text.encode())
+    assert_same_population(path)
+
+
 def test_undecodable_byte_after_a_faulty_row(tmp_path):
     # the rows read before the undecodable chunk are checked first, as a reader
     # that stops at the failing read would check them
