@@ -21,7 +21,6 @@ from .errors import EmptySample
 from .numerics import (
     Z_975,
     _logistic,
-    _workspace,
     largest,
     logistic_fit,
     normal_equations,
@@ -308,21 +307,13 @@ def y_ipw(y_np: np.ndarray, prop: np.ndarray) -> Estimate:
     return _make_estimate("IPW", float((y_np / prop).sum()))
 
 
-def unit_ols(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """The unit-weight least-squares coefficient ``weighted_ls(x, y, ones)``, fitted in
-    the numerics.Workspace ``out``, whose ``vec[5]`` holds the unit weights."""
-    ws = _workspace(out, x)
-    ones = ws.vec[5][:len(y)]
-    ones.fill(1.0)
-    return weighted_ls(x, y, ones, ws)
-
-
 def y_dr(x_np: np.ndarray, y_np: np.ndarray, prop: np.ndarray, x_total: np.ndarray,
          beta: np.ndarray) -> Estimate:
     """Doubly robust estimator: IPW plus a regression correction on covariate totals.
 
-    ``beta`` is the regression of the certainty rows, their :func:`unit_ols`
-    coefficient, which a stratum with a pilot fit has from its first stage.
+    ``beta`` is the regression of the certainty rows, their unit-weight
+    coefficient ``weighted_ls(x_np, y_np, ones)``, which a stratum with a pilot
+    fit has from its first stage.
     """
     x_ipw = (x_np / prop[:, None]).sum(axis=0)
     point = float((y_np / prop).sum()) + float((x_total - x_ipw) @ beta)

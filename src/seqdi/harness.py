@@ -32,7 +32,7 @@ from . import estimators as est
 from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
-from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit, median
+from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit, median, weighted_ls
 from .pilot import _sigma2_at, fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
@@ -361,7 +361,7 @@ class StratumInputs:
     estimators.estimate_propensity) and ``out``, kept as ``ws``, the
     numerics.Workspace of every fit on the stratum's and its samples' rows,
     both of which a run shares across its strata (None: from zero, and a
-    workspace per fit); nothing kept is a view of the workspace."""
+    workspace per fit)."""
 
     def __init__(self, pop, partition, need_pilot, need_test, config=None, start=None,
                  out=None):
@@ -389,9 +389,8 @@ class StratumInputs:
 
     @functools.cached_property
     def ols(self):
-        """The unit-weight OLS coefficient of the certainty rows,
-        ``weighted_ls(x_np, y_np, ones)``; set by the pilot fit when there is one."""
-        return est.unit_ols(self.x_np, self.y_np, self.ws)
+        """The certainty rows' OLS coefficient, set by the pilot fit when there is one."""
+        return weighted_ls(self.x_np, self.y_np, np.ones(len(self.y_np)), self.ws)
 
     @functools.cached_property
     def sigma2_np(self):
@@ -629,8 +628,6 @@ def emit_results(summary: McSummary, out_dir) -> list:
                 "mechanism": summary.mechanism,
                 "y_true": summary.y_true,
                 "level": 0.95,
-                "boxplot_truncation_quantiles": {"estimators_panel": 0.999,
-                                                 "designs_panel": 0.99},
                 "software": {"seqdi": __version__, "numpy": np.__version__,
                              "python": platform.python_version()},
                 # the last bits of a BLAS sum may depend on its thread count

@@ -26,10 +26,10 @@ class HomogeneityResult:
 
 
 def _sandwich(x, inv_bread, meat_scale, residuals, out=None):
-    """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i';
-    writes ``vec[0]`` of the workspace ``out``."""
+    """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i',
+    with the numerics.Workspace ``out``."""
     ws = _workspace(out, x)
-    meat = np.square(residuals, out=ws.vec[0][:len(x)])
+    meat = np.square(residuals, out=ws.free(len(x), 1)[0])
     return inv_bread @ gram(x, np.multiply(meat_scale, meat, out=meat), ws) @ inv_bread
 
 
@@ -38,13 +38,11 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s, out=None) -> np.ndarray:
 
     This is the inner matrix of the coefficient design variance; the full
     estimate wraps it in the inverse weighted Gram matrix on both sides.
-    ``out`` is a :class:`~seqdi.numerics.Workspace`, of which it writes
-    ``vec[0]`` and ``vec[3]``.
+    ``out`` is a :class:`~seqdi.numerics.Workspace`.
     """
     x_s = np.asarray(x_s, dtype=float)
     ws = _workspace(out, x_s)
-    n = len(x_s)
-    weight, scale = ws.vec[3][:n], ws.vec[0][:n]
+    weight, scale = ws.free(len(x_s), 2)
     np.multiply(np.subtract(1.0, pi_s, out=weight), np.square(residuals, out=scale), out=weight)
     np.square(np.multiply(pi_s, tau2_s, out=scale), out=scale)
     return gram(x_s, np.divide(weight, scale, out=weight), ws)
@@ -61,16 +59,15 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     x @ model.beta (the fit's ``fitted=`` output).  The sandwich uses the
     residuals at that coefficient and those variances, and stays consistent
     even when the variance model is misspecified.  ``out`` is a
-    :class:`~seqdi.numerics.Workspace`, of which it writes ``vec[0:4]``.
+    :class:`~seqdi.numerics.Workspace`.
     """
     x = np.asarray(x, dtype=float)
-    ws = _workspace(out, x)
-    n = len(x)
-    residuals, weight, meat_scale = ws.vec[1][:n], ws.vec[2][:n], ws.vec[3][:n]
-    np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
-    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
-    np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
-    return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
+    with _workspace(out, x) as ws:
+        residuals, weight, meat_scale = ws.take(len(x), 3)
+        np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
+        inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
+        np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
+        return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
 
 
 def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
@@ -88,26 +85,23 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     asymptotically dominated when the second-stage sampling fraction is
     small and is excluded by default; enabling it gives a statistic whose
     null calibration also holds at non-vanishing sampling fractions.
-    ``out`` is a :class:`~seqdi.numerics.Workspace`, of which it writes
-    every array.
+    ``out`` is a :class:`~seqdi.numerics.Workspace`.
     """
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
-    ws = _workspace(out, x_s)
-    n = len(x_s)
-    m, base = ws.vec[4][:n], ws.vec[5][:n]
-    tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m, out=ws)
-    tau2 = _sigma2_at(tau_model, m, out=ws.vec[1][:n])
-    residuals = np.subtract(y_s, m, out=m)
-
-    w = ws.vec[2][:n]
-    np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
-    inv_bread = inv_spd(gram(x_s, w, ws))
-    v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
-    if include_model_variance:
-        v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
-    return tau_model.beta, v
+    with _workspace(out, x_s) as ws:
+        m, base = ws.take(len(x_s), 2)
+        tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m, out=ws)
+        tau2, w = ws.take(len(x_s), 2)
+        _sigma2_at(tau_model, m, out=tau2)
+        residuals = np.subtract(y_s, m, out=m)
+        np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
+        inv_bread = inv_spd(gram(x_s, w, ws))
+        v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
+        if include_model_variance:
+            v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
+        return tau_model.beta, v
 
 
 def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:

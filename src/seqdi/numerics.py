@@ -172,10 +172,10 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     ws = _workspace(out, x)
-    n = len(x)
-    if np.less(w, 0, out=ws.flags[0][:n]).any():
+    wy, negative = ws.free(len(x), 1, 1)
+    if np.less(w, 0, out=negative).any():
         raise ValueError("weights must be nonnegative")
-    return gram(x, w, ws), x.T @ np.multiply(w, y, out=ws.vec[0][:n])
+    return gram(x, w, ws), x.T @ np.multiply(w, y, out=wy)
 
 
 def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -304,32 +304,48 @@ class Workspace:
     """The frame-sized scratch arrays of the regression fits on at most n_max rows
     of d covariates, allocated once so that repeated fits allocate none.
 
-    ``wx`` is :func:`gram`'s weighted copy diag(w) X, column-major;
-    ``vec`` holds six float vectors and ``flags`` two boolean ones.  A call
-    on n rows uses the leading n rows of each and writes every entry it
-    reads, so a workspace carries nothing from one call to the next; it
-    serves one call at a time.  A call passes it on to the calls it makes
-    and keeps what it holds meanwhile out of theirs:
-
-    - :func:`gram` writes ``wx``; :func:`normal_equations` and
-      :func:`weighted_ls` also ``vec[0]`` and ``flags[0]``;
-    - :func:`logistic_fit` and :class:`NewtonStart` write ``wx``, ``vec[0:4]``
-      and ``flags[0]``;
-    - the power-variance fit (:mod:`~seqdi.pilot`) writes ``vec[0:5]``
-      (``vec[4]`` holds its fitted means unless given an array for them)
-      and ``flags``, and its callers hold their base weights in ``vec[5]``;
-    - the FGLS fits and their meat (:mod:`~seqdi.homogeneity`) write all six.
-
-    Nothing a call returns or keeps is a view of the workspace.  The arrays
-    come from ``np.empty``: building a workspace touches no page, and a
-    pickled one carries only its size.
+    ``wx`` is :func:`gram`'s weighted copy diag(w) X, column-major.  Six float
+    and two boolean vectors are shared last in, first out: inside ``with ws:``,
+    :meth:`take` gives a call the next free ones, cut to its rows, until the
+    block ends, even by a raise.  So a call holding arrays across another
+    workspace call takes them in a block; one calling only :func:`gram`
+    meanwhile reads them with :meth:`free`.  Asking for more than is free
+    raises RuntimeError.  A call writes every entry it reads and returns or
+    keeps no view of the workspace.  The arrays come from ``np.empty``: a new
+    workspace touches no page, and a pickled one carries only its size.
     """
 
     def __init__(self, n_max: int, d: int):
         self.n_max, self.d = int(n_max), int(d)
         self.wx = np.empty((self.n_max, self.d), order="F")
-        self.vec = tuple(np.empty((6, self.n_max)))
-        self.flags = tuple(np.empty((2, self.n_max), dtype=bool))
+        self._floats = tuple(np.empty((6, self.n_max)))
+        self._bools = tuple(np.empty((2, self.n_max), dtype=bool))
+        self._held = [(0, 0)]  # (floats, bools) taken as each open block began, and now
+
+    depth = property(lambda self: len(self._held) - 1, doc="The number of open blocks.")
+
+    def __enter__(self):
+        self._held.append(self._held[-1])
+        return self
+
+    def __exit__(self, *exc_info):
+        self._held.pop()
+
+    def free(self, n: int, floats: int = 0, bools: int = 0):
+        """The next free float vectors, then boolean ones, cut to n rows and left free."""
+        f, b = self._held[-1]
+        if f + floats > 6 or b + bools > 2:
+            raise RuntimeError(f"workspace has {6 - f} float and {2 - b} boolean arrays free")
+        return [v[:n] for v in self._floats[f:f + floats] + self._bools[b:b + bools]]
+
+    def take(self, n: int, floats: int = 0, bools: int = 0):
+        """:meth:`free`'s arrays, held until the innermost ``with`` block ends."""
+        arrays = self.free(n, floats, bools)
+        if not self.depth:
+            raise RuntimeError("arrays are taken only inside `with`")
+        f, b = self._held[-1]
+        self._held[-1] = f + floats, b + bools
+        return arrays
 
     def __reduce__(self):
         return Workspace, (self.n_max, self.d)
@@ -395,9 +411,9 @@ class NewtonStart:
         if self.alpha.shape != (d,):
             raise ValueError(f"start must hold {d} coefficients")
         ws = _workspace(out, x)
-        eta, t, p, w = (v[:n] for v in ws.vec[:4])
+        eta, t, p, w, positive = ws.free(n, 4, 1)
         self.softplus = _softplus(np.matmul(x, self.alpha, out=eta), t, p, w).copy()
-        fitted, self.hessian = _newton_point(x, eta, t, p, w, ws.flags[0][:n], ws)
+        fitted, self.hessian = _newton_point(x, eta, t, p, w, positive, ws)
         self.p, self.eta = fitted.copy(), eta.copy()
 
 
@@ -427,8 +443,7 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     if delta.min() == delta.max():
         raise ValueError("both classes must be present")
     ws = _workspace(out, x)
-    eta, t, p, w = (v[:n] for v in ws.vec[:4])
-    positive = ws.flags[0][:n]
+    eta, t, p, w, positive = ws.free(n, 4, 1)
 
     if isinstance(start, NewtonStart):
         alpha, fitted, g = start.alpha, start.p, start.hessian

@@ -83,19 +83,18 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     Cholesky did.  The intercept is never needed: the scale is
     recalibrated by moment matching at the fitted (capped) exponent, so
     sigma2 * m^gamma reproduces the average squared residual instead of its
-    log-scale geometric counterpart.  Writes ``vec[2:4]`` and ``flags[0]`` of
-    the workspace ``out``.
+    log-scale geometric counterpart.
     """
     n = len(m)
-    ws = Workspace(n, 1) if out is None else out
-    keep = np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=ws.flags[0][:n])
+    lm, lc, keep = (Workspace(n, 1) if out is None else out).free(n, 2, 1)
+    np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=keep)
     np.logical_and(keep, positive, out=keep)
     mk, e2k = (m, e2) if keep.all() else (m[keep], e2[keep])
     k = mk.size
     # mk is positive: its largest |value| is its maximum, and max - min its spread
     if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
-    lm, lc = ws.vec[2][:k], ws.vec[3][:k]
+    lm, lc = lm[:k], lc[:k]
     np.log(mk, out=lm)
     np.subtract(lm, _mean(lm), out=lc)
     # the sums over rows are einsum's, not BLAS's: OpenBLAS ddot splits a sum
@@ -124,10 +123,10 @@ def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,
     ``weighted_ls(x, y, ones)``.
     """
     x = np.asarray(x, dtype=float)
-    ws = _workspace(out, x)
-    base = ws.vec[5][:len(x)]
-    base.fill(1.0)
-    return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first)
+    with _workspace(out, x) as ws:
+        base, = ws.take(len(x), 1)
+        base.fill(1.0)
+        return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
@@ -149,50 +148,48 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     again.
     ``out``, a :class:`~seqdi.numerics.Workspace` for at least x's rows,
     receives the fit's frame-sized arrays (a fit without one allocates its
-    own); it writes ``vec[0:5]`` and ``flags``, so the base weights may be
-    held in ``vec[5]`` and ``fitted`` in ``vec[4]``.  Raises InvalidParams
-    when var(y), the squared outcomes or the squared residuals overflow.
+    own).  Raises InvalidParams when var(y), the squared outcomes or the
+    squared residuals overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = x.shape
     if n <= d + 2:
         raise Unidentifiable(f"{n} rows are too few to identify the variance model")
-    ws = _workspace(out, x)
-    e2, scratch = ws.vec[1][:n], ws.vec[2][:n]
-    positive = ws.flags[1][:n]
-    m = ws.vec[4][:n] if fitted is None else fitted
+    with _workspace(out, x) as ws:
+        e2, scratch, positive = ws.take(n, 2, 1)
+        m = ws.take(n, 1)[0] if fitted is None else fitted
 
-    sigma2_floor = _sigma2_floor(y, scratch)
-    beta = weighted_ls(x, y, base_weights, ws)
-    if first is not None:
-        first[:] = beta
-    with np.errstate(over="ignore"):
-        mean_y2 = _mean(np.square(y, out=scratch))
-    if mean_y2 == math.inf:
-        raise InvalidParams("the squared outcomes overflow")
-    noise_floor = 1e-24 * max(mean_y2, 1e-300)
-    for refit in (True, False):
-        np.matmul(x, beta, out=m)
+        sigma2_floor = _sigma2_floor(y, scratch)
+        beta = weighted_ls(x, y, base_weights, ws)
+        if first is not None:
+            first[:] = beta
         with np.errstate(over="ignore"):
-            mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
-        if mean_e2 == math.inf:
-            raise InvalidParams("the squared residuals overflow")
-        count = np.count_nonzero(np.greater(m, 0, out=positive))
-        if count == 0:
-            raise Unidentifiable("no positive fitted means")
-        mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
+            mean_y2 = _mean(np.square(y, out=scratch))
+        if mean_y2 == math.inf:
+            raise InvalidParams("the squared outcomes overflow")
+        noise_floor = 1e-24 * max(mean_y2, 1e-300)
+        for refit in (True, False):
+            np.matmul(x, beta, out=m)
+            with np.errstate(over="ignore"):
+                mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
+            if mean_e2 == math.inf:
+                raise InvalidParams("the squared residuals overflow")
+            count = np.count_nonzero(np.greater(m, 0, out=positive))
+            if count == 0:
+                raise Unidentifiable("no positive fitted means")
+            mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
 
-        if mean_e2 <= noise_floor:
-            # residuals at floating-point noise: homoscedastic model at the floor
-            return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-        sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws)
-        model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
-                                   sigma2_floor)
-        if refit:
-            weights = _sigma2_at(model, m, out=scratch)
-            beta = weighted_ls(x, y, np.divide(base_weights, weights, out=weights), ws)
-    return model
+            if mean_e2 <= noise_floor:
+                # residuals at floating-point noise: homoscedastic model at the floor
+                return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
+            sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws)
+            model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
+                                       sigma2_floor)
+            if refit:
+                weights = _sigma2_at(model, m, out=scratch)
+                beta = weighted_ls(x, y, np.divide(base_weights, weights, out=weights), ws)
+        return model
 
 
 def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:

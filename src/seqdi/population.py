@@ -319,12 +319,16 @@ def _read_columns(path, what, required, wanted):
     missing ``required`` column, or no data row; otherwise on the first
     faulty row in file order (rows from 1, blank lines skipped), and within it
     on the first of: a missing, empty or extra cell, a repeated id, then each
-    wanted cell in turn.  An error that ends the reading (an undecodable
-    byte) is raised after the rows read before it, as if it were the next
-    row's fault."""
+    wanted cell in turn.  A read that fails (an undecodable byte, a cell over
+    ``csv.field_size_limit()``) is a fault of the header, or else of the next
+    row, checked after the rows read before it."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(_uncommented(handle))
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except (ValueError, csv.Error) as err:
+            raise ParseError(f"cannot read the {what} file from the header on: {err}",
+                             row=0) from err
         for i, column in enumerate(header):
             if column in header[:i]:
                 raise ParseError(f"{what} file names column {column!r} twice", row=0, column=column)
@@ -335,7 +339,8 @@ def _read_columns(path, what, required, wanted):
         try:
             rows.extend(filter(None, reader))  # keeps the rows read before a failure
         except (ValueError, csv.Error) as err:
-            fault = err
+            fault = ParseError(f"cannot read the {what} file from row {len(rows) + 1} on: {err}",
+                               row=len(rows) + 1)
     # ``fault`` is the first fault found so far, in row ``limit`` (from 0); only
     # rows above it are searched further
     limit = len(rows)

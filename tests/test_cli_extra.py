@@ -340,6 +340,41 @@ class TestOutsizeCovariateFailsCleanly:
         assert not (tmp_path / "results").exists()
 
 
+class TestUnreadableFileFailsCleanly:
+    """A population file that is not UTF-8, or holds a cell over
+    csv.field_size_limit(), is refused as a ParseError naming the row the read
+    reached, not as a traceback."""
+
+    ROWS = "".join(f"{i},0.{i},{i + 1},{i % 2}\n" for i in range(1, 50)).encode()
+    FILES = {
+        "undecodable": (b"id,x1,y,delta\n" + ROWS + b"50,0.5,\xff,1\n",
+                        "error: cannot read the population file from the header on: 'utf-8' "
+                        "codec can't decode byte 0xff"),
+        "oversize": (b"id,x1,y,delta\n" + ROWS + b'50,0.5,"' + b"9" * 200_000 + b'",1\n',
+                     "error: cannot read the population file from row 50 on: field larger "
+                     "than field limit (131072)"),
+    }
+    COMMANDS = {
+        "design": ["design", "--pop", "pop.csv", "--np", "5", "--out", "d.csv"],
+        "estimate": ["estimate", "--pop", "pop.csv", "--sample", "sample.csv"],
+        "test": ["test", "--pop", "pop.csv", "--sample", "sample.csv"],
+        "simulate": ["simulate", "--config", "config.json", "--out", "results"],
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FILES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_one(self, tmp_path, fault, command):
+        text, message = self.FILES[fault]
+        (tmp_path / "pop.csv").write_bytes(text)
+        (tmp_path / "sample.csv").write_text("id,pi\n2,0.5\n4,0.5\n")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "replications": 4, "seed": 7, "mechanism": "FixedPartition",
+            "population_csv": "pop.csv", "designs": ["optimal"], "estimators": ["DI"]}))
+        proc = run_cli(tmp_path, *self.COMMANDS[command])
+        assert_clean_failure(proc, 1, message)
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "results").exists()
+
+
 def test_pool_chunk_size_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
     # chunks of at most MAX_CHUNK replications: here 2, where 48 replications on 2
     # workers would otherwise go in chunks of 3; the files equal those of one worker

@@ -60,11 +60,22 @@ def _ref_pi(raw, row):
     return value
 
 
+def _ref_next(rows, what, row):
+    """The next item of ``rows`` (None after the last); a read that fails raises the
+    ParseError of the row it stopped at, ``row`` (0: the header)."""
+    try:
+        return next(rows, None)
+    except (ValueError, csv.Error) as err:
+        where = f"row {row}" if row else "the header"
+        raise ParseError(f"cannot read the {what} file from {where} on: {err}",
+                         row=row) from None
+
+
 def _ref_records(path, what, required, ids):
     """The header, then each data row as (row from 1, dict), checked as it is read."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), handle))
-        header = next(reader, [])
+        header = _ref_next(reader, what, 0) or []
         for i, column in enumerate(header):
             if column in header[:i]:
                 raise ParseError(f"{what} file names column {column!r} twice", row=0, column=column)
@@ -72,7 +83,11 @@ def _ref_records(path, what, required, ids):
             if column not in header:
                 raise MissingColumn(f"{what} file needs column {column!r}")
         yield header
-        for i, cells in enumerate(filter(None, reader), start=1):
+        rows = filter(None, reader)
+        for i in itertools.count(1):
+            cells = _ref_next(rows, what, i)
+            if cells is None:
+                break
             if len(cells) > len(header):
                 raise ParseError(f"extra value in row {i}: {len(cells)} cells, "
                                  f"{len(header)} columns", row=i)
@@ -281,9 +296,35 @@ def test_undecodable_byte_after_a_faulty_row(tmp_path):
         load_population_csv(path)
     assert_same_population(path)
     path.write_bytes(b"id,x1,y,delta\n" + rows.encode() + b"9999,\xff,2,1\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match=r"cannot read the population file from row \d+ on: "
+                                         "'utf-8' codec can't decode byte 0xff") as err:
         load_population_csv(path)
+    assert 1 < err.value.row <= 2000 and err.value.column is None
     assert_same_population(path)
+
+
+@pytest.mark.parametrize("where, text, row", [
+    # a small file is decoded in one chunk, so the header read meets the byte
+    ("undecodable", b"id,x1,y\n1,0.5,2\n2,\xff,1\n", 0),
+    ("undecodable", b"id,x\xff1,y\n1,0.5,2\n", 0),
+    ("oversize", b"id,x1,y\n1,0.5,2\n2,0.5,\"" + b"9" * 200_000 + b"\"\n3,0.5,2\n", 2),
+    ("oversize", b"id,\"" + b"x" * 200_000 + b"\",y\n1,0.5,2\n", 0),
+    # a faulty row above the oversize cell is the first fault
+    ("oversize", b"id,x1,y\n1,abc,2\n2,0.5,\"" + b"9" * 200_000 + b"\"\n", 1),
+])
+def test_unreadable_file_is_a_parse_error_naming_the_row(tmp_path, where, text, row):
+    path = tmp_path / "pop.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        load_population_csv(path)
+    assert err.value.row == row
+    if row != 1:
+        cause = "field larger than field limit" if where == "oversize" else "0xff"
+        assert cause in str(err.value)
+    assert_same_population(path)
+    sample = tmp_path / "sample.csv"
+    sample.write_bytes(text.replace(b"x1", b"pi").replace(b"0.5", b"0.25"))
+    assert_same_sample(sample)
 
 
 @pytest.mark.parametrize("x1", ["1e200", "-1.35e154", "1.3407807929942597e154"])

@@ -8,7 +8,6 @@ from seqdi.estimators import (
     WeightSpec,
     certainty_block,
     poisson_plugin_variance,
-    unit_ols,
     y_com_di,
     y_di,
     y_dr,
@@ -255,7 +254,8 @@ class TestIpwDr:
         # planted propensity 0.5, so sum x/pi over the stratum is 2 = N
         idx, prop = part.certainty_idx, np.array([0.5])
         ipw = y_ipw(pop.y[idx], prop)
-        dr = y_dr(pop.rows(idx), pop.y[idx], prop, pop.x_total, unit_ols(pop.rows(idx), pop.y[idx]))
+        beta = weighted_ls(pop.rows(idx), pop.y[idx], np.ones(len(idx)))
+        dr = y_dr(pop.rows(idx), pop.y[idx], prop, pop.x_total, beta)
         assert dr.point == pytest.approx(ipw.point, rel=1e-12)
 
     def test_dr_exact_for_linear_outcome(self):
@@ -268,7 +268,8 @@ class TestIpwDr:
         part = Partition(delta=delta)
         idx = part.certainty_idx
         prop = 1.0 / (1.0 + np.exp(-x[idx] @ np.array([0.3, -0.2, 0.1])))  # planted propensities
-        out = y_dr(x[idx], pop.y[idx], prop, pop.x_total, unit_ols(x[idx], pop.y[idx]))
+        beta = weighted_ls(x[idx], pop.y[idx], np.ones(len(idx)))
+        out = y_dr(x[idx], pop.y[idx], prop, pop.x_total, beta)
         assert out.point == pytest.approx(pop.true_total, rel=1e-9)
 
 

@@ -624,7 +624,7 @@ class TestComputedOnce:
         inputs = harness.StratumInputs(pop, partition, need_pilot, need_test=False,
                                        out=Workspace(*pop.x.shape))
         calls = []
-        monkeypatch.setattr(harness.est, "weighted_ls",
+        monkeypatch.setattr(harness, "weighted_ls",
                             lambda *args: calls.append(1) or weighted_ls(*args))
         dr = ESTIMATORS["DR"].compute(inputs, None, {})
         assert inputs.ols.tobytes() == want.tobytes()
@@ -806,6 +806,15 @@ class TestEmit:
                                     "python": platform.python_version()}
         assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                                         "MKL_NUM_THREADS": None}
+
+    def test_metadata_keys(self, tmp_path):
+        # what the run did and where it ran, and nothing it did not do
+        summary = McSummary(y_true=10.0, replications=0, seed=1, mechanism="MAR", arms=[],
+                            tests=[])
+        emit_results(summary, tmp_path)
+        meta = json.loads((tmp_path / "run_metadata.json").read_text())
+        assert list(meta) == ["seed", "replications", "mechanism", "y_true", "level",
+                              "software", "blas_threads"]
 
     def test_seed_recorded_in_headers(self, tmp_path):
         summary = run_mc(small_config(replications=5))

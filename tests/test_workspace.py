@@ -3,8 +3,10 @@
 One :class:`~seqdi.numerics.Workspace` serves every fit of a Monte Carlo
 run: calls on fewer rows than it holds use its leading rows, give the bits
 of a call that builds its own, and return nothing that a later call can
-overwrite.  With it, a replication of the homogeneous null allocates no
-stratum-sized temporary, so the heap stops growing and shrinking.
+overwrite.  Its arrays are taken last in, first out, and a block that
+raises gives back what it took.  With it, a replication of the homogeneous
+null allocates no stratum-sized temporary, so the heap stops growing and
+shrinking.
 """
 
 import os
@@ -16,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from seqdi.errors import NotPositiveDefinite, Separation
 from seqdi.homogeneity import fgls_np, fgls_p
 from seqdi.numerics import Workspace, gram, logistic_fit, weighted_ls
 from seqdi.pilot import _sigma2_at, fit_pilot, fit_power_variance
@@ -64,8 +67,10 @@ def test_shared_workspace_keeps_the_bits():
     # an entry no call wrote shows; frames of several sizes in sequence, then
     # the first again, interleaved with the others
     ws = Workspace(5000, 3)
-    for block in (ws.wx, *ws.vec):
-        block.fill(np.nan)
+    ws.wx.fill(np.nan)
+    with ws:
+        for block in ws.take(ws.n_max, 6):
+            block.fill(np.nan)
     frames = [frame(seed, n) for seed, n in enumerate((4000, 37, 1200, 5000))]
     frames.append(frames[0])
     kept = []
@@ -88,12 +93,61 @@ def test_workspace_must_hold_the_rows_and_columns():
             fgls_p(x, y, pi, out=Workspace(rows, cols))
 
 
+def test_taking_more_than_the_workspace_holds_raises():
+    ws = Workspace(10, 3)
+    with pytest.raises(RuntimeError, match="only inside `with`"):
+        ws.take(10, 1)
+    with ws:
+        with pytest.raises(RuntimeError, match="workspace has 6 float and 2 boolean arrays free"):
+            ws.take(10, 7)
+        with pytest.raises(RuntimeError, match="workspace has 6 float and 2 boolean arrays free"):
+            ws.free(10, 0, 3)
+        ws.take(10, 4, 1)
+        with pytest.raises(RuntimeError, match="has 2 float and 1 boolean"):
+            ws.take(10, 3)
+        with ws:
+            assert len(ws.take(10, 2, 1)) == 3
+            with pytest.raises(RuntimeError, match="has 0 float and 0 boolean"):
+                ws.free(10, 1)
+        assert len(ws.free(10, 2, 1)) == 3
+    # a fit never gets what its caller holds: with five floats held, the
+    # pilot fit cannot take the arrays it needs
+    x, y, _, _ = frame(2, 10)
+    with ws:
+        ws.take(10, 5)
+        with pytest.raises(RuntimeError, match="free"):
+            fit_pilot(x, y, out=ws)
+        assert ws.depth == 1
+    assert ws.depth == 0
+
+
+def test_a_fit_that_raises_gives_its_arrays_back():
+    x, y, pi, delta = frame(3, 400)
+    ws = Workspace(500, 3)
+    collinear = x.copy()
+    collinear[:, 2] = collinear[:, 1]
+    with pytest.raises(NotPositiveDefinite):
+        fit_pilot(collinear, y, out=ws)
+    assert ws.depth == 0
+    with pytest.raises(Separation):
+        logistic_fit(x, (x[:, 1] > 0.5) * 1.0, out=ws)
+    assert ws.depth == 0
+    with ws:  # every array is free again
+        assert len(ws.take(500, 6, 2)) == 8
+    assert as_bytes(fits(x, y, pi, delta, ws)) == as_bytes(fits(x, y, pi, delta, None))
+
+
 def test_pickled_workspace_carries_its_size_only():
     ws = Workspace(20_000, 3)
-    copy = pickle.loads(pickle.dumps(ws))
+    with ws:
+        ws.take(20_000, 6, 2)
+        copy = pickle.loads(pickle.dumps(ws))
+        assert len(pickle.dumps(ws)) < 1000
     assert (copy.n_max, copy.d, copy.wx.shape) == (20_000, 3, (20_000, 3))
     assert copy.wx.flags.f_contiguous
-    assert len(pickle.dumps(ws)) < 1000
+    assert copy.depth == 0
+    with copy:  # it arrives with nothing taken
+        assert len(copy.take(20_000, 6, 2)) == 8
 
 
 # The homogeneous-null workload of bench/workloads.py, run in process after one
