@@ -25,7 +25,7 @@ def _config_from_json(path, seed_flag, full_scale):
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     overrides = {} if seed_flag is None else {"seed": seed_flag}
     if full_scale:

@@ -115,9 +115,9 @@ class Arm:
     sum x/pi, ``sigma2`` the pilot model's variances of the rows (None
     unless an estimator with variance-scaled weights runs) and ``test`` the
     homogeneity test of the sample (None unless adDI or the test runs).
-    The plug-in variance's factor (:meth:`plugin_variance`) and each kind's
-    working weights (:meth:`weights`) are formed on first use and kept, so
-    the estimators of one arm share them; none of them is written after.
+    ``ht_x``, the plug-in variance's factor (:meth:`plugin_variance`) and each
+    kind's working weights (:meth:`weights`) are formed on first use and
+    kept, so the estimators of one arm share them; none of them is written after.
     """
 
     y_s: np.ndarray
@@ -125,7 +125,6 @@ class Arm:
     pi_s: np.ndarray
     inv_pi: np.ndarray
     ht_y: float
-    ht_x: np.ndarray
     sigma2: np.ndarray | None = None
     test: object = None
 
@@ -134,13 +133,16 @@ class Arm:
         y_s = np.asarray(y_s, dtype=float)
         pi_s = np.asarray(pi_s, dtype=float)
         inv = 1.0 / pi_s
-        x_s = np.asarray(x_s, dtype=float)
-        return cls(y_s, x_s, pi_s, inv, float((inv * y_s).sum()),
-                   (x_s * inv[:, None]).sum(axis=0), sigma2, test)
+        return cls(y_s, np.asarray(x_s, dtype=float), pi_s, inv, float((inv * y_s).sum()),
+                   sigma2, test)
 
     @property
     def size(self) -> int:
         return len(self.y_s)
+
+    @functools.cached_property
+    def ht_x(self) -> np.ndarray:
+        return (self.x_s * self.inv_pi[:, None]).sum(axis=0)
 
     @functools.cached_property
     def _factor(self) -> np.ndarray:

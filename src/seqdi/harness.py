@@ -33,9 +33,10 @@ from . import homogeneity as homog
 from .errors import (ConfigError, DegenerateMetrics, EmptySample, InvalidParams, NoConvergence,
                      NotPositiveDefinite, Separation, stage)
 from .numerics import NewtonStart, RngStream, Workspace, Z_975, logistic_fit, median, weighted_ls
-from .pilot import _sigma2_at, fit_pilot, predict_sigma2
+from .pilot import fit_pilot, predict_sigma2
 from .population import (
     DEFAULT_SLOPES,
+    Population,
     SelectionMechanism,
     calibrate_intercept,
     draw_nonprob,
@@ -350,14 +351,15 @@ def _draw_with_retry(dsgn, rng):
 class StratumInputs:
     """What the estimators of ESTIMATORS read of one certainty stratum, the
     same for every design arm: its rows and totals, the pilot (fitted when
-    ``need_pilot`` or ``need_test``, since the test's stratum fit uses it),
-    that FGLS fit (when ``need_test``) and, given ``config``, its designs,
-    which use no randomness and so are built before any draw.  The complement
-    rows, the pilot's variances (one prediction per stratum, shared by the
-    optimal design and the arms), the certainty rows' unit-weight OLS fit
-    (the pilot's first stage when there is a pilot), the combined
-    estimator's certainty blocks and the propensities are computed on first
-    use and kept.  ``start`` is the propensity fit's Newton start (see
+    ``need_pilot`` or ``need_test``, since the test's stratum fit uses it)
+    with its fitted means and variances of the rows, that FGLS fit (when
+    ``need_test``) and, given ``config``, its designs, which use no
+    randomness and so are built before any draw.  The complement rows, their
+    covariate totals, the pilot's variances of them (one prediction per
+    stratum, shared by the optimal design and the arms), the certainty rows'
+    unit-weight OLS fit (the pilot's first stage when there is a pilot), the
+    combined estimator's certainty blocks and the propensities are computed
+    on first use and kept.  ``start`` is the propensity fit's Newton start (see
     estimators.estimate_propensity) and ``out``, kept as ``ws``, the
     numerics.Workspace of every fit on the stratum's and its samples' rows,
     both of which a run shares across its strata (None: from zero, and a
@@ -369,12 +371,14 @@ class StratumInputs:
         self.pop, self.partition = pop, partition
         self.x_np, self.y_np = x_np, y_np = pop.rows(s_np), pop.y[s_np]
         self.y_total = float(y_np.sum())
-        self.n1, self.x_total_u1 = pop.size - len(y_np), pop.x_total - x_np.sum(axis=0)
-        self.pilot = self.m_np = None
+        self.n1 = pop.size - len(y_np)
+        self.pilot = self.m_np = self.sigma2_np = None
         if need_pilot or need_test:
-            self.m_np = np.empty(len(y_np))  # the pilot's fitted means of the certainty rows
+            # the pilot's fitted means and variances of the certainty rows
+            self.m_np, self.sigma2_np = np.empty(len(y_np)), np.empty(len(y_np))
             self.ols = np.empty(x_np.shape[1])  # and its first stage, kept as ``ols``
-            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np, out=out, first=self.ols)
+            self.pilot = fit_pilot(x_np, y_np, fitted=self.m_np, out=out, first=self.ols,
+                                   variances=self.sigma2_np)
         self.np_fit = (homog.fgls_np(x_np, y_np, self.pilot, self.sigma2_np, self.m_np, out)
                        if need_test else None)
         self.designs = {}
@@ -393,9 +397,9 @@ class StratumInputs:
         return weighted_ls(self.x_np, self.y_np, np.ones(len(self.y_np)), self.ws)
 
     @functools.cached_property
-    def sigma2_np(self):
-        """The pilot's variances of the certainty rows, from its fitted means."""
-        return _sigma2_at(self.pilot, self.m_np)
+    def x_total_u1(self):
+        """The complement rows' covariate totals, which only the regression estimators read."""
+        return self.pop.x_total - self.x_np.sum(axis=0)
 
     @functools.cached_property
     def x_u1(self):
@@ -423,14 +427,16 @@ class StratumInputs:
                                        self.ws)
 
 
-def _replicate(r, config, pop, mech, plan, stratum, start, ws):
-    """One Monte Carlo replication as a float64 row in ``plan``'s layout, drawn from stream r + 1.
+def _replicate(r, state):
+    """One Monte Carlo replication of the run ``state`` (a RunState) as a float64
+    row in its plan's layout, drawn from stream r + 1.
 
-    ``stratum`` is a fixed stratum's set-up, or None to draw one with the
-    propensity fit's ``start``; every stratum and sample fit writes into the
-    workspace ``ws`` (see StratumInputs).  A
-    SeqdiError is raised again as the same class, its message led by the
-    replication, its stream id and the design or stage that failed."""
+    Without a fixed stratum it draws one, with the run's propensity start;
+    every stratum and sample fit writes into the run's workspace (see
+    StratumInputs).  A SeqdiError is raised again as the same class, its
+    message led by the replication, its stream id and the design or stage
+    that failed."""
+    config, pop, plan, stratum, ws = state.config, state.pop, state.plan, state.stratum, state.ws
     rng = RngStream(config.seed, r + 1)
     at = f"replication {r} (stream {r + 1})"
     row = np.full(plan["width"], np.nan)
@@ -447,8 +453,8 @@ def _replicate(r, config, pop, mech, plan, stratum, start, ws):
 
     with stage(f"{at}, stratum set-up"):
         if stratum is None:
-            stratum = StratumInputs(pop, draw_nonprob(pop, mech, rng), plan["need_pilot"],
-                                    plan["need_test"], config, start, ws)
+            stratum = StratumInputs(pop, draw_nonprob(pop, state.mech, rng),
+                                    plan["need_pilot"], plan["need_test"], config, state.start, ws)
     for kind in config.designs:
         with stage(f"{at}, design {kind}"):
             sample = _draw_with_retry(stratum.designs[kind], rng)
@@ -476,17 +482,31 @@ def _replicate(r, config, pop, mech, plan, stratum, start, ws):
 _WORKER_GLOBALS = {}
 
 
-def _init_worker(*args):
-    _WORKER_GLOBALS["args"] = args
+def _init_worker(state):
+    _WORKER_GLOBALS["state"] = state
 
 
 def _run_one(r):
-    return _replicate(r, *_WORKER_GLOBALS["args"])
+    return _replicate(r, _WORKER_GLOBALS["state"])
 
 
-def _run_state(config: McConfig):
-    """The arguments after r of every _replicate call of a run: (config, pop,
-    mech, plan, stratum, start, ws).
+@dataclass(frozen=True)
+class RunState:
+    """What every replication of a run reads: its config, population, selection
+    mechanism (None under FixedPartition), plan, fixed stratum (None unless
+    FixedPartition), propensity start and workspace; see :func:`_run_state`."""
+
+    config: McConfig
+    pop: Population
+    mech: SelectionMechanism | None
+    plan: dict
+    stratum: StratumInputs | None
+    start: NewtonStart | None
+    ws: Workspace
+
+
+def _run_state(config: McConfig) -> RunState:
+    """The RunState of ``config``'s run.
 
     ``plan`` is :func:`_plan`'s, and when it needs an independent sample it
     also holds that sample's equal-probability design on the whole frame
@@ -528,7 +548,7 @@ def _run_state(config: McConfig):
         with stage(f"FixedPartition set-up on {config.population_csv}"):
             stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
                                     plan["need_test"], config, out=ws)
-    return config, pop, mech, plan, stratum, start, ws
+    return RunState(config, pop, mech, plan, stratum, start, ws)
 
 
 def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSummary:
@@ -543,8 +563,8 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    args = _run_state(config)
-    _, pop, _, plan, *_ = args
+    state = _run_state(config)
+    plan = state.plan
 
     n_rep = config.replications
     workers = min(threads, n_rep, os.cpu_count() or 1)
@@ -552,12 +572,12 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     began = time.monotonic()
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            _init_worker(*args)
+            _init_worker(state)
             stack.callback(_WORKER_GLOBALS.clear)  # the run's state goes with the run
             outcomes = map(_run_one, range(n_rep))
         else:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=args))
+                max_workers=workers, initializer=_init_worker, initargs=(state,)))
             chunk = min(MAX_CHUNK, max(1, n_rep // (workers * 8)))
             outcomes = pool.map(_run_one, range(n_rep), chunksize=chunk)
         for r, row in enumerate(outcomes):
@@ -566,7 +586,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
                 print(_progress_line(r + 1, n_rep, time.monotonic() - began), file=sys.stderr,
                       flush=True)
 
-    return _aggregate(config, pop, plan, table)
+    return _aggregate(config, state.pop, plan, table)
 
 
 def _progress_line(done: int, total: int, elapsed: float) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
 from .numerics import _workspace, chisq_sf, gram, inv_spd, solve_spd
-from .pilot import PilotVarianceModel, _sigma2_at, fit_power_variance
+from .pilot import PilotVarianceModel, fit_power_variance
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
     with _workspace(out, x_s) as ws:
-        m, base = ws.take(len(x_s), 2)
-        tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m, out=ws)
-        tau2, w = ws.take(len(x_s), 2)
-        _sigma2_at(tau_model, m, out=tau2)
+        m, base, tau2 = ws.take(len(x_s), 3)
+        tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m,
+                                       out=ws, variances=tau2)
+        w, = ws.take(len(x_s), 1)
         residuals = np.subtract(y_s, m, out=m)
         np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
         inv_bread = inv_spd(gram(x_s, w, ws))

@@ -43,9 +43,10 @@ class RngStream:
         return self._gen.normal(mean, sd, size=size)
 
     def bernoulli(self, p):
-        """Independent Bernoulli indicators, one per entry of p."""
+        """Independent Bernoulli indicators, one per entry of p: the draws of
+        ``uniform(size=p.shape) < p``, whose 0.0 + 1.0 * U is ``random``'s U."""
         p = np.asarray(p, dtype=float)
-        return self._gen.uniform(size=p.shape) < p
+        return self._gen.random(size=p.shape) < p
 
 
 def _cholesky(a) -> list:
@@ -291,13 +292,17 @@ def quantile_of_tops(tops, n: int, q: float) -> float:
     return _interpolate(float(v[lo]), float(v[hi]), t)
 
 
-def _logistic(eta):
+def _logistic(eta, t=None, p=None, w=None, positive=None):
     """1/(1+exp(-eta)) with one exp: 1/(1+t) for eta >= 0 and t/(1+t) otherwise,
-    where t = exp(-|eta|).  Equal bit for bit to the two-branch form
-    1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on every input but NaN, where
-    only the sign of the NaN may differ."""
-    t = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0, t) / (1.0 + t)
+    where t = exp(-|eta|), given or formed here.  Equal bit for bit to the
+    two-branch form 1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on every input but
+    NaN, where only the sign of the NaN may differ.  The result goes into p,
+    with t, w and positive as scratch; p, w and positive are new arrays when
+    None."""
+    t = np.exp(-np.abs(eta)) if t is None else t
+    w = np.add(1.0, t, out=w)
+    np.copyto(t, 1.0, where=np.greater_equal(eta, 0, out=positive))
+    return np.divide(t, w, out=p)
 
 
 class Workspace:
@@ -375,17 +380,10 @@ def _log_likelihood(eta, delta, softplus, w):
     return float(np.subtract(np.multiply(delta, eta, out=w), softplus, out=w).sum())
 
 
-def _fitted(eta, t, p, w, positive):
-    """_logistic(eta) into p from t = exp(-|eta|), with w and positive as scratch."""
-    np.copyto(p, t)
-    np.copyto(p, 1.0, where=np.greater_equal(eta, 0, out=positive))
-    return np.divide(p, np.add(1.0, t, out=w), out=p)
-
-
 def _newton_point(x, eta, t, p, w, positive, ws):
     """The fitted probabilities (into p) and the Hessian X' diag(p(1-p)) X at eta,
     from t = exp(-|eta|), with w, positive and the workspace ws as scratch."""
-    _fitted(eta, t, p, w, positive)
+    _logistic(eta, t, p, w, positive)
     return p, gram(x, np.multiply(p, np.subtract(1.0, p, out=w), out=w), ws)
 
 

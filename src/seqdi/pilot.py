@@ -69,7 +69,7 @@ def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
 
 
 def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive: np.ndarray,
-                         out=None):
+                         out=None, power=None):
     """Fit log e^2 = log sigma2 + gamma log m on rows with usable values,
     from the squared residuals e2, their mean and the mask ``positive`` of m > 0.
 
@@ -83,10 +83,13 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     Cholesky did.  The intercept is never needed: the scale is
     recalibrated by moment matching at the fitted (capped) exponent, so
     sigma2 * m^gamma reproduces the average squared residual instead of its
-    log-scale geometric counterpart.
+    log-scale geometric counterpart.  ``power``, an array like m (a new
+    one when None), holds lc and then receives m**gamma of every row (1
+    where m <= 0, a dropped row), as :func:`_sigma2_from` reads it.
     """
     n = len(m)
-    lm, lc, keep = (Workspace(n, 1) if out is None else out).free(n, 2, 1)
+    lm, keep = (Workspace(n, 1) if out is None else out).free(n, 1, 1)
+    power = np.empty(n) if power is None else power
     np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=keep)
     np.logical_and(keep, positive, out=keep)
     mk, e2k = (m, e2) if keep.all() else (m[keep], e2[keep])
@@ -94,7 +97,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     # mk is positive: its largest |value| is its maximum, and max - min its spread
     if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
-    lm, lc = lm[:k], lc[:k]
+    lm, lc = lm[:k], power[:k]
     np.log(mk, out=lm)
     np.subtract(lm, _mean(lm), out=lc)
     # the sums over rows are einsum's, not BLAS's: OpenBLAS ddot splits a sum
@@ -108,29 +111,32 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     # Python's min and max keep a NaN slope as np.clip does
     slope = float(np.einsum("i,i", lc, np.subtract(le, _mean(le), out=le))) / pivot
     gamma = min(max(slope, -GAMMA_CAP), GAMMA_CAP)
-    np.copyto(lc, mk)
-    lc **= gamma  # mk**gamma, with its fast paths
-    return _mean(np.divide(e2k, lc, out=lc)), gamma
+    np.copyto(power, m)
+    if k < n:
+        np.copyto(power, 1.0, where=~positive)
+    power **= gamma  # m**gamma, with its fast paths
+    return _mean(np.divide(e2k, power if k == n else power[keep], out=lm)), gamma
 
 
 def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,
-              first=None) -> PilotVarianceModel:
+              first=None, variances=None) -> PilotVarianceModel:
     """Fit the power variance model with equal base weights.
 
     See :func:`fit_power_variance` for the weighted variant used on
-    probability samples, for ``fitted``, ``first`` and for the workspace
-    ``out``.  Here ``first`` receives the unit-weight OLS coefficient
-    ``weighted_ls(x, y, ones)``.
+    probability samples, for ``fitted``, ``variances``, ``first`` and for
+    the workspace ``out``.  Here ``first`` receives the unit-weight OLS
+    coefficient ``weighted_ls(x, y, ones)``.
     """
     x = np.asarray(x, dtype=float)
     with _workspace(out, x) as ws:
         base, = ws.take(len(x), 1)
         base.fill(1.0)
-        return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first)
+        return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first,
+                                  variances=variances)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
-                       fitted=None, out=None, first=None) -> PilotVarianceModel:
+                       fitted=None, out=None, first=None, variances=None) -> PilotVarianceModel:
     """Two-stage power-variance fit with externally supplied base weights.
 
     Stage one regresses y on x with the base weights (equal weights for a
@@ -141,8 +147,10 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
 
     ``fitted``, a float array of one entry per row, receives the fitted
     means x @ model.beta of the returned model (those of the last pass,
-    bit for bit), so that a caller predicting the rows' variances
-    (``_sigma2_at(model, fitted)``) or residuals need not form them again.
+    bit for bit), so that a caller forming the rows' residuals need not
+    form them again; ``variances``, another, receives the returned model's
+    variances of the rows, ``_sigma2_at(model, fitted)`` bit for bit, from
+    the power the variance regression formed (see :func:`_sigma2_from`).
     ``first``, a float array of one entry per column, receives stage one's
     coefficient, so that a caller needing that regression need not fit it
     again.
@@ -159,6 +167,8 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     with _workspace(out, x) as ws:
         e2, scratch, positive = ws.take(n, 2, 1)
         m = ws.take(n, 1)[0] if fitted is None else fitted
+        # without variances=, the last pass forms them in scratch, where none reads them
+        variances = scratch if variances is None else variances
 
         sigma2_floor = _sigma2_floor(y, scratch)
         beta = weighted_ls(x, y, base_weights, ws)
@@ -181,14 +191,17 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
             mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
 
             if mean_e2 <= noise_floor:
-                # residuals at floating-point noise: homoscedastic model at the floor
+                # residuals at floating-point noise: homoscedastic model at the floor,
+                # whose variances max(m, mean_floor)**0 * floor are the floor
+                variances.fill(sigma2_floor)
                 return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-            sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws)
+            rows_sigma2 = scratch if refit else variances  # the refit's weights, or the caller's
+            sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws, rows_sigma2)
             model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
                                        sigma2_floor)
+            _sigma2_from(model, m, rows_sigma2, positive)
             if refit:
-                weights = _sigma2_at(model, m, out=scratch)
-                beta = weighted_ls(x, y, np.divide(base_weights, weights, out=weights), ws)
+                beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=scratch), ws)
         return model
 
 
@@ -198,10 +211,24 @@ def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
     return _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
 
 
-def _sigma2_at(model: PilotVarianceModel, m: np.ndarray, out=None) -> np.ndarray:
-    """:func:`predict_sigma2` of the rows whose linear predictor x'beta is m, into
-    ``out`` (an array like m) when given."""
-    v = np.maximum(m, model.mean_floor, out=out)
+def _sigma2_at(model: PilotVarianceModel, m: np.ndarray) -> np.ndarray:
+    """:func:`predict_sigma2` of the rows whose linear predictor x'beta is m."""
+    v = np.maximum(m, model.mean_floor)
     v **= model.gamma  # m**gamma, with its fast paths
     v *= model.sigma2
-    return np.maximum(v, model.sigma2_floor, out=out)
+    return np.maximum(v, model.sigma2_floor)
+
+
+def _sigma2_from(model: PilotVarianceModel, m: np.ndarray, power: np.ndarray, low) -> np.ndarray:
+    """``_sigma2_at(model, m)`` bit for bit into ``power``, which holds m**gamma
+    where m >= mean_floor, as :func:`_variance_regression` leaves it.
+
+    Elsewhere max(m, mean_floor)**gamma is mean_floor**gamma, formed by the
+    same ``**=``: numpy's pow gives an entry the same bits wherever it sits.
+    ``low`` is boolean scratch.
+    """
+    floor = np.array([model.mean_floor])
+    floor **= model.gamma
+    np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
+    power *= model.sigma2
+    return np.maximum(power, model.sigma2_floor, out=power)

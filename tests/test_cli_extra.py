@@ -375,6 +375,15 @@ class TestUnreadableFileFailsCleanly:
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "results").exists()
 
 
+def test_undecodable_config_is_a_config_error(tmp_path):
+    # a config file that is not UTF-8: one config error line and exit 2, no traceback
+    (tmp_path / "c.json").write_bytes(b'{"replications": 4, "seed": 7, "mechanism": "MAR\xff"}')
+    proc = run_cli(tmp_path, "simulate", "--config", "c.json", "--out", "r")
+    assert_clean_failure(proc, 2, "config error: cannot read config: 'utf-8' codec can't "
+                                  "decode byte 0xff")
+    assert not (tmp_path / "r").exists()
+
+
 def test_pool_chunk_size_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
     # chunks of at most MAX_CHUNK replications: here 2, where 48 replications on 2
     # workers would otherwise go in chunks of 3; the files equal those of one worker

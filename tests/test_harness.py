@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import seqdi
-from seqdi import design as design_mod, harness
+from seqdi import design as design_mod, harness, pilot
 from seqdi.design import build_design, equal_probabilities, poisson_draw
 from seqdi.errors import ConfigError, DegenerateMetrics, Infeasible, Separation, Unidentifiable
 from seqdi.harness import (
@@ -38,6 +38,7 @@ from seqdi.population import (
     generate_population,
     save_population_csv,
 )
+from test_pilot import kept_rows_spy
 
 ROOT = Path(__file__).resolve().parents[1]
 POP_PARAMS = {"N": 1200, "beta": (10.0, 15.0, 10.0, 20.0), "sigma": 0.6}
@@ -261,11 +262,11 @@ class TestPropensityStart:
         for mechanism in ("MAR", "NMAR"):
             config = small_config(seed=7, mechanism=mechanism, estimators=("IPW",),
                                   population_params=dict(POP_PARAMS, N=10_000))
-            _, pop, mech, _, _, start, ws = harness._run_state(config)
-            assert isinstance(start, NewtonStart)
+            state = harness._run_state(config)
+            assert isinstance(state.start, NewtonStart)
             for r in range(200):
-                delta = draw_nonprob(pop, mech, RngStream(config.seed, r + 1)).delta * 1.0
-                yield pop, delta, start, ws
+                delta = draw_nonprob(state.pop, state.mech, RngStream(config.seed, r + 1)).delta
+                yield state.pop, delta * 1.0, state.start, state.ws
 
     def test_warm_and_cold_fits_agree_to_the_stop_rule(self):
         # the stop rule takes a step of at most 1e-8 as the last, so two
@@ -288,11 +289,11 @@ class TestPropensityStart:
 
     def test_mar_start_is_the_mechanism(self):
         config = small_config(estimators=("DR",), population_params=dict(POP_PARAMS, N=5000))
-        _, pop, mech, _, _, start, _ = harness._run_state(config)
-        np.testing.assert_allclose(start.alpha, [mech.intercept, *mech.slopes], rtol=0,
-                                   atol=1e-8)
+        state = harness._run_state(config)
+        np.testing.assert_allclose(state.start.alpha, [state.mech.intercept, *state.mech.slopes],
+                                   rtol=0, atol=1e-8)
         # no propensity estimator, no census fit
-        assert harness._run_state(small_config(estimators=("DI", "GREG")))[5] is None
+        assert harness._run_state(small_config(estimators=("DI", "GREG"))).start is None
 
     def test_replication_does_not_depend_on_earlier_ones(self):
         # replication r on a freshly built run state, whose workspace no fit
@@ -302,7 +303,7 @@ class TestPropensityStart:
         summary = run_mc(config)
         plan = harness._plan(config)
         for r in range(config.replications):
-            row = harness._replicate(r, *harness._run_state(config))
+            row = harness._replicate(r, harness._run_state(config))
             for arm, col in zip(summary.arms, plan["columns"].values()):
                 assert row[col].tobytes() == arm.points[r].tobytes(), (r, arm.estimator)
 
@@ -311,10 +312,10 @@ class TestPropensityStart:
         # replication's own fit fails as it did before there was a start
         config = small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
                               estimators=("DI", "IPW", "DR", "GREG_DR"), replications=3)
-        _, pop, mech, _, _, start, _ = harness._run_state(config)
+        state = harness._run_state(config)
         with pytest.raises(Separation):
-            logistic_fit(pop.x, mech.probabilities(pop))
-        assert start is None
+            logistic_fit(state.pop.x, state.mech.probabilities(state.pop))
+        assert state.start is None
         with pytest.raises(Separation) as err:
             run_mc(config)
         assert str(err.value) == ("replication 0 (stream 1), frame estimators: "
@@ -330,6 +331,27 @@ def test_in_process_run_keeps_no_state():
         run_mc(small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
                             estimators=("IPW",), replications=2))
     assert harness._WORKER_GLOBALS == {}
+
+
+def test_kept_all_replication_forms_the_fits_variances_once(monkeypatch):
+    # the pilot and fgls_p hand on the variances their variance regression's
+    # power gave: when every regression keeps every row, _sigma2_at runs only
+    # for predict_sigma2 (the complement's variances, for the optimal design)
+    calls, kept, real_at = [], [], pilot._sigma2_at
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real_at(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("seqdi")]:
+        if getattr(module, "_sigma2_at", None) is real_at:
+            monkeypatch.setattr(module, "_sigma2_at", counted)
+    monkeypatch.setattr(pilot, "_variance_regression", kept_rows_spy(kept))
+    state = harness._run_state(small_config(include_model_variance=True))
+    for r in range(3):
+        harness._replicate(r, state)
+    assert kept == [True] * 12  # two passes each of the pilot and fgls_p
+    assert calls == ["predict_sigma2"] * 3
 
 
 class TestStratumInputs:

@@ -541,6 +541,11 @@ class TestRngStream:
         drawn = RngStream(9, 1).bernoulli(p)
         uniforms = RngStream(9, 1).uniform(size=50)
         assert np.array_equal(drawn, uniforms < 0.3)
+        for size in (0, 1, 20_000):  # and on one stream, which stays in step after
+            p = RngStream(4, size).uniform(size=size)
+            stream, same = RngStream(9, 2), RngStream(9, 2)
+            for _ in range(2):
+                assert np.array_equal(stream.bernoulli(p), same.uniform(size=p.shape) < p)
 
 
 class TestMedian:

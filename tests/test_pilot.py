@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from seqdi import pilot
 from seqdi.errors import InvalidParams, NotPositiveDefinite, Unidentifiable
-from seqdi.numerics import RngStream, weighted_ls
+from seqdi.numerics import RngStream, quantile, weighted_ls
 from seqdi.pilot import (
+    GAMMA_CAP,
+    RESIDUAL_DROP_TOL,
     PilotVarianceModel,
+    _sigma2_at,
+    _sigma2_from,
     _variance_regression,
     fit_pilot,
     fit_power_variance,
@@ -28,6 +33,75 @@ def planted_design(n_pairs, exponent, seed=0):
     e = np.sqrt(m**exponent)
     e[1::2] *= -1.0
     return x, m + e
+
+
+def kept_rows_spy(calls, real=_variance_regression):
+    """``_variance_regression`` that appends to ``calls`` whether it keeps every row."""
+    def spy(e2, mean_e2, m, positive, *args):
+        calls.append(bool(((e2 > RESIDUAL_DROP_TOL * mean_e2) & positive).all()))
+        return real(e2, mean_e2, m, positive, *args)
+    return spy
+
+
+class TestVariancesOutput:
+    """``variances=`` receives the returned model's variances of the rows,
+    _sigma2_at(model, fitted) bit for bit, on each path of the fit."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """Per variance regression of the fits that follow, whether it kept every row."""
+        monkeypatch.setattr(pilot, "_variance_regression", kept_rows_spy(calls := []))
+        return calls
+
+    @staticmethod
+    def fit(x, y, base=None):
+        fitted, variances = np.empty(len(y)), np.empty(len(y))
+        model = (fit_pilot(x, y, fitted=fitted, variances=variances) if base is None else
+                 fit_power_variance(x, y, base, fitted=fitted, variances=variances))
+        assert fitted.tobytes() == (x @ model.beta).tobytes()
+        assert variances.tobytes() == _sigma2_at(model, fitted).tobytes()
+        return model
+
+    def test_all_rows_kept(self, kept):
+        pop = generate_population(dict(LOGNORMAL_PARAMS, N=5000), RngStream(101, 0))
+        pi = RngStream(101, 1).uniform(size=5000) * 0.5 + 0.05
+        self.fit(pop.x, pop.y)
+        self.fit(pop.x, pop.y, 1.0 / pi)
+        assert kept == [True] * 4
+
+    @pytest.mark.parametrize("x1, e", [(2.5, [0.0]), (-1.0, [0.5, -0.5])],
+                             ids=["exact_fit", "nonpositive_mean"])
+    def test_dropped_rows(self, kept, x1, e):
+        # rows the variance regression drops: one on the planted mean, whose squared
+        # residual is rounding, or a residual pair whose fitted mean is below 0
+        x, y = planted_design(60, 1.0)
+        x = np.vstack([x, [[1.0, x1]] * len(e)])
+        y = np.append(y, 0.5 + 2.0 * x1 + np.array(e))
+        self.fit(x, y)
+        assert kept == [False, False]
+
+    def test_homoscedastic_return(self, kept):
+        x, _ = planted_design(30, 1.0)
+        model = self.fit(x, x @ np.array([0.5, 2.0]))
+        assert model.gamma == 0.0 and kept == []
+
+    @pytest.mark.parametrize("exponent, gamma", [(10.0, GAMMA_CAP), (-9.0, -GAMMA_CAP)])
+    def test_capped_gamma(self, kept, exponent, gamma):
+        x, y = planted_design(80, exponent)
+        assert self.fit(x, y).gamma == gamma
+        assert kept == [True, True]
+
+    @pytest.mark.parametrize("gamma", [-GAMMA_CAP, -1.0, 0.5, 1.0, 1.37, 2.0, GAMMA_CAP])
+    def test_power_rule_at_fast_path_exponents(self, gamma):
+        # numpy's **= takes fast paths at some exponents; the rule holds at each
+        m = RngStream(7, 0).uniform(size=20_000) * 30.0 + 0.5
+        v = np.maximum(m, quantile(m, 0.05)) ** gamma * 1.7
+        model = PilotVarianceModel(np.ones(2), 1.7, gamma, quantile(m, 0.05), quantile(v, 0.2))
+        power = m.copy()
+        power **= gamma
+        got = _sigma2_from(model, m, power, np.empty(m.size, dtype=bool))
+        assert got is power
+        assert got.tobytes() == _sigma2_at(model, m).tobytes()
 
 
 class TestFitPilot:
