@@ -228,10 +228,14 @@ class PopulationData:
         return self.partition
 
 
-# Each cell check takes the cell's float, its text, column and row (from 1) and
-# returns the message of its fault, or None.  Each passes a closed interval of
+# Each cell check takes a cell's text, its column and row (from 1) and returns the
+# message of its fault, or None.  Each but _delta passes a closed interval of
 # floats, so a column passes when its minimum and maximum do (a NaN fails).
-def _finite(value, raw, column, row):
+def _finite(raw, column, row):
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"non-numeric value {raw!r} in row {row}, column {column!r}"
     if not math.isfinite(value):
         return f"non-finite value {raw!r} in row {row}, column {column!r}"
     return None
@@ -240,66 +244,74 @@ def _finite(value, raw, column, row):
 _COVARIATE_MAX = math.sqrt(sys.float_info.max)  # the largest |x| whose square is finite
 
 
-def _covariate(value, raw, column, row):
+def _covariate(raw, column, row):
     """A finite covariate whose square, a term of every Gram product, is finite."""
-    if abs(value) <= _COVARIATE_MAX:
-        return None
-    return _finite(value, raw, column, row) or (
-        f"{column} = {raw} in row {row}, column {column!r}, is too large: its square overflows")
+    fault = _finite(raw, column, row)
+    if fault or abs(float(raw)) <= _COVARIATE_MAX:
+        return fault
+    return f"{column} = {raw} in row {row}, column {column!r}, is too large: its square overflows"
 
 
-def _pi(value, raw, column, row):
+def _pi(raw, column, row):
     """A pi in (0, 1] whose 1/pi^2, the scale of the Poisson plug-in variance, is a
     finite float (pi above about 7.5e-155)."""
+    fault = _finite(raw, column, row)
+    if fault:
+        return fault
+    value = float(raw)
     if not 0.0 < value <= 1.0:
-        return _finite(value, raw, column, row) or f"pi = {raw} outside (0, 1] in row {row}"
+        return f"pi = {raw} outside (0, 1] in row {row}"
     square = value * value
     if square == 0.0 or math.isinf(1.0 / square):
         return f"pi = {raw} in row {row}, column 'pi', is too small: 1/pi^2 overflows"
     return None
 
 
-def _float_column(cells, column, check):
-    """The float64 array of a column's cells, or the ParseError of its first cell that
-    is not a float or fails the cell check ``check``."""
+def _delta(raw, column, row):
+    """A 0 or 1, blanks around it allowed."""
+    return None if raw.strip() in ("0", "1") else f"delta must be 0 or 1 in row {row}"
+
+
+def _parsed(cells, check):
+    """The array of a column whose every cell passes ``check``, else None: a delta
+    column's booleans, or any other's floats, checked at their minimum and maximum."""
+    if check is _delta:
+        digits = list(map(str.strip, cells))
+        if set(digits) <= {"0", "1"}:
+            return np.fromiter(map("1".__eq__, digits), bool, len(digits))
+        return None
     try:
         values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        pass
-    else:  # the column's extremes decide
-        if not cells or not (check(float(values.min()), "", column, 0)
-                             or check(float(values.max()), "", column, 0)):
-            return values
-    for row, raw in enumerate(cells, start=1):  # the first fault, for its message
-        try:
-            value = float(raw)
-        except ValueError:
-            return ParseError(f"non-numeric value {raw!r} in row {row}, column {column!r}",
-                              row=row, column=column)
-        message = check(value, raw, column, row)
-        if message:
-            return ParseError(message, row=row, column=column)
-    raise AssertionError(f"column {column!r} failed as a whole but in no cell")
+        return None
+    if check(repr(float(values.min())), "", 0) or check(repr(float(values.max())), "", 0):
+        return None
+    return values
 
 
-def _delta_column(cells, column):
-    """The boolean array of a 0/1 column (blanks around a digit allowed), or the
-    ParseError of its first other cell."""
-    digits = list(map(str.strip, cells))
-    if set(digits) <= {"0", "1"}:
-        return np.fromiter(map("1".__eq__, digits), bool, len(digits))
-    row = next(i for i, d in enumerate(digits, start=1) if d not in ("0", "1"))
-    return ParseError(f"delta must be 0 or 1 in row {row}", row=row, column="delta")
-
-
-def _cells_fault(cells, header, row):
-    """The ParseError of a data row with a cell too many or too few, or an empty one."""
-    if len(cells) > len(header):
-        return ParseError(f"extra value in row {row}: {len(cells)} cells, "
-                          f"{len(header)} columns", row=row)
-    if len(cells) < len(header) or "" in cells:
-        name = header[cells.index("") if "" in cells else len(cells)]
-        return ParseError(f"missing value in row {row}, column {name!r}", row=row, column=name)
+def _first_fault(header, rows, wanted):
+    """The ParseError of the first faulty row in file order (rows from 1), or None:
+    within it, the first of a missing, empty or extra cell, a repeated id, then
+    each wanted (column, cell check) in turn."""
+    width, at_id, ids = len(header), header.index("id"), {}
+    wanted = [(header.index(column), column, check) for column, check in wanted]
+    for row, cells in enumerate(rows, start=1):
+        if len(cells) > width:
+            return ParseError(f"extra value in row {row}: {len(cells)} cells, {width} columns",
+                              row=row)
+        if len(cells) < width or "" in cells:
+            name = header[cells.index("") if "" in cells else len(cells)]
+            return ParseError(f"missing value in row {row}, column {name!r}", row=row, column=name)
+        uid = cells[at_id]
+        if uid in ids:
+            return ParseError(f"id {uid!r} repeated in rows {ids[uid]} and {row}", row=row,
+                              column="id")
+        ids[uid] = row
+        for j, column, check in wanted:
+            message = check(cells[j], column, row)
+            if message:
+                return ParseError(message, row=row, column=column)
+    return None
 
 
 def _uncommented(handle):
@@ -312,16 +324,12 @@ def _read_columns(path, what, required, wanted):
     """The header, the ids (id -> row index, in file order) and the parsed columns
     of a ``what`` input file, its comments and a UTF-8 BOM dropped.
 
-    ``wanted(header)`` lists the (column, parse) to parse, in the order a
-    row's cells are checked: ``parse(cells, column)`` returns the column's
-    array or the ParseError of its first faulty cell.  The rows are read
-    once, then checked column by column.  Fails on a column named twice, a
-    missing ``required`` column, or no data row; otherwise on the first
-    faulty row in file order (rows from 1, blank lines skipped), and within it
-    on the first of: a missing, empty or extra cell, a repeated id, then each
-    wanted cell in turn.  A read that fails (an undecodable byte, a cell over
-    ``csv.field_size_limit()``) is a fault of the header, or else of the next
-    row, checked after the rows read before it."""
+    ``wanted(header)`` lists the (column, cell check) pairs to parse, in the
+    order a row's cells are checked.  A clean file is parsed column by column.
+    Fails on a column named twice or a missing ``required`` column; otherwise on
+    :func:`_first_fault` (blank lines skipped), then on a read that failed (an
+    undecodable byte, a cell over ``csv.field_size_limit()``), which is a fault
+    of the header or of the next row, then on no data row."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(_uncommented(handle))
         try:
@@ -341,43 +349,17 @@ def _read_columns(path, what, required, wanted):
         except (ValueError, csv.Error) as err:
             fault = ParseError(f"cannot read the {what} file from row {len(rows) + 1} on: {err}",
                                row=len(rows) + 1)
-    # ``fault`` is the first fault found so far, in row ``limit`` (from 0); only
-    # rows above it are searched further
-    limit = len(rows)
-    if fault is None and not rows:
-        fault = ParseError(f"{what} file has no data rows", row=0)
-    width = len(header)
-    if list(map(len, rows)).count(width) != limit:
-        limit = next(i for i, cells in enumerate(rows) if len(cells) != width)
-    columns = list(zip(*rows[:limit])) if limit else [()] * width
-    del rows[limit + 1:]
-    empty = [col.index("") for col in columns if "" in col]
-    if empty:
-        limit = min(empty)
-        columns = [col[:limit] for col in columns]
-    if limit < len(rows):
-        fault = _cells_fault(rows[limit], header, limit + 1)
-    del rows  # its cells live on in ``columns``
-
-    column_ids = columns[header.index("id")]
-    ids = dict(zip(column_ids, range(limit)))
-    if len(ids) < limit:  # the first repeat, and each id's first row
-        ids = {}
-        for i, uid in enumerate(column_ids):
-            if uid in ids:
-                limit, fault = i, ParseError(f"id {uid!r} repeated in rows {ids[uid] + 1} "
-                                             f"and {i + 1}", row=i + 1, column="id")
-                break
-            ids[uid] = i
-    parsed = {}
-    for column, parse in wanted(header):
-        values = parse(columns[header.index(column)][:limit], column)
-        if isinstance(values, ParseError):  # in a row above ``limit``
-            limit, fault = values.row - 1, values
-        parsed[column] = values
-    if fault is not None:
-        raise fault
-    return header, ids, parsed
+    wanted = wanted(header)
+    if fault is None and rows and list(map(len, rows)).count(len(header)) == len(rows):
+        columns = list(zip(*rows))
+        ids = dict(zip(columns[header.index("id")], range(len(rows))))
+        if len(ids) == len(rows) and not any("" in column for column in columns):
+            parsed = {column: _parsed(columns[header.index(column)], check)
+                      for column, check in wanted}
+            if all(values is not None for values in parsed.values()):
+                return header, ids, parsed
+    raise (_first_fault(header, rows, wanted) or fault
+           or ParseError(f"{what} file has no data rows", row=0))
 
 
 def _plain(column) -> list:
@@ -428,18 +410,13 @@ def _covariates(header):
                   key=lambda c: int(c[1:]))
 
 
-_FINITE = functools.partial(_float_column, check=_finite)
-
-
 def _population_columns(header):
-    covariates = functools.partial(_float_column, check=_covariate)
-    return ([("y", _FINITE)] + [(c, covariates) for c in _covariates(header)]
-            + [("delta", _delta_column)] * ("delta" in header))
+    return ([("y", _finite)] + [(c, _covariate) for c in _covariates(header)]
+            + [("delta", _delta)] * ("delta" in header))
 
 
 def _sample_columns(header):
-    return ([("pi", functools.partial(_float_column, check=_pi))]
-            + [("y", _FINITE)] * ("y" in header))
+    return [("pi", _pi)] + [("y", _finite)] * ("y" in header)
 
 
 def load_population_csv(path) -> PopulationData:
