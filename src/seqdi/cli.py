@@ -118,8 +118,7 @@ def cmd_estimate(args):
 
     out_rows = []
     for tag in tags:  # every estimate before any output, so a failure prints no partial table
-        # an overflow shows as the non-finite estimate refused below, not as a numpy warning
-        with stage(f"{tag} on {args.sample}"), np.errstate(all="ignore"):
+        with stage(f"{tag} on {args.sample}"):
             record = ESTIMATORS[tag].compute(stratum, arm, {})
             if not (np.isfinite(record.point) and np.isfinite(record.variance or 0.0)):
                 raise SeqdiError(f"non-finite estimate (point={record.point}, "
@@ -201,7 +200,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow shows as the error of the check or fit it fails, not as a numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

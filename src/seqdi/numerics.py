@@ -96,10 +96,24 @@ def _cholesky(a) -> list:
             dot += row_i[j] * row_i[j]
         pivot = row_a[i] - dot
         if not pivot > pivot_tol:
-            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {i}")
+            raise NotPositiveDefinite(_pivot_fault(rows, i, pivot, pivot_tol))
         row_i[i] = math.sqrt(pivot)
         lower.append(row_i)
     return lower
+
+
+def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
+    """The message of pivot i failing its test, led by the diagonal's scale when
+    that is the cause: an entry that overflowed, or one over 1e12 times row i's."""
+    message = f"pivot {pivot:.3e} at column {i}"
+    diagonal = [row[j] for j, row in enumerate(rows)]
+    top = diagonal.index(max(diagonal))
+    if math.isinf(diagonal[top]):
+        return f"the diagonal entry at column {top} overflows ({message})"
+    if 0.0 < diagonal[i] <= pivot_tol:
+        return (f"the diagonal entry at column {top}, {diagonal[top]:.3e}, is over 1e12 "
+                f"times column {i}'s ({message})")
+    return message
 
 
 def _substitute(lower: list, b) -> list:

@@ -156,8 +156,8 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     again.
     ``out``, a :class:`~seqdi.numerics.Workspace` for at least x's rows,
     receives the fit's frame-sized arrays (a fit without one allocates its
-    own).  Raises InvalidParams when var(y), the squared outcomes or the
-    squared residuals overflow.
+    own).  Raises InvalidParams when var(y), the squared outcomes, the
+    squared residuals or, failing the refit, the fitted variances overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,7 +201,13 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
                                        sigma2_floor)
             _sigma2_from(model, m, rows_sigma2, positive)
             if refit:
-                beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=scratch), ws)
+                try:
+                    beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=e2), ws)
+                except NotPositiveDefinite as err:  # all weights 0 when the variances overflow
+                    if np.isinf(scratch).any():
+                        raise InvalidParams("the fitted variances overflow "
+                                            f"(gamma = {gamma:.4g})") from err
+                    raise
         return model
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,60 @@ class TestUnreadableFileFailsCleanly:
         proc = run_cli(tmp_path, *self.COMMANDS[command])
         assert_clean_failure(proc, 1, message)
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "results").exists()
+
+
+class TestOutsizeFiniteCellFailsCleanly:
+    """A certainty-stratum cell that the reader accepts but the pilot fit cannot use
+    fails every command that fits on it with one error line naming the quantity at
+    fault, not a pivot alone, and with no numpy warning."""
+
+    CELLS = {  # column, value, the error's message after its stage
+        "x1=1e154": ("x1", 1e154, "the diagonal entry at column 1 overflows (pivot "),
+        "y=1e154": ("y", 1e154, "the fitted variances overflow (gamma = "),
+        "x1=1e140": ("x1", 1e140, "the diagonal entry at column 1, 1.000e+280, is over 1e12 "
+                                  "times column 0's (pivot "),
+    }
+    COMMANDS = {  # argv, stage
+        "design": (["design", "--pop", "pop.csv", "--np", "100", "--kind", "optimal",
+                    "--out", "d.csv"], "pilot fit on pop.csv"),
+        "estimate": (["estimate", "--pop", "pop.csv", "--sample", "sample.csv",
+                      "--weights", "sigma", "--out", "e.csv"], "pilot fit on pop.csv"),
+        "test": (["test", "--pop", "pop.csv", "--sample", "sample.csv"],
+                 "certainty-stratum FGLS fit on pop.csv"),
+        "simulate": (["simulate", "--config", "fixed.json", "--out", "results"],
+                     "FixedPartition set-up on pop.csv"),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_one(self, tmp_path, monkeypatch, capsys, cell, command):
+        column, value, message = self.CELLS[cell]
+        pop = generate_population({"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                                  RngStream(1, 0))
+        delta = RngStream(2, 0).uniform(size=600) < 0.6
+        x, y = pop.x.copy(), pop.y.copy()
+        row = int(np.flatnonzero(delta)[0])
+        if column == "y":
+            y[row] = value
+        else:
+            x[row, 1] = value
+        save_population_csv(tmp_path / "pop.csv", Population(x=x, y=y), Partition(delta=delta))
+        ids = np.flatnonzero(~delta)[::2] + 1
+        write_csv(tmp_path / "sample.csv", ["id", "pi"], [ids, [0.5] * len(ids)])
+        (tmp_path / "fixed.json").write_text(json.dumps({
+            "replications": 4, "seed": 7, "mechanism": "FixedPartition",
+            "population_csv": "pop.csv", "designs": ["optimal", "pps"],
+            "estimators": ["DI", "comDI_sigma", "adDI"]}))
+        monkeypatch.chdir(tmp_path)
+        argv, stage = self.COMMANDS[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end main in an exception
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {stage}: {message}") and err.count("\n") == 1, err
+        assert not any(p.exists() for p in (tmp_path / "d.csv", tmp_path / "e.csv",
+                                             tmp_path / "results"))
 
 
 def test_undecodable_config_is_a_config_error(tmp_path):

@@ -51,6 +51,23 @@ class TestSolveSpd:
             with pytest.raises(NotPositiveDefinite, match="^pivot "):
                 call(a)
 
+    @pytest.mark.parametrize("diagonal, message", [
+        # an entry that overflowed makes the bound infinite, so the first pivot fails
+        ([348.0, math.inf, 5.0], "the diagonal entry at column 1 overflows (pivot 3.480e+02 "
+                                 "at column 0)"),
+        # a column whose own entry is under the bound is out of scale, not collinear
+        ([348.0, 1e280, 5.0], "the diagonal entry at column 1, 1.000e+280, is over 1e12 times "
+                              "column 0's (pivot 3.480e+02 at column 0)"),
+        ([1.0, 1.0, 1e-13], "the diagonal entry at column 0, 1.000e+00, is over 1e12 times "
+                            "column 2's (pivot 1.000e-13 at column 2)"),
+        ([1.0, 1.0, 0.0], "pivot 0.000e+00 at column 2"),
+    ])
+    def test_scale_fault_named_before_the_pivot(self, diagonal, message):
+        for call in (lambda a: solve_spd(a, np.ones(3)), inv_spd):
+            with pytest.raises(NotPositiveDefinite) as err:
+                call(np.diag(diagonal))
+            assert str(err.value) == message
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             solve_spd(np.array([[1.0, 0.5], [0.2, 1.0]]), np.array([1.0, 1.0]))
