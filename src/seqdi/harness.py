@@ -10,7 +10,6 @@ count, and aggregation runs in replication order to keep summaries
 bit-reproducible.
 """
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -576,6 +575,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
             stack.callback(_WORKER_GLOBALS.clear)  # the run's state goes with the run
             outcomes = map(_run_one, range(n_rep))
         else:
+            import concurrent.futures  # with logging, ~5 ms that a run in process never pays
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(state,)))
             chunk = min(MAX_CHUNK, max(1, n_rep // (workers * 8)))

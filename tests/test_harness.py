@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import importlib.util
@@ -492,7 +493,7 @@ class TestRunMc:
 
         config = small_config(replications=replications, estimators=("DI",), run_test=False)
         serial = run_mc(config, threads=1)
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         summary = run_mc(config, threads=threads)
         assert started == ([] if workers is None else [workers])
@@ -711,6 +712,27 @@ if __name__ == "__main__":
     same = len(one.arms) == len(two.arms) and all(a.tobytes() == b.tobytes() for a, b in arrays)
     print(multiprocessing.get_start_method(), "same" if same else "different")
 """
+
+
+_NO_POOL_SCRIPT = """
+import sys
+import seqdi.cli
+from seqdi.harness import McConfig, run_mc
+loaded = ["concurrent.futures" in sys.modules]
+run_mc(McConfig(replications=2, seed=1, mechanism="MAR", designs=("optimal",), estimators=("DI",),
+                population_params={"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6}))
+print(*loaded, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_process_pool_is_imported_only_to_start_one():
+    # concurrent.futures and the logging it imports cost a few milliseconds that
+    # neither an import of the package nor a run in one process pays
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
