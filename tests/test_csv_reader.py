@@ -1,11 +1,12 @@
 """The columnar CSV reader and writer of seqdi.population.
 
-The reader reads the rows once and checks them column by column, yet must
-raise what a reader that checks one row at a time, in file order, raises:
-the first faulty row's first fault.  ``reference_load`` below is such a
-reader, the package's own before it read by columns, plus the covariate
-check; hypothesis tests compare the two on fuzzed files.  hypothesis is a
-test-only dependency; without it those two tests are not collected.
+The reader parses a clean file column by column and scans any other row by
+row, and must raise what a reader that checks one row at a time, in file
+order, raises: the first faulty row's first fault.  ``reference_load`` below
+is such a reader, the package's own before it read by columns, plus the
+covariate check; hypothesis tests compare the two on fuzzed files.
+hypothesis is a test-only dependency; without it those two tests are not
+collected.
 """
 
 import csv
@@ -19,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqdi import population
 from seqdi.errors import MissingColumn, ParseError
-from seqdi.population import (Partition, Population, load_population_csv, load_sample_csv,
-                              save_population_csv, write_csv, write_csv_blocks)
+from seqdi.numerics import RngStream
+from seqdi.population import (Partition, Population, generate_population, load_population_csv,
+                              load_sample_csv, save_population_csv, write_csv, write_csv_blocks)
 
 ROOT = Path(__file__).resolve().parents[1]
 COVARIATE_MAX = math.sqrt(sys.float_info.max)
@@ -269,6 +272,44 @@ def test_first_fault_in_file_order(tmp_path, body, row, column):
     with pytest.raises(ParseError) as err:
         load_population_csv(path)
     assert (err.value.row, err.value.column) == (row, column)
+    assert_same_population(path)
+
+
+def test_clean_files_never_reach_the_row_scan(tmp_path, monkeypatch):
+    pop = generate_population({"N": 10_000, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                              RngStream(3, 0))
+    part = Partition(delta=RngStream(4, 0).uniform(size=10_000) < 0.6)
+    save_population_csv(tmp_path / "pop.csv", pop, part)
+    ids = part.complement_idx[::3] + 1
+    pi = RngStream(5, 0).uniform(size=len(ids)) * 0.9 + 0.05
+    write_csv(tmp_path / "sample.csv", ["id", "pi", "y"], [ids, pi, pop.y[ids - 1]])
+
+    def scan(*args):
+        raise AssertionError("a clean file reached the row scan")
+
+    monkeypatch.setattr(population, "_first_fault", scan)
+    x, y, delta, got_ids = population_tuple(load_population_csv(tmp_path / "pop.csv"))
+    assert same_bits(x, np.asfortranarray(pop.x)) and same_bits(y, pop.y)
+    assert same_bits(delta, part.delta)
+    assert got_ids == {str(i): i - 1 for i in range(1, 10_001)}
+    sample_ids, sample_pi, sample_y = load_sample_csv(tmp_path / "sample.csv")
+    assert sample_ids == [str(i) for i in ids]
+    assert same_bits(sample_pi, pi) and same_bits(sample_y, pop.y[ids - 1])
+
+
+@pytest.mark.parametrize("last, message, column", [
+    ("2000,0.5,nan,1", "non-finite value 'nan' in row 2000, column 'y'", "y"),
+    ("2000,0.5,2,1,7", "extra value in row 2000: 5 cells, 4 columns", None),
+    ("1999,0.5,2,1", "id '1999' repeated in rows 1999 and 2000", "id"),
+    ("2000,0.5,2,", "missing value in row 2000, column 'delta'", "delta"),
+])
+def test_a_fault_in_the_last_row_names_that_row(tmp_path, last, message, column):
+    rows = "".join(f"{i},0.5,2,1\n" for i in range(1, 2000))
+    path = tmp_path / "pop.csv"
+    path.write_text("id,x1,y,delta\n" + rows + last + "\n")
+    with pytest.raises(ParseError) as err:
+        load_population_csv(path)
+    assert (str(err.value), err.value.row, err.value.column) == (message, 2000, column)
     assert_same_population(path)
 
 
