@@ -349,16 +349,16 @@ def _read_columns(path, what, required, wanted):
         except (ValueError, csv.Error) as err:
             fault = ParseError(f"cannot read the {what} file from row {len(rows) + 1} on: {err}",
                                row=len(rows) + 1)
-    wanted = wanted(header)
+    checks = wanted(header)
     if fault is None and rows and list(map(len, rows)).count(len(header)) == len(rows):
         columns = list(zip(*rows))
         ids = dict(zip(columns[header.index("id")], range(len(rows))))
         if len(ids) == len(rows) and not any("" in column for column in columns):
             parsed = {column: _parsed(columns[header.index(column)], check)
-                      for column, check in wanted}
+                      for column, check in checks}
             if all(values is not None for values in parsed.values()):
                 return header, ids, parsed
-    raise (_first_fault(header, rows, wanted) or fault
+    raise (_first_fault(header, rows, checks) or fault
            or ParseError(f"{what} file has no data rows", row=0))
 
 
