@@ -58,13 +58,10 @@ class WeightSpec:
             raise ValueError("variance-scaled weights need per-unit variances")
         return 1.0 / (pi * np.asarray(sigma2, dtype=float))
 
-    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None,
-              weights: np.ndarray | None = None) -> np.ndarray:
+    def build(self, pi: np.ndarray, sigma2: np.ndarray | None = None) -> np.ndarray:
         """The working weights q of :meth:`weights`, capped at their truncation quantile
-        when q has two or more rows (at quantile 1 the cap is the maximum).  A caller
-        that has q already (an :class:`Arm` keeps it) passes it as ``weights``,
-        which is not written."""
-        q = self.weights(pi, sigma2) if weights is None else weights
+        when q has two or more rows (at quantile 1 the cap is the maximum)."""
+        q = self.weights(pi, sigma2)
         if len(q) > 1:
             q = np.minimum(q, quantile(q, self.truncation_quantile))
         return q
@@ -115,9 +112,9 @@ class Arm:
     sum x/pi, ``sigma2`` the pilot model's variances of the rows (None
     unless an estimator with variance-scaled weights runs) and ``test`` the
     homogeneity test of the sample (None unless adDI or the test runs).
-    ``ht_x``, the plug-in variance's factor (:meth:`plugin_variance`) and each
-    kind's working weights (:meth:`weights`) are formed on first use and
-    kept, so the estimators of one arm share them; none of them is written after.
+    ``ht_x`` and the plug-in variance's factor (:meth:`plugin_variance`) are
+    formed on first use and kept, so the estimators of one arm share them;
+    neither is written after.
     """
 
     y_s: np.ndarray
@@ -151,17 +148,6 @@ class Arm:
     def plugin_variance(self, residuals: np.ndarray) -> float:
         """:func:`poisson_plugin_variance` of the rows' residuals, bit for bit."""
         return _plugin_sum(self._factor, residuals)
-
-    @functools.cached_property
-    def _weights(self) -> dict:
-        return {"inverse_pi": self.inv_pi}  # 1/pi, as WeightSpec.weights forms it
-
-    def weights(self, wspec: WeightSpec) -> np.ndarray:
-        """The untruncated working weights ``wspec.weights(pi_s, sigma2)``, per kind."""
-        kept = self._weights
-        if wspec.kind not in kept:
-            kept[wspec.kind] = wspec.weights(self.pi_s, self.sigma2)
-        return kept[wspec.kind]
 
 
 def y_di(arm: Arm, certainty_total: float, n_complement: int) -> Estimate:
@@ -203,7 +189,7 @@ def y_sep_di(arm: Arm, certainty_total: float, x_total_complement,
              wspec: WeightSpec, out=None) -> Estimate:
     """Separate regression estimator: coefficient fitted on the probability sample only,
     with the numerics.Workspace ``out`` (see :func:`~seqdi.numerics.weighted_ls`)."""
-    q = wspec.build(arm.pi_s, arm.sigma2, arm.weights(wspec))
+    q = wspec.build(arm.pi_s, arm.sigma2)
     coef = weighted_ls(arm.x_s, arm.y_s, q, out)
     return _regression_estimate("sepDI", certainty_total, arm, x_total_complement, coef)
 
@@ -267,7 +253,7 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
     wspec, n = block.wspec, block.n + arm.size
     if n > block.n_max:
         raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
-    w_s, w_top = arm.weights(wspec), block.top_w[:len(block.top_y)]
+    w_s, w_top = wspec.weights(arm.pi_s, arm.sigma2), block.top_w[:len(block.top_y)]
     if n > 1:
         need = int(top_count(n, wspec.truncation_quantile))
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,

@@ -478,7 +478,7 @@ def _replicate(r, state):
     return row
 
 
-_WORKER_GLOBALS = {}
+_WORKER_GLOBALS = {}  # a pool worker's RunState
 
 
 def _init_worker(state):
@@ -521,8 +521,8 @@ def _run_state(config: McConfig) -> RunState:
     and slopes.  The first Newton point's frame-sized arrays and Hessian do
     not depend on the replication's selection, so they are built here once.
     The start is the same for every replication, so no result depends on the
-    order in which replications run.  It is None, and every fit starts from
-    zero, when the plan needs no propensities or that fit fails.
+    order in which replications run.  When that fit fails, it is the start
+    at zero; it is None only when the plan needs no propensities.
     """
     pop, data = _build_population(config)
     plan = _plan(config)
@@ -540,9 +540,10 @@ def _run_state(config: McConfig) -> RunState:
         mech = SelectionMechanism(config.mechanism, tuple(config.slopes), config.f_np)
         mech.intercept = calibrate_intercept(mech, pop)
         if plan["need_propensity"]:
+            alpha = np.zeros(pop.x.shape[1])
             with contextlib.suppress(Separation, NoConvergence, NotPositiveDefinite, ValueError):
                 alpha = logistic_fit(pop.x, mech.probabilities(pop), out=ws)
-                start = NewtonStart(pop.x, alpha, ws)
+            start = NewtonStart(pop.x, alpha, ws)
     else:
         with stage(f"FixedPartition set-up on {config.population_csv}"):
             stratum = StratumInputs(pop, data.require_partition(), plan["need_pilot"],
@@ -571,9 +572,7 @@ def run_mc(config: McConfig, threads: int = 1, progress: bool = False) -> McSumm
     began = time.monotonic()
     with contextlib.ExitStack() as stack:
         if workers == 1:
-            _init_worker(state)
-            stack.callback(_WORKER_GLOBALS.clear)  # the run's state goes with the run
-            outcomes = map(_run_one, range(n_rep))
+            outcomes = (_replicate(r, state) for r in range(n_rep))
         else:
             import concurrent.futures  # with logging, ~5 ms that a run in process never pays
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(

@@ -407,9 +407,9 @@ class NewtonStart:
     Every fit on x from ``alpha`` begins at the same point, whatever its
     responses: ``eta`` = x @ alpha, the ``softplus`` term log(1+exp(eta)) of
     the log-likelihood, the fitted probabilities ``p`` and the Hessian
-    ``hessian`` = X' diag(p(1-p)) X.  They are built by the fit's own ops in
-    the workspace ``out`` (a new one when None) and kept as copies, so a fit
-    from this start skips them and still gives the bits of a fit from
+    ``hessian`` = X' diag(p(1-p)) X.  They are built in the workspace ``out``
+    (a new one when None) and kept as copies.  A fit from coefficients builds
+    its own start, so fits from one start get the bits of fits from
     ``alpha``.  The start keeps the object x itself, and a fit given any
     other object for x, even a view of it, refuses it.  Pickled together with
     x, as a run's worker arguments are, it still holds that x.
@@ -434,9 +434,9 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
 
     delta may hold fractional responses in [0, 1]: the fit then maximizes the
     same concave log-likelihood, as for the expected selection probabilities
-    of a mechanism.  Newton starts from ``start``: zero when None, a
-    coefficient array, or a :class:`NewtonStart` on this x, whose first point
-    is taken as built.  It halves the step while the log-likelihood
+    of a mechanism.  Newton starts from ``start``: a :class:`NewtonStart` on
+    this x, whose first point is taken as built, or one built here at
+    coefficients ``start`` (zero when None).  It halves the step while the log-likelihood
     decreases, and stops once a step moves no coefficient by more than
     LOGISTIC_TOL, so fits from two starts agree to about that bound, and
     without a start the result does not depend on ``out``.  ``out``, a
@@ -455,18 +455,11 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     if delta.min() == delta.max():
         raise ValueError("both classes must be present")
     ws = _workspace(out, x)
+    if not isinstance(start, NewtonStart):
+        start = NewtonStart(x, np.zeros(d) if start is None else start, ws)
     eta, t, p, w, positive = ws.free(n, 4, 1)
-
-    if isinstance(start, NewtonStart):
-        alpha, fitted, g = start.alpha, start.p, start.hessian
-        loglik = _log_likelihood(start.eta, delta, start.softplus, w)
-    else:
-        alpha = np.zeros(d) if start is None else np.array(start, dtype=float)
-        if alpha.shape != (d,):
-            raise ValueError(f"start must hold {d} coefficients")
-        np.matmul(x, alpha, out=eta)
-        loglik = _log_likelihood(eta, delta, _softplus(eta, t, p, w), w)
-        fitted, g = _newton_point(x, eta, t, p, w, positive, ws)
+    alpha, fitted, g = start.alpha, start.p, start.hessian
+    loglik = _log_likelihood(start.eta, delta, start.softplus, w)
     for _ in range(LOGISTIC_MAX_ITER):
         step = solve_spd(g, x.T @ np.subtract(delta, fitted, out=w))
 

@@ -178,9 +178,9 @@ class TestPluginVariance:
 
 
 class TestArmShares:
-    """An arm forms its plug-in factor and each kind's working weights once;
-    the estimates read from them equal those of poisson_plugin_variance and
-    WeightSpec.build called directly, bit for bit."""
+    """An arm forms its plug-in factor once; the estimates read from it equal
+    those of poisson_plugin_variance and WeightSpec.build called directly,
+    bit for bit."""
 
     @staticmethod
     def arm(seed=21):
@@ -192,13 +192,9 @@ class TestArmShares:
         arm, _ = self.arm()
         e = np.random.default_rng(1).normal(size=arm.size)
         assert arm.plugin_variance(e) == poisson_plugin_variance(e, arm.pi_s)
-        for kind in ("inverse_pi", "inverse_pi_sigma"):
-            spec = WeightSpec(kind)
-            assert arm.weights(spec).tobytes() == spec.weights(arm.pi_s, arm.sigma2).tobytes()
-            assert arm.weights(spec) is arm.weights(WeightSpec(kind, 0.5))  # kept per kind
-        assert arm.weights(WeightSpec("inverse_pi")) is arm.inv_pi
         with pytest.raises(ValueError, match="per-unit variances"):
-            Arm.of([1.0, 2.0], np.ones((2, 1)), [0.5, 0.5]).weights(WeightSpec("inverse_pi_sigma"))
+            y_sep_di(Arm.of([1.0, 2.0], np.ones((2, 1)), [0.5, 0.5]), 0.0, [2.0],
+                     WeightSpec("inverse_pi_sigma"))
 
     def test_estimates_equal_the_direct_formulas(self):
         arm, x = self.arm()

@@ -309,14 +309,14 @@ class TestPropensityStart:
                 assert row[col].tobytes() == arm.points[r].tobytes(), (r, arm.estimator)
 
     def test_failed_census_fit_leaves_the_run_as_it_was(self):
-        # the census fit separates, so every fit starts from zero and the
+        # the census fit separates, so the run's start is at zero and the
         # replication's own fit fails as it did before there was a start
         config = small_config(slopes=(40, -40), population_params=dict(POP_PARAMS, N=2000),
                               estimators=("DI", "IPW", "DR", "GREG_DR"), replications=3)
         state = harness._run_state(config)
         with pytest.raises(Separation):
             logistic_fit(state.pop.x, state.mech.probabilities(state.pop))
-        assert state.start is None
+        assert isinstance(state.start, NewtonStart) and not state.start.alpha.any()
         with pytest.raises(Separation) as err:
             run_mc(config)
         assert str(err.value) == ("replication 0 (stream 1), frame estimators: "
