@@ -171,9 +171,10 @@ def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     column-major one.
     """
     wx = _workspace(out, x).wx[:len(x)]
-    np.multiply(w, x.T, out=wx.T)
-    g = x.T @ wx
-    return (g + g.T) / 2.0
+    with np.errstate(over="ignore"):  # an infinite entry fails the Cholesky, which names it
+        np.multiply(w, x.T, out=wx.T)
+        g = x.T @ wx
+        return (g + g.T) / 2.0
 
 
 def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):

@@ -236,5 +236,6 @@ def _sigma2_from(model: PilotVarianceModel, m: np.ndarray, power: np.ndarray, lo
     floor = np.array([model.mean_floor])
     floor **= model.gamma
     np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
-    power *= model.sigma2
+    with np.errstate(over="ignore"):  # the refit names infinite variances
+        power *= model.sigma2
     return np.maximum(power, model.sigma2_floor, out=power)

@@ -17,7 +17,8 @@ import pytest
 import seqdi
 from seqdi import design as design_mod, harness, pilot
 from seqdi.design import build_design, equal_probabilities, poisson_draw
-from seqdi.errors import ConfigError, DegenerateMetrics, Infeasible, Separation, Unidentifiable
+from seqdi.errors import (ConfigError, DegenerateMetrics, Infeasible, InvalidParams,
+                          NotPositiveDefinite, Separation, Unidentifiable)
 from seqdi.harness import (
     ESTIMATORS,
     McConfig,
@@ -321,6 +322,28 @@ class TestPropensityStart:
             run_mc(config)
         assert str(err.value) == ("replication 0 (stream 1), frame estimators: "
                                   "coefficient escaped toward infinity")
+
+
+@pytest.mark.parametrize("mechanism", ["FixedPartition", "MAR"])
+@pytest.mark.parametrize("column", ["x1", "y"])
+def test_outsize_cell_raises_the_cli_error_in_process(tmp_path, mechanism, column):
+    # a certainty row's cell of 1e154 overflows a Gram matrix or the pilot's
+    # variances; under error::RuntimeWarning run_mc raises the error that
+    # seqdi simulate prints, not numpy's warning
+    error, message = {
+        "x1": (NotPositiveDefinite, "the diagonal entry at column 1 overflows (pivot "),
+        "y": (InvalidParams, "the fitted variances overflow (gamma = "),
+    }[column]
+    pop = generate_population({"N": 600, "beta": [10, 15, 10, 20], "sigma": 0.6},
+                              RngStream(1, 0))
+    delta = RngStream(2, 0).uniform(size=600) < 0.6
+    x, y = pop.x.copy(), pop.y.copy()
+    (y if column == "y" else x[:, 1])[np.flatnonzero(delta)[0]] = 1e154
+    save_population_csv(tmp_path / "pop.csv", Population(x=x, y=y), Partition(delta=delta))
+    with pytest.raises(error, match=re.escape(message)):
+        run_mc(McConfig(replications=3, seed=7, mechanism=mechanism,
+                        population_csv=str(tmp_path / "pop.csv"), designs=("optimal",),
+                        estimators=("DI", "sepDI_sigma")))
 
 
 def test_in_process_run_keeps_no_state():
