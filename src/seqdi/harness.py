@@ -181,6 +181,8 @@ class McConfig:
             value = getattr(self, f.name)
             if value is not None or type(None) not in typing.get_args(f.type):
                 _check_type(_JSON_KEYS.get(f.name, f.name), f.type, value)
+            if isinstance(value, np.generic):  # a Python value, as JSON writes it
+                setattr(self, f.name, value.item())
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.seed < 0:
@@ -208,7 +210,8 @@ class McConfig:
                                       f"not {tag!r}")
         else:
             self.f_np = 0.70 if self.f_np is None else self.f_np
-            self.slopes = DEFAULT_SLOPES[self.mechanism] if self.slopes is None else self.slopes
+            slopes = DEFAULT_SLOPES[self.mechanism] if self.slopes is None else self.slopes
+            self.slopes = tuple(v.item() if isinstance(v, np.generic) else v for v in slopes)
             want = len(DEFAULT_SLOPES[self.mechanism])
             if len(self.slopes) != want or not all(map(_is_number, self.slopes)):
                 raise ConfigError(f"{self.mechanism} needs 'slopes' of {want} finite numbers")

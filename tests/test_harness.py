@@ -191,11 +191,20 @@ class TestConfigValidation:
 
     def test_library_types_accepted(self, tmp_path):
         path = tmp_path / "pop.csv"
-        config = small_config(seed=np.int64(5), f_np=np.float64(0.6), designs=["equal"],
-                              slopes=np.array([1.0, -1.0]), n_p=np.int32(40),
-                              include_model_variance=np.bool_(True))
+        config = small_config(replications=np.int64(3), seed=np.int64(5), f_np=np.float64(0.6),
+                              designs=["equal"], slopes=np.array([1.0, -1.0]),
+                              n_p=np.int32(40), include_model_variance=np.bool_(True))
         assert config.designs == ("equal",) and config.seed == 5 and config.n_p == 40
         McConfig(replications=2, mechanism="FixedPartition", population_csv=path)
+        # the numpy scalars are stored as Python values, so the run writes the
+        # files of the same config typed in Python, JSON metadata included
+        plain = small_config(replications=3, seed=5, f_np=0.6, designs=("equal",),
+                             slopes=(1.0, -1.0), n_p=40, include_model_variance=True)
+        written = [emit_results(run_mc(c), tmp_path / name)
+                   for c, name in ((config, "numpy"), (plain, "python"))]
+        for got, want in zip(*written):
+            assert Path(got).read_bytes() == Path(want).read_bytes(), got
+        assert config == plain and type(config.slopes) is tuple
 
     @pytest.mark.parametrize("key, value", [("run_test", 1), ("include_model_variance", 0.0),
                                             ("alpha", True), ("n_p", np.bool_(True)),
