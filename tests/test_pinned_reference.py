@@ -99,7 +99,7 @@ def _number(cell):
 
 def _run_cli(name, tmp_dir):
     """The columns of the file CLI_CASES[name] writes, numbers as floats, or
-    for ``test`` the numbers it prints."""
+    for ``test`` the numbers it prints, each as a column of one."""
     tmp = pathlib.Path(tmp_dir)
     paths = {key: tmp / f"{name}_{key}.csv" for key in ("pop", "sample", "out")}
     _sample_csv(paths["sample"], _fixed_population_csv(paths["pop"]))
@@ -108,7 +108,7 @@ def _run_cli(name, tmp_dir):
         assert main([arg.format(**paths) for arg in CLI_CASES[name]]) == 0
     if not paths["out"].exists():
         found = re.fullmatch(r"F = (\S+), df = (\S+), p = (\S+) -> .*\n", printed.getvalue())
-        return dict(zip(("F", "df", "p"), map(float, found.groups())))
+        return {name: [float(value)] for name, value in zip(("F", "df", "p"), found.groups())}
     with open(paths["out"], newline="", encoding="utf-8") as handle:
         header, *rows = csv.reader(handle)
     return {column: [_number(cell) for cell in values]
@@ -152,11 +152,10 @@ def test_matches_pinned_reference(name, tmp_path):
     if name in CLI_CASES:
         assert list(got) == list(want)
         for column, values in want.items():
-            if isinstance(values, list) and isinstance(values[0], str):
+            if isinstance(values[0], str):
                 assert got[column] == values, column
             else:
-                _assert_close(*([got[column], values] if isinstance(values, list)
-                                else [[got[column]], [values]]), column)
+                _assert_close(got[column], values, column)
         return
     assert list(got["arms"]) == list(want["arms"])
     assert list(got["tests"]) == list(want["tests"])
