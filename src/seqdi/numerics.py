@@ -436,14 +436,14 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     delta may hold fractional responses in [0, 1]: the fit then maximizes the
     same concave log-likelihood, as for the expected selection probabilities
     of a mechanism.  Newton starts from ``start``: a :class:`NewtonStart` on
-    this x, whose first point is taken as built, or one built here at
-    coefficients ``start`` (zero when None).  It halves the step while the log-likelihood
-    decreases, and stops once a step moves no coefficient by more than
-    LOGISTIC_TOL, so fits from two starts agree to about that bound, and
-    without a start the result does not depend on ``out``.  ``out``, a
-    :class:`Workspace` for at least x's rows, receives the per-step arrays (a
-    fit without one allocates its own).  Raises Separation when any
-    coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute value, and
+    this x, whose first point is taken as built, or one built here at the
+    coefficients ``start`` (zero when None).  It halves the step while the
+    log-likelihood decreases, and stops once a step moves no coefficient by
+    more than LOGISTIC_TOL, so fits from two starts agree to about that
+    bound, and without a start the result does not depend on ``out``.
+    ``out``, a :class:`Workspace` for at least x's rows, receives the
+    per-step arrays (a fit without one allocates its own).  Raises Separation
+    when any coefficient exceeds LOGISTIC_MAX_ABS_COEF in absolute value, and
     NoConvergence after LOGISTIC_MAX_ITER iterations.
     """
     if isinstance(start, NewtonStart) and start.x is not x:
