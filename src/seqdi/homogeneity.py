@@ -29,7 +29,7 @@ def _sandwich(x, inv_bread, meat_scale, residuals, out=None):
     """A^{-1} B A^{-1} for the inverted bread A^{-1} and B = sum meat_scale_i e_i^2 x_i x_i',
     with the numerics.Workspace ``out``."""
     ws = _workspace(out, x)
-    meat = np.square(residuals, out=ws.free(len(x), 1)[0])
+    meat = np.square(residuals, out=ws.held(_sandwich, len(x), 1)[0])
     return inv_bread @ gram(x, np.multiply(meat_scale, meat, out=meat), ws) @ inv_bread
 
 
@@ -42,7 +42,7 @@ def design_variance_meat(x_s, residuals, pi_s, tau2_s, out=None) -> np.ndarray:
     """
     x_s = np.asarray(x_s, dtype=float)
     ws = _workspace(out, x_s)
-    weight, scale = ws.free(len(x_s), 2)
+    weight, scale = ws.held(design_variance_meat, len(x_s), 2)
     np.multiply(np.subtract(1.0, pi_s, out=weight), np.square(residuals, out=scale), out=weight)
     np.square(np.multiply(pi_s, tau2_s, out=scale), out=scale)
     return gram(x_s, np.divide(weight, scale, out=weight), ws)
@@ -62,12 +62,12 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     :class:`~seqdi.numerics.Workspace`.
     """
     x = np.asarray(x, dtype=float)
-    with _workspace(out, x) as ws:
-        residuals, weight, meat_scale = ws.take(len(x), 3)
-        np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
-        inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
-        np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
-        return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
+    ws = _workspace(out, x)
+    residuals, weight, meat_scale = ws.held(fgls_np, len(x), 3)
+    np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
+    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
+    np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
+    return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
 
 
 def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
@@ -90,18 +90,17 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     x_s = np.asarray(x_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
-    with _workspace(out, x_s) as ws:
-        m, base, tau2 = ws.take(len(x_s), 3)
-        tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m,
-                                       out=ws, variances=tau2)
-        w, = ws.take(len(x_s), 1)
-        residuals = np.subtract(y_s, m, out=m)
-        np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
-        inv_bread = inv_spd(gram(x_s, w, ws))
-        v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
-        if include_model_variance:
-            v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
-        return tau_model.beta, v
+    ws = _workspace(out, x_s)
+    m, base, tau2, w = ws.held(fgls_p, len(x_s), 4)
+    tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m,
+                                   out=ws, variances=tau2)
+    residuals = np.subtract(y_s, m, out=m)
+    np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
+    inv_bread = inv_spd(gram(x_s, w, ws))
+    v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
+    if include_model_variance:
+        v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
+    return tau_model.beta, v
 
 
 def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:

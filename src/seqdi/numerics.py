@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, Separation
+from .errors import InvalidParams, NoConvergence, NotPositiveDefinite, Separation
 
 # 97.5th standard normal quantile used for 95% Wald intervals.
 Z_975 = 1.959964
@@ -181,17 +181,23 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     """X' diag(w) X, symmetrized, and X' diag(w) y of a weighted least-squares fit,
     with the workspace ``out`` as :func:`gram`'s.
 
-    Raises ValueError unless every weight is nonnegative.  Blocks of rows add:
-    the equations of a stack of row blocks are the sums of theirs.
+    Raises ValueError unless every weight is nonnegative, and InvalidParams when
+    X' diag(w) y overflows.  Blocks of rows add: the equations of a stack of row
+    blocks are the sums of theirs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     ws = _workspace(out, x)
-    wy, negative = ws.free(len(x), 1, 1)
+    wy, negative = ws.held(normal_equations, len(x), 1, 1)
     if np.less(w, 0, out=negative).any():
         raise ValueError("weights must be nonnegative")
-    return gram(x, w, ws), x.T @ np.multiply(w, y, out=wy)
+    g = gram(x, w, ws)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        xty = x.T @ np.multiply(w, y, out=wy)
+    if not all(map(math.isfinite, xty.tolist())):
+        raise InvalidParams("X' diag(w) y overflows: the weighted outcomes are too large")
+    return g, xty
 
 
 def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -324,48 +330,29 @@ class Workspace:
     """The frame-sized scratch arrays of the regression fits on at most n_max rows
     of d covariates, allocated once so that repeated fits allocate none.
 
-    ``wx`` is :func:`gram`'s weighted copy diag(w) X, column-major.  Six float
-    and two boolean vectors are shared last in, first out: inside ``with ws:``,
-    :meth:`take` gives a call the next free ones, cut to its rows, until the
-    block ends, even by a raise.  So a call holding arrays across another
-    workspace call takes them in a block; one calling only :func:`gram`
-    meanwhile reads them with :meth:`free`.  Asking for more than is free
-    raises RuntimeError.  A call writes every entry it reads and returns or
-    keeps no view of the workspace.  The arrays come from ``np.empty``: a new
-    workspace touches no page, and a pickled one carries only its size.
+    ``wx`` is :func:`gram`'s weighted copy diag(w) X, column-major; each call
+    site gets vectors of its own from :meth:`held`, which stay its own across
+    its callees since no fit re-enters itself.  A call writes every entry it
+    reads and returns or keeps no view of the workspace.  The arrays come
+    from ``np.empty``: a new workspace touches no page, and a pickled one
+    carries only its size.
     """
 
     def __init__(self, n_max: int, d: int):
         self.n_max, self.d = int(n_max), int(d)
         self.wx = np.empty((self.n_max, self.d), order="F")
-        self._floats = tuple(np.empty((6, self.n_max)))
-        self._bools = tuple(np.empty((2, self.n_max), dtype=bool))
-        self._held = [(0, 0)]  # (floats, bools) taken as each open block began, and now
+        self._sites = {}  # site: (its float vectors, its boolean vectors)
 
-    depth = property(lambda self: len(self._held) - 1, doc="The number of open blocks.")
-
-    def __enter__(self):
-        self._held.append(self._held[-1])
-        return self
-
-    def __exit__(self, *exc_info):
-        self._held.pop()
-
-    def free(self, n: int, floats: int = 0, bools: int = 0):
-        """The next free float vectors, then boolean ones, cut to n rows and left free."""
-        f, b = self._held[-1]
-        if f + floats > 6 or b + bools > 2:
-            raise RuntimeError(f"workspace has {6 - f} float and {2 - b} boolean arrays free")
-        return [v[:n] for v in self._floats[f:f + floats] + self._bools[b:b + bools]]
-
-    def take(self, n: int, floats: int = 0, bools: int = 0):
-        """:meth:`free`'s arrays, held until the innermost ``with`` block ends."""
-        arrays = self.free(n, floats, bools)
-        if not self.depth:
-            raise RuntimeError("arrays are taken only inside `with`")
-        f, b = self._held[-1]
-        self._held[-1] = f + floats, b + bools
-        return arrays
+    def held(self, site, n: int, floats: int = 0, bools: int = 0):
+        """The ``floats`` float vectors of ``site`` (a key naming one call site,
+        which asks for the same counts each time), then its ``bools`` boolean
+        ones, cut to n rows: the rows of one block of each kind, built at the
+        site's first request and kept."""
+        if site not in self._sites:
+            self._sites[site] = (tuple(np.empty((floats, self.n_max))),
+                                 tuple(np.empty((bools, self.n_max), dtype=bool)))
+        own_floats, own_bools = self._sites[site]
+        return [v[:n] for v in own_floats + own_bools]
 
     def __reduce__(self):
         return Workspace, (self.n_max, self.d)
@@ -424,7 +411,7 @@ class NewtonStart:
         if self.alpha.shape != (d,):
             raise ValueError(f"start must hold {d} coefficients")
         ws = _workspace(out, x)
-        eta, t, p, w, positive = ws.free(n, 4, 1)
+        eta, t, p, w, positive = ws.held(NewtonStart, n, 4, 1)
         self.softplus = _softplus(np.matmul(x, self.alpha, out=eta), t, p, w).copy()
         fitted, self.hessian = _newton_point(x, eta, t, p, w, positive, ws)
         self.p, self.eta = fitted.copy(), eta.copy()
@@ -458,7 +445,7 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     ws = _workspace(out, x)
     if not isinstance(start, NewtonStart):
         start = NewtonStart(x, np.zeros(d) if start is None else start, ws)
-    eta, t, p, w, positive = ws.free(n, 4, 1)
+    eta, t, p, w, positive = ws.held(logistic_fit, n, 4, 1)
     alpha, fitted, g = start.alpha, start.p, start.hessian
     loglik = _log_likelihood(start.eta, delta, start.softplus, w)
     for _ in range(LOGISTIC_MAX_ITER):

@@ -88,7 +88,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     where m <= 0, a dropped row), as :func:`_sigma2_from` reads it.
     """
     n = len(m)
-    lm, keep = (Workspace(n, 1) if out is None else out).free(n, 1, 1)
+    lm, keep = (Workspace(n, 1) if out is None else out).held(_variance_regression, n, 1, 1)
     power = np.empty(n) if power is None else power
     np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=keep)
     np.logical_and(keep, positive, out=keep)
@@ -114,7 +114,8 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     np.copyto(power, m)
     if k < n:
         np.copyto(power, 1.0, where=~positive)
-    power **= gamma  # m**gamma, with its fast paths
+    with np.errstate(over="ignore"):  # the refit names infinite variances
+        power **= gamma  # m**gamma, with its fast paths
     return _mean(np.divide(e2k, power if k == n else power[keep], out=lm)), gamma
 
 
@@ -128,11 +129,11 @@ def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,
     coefficient ``weighted_ls(x, y, ones)``.
     """
     x = np.asarray(x, dtype=float)
-    with _workspace(out, x) as ws:
-        base, = ws.take(len(x), 1)
-        base.fill(1.0)
-        return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first,
-                                  variances=variances)
+    ws = _workspace(out, x)
+    base, = ws.held(fit_pilot, len(x), 1)
+    base.fill(1.0)
+    return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first,
+                              variances=variances)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
@@ -154,61 +155,60 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     ``first``, a float array of one entry per column, receives stage one's
     coefficient, so that a caller needing that regression need not fit it
     again.
-    ``out``, a :class:`~seqdi.numerics.Workspace` for at least x's rows,
-    receives the fit's frame-sized arrays (a fit without one allocates its
-    own).  Raises InvalidParams when var(y), the squared outcomes, the
-    squared residuals or, failing the refit, the fitted variances overflow.
+    ``out`` is a :class:`~seqdi.numerics.Workspace` for at least x's rows (None:
+    one of its own).  Raises InvalidParams when var(y), the squared outcomes,
+    the squared residuals or, failing the refit, the fitted variances overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = x.shape
     if n <= d + 2:
         raise Unidentifiable(f"{n} rows are too few to identify the variance model")
-    with _workspace(out, x) as ws:
-        e2, scratch, positive = ws.take(n, 2, 1)
-        m = ws.take(n, 1)[0] if fitted is None else fitted
-        # without variances=, the last pass forms them in scratch, where none reads them
-        variances = scratch if variances is None else variances
+    ws = _workspace(out, x)
+    e2, scratch, m, positive = ws.held(fit_power_variance, n, 3, 1)
+    m = m if fitted is None else fitted
+    # without variances=, the last pass forms them in scratch, where none reads them
+    variances = scratch if variances is None else variances
 
-        sigma2_floor = _sigma2_floor(y, scratch)
-        beta = weighted_ls(x, y, base_weights, ws)
-        if first is not None:
-            first[:] = beta
+    sigma2_floor = _sigma2_floor(y, scratch)
+    beta = weighted_ls(x, y, base_weights, ws)
+    if first is not None:
+        first[:] = beta
+    with np.errstate(over="ignore"):
+        mean_y2 = _mean(np.square(y, out=scratch))
+    if mean_y2 == math.inf:
+        raise InvalidParams("the squared outcomes overflow")
+    noise_floor = 1e-24 * max(mean_y2, 1e-300)
+    for refit in (True, False):
+        np.matmul(x, beta, out=m)
         with np.errstate(over="ignore"):
-            mean_y2 = _mean(np.square(y, out=scratch))
-        if mean_y2 == math.inf:
-            raise InvalidParams("the squared outcomes overflow")
-        noise_floor = 1e-24 * max(mean_y2, 1e-300)
-        for refit in (True, False):
-            np.matmul(x, beta, out=m)
-            with np.errstate(over="ignore"):
-                mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
-            if mean_e2 == math.inf:
-                raise InvalidParams("the squared residuals overflow")
-            count = np.count_nonzero(np.greater(m, 0, out=positive))
-            if count == 0:
-                raise Unidentifiable("no positive fitted means")
-            mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
+            mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
+        if mean_e2 == math.inf:
+            raise InvalidParams("the squared residuals overflow")
+        count = np.count_nonzero(np.greater(m, 0, out=positive))
+        if count == 0:
+            raise Unidentifiable("no positive fitted means")
+        mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
 
-            if mean_e2 <= noise_floor:
-                # residuals at floating-point noise: homoscedastic model at the floor,
-                # whose variances max(m, mean_floor)**0 * floor are the floor
-                variances.fill(sigma2_floor)
-                return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-            rows_sigma2 = scratch if refit else variances  # the refit's weights, or the caller's
-            sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws, rows_sigma2)
-            model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
-                                       sigma2_floor)
-            _sigma2_from(model, m, rows_sigma2, positive)
-            if refit:
-                try:
-                    beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=e2), ws)
-                except NotPositiveDefinite as err:  # all weights 0 when the variances overflow
-                    if np.isinf(scratch).any():
-                        raise InvalidParams("the fitted variances overflow "
-                                            f"(gamma = {gamma:.4g})") from err
-                    raise
-        return model
+        if mean_e2 <= noise_floor:
+            # residuals at floating-point noise: homoscedastic model at the floor,
+            # whose variances max(m, mean_floor)**0 * floor are the floor
+            variances.fill(sigma2_floor)
+            return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
+        rows_sigma2 = scratch if refit else variances  # the refit's weights, or the caller's
+        sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws, rows_sigma2)
+        model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
+                                   sigma2_floor)
+        _sigma2_from(model, m, rows_sigma2, positive)
+        if refit:
+            try:
+                beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=e2), ws)
+            except NotPositiveDefinite as err:  # all weights 0 when the variances overflow
+                if np.isinf(scratch).any():
+                    raise InvalidParams("the fitted variances overflow "
+                                        f"(gamma = {gamma:.4g})") from err
+                raise
+    return model
 
 
 def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
@@ -234,8 +234,8 @@ def _sigma2_from(model: PilotVarianceModel, m: np.ndarray, power: np.ndarray, lo
     ``low`` is boolean scratch.
     """
     floor = np.array([model.mean_floor])
-    floor **= model.gamma
-    np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
     with np.errstate(over="ignore"):  # the refit names infinite variances
+        floor **= model.gamma
+        np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
         power *= model.sigma2
     return np.maximum(power, model.sigma2_floor, out=power)

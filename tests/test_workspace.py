@@ -3,10 +3,9 @@
 One :class:`~seqdi.numerics.Workspace` serves every fit of a Monte Carlo
 run: calls on fewer rows than it holds use its leading rows, give the bits
 of a call that builds its own, and return nothing that a later call can
-overwrite.  Its arrays are taken last in, first out, and a block that
-raises gives back what it took.  With it, a replication of the homogeneous
-null allocates no stratum-sized temporary, so the heap stops growing and
-shrinking.
+overwrite.  Each call site holds its own arrays, which no other site
+reads or writes.  With it, a replication of the homogeneous null allocates
+no stratum-sized temporary, so the heap stops growing and shrinking.
 """
 
 import os
@@ -62,17 +61,22 @@ def as_bytes(results):
             for key, values in results.items()}
 
 
+def held_vectors(ws):
+    """Every vector the workspace's call sites hold."""
+    return [v for floats, bools in ws._sites.values() for v in floats + bools]
+
+
 def test_shared_workspace_keeps_the_bits():
-    # one workspace larger than every frame, filled with NaN so that a read of
-    # an entry no call wrote shows; frames of several sizes in sequence, then
-    # the first again, interleaved with the others
+    # one workspace larger than every frame, filled with NaN after a first pass
+    # has built every site's vectors, so that a read of an entry no call wrote
+    # shows; frames of several sizes in sequence, then the first again,
+    # interleaved with the others
     ws = Workspace(5000, 3)
-    ws.wx.fill(np.nan)
-    with ws:
-        for block in ws.take(ws.n_max, 6):
-            block.fill(np.nan)
     frames = [frame(seed, n) for seed, n in enumerate((4000, 37, 1200, 5000))]
     frames.append(frames[0])
+    fits(*frames[0], ws)
+    for vector in [ws.wx] + held_vectors(ws):
+        vector.fill(np.nan)
     kept = []
     for data in frames:
         results = fits(*data, ws)
@@ -84,6 +88,16 @@ def test_shared_workspace_keeps_the_bits():
         assert want == as_bytes(fits(*data, None))
 
 
+def test_each_site_holds_its_own_vectors():
+    ws = Workspace(300, 3)
+    fits(*frame(4, 300), ws)
+    vectors = [ws.wx] + held_vectors(ws)
+    assert len(vectors) == 1 + 24 + 5  # the ten sites' vectors and gram's copy
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_workspace_must_hold_the_rows_and_columns():
     x, y, pi, _ = frame(1, 50)
     for rows, cols in ((49, 3), (50, 2)):
@@ -93,34 +107,6 @@ def test_workspace_must_hold_the_rows_and_columns():
             fgls_p(x, y, pi, out=Workspace(rows, cols))
 
 
-def test_taking_more_than_the_workspace_holds_raises():
-    ws = Workspace(10, 3)
-    with pytest.raises(RuntimeError, match="only inside `with`"):
-        ws.take(10, 1)
-    with ws:
-        with pytest.raises(RuntimeError, match="workspace has 6 float and 2 boolean arrays free"):
-            ws.take(10, 7)
-        with pytest.raises(RuntimeError, match="workspace has 6 float and 2 boolean arrays free"):
-            ws.free(10, 0, 3)
-        ws.take(10, 4, 1)
-        with pytest.raises(RuntimeError, match="has 2 float and 1 boolean"):
-            ws.take(10, 3)
-        with ws:
-            assert len(ws.take(10, 2, 1)) == 3
-            with pytest.raises(RuntimeError, match="has 0 float and 0 boolean"):
-                ws.free(10, 1)
-        assert len(ws.free(10, 2, 1)) == 3
-    # a fit never gets what its caller holds: with five floats held, the
-    # pilot fit cannot take the arrays it needs
-    x, y, _, _ = frame(2, 10)
-    with ws:
-        ws.take(10, 5)
-        with pytest.raises(RuntimeError, match="free"):
-            fit_pilot(x, y, out=ws)
-        assert ws.depth == 1
-    assert ws.depth == 0
-
-
 def test_a_fit_that_raises_gives_its_arrays_back():
     x, y, pi, delta = frame(3, 400)
     ws = Workspace(500, 3)
@@ -128,26 +114,19 @@ def test_a_fit_that_raises_gives_its_arrays_back():
     collinear[:, 2] = collinear[:, 1]
     with pytest.raises(NotPositiveDefinite):
         fit_pilot(collinear, y, out=ws)
-    assert ws.depth == 0
     with pytest.raises(Separation):
         logistic_fit(x, (x[:, 1] > 0.5) * 1.0, out=ws)
-    assert ws.depth == 0
-    with ws:  # every array is free again
-        assert len(ws.take(500, 6, 2)) == 8
     assert as_bytes(fits(x, y, pi, delta, ws)) == as_bytes(fits(x, y, pi, delta, None))
 
 
 def test_pickled_workspace_carries_its_size_only():
     ws = Workspace(20_000, 3)
-    with ws:
-        ws.take(20_000, 6, 2)
-        copy = pickle.loads(pickle.dumps(ws))
-        assert len(pickle.dumps(ws)) < 1000
+    ws.held("site", 20_000, 6, 2)
+    copy = pickle.loads(pickle.dumps(ws))
+    assert len(pickle.dumps(ws)) < 1000
     assert (copy.n_max, copy.d, copy.wx.shape) == (20_000, 3, (20_000, 3))
     assert copy.wx.flags.f_contiguous
-    assert copy.depth == 0
-    with copy:  # it arrives with nothing taken
-        assert len(copy.take(20_000, 6, 2)) == 8
+    assert held_vectors(copy) == []
 
 
 # The homogeneous-null workload of bench/workloads.py, run in process after one
