@@ -49,13 +49,16 @@ def finite(*values):
 
 
 def contract_holds(call):
-    """True when ``call()`` returns only finite values, or raises SeqdiError or ValueError."""
+    """True when ``call()`` returns only finite values, or raises a SeqdiError or
+    solve_spd's documented ValueError, which a Gram matrix holding NaN fails."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return finite(*call())
-    except (SeqdiError, ValueError):
+    except SeqdiError:
         return True
+    except ValueError as err:
+        return str(err) == "matrix is not symmetric"
 
 
 def _pilot(x, y):
@@ -63,20 +66,10 @@ def _pilot(x, y):
     return model.beta, model.sigma2, model.gamma, model.mean_floor, model.sigma2_floor
 
 
-def _predicted(x, y):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            model = fit_pilot(x, y)
-        except (SeqdiError, ValueError):
-            return ()
-    return (predict_sigma2(model, x),)
-
-
 KERNELS = {
     "fit_pilot": lambda x, y, pi, delta: _pilot(x, y),
     "fgls_p": lambda x, y, pi, delta: fgls_p(x, y, pi, include_model_variance=True),
-    "predict_sigma2": lambda x, y, pi, delta: _predicted(x, y),
+    "predict_sigma2": lambda x, y, pi, delta: (predict_sigma2(fit_pilot(x, y), x),),
     "weighted_ls": lambda x, y, pi, delta: (weighted_ls(x, y, 1.0 / pi),),
     "logistic_fit": lambda x, y, pi, delta: (logistic_fit(x, delta),),
 }
