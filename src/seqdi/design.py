@@ -98,6 +98,9 @@ def _design(kind: str, raw: np.ndarray, n_p: int,
     """Design of the given kind with pi proportional to the positive raw scores,
     under that kind's floor; indices default to 0..len(raw)-1."""
     pi = _scale_clamp_rescale(raw, n_p, FLOORS[kind])
+    if not pi.all():  # under pps, a size below ~1e-308 of the total's
+        raise Infeasible(f"{kind} design: {np.sum(pi == 0.0)} of {len(pi)} probabilities "
+                         "underflow to 0")
     idx = indices if indices is not None else np.arange(len(pi))
     return SecondStageDesign(indices=idx, pi=pi, kind=kind)
 

@@ -13,6 +13,7 @@ sum (1-pi_i)/pi_i^2 * e_i^2.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def _make_estimate(tag, point, variance=None) -> Estimate:
     if variance is None:
         return Estimate(float(point), None, None, None, tag)
     variance = max(float(variance), 0.0)
-    half = Z_975 * np.sqrt(variance)
+    half = Z_975 * math.sqrt(variance)
     return Estimate(float(point), variance, float(point - half), float(point + half), tag)
 
 

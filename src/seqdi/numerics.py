@@ -7,6 +7,7 @@ pure function of its inputs except :class:`RngStream`, which is
 single-consumer.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -49,57 +50,77 @@ class RngStream:
         return self._gen.random(size=p.shape) < p
 
 
-def _cholesky(a) -> list:
-    """Lower Cholesky factor of symmetric positive-definite A, as rows of floats.
+def _sum(terms) -> str:
+    """Source of a dot product as the factor forms it: summed from 0.0, in order."""
+    return "(" + " + ".join(["0.0", *terms]) + ")"
 
-    The factor is built row by row (Cholesky-Banachiewicz) in Python floats
-    from ``a.tolist()``: for the 2x2 to 6x6 systems of the regression callers
-    that is several times faster than numpy slicing.  Entry (i, k) takes the
-    dot of rows i and k over the columns j < k, summed from 0.0 in order j,
-    so a row-by-row and a column-by-column factor agree bit for bit.  Raises
-    ValueError unless A is square and symmetric within 1e-10 of its largest
-    entry, and NotPositiveDefinite unless every pivot exceeds 1e-12 * trace(A)/d
-    and 0; both tests are written so that a NaN fails them.  A trace at or
-    below 0 has a diagonal entry at or below 0, whose pivot is no larger, so
-    such a matrix fails at a pivot, never in the sqrt or a division.
+
+def _listed(names) -> str:
+    """Source of a list display of names."""
+    return "[" + ", ".join(names) + "]"
+
+
+@functools.cache
+def _kernels(d: int):
+    """The lower Cholesky factor of a d x d symmetric positive-definite A, and the
+    solve of L L' x = b on it, as straight-line Python generated once per d.
+
+    ``cholesky(rows)`` takes the rows of A from :func:`_rows` and returns the
+    factor's entries, built row by row (Cholesky-Banachiewicz) in Python
+    floats; ``substitute(lower, b)`` solves by forward then back substitution.
+    Entry (i, k) takes the dot of rows i and k over the columns j < k, summed
+    from 0.0 in order j, so a row-by-row and a column-by-column factor agree
+    bit for bit.  For the small systems of the regression callers this is
+    several times faster than numpy slicing, and at d = 4 it takes less than
+    half the time of the same arithmetic written as loops.  ``cholesky``
+    raises ValueError unless A is symmetric within 1e-10 of its largest
+    entry, and NotPositiveDefinite unless every pivot exceeds
+    1e-12 * trace(A)/d and 0; both tests are written so that a NaN fails
+    them.  A trace at or below 0 has a diagonal entry at or below 0, whose
+    pivot is no larger, so such a matrix fails at a pivot, never in the sqrt
+    or a division.  Generating the code takes time and memory growing as
+    d^3: about 1 ms at d = 4, and 0.35 s and 60 MB at d = 60.
     """
+    a = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
+    low = [[f"l{i}_{k}" for k in range(i + 1)] for i in range(d)]
+    entries = _listed(name for row in low for name in row)
+    chol = [f"{_listed(map(_listed, a))} = rows"]
+    pairs = [f"abs({a[i][j]} - {a[j][i]}) <= sym_tol" for i in range(d) for j in range(i)]
+    if pairs:  # d >= 2: a 1x1 matrix is symmetric
+        big = ", ".join(f"abs({v})" for row in a for v in row)
+        chol += [f"sym_tol = 1e-10 * max(1.0, {big})", f"if not ({' and '.join(pairs)}):",
+                 "    raise ValueError('matrix is not symmetric')"]
+    chol.append(f"pivot_tol = max(1e-12 * {_sum(a[i][i] for i in range(d))} / {d}, 0.0)")
+    for i in range(d):
+        for k in range(i):
+            dot = _sum(f"{low[i][j]} * {low[k][j]}" for j in range(k))
+            chol.append(f"{low[i][k]} = ({a[i][k]} - {dot}) / {low[k][k]}")
+        chol += [f"pivot = {a[i][i]} - {_sum(f'{low[i][j]} * {low[i][j]}' for j in range(i))}",
+                 "if not pivot > pivot_tol:",
+                 f"    raise NotPositiveDefinite(_pivot_fault(rows, {i}, pivot, pivot_tol))",
+                 f"{low[i][i]} = math.sqrt(pivot)"]
+    chol.append(f"return {entries}")
+    subst = [f"{entries} = lower"]
+    subst += [f"z{i} = (b[{i}] - {_sum(f'{low[i][j]} * z{j}' for j in range(i))}) / {low[i][i]}"
+              for i in range(d)]
+    subst += [f"x{i} = (z{i} - {_sum(f'{low[j][i]} * x{j}' for j in range(i + 1, d))})"
+              f" / {low[i][i]}" for i in reversed(range(d))]
+    subst.append(f"return {_listed(f'x{i}' for i in range(d))}")
+    source = "\n".join(["def cholesky(rows):", *("    " + line for line in chol),
+                        "def substitute(lower, b):", *("    " + line for line in subst)])
+    kernels = {}
+    exec(compile(source, f"<seqdi.numerics._kernels({d})>", "exec"), globals(), kernels)
+    return kernels["cholesky"], kernels["substitute"]
+
+
+def _rows(a) -> list:
+    """The rows of matrix A as lists of floats; ValueError unless A is square,
+    checked before any kernel is generated for its size."""
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
-    rows = a.tolist()
-    big = 1.0
-    for row in rows:
-        for v in row:
-            if abs(v) > big:
-                big = abs(v)
-    sym_tol, trace = 1e-10 * big, 0.0
-    for i in range(d):
-        row_a = rows[i]
-        for j in range(i):
-            if not abs(row_a[j] - rows[j][i]) <= sym_tol:
-                raise ValueError("matrix is not symmetric")
-        trace += row_a[i]
-
-    pivot_tol = max(1e-12 * trace / d, 0.0)
-    lower = []
-    for i in range(d):
-        row_a, row_i = rows[i], [0.0] * d
-        for k in range(i):
-            row_k = lower[k]
-            dot = 0.0
-            for j in range(k):
-                dot += row_i[j] * row_k[j]
-            row_i[k] = (row_a[k] - dot) / row_k[k]
-        dot = 0.0
-        for j in range(i):
-            dot += row_i[j] * row_i[j]
-        pivot = row_a[i] - dot
-        if not pivot > pivot_tol:
-            raise NotPositiveDefinite(_pivot_fault(rows, i, pivot, pivot_tol))
-        row_i[i] = math.sqrt(pivot)
-        lower.append(row_i)
-    return lower
+    return a.tolist()
 
 
 def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
@@ -116,25 +137,6 @@ def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
     return message
 
 
-def _substitute(lower: list, b) -> list:
-    """Solve L L' x = b by forward then back substitution on a Cholesky factor."""
-    d = len(lower)
-    z = [0.0] * d
-    for i in range(d):
-        row_i = lower[i]
-        dot = 0.0
-        for j in range(i):
-            dot += row_i[j] * z[j]
-        z[i] = (b[i] - dot) / row_i[i]
-    x = [0.0] * d
-    for i in range(d - 1, -1, -1):
-        dot = 0.0
-        for j in range(i + 1, d):
-            dot += lower[j][i] * x[j]
-        x[i] = (z[i] - dot) / lower[i][i]
-    return x
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A by Cholesky.
 
@@ -143,7 +145,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     covariates.  A must be symmetric within 1e-10 relative to its
     largest entry.
     """
-    return np.array(_substitute(_cholesky(a), np.asarray(b, dtype=float).tolist()))
+    rows = _rows(a)
+    cholesky, substitute = _kernels(len(rows))
+    return np.array(substitute(cholesky(rows), np.asarray(b, dtype=float).tolist()))
 
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
@@ -151,13 +155,15 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     factorization, then one solve per unit column.  Entry (i, j) is the mean
     (col_j[i] + col_i[j]) / 2.0 of the two solves' entries, in Python floats:
     the arithmetic of symmetrizing the matrix of columns as (out + out.T) / 2."""
-    lower = _cholesky(a)
-    d = len(lower)
+    rows = _rows(a)
+    d = len(rows)
+    cholesky, substitute = _kernels(d)
+    lower = cholesky(rows)
     cols = []
     for j in range(d):
         unit = [0.0] * d
         unit[j] = 1.0
-        cols.append(_substitute(lower, unit))
+        cols.append(substitute(lower, unit))
     return np.array([[(cols[j][i] + col_i[j]) / 2.0 for j in range(d)]
                      for i, col_i in enumerate(cols)])
 
@@ -174,7 +180,9 @@ def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     with np.errstate(over="ignore"):  # an infinite entry fails the Cholesky, which names it
         np.multiply(w, x.T, out=wx.T)
         g = x.T @ wx
-        return (g + g.T) / 2.0
+        g += g.T
+        g /= 2.0
+        return g
 
 
 def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
@@ -279,7 +287,11 @@ def median(v: np.ndarray) -> float:
 
 def top_count(n, q: float):
     """How many of the largest of n values fix their q-quantile: n - floor((n-1)q),
-    or 1 where the quantile is the maximum.  ``n`` may be an integer array."""
+    or 1 where the quantile is the maximum.  ``n`` may be an integer array; an
+    integer takes the same arithmetic in Python numbers."""
+    if isinstance(n, (int, np.integer)):
+        index = (n - 1) * q
+        return 1 if index >= n - 1 else int(n - math.floor(index))
     n = np.asarray(n)
     index = (n - 1) * q
     return np.where(index >= n - 1, 1, n - np.floor(index)).astype(int)

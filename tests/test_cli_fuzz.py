@@ -12,6 +12,7 @@ import contextlib
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -76,4 +77,53 @@ def test_commands_exit_cleanly(n, k, y_kind, negative, sample_y, weights, kind, 
             assert code in (0, 1), (argv[0], code, err)
             assert "Traceback" not in err
             if code == 0:  # the temporary directory's random name may hold "nan"
+                assert "nan" not in out.replace(work, "").lower(), (argv[0], out)
+
+
+# one outsize finite cell: a column of the population or sample file and the row
+# it is set in, a certainty row, a sampled complement row or the sample's first
+OUTSIZE_VALUES = (1e300, -1e300, 1e154, 5e-324)
+OUTSIZE_CELLS = (("x1", "certainty"), ("x1", "sampled"), ("y", "certainty"),
+                 ("y", "sampled"), ("sample y", "sampled"), ("pi", "sampled"))
+
+
+def write_outsize_files(work, column, row, value):
+    """A 40-row population file and a sample of 15 of its 20 complement rows, with
+    ``value`` in one cell of ``column`` at a ``row`` of that kind."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.1, 10.0, size=(40, 2))
+    y = x.sum(axis=1) + rng.normal(0.0, 1.0, size=40)
+    delta = np.arange(40) % 2  # odd rows are the certainty stratum
+    members = np.arange(0, 30, 2)
+    pi, sample_y = np.full(15, 0.5), rng.normal(10.0, 5.0, size=15)
+    cells = {"x1": x[:, 0], "y": y, "sample y": sample_y, "pi": pi}[column]
+    cells[{"certainty": 1, "sampled": 0}[row]] = value
+    _write(os.path.join(work, "pop.csv"), ["id", "x1", "x2", "y", "delta"],
+           ([i + 1, *x[i], y[i], delta[i]] for i in range(40)))
+    _write(os.path.join(work, "sample.csv"), ["id", "pi", "y"],
+           ([m + 1, p, v] for m, p, v in zip(members, pi, sample_y)))
+
+
+@pytest.mark.parametrize("value", OUTSIZE_VALUES, ids=repr)
+@pytest.mark.parametrize("column, row", OUTSIZE_CELLS)
+def test_outsize_cells_exit_cleanly(column, row, value):
+    """Each command exits 0, 1 or 2; a failure prints one error line, and no run
+    warns or lets an exception escape."""
+    with tempfile.TemporaryDirectory() as work:
+        write_outsize_files(work, column, row, value)
+        pop, sample = os.path.join(work, "pop.csv"), os.path.join(work, "sample.csv")
+        for argv in (["estimate", "--pop", pop, "--sample", sample, "--weights", "b"],
+                     ["estimate", "--pop", pop, "--sample", sample, "--weights", "sigma"],
+                     ["test", "--pop", pop, "--sample", sample],
+                     *(["design", "--pop", pop, "--np", "10", "--kind", kind,
+                        "--out", os.path.join(work, "design.csv")] for kind in DESIGN_KINDS)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(argv)
+            assert not caught, (argv[0], [str(w.message) for w in caught])
+            assert "Warning" not in err and "Traceback" not in err, (argv[0], err)
+            assert code in (0, 1, 2), (argv[0], code, err)
+            if code:
+                assert err.count("error:") == 1 and err.count("\n") == 1, (argv[0], err)
+            else:
                 assert "nan" not in out.replace(work, "").lower(), (argv[0], out)

@@ -110,6 +110,11 @@ class TestPps:
         with pytest.raises(NonpositiveSize):
             pps_probabilities(np.array([1.0, 0.0, 2.0]), 1)
 
+    def test_underflowing_probability_rejected(self):
+        # a subnormal size's probability rounds to 0, which no design may hold
+        with pytest.raises(Infeasible, match="1 of 3 probabilities underflow to 0"):
+            pps_probabilities(np.array([1.0, 5e-324, 2.0]), 1)
+
 
 class TestClampProperties:
     def test_optimal_bounds_and_expected_size_random(self):

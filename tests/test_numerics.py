@@ -9,12 +9,15 @@ from seqdi.numerics import (
     NewtonStart,
     Workspace,
     RngStream,
+    _kernels,
+    _pivot_fault,
     chisq_sf,
     inv_spd,
     logistic_fit,
     median,
     quantile,
     solve_spd,
+    top_count,
     weighted_ls,
 )
 
@@ -182,12 +185,67 @@ def frozen_inv_spd(a):
     return (out + out.T) / 2.0
 
 
+def frozen_row_cholesky(a):
+    """numerics._cholesky as it was before its straight-line form: loops over the
+    rows (Cholesky-Banachiewicz), failing with numerics._pivot_fault's messages."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("matrix must be square")
+    rows = a.tolist()
+    big = 1.0
+    for row in rows:
+        for v in row:
+            if abs(v) > big:
+                big = abs(v)
+    sym_tol, trace = 1e-10 * big, 0.0
+    for i in range(d):
+        row_a = rows[i]
+        for j in range(i):
+            if not abs(row_a[j] - rows[j][i]) <= sym_tol:
+                raise ValueError("matrix is not symmetric")
+        trace += row_a[i]
+
+    pivot_tol = max(1e-12 * trace / d, 0.0)
+    lower = []
+    for i in range(d):
+        row_a, row_i = rows[i], [0.0] * d
+        for k in range(i):
+            row_k = lower[k]
+            dot = 0.0
+            for j in range(k):
+                dot += row_i[j] * row_k[j]
+            row_i[k] = (row_a[k] - dot) / row_k[k]
+        dot = 0.0
+        for j in range(i):
+            dot += row_i[j] * row_i[j]
+        pivot = row_a[i] - dot
+        if not pivot > pivot_tol:
+            raise NotPositiveDefinite(_pivot_fault(rows, i, pivot, pivot_tol))
+        row_i[i] = math.sqrt(pivot)
+        lower.append(row_i)
+    return lower
+
+
+def frozen_row_solve_spd(a, b):
+    return np.array(frozen_substitute(frozen_row_cholesky(a), np.asarray(b, dtype=float).tolist()))
+
+
+def frozen_row_inv_spd(a):
+    """numerics.inv_spd on the loops: symmetrized in Python floats."""
+    lower = frozen_row_cholesky(a)
+    d = len(lower)
+    cols = [frozen_substitute(lower, unit) for unit in np.eye(d).tolist()]
+    return np.array([[(cols[j][i] + col_i[j]) / 2.0 for j in range(d)]
+                     for i, col_i in enumerate(cols)])
+
+
 def spd_matrices(count, seed):
-    """Random SPD matrices of sizes 1 to 6 over twelve orders of magnitude, some
+    """Random SPD matrices of sizes 1 to 10 over twelve orders of magnitude, some
     near singular, each in C and in Fortran order."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        d = int(rng.integers(1, 7))
+        d = int(rng.integers(1, 11))
         m = rng.normal(size=(d, d + int(rng.integers(0, 3)))) * 10.0 ** rng.uniform(-6, 6)
         a = m @ m.T
         a = (a + a.T) / 2.0 + 10.0 ** rng.uniform(-14, 0) * np.trace(a) / d * np.eye(d)
@@ -201,6 +259,7 @@ def test_spd_kernels_equal_the_frozen_ones_bit_for_bit():
         b = rng.normal(size=len(a)) * 10.0 ** rng.uniform(-3, 3)
         assert solve_spd(a, b).tobytes() == frozen_solve_spd(a, b).tobytes()
         assert inv_spd(a).tobytes() == frozen_inv_spd(a).tobytes()
+        assert inv_spd(a).tobytes() == frozen_row_inv_spd(a).tobytes()
 
 
 def failing_matrices():
@@ -234,17 +293,77 @@ def test_spd_kernels_fail_as_the_frozen_ones():
     rng = np.random.default_rng(33)
     failed = 0
     for _ in range(300):
-        d = int(rng.integers(2, 7))
+        d = int(rng.integers(2, 11))
         m = rng.normal(size=(d, int(rng.integers(1, d))))
         product = m @ m.T
         for a in ((product + product.T) / 2.0,
                   np.asfortranarray(product + 1e-9 * rng.normal(size=(d, d)))):
             b = rng.normal(size=d)
-            want = outcome(frozen_solve_spd, a, b)
+            want = outcome(frozen_row_solve_spd, a, b)
             assert outcome(solve_spd, a, b) == want, a
-            assert outcome(inv_spd, a) == outcome(frozen_inv_spd, a), a
+            assert outcome(inv_spd, a) == outcome(frozen_row_inv_spd, a), a
             failed += isinstance(want, tuple)
     assert failed >= 300
+
+
+def failing_columns(d):
+    """(A, column) pairs of d x d matrices and the column whose pivot A fails, for
+    every column and each kind of _pivot_fault message; then an asymmetric
+    pair of columns, a non-square A, and a NaN, which fails the first pivot."""
+    rng = np.random.default_rng(d)
+    for c in range(d):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        # 1e-13 is a scale fault where another diagonal entry is 1; alone it is SPD
+        tiny = [(1e-13, c)] if d > 1 else []
+        for diagonal, column in [(0.0, c), (-3.0, c), *tiny, (math.inf, 0), (math.nan, 0)]:
+            a = scale * np.eye(d)
+            a[c, c] = scale * diagonal
+            yield a, column
+        if c:
+            # column c repeats column c - 1 in a scaled identity: a pivot of rounding
+            a = scale * np.eye(d)
+            a[c - 1:c + 1, c - 1:c + 1] = scale * rng.uniform(0.5, 2.0)
+            yield a, c
+            a = scale * np.eye(d)
+            a[c, c - 1] = scale * 0.5
+            yield a, None
+    yield np.ones((d, d + 1)), None
+
+
+def test_non_square_input_is_refused_before_generating_a_kernel():
+    # the kernels' source grows as d^3: a long vector must not be taken for a d x d matrix
+    generated = _kernels.cache_info().misses
+    for a in (np.ones(37), np.ones((37, 36)), np.ones((37, 37, 1))):
+        for call in (lambda a: solve_spd(a, np.ones(37)), inv_spd):
+            with pytest.raises(ValueError, match="^matrix must be square$"):
+                call(a)
+    assert _kernels.cache_info().misses == generated
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_spd_kernels_fail_at_each_column_as_the_frozen_ones(d):
+    kinds = set()
+    for a, column in failing_columns(d):
+        for a in (a, np.asfortranarray(a)):
+            want = outcome(frozen_row_solve_spd, a, np.ones(d))
+            assert isinstance(want, tuple), a
+            assert outcome(solve_spd, a, np.ones(d)) == outcome(inv_spd, a) == want, a
+            if column is None:
+                assert want[0] is ValueError, a
+            else:
+                assert want[0] is NotPositiveDefinite and f"at column {column}" in want[1], a
+            message = want[1]
+            kinds.add("overflows" if "overflows" in message else
+                      "scale" if "1e12" in message else message.split(" ")[0])
+    assert kinds == {"overflows", "pivot", "matrix", *(["scale"] if d > 1 else [])}
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.999, 1.0])
+def test_top_count_of_an_integer_equals_its_array_path(q):
+    n = np.arange(1, 10**6 + 1)
+    want = top_count(n, q).tolist()
+    assert [top_count(k, q) for k in n.tolist()] == want
+    assert list(map(top_count, n[::97], [q] * len(n[::97]))) == want[::97]
 
 
 class TestWeightedLs:
