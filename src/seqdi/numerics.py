@@ -65,7 +65,7 @@ def _kernels(d: int):
     """The lower Cholesky factor of a d x d symmetric positive-definite A, and the
     solve of L L' x = b on it, as straight-line Python generated once per d.
 
-    ``cholesky(rows)`` takes the rows of A from :func:`_rows` and returns the
+    ``cholesky(rows)`` takes the rows of A as lists of floats and returns the
     factor's entries, built row by row (Cholesky-Banachiewicz) in Python
     floats; ``substitute(lower, b)`` solves by forward then back substitution.
     Entry (i, k) takes the dot of rows i and k over the columns j < k, summed
@@ -113,14 +113,15 @@ def _kernels(d: int):
     return kernels["cholesky"], kernels["substitute"]
 
 
-def _rows(a) -> list:
-    """The rows of matrix A as lists of floats; ValueError unless A is square,
-    checked before any kernel is generated for its size."""
+def _factor(a):
+    """The Cholesky factor of matrix A by the kernels for its size, and their
+    solve; ValueError unless A is square, checked before any kernel is generated."""
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("matrix must be square")
-    return a.tolist()
+    cholesky, substitute = _kernels(d)
+    return cholesky(a.tolist()), substitute
 
 
 def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
@@ -145,9 +146,8 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     covariates.  A must be symmetric within 1e-10 relative to its
     largest entry.
     """
-    rows = _rows(a)
-    cholesky, substitute = _kernels(len(rows))
-    return np.array(substitute(cholesky(rows), np.asarray(b, dtype=float).tolist()))
+    lower, substitute = _factor(a)
+    return np.array(substitute(lower, np.asarray(b, dtype=float).tolist()))
 
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
@@ -155,10 +155,8 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     factorization, then one solve per unit column.  Entry (i, j) is the mean
     (col_j[i] + col_i[j]) / 2.0 of the two solves' entries, in Python floats:
     the arithmetic of symmetrizing the matrix of columns as (out + out.T) / 2."""
-    rows = _rows(a)
-    d = len(rows)
-    cholesky, substitute = _kernels(d)
-    lower = cholesky(rows)
+    lower, substitute = _factor(a)
+    d = len(a)
     cols = []
     for j in range(d):
         unit = [0.0] * d
