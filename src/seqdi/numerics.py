@@ -79,7 +79,7 @@ def _kernels(d: int):
     them.  A trace at or below 0 has a diagonal entry at or below 0, whose
     pivot is no larger, so such a matrix fails at a pivot, never in the sqrt
     or a division.  Generating the code takes time and memory growing as
-    d^3: about 1 ms at d = 4, and 0.35 s and 60 MB at d = 60.
+    d^3: about 1 ms at d = 4, and 0.2-0.35 s and 70 MB at d = 60.
     """
     a = [[f"a{i}_{j}" for j in range(d)] for i in range(d)]
     low = [[f"l{i}_{k}" for k in range(i + 1)] for i in range(d)]
