@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotPositiveDefinite, Unidentifiable
-from .numerics import Workspace, _workspace, quantile, weighted_ls
+from .numerics import _workspace, quantile, weighted_ls
 
 GAMMA_CAP = 3.0
 MEAN_FLOOR_QUANTILE = 0.05
@@ -58,9 +58,8 @@ def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
     var(y) is np.var's computation, its squared deviations in ``scratch``;
     InvalidParams when they overflow.
     """
-    with np.errstate(over="ignore"):
-        mean = _mean(y)
-        base = _mean(np.square(np.subtract(y, mean, out=scratch), out=scratch))
+    mean = _mean(y)
+    base = _mean(np.square(np.subtract(y, mean, out=scratch), out=scratch))
     if base == math.inf:
         raise InvalidParams("var(y) overflows: the outcomes are too large to square")
     if base <= 0.0:
@@ -69,7 +68,7 @@ def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
 
 
 def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive: np.ndarray,
-                         out=None, power=None):
+                         out, power):
     """Fit log e^2 = log sigma2 + gamma log m on rows with usable values,
     from the squared residuals e2, their mean and the mask ``positive`` of m > 0.
 
@@ -83,13 +82,12 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     Cholesky did.  The intercept is never needed: the scale is
     recalibrated by moment matching at the fitted (capped) exponent, so
     sigma2 * m^gamma reproduces the average squared residual instead of its
-    log-scale geometric counterpart.  ``power``, an array like m (a new
-    one when None), holds lc and then receives m**gamma of every row (1
-    where m <= 0, a dropped row), as :func:`_sigma2_from` reads it.
+    log-scale geometric counterpart.  ``out`` is a Workspace; ``power``, an
+    array like m, holds lc and then receives m**gamma of every row (1 where
+    m <= 0, a dropped row), as :func:`_sigma2_from` reads it.
     """
     n = len(m)
-    lm, keep = (Workspace(n, 1) if out is None else out).held(_variance_regression, n, 1, 1)
-    power = np.empty(n) if power is None else power
+    lm, keep = out.held(_variance_regression, n, 1, 1)
     np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=keep)
     np.logical_and(keep, positive, out=keep)
     mk, e2k = (m, e2) if keep.all() else (m[keep], e2[keep])
@@ -114,8 +112,7 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     np.copyto(power, m)
     if k < n:
         np.copyto(power, 1.0, where=~positive)
-    with np.errstate(over="ignore"):  # the refit names infinite variances
-        power **= gamma  # m**gamma, with its fast paths
+    power **= gamma  # m**gamma, with its fast paths
     return _mean(np.divide(e2k, power if k == n else power[keep], out=lm)), gamma
 
 
@@ -157,7 +154,7 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     again.
     ``out`` is a :class:`~seqdi.numerics.Workspace` for at least x's rows (None:
     one of its own).  Raises InvalidParams when var(y), the squared outcomes,
-    the squared residuals or, failing the refit, the fitted variances overflow.
+    the squared residuals, the variance scale or a pass's variances overflow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -170,44 +167,43 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     # without variances=, the last pass forms them in scratch, where none reads them
     variances = scratch if variances is None else variances
 
-    sigma2_floor = _sigma2_floor(y, scratch)
-    beta = weighted_ls(x, y, base_weights, ws)
-    if first is not None:
-        first[:] = beta
-    with np.errstate(over="ignore"):
+    # the fit's one guard: an overflow or a division by zero (a power that
+    # underflows to 0) shows as the named check it fails, never as a warning
+    with np.errstate(over="ignore", divide="ignore"):
+        sigma2_floor = _sigma2_floor(y, scratch)
+        beta = weighted_ls(x, y, base_weights, ws)
+        if first is not None:
+            first[:] = beta
         mean_y2 = _mean(np.square(y, out=scratch))
-    if mean_y2 == math.inf:
-        raise InvalidParams("the squared outcomes overflow")
-    noise_floor = 1e-24 * max(mean_y2, 1e-300)
-    for refit in (True, False):
-        np.matmul(x, beta, out=m)
-        with np.errstate(over="ignore"):
+        if mean_y2 == math.inf:
+            raise InvalidParams("the squared outcomes overflow")
+        noise_floor = 1e-24 * max(mean_y2, 1e-300)
+        for refit in (True, False):
+            np.matmul(x, beta, out=m)
             mean_e2 = _mean(np.square(np.subtract(y, m, out=e2), out=e2))
-        if mean_e2 == math.inf:
-            raise InvalidParams("the squared residuals overflow")
-        count = np.count_nonzero(np.greater(m, 0, out=positive))
-        if count == 0:
-            raise Unidentifiable("no positive fitted means")
-        mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
+            if mean_e2 == math.inf:
+                raise InvalidParams("the squared residuals overflow")
+            count = np.count_nonzero(np.greater(m, 0, out=positive))
+            if count == 0:
+                raise Unidentifiable("no positive fitted means")
+            mean_floor = quantile(m if count == n else m[positive], MEAN_FLOOR_QUANTILE)
 
-        if mean_e2 <= noise_floor:
-            # residuals at floating-point noise: homoscedastic model at the floor,
-            # whose variances max(m, mean_floor)**0 * floor are the floor
-            variances.fill(sigma2_floor)
-            return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
-        rows_sigma2 = scratch if refit else variances  # the refit's weights, or the caller's
-        sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws, rows_sigma2)
-        model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
-                                   sigma2_floor)
-        _sigma2_from(model, m, rows_sigma2, positive)
-        if refit:
-            try:
+            if mean_e2 <= noise_floor:
+                # residuals at floating-point noise: homoscedastic model at the floor,
+                # whose variances max(m, mean_floor)**0 * floor are the floor
+                variances.fill(sigma2_floor)
+                return PilotVarianceModel(beta, sigma2_floor, 0.0, mean_floor, sigma2_floor)
+            rows_sigma2 = scratch if refit else variances  # the refit's weights, or the caller's
+            sigma2, gamma = _variance_regression(e2, mean_e2, m, positive, ws, rows_sigma2)
+            if sigma2 == math.inf:
+                raise InvalidParams(f"the variance scale overflows (gamma = {gamma:.4g})")
+            model = PilotVarianceModel(beta, max(sigma2, sigma2_floor), gamma, mean_floor,
+                                       sigma2_floor)
+            # every variance is at least sigma2_floor > 0, so an overflow is the maximum
+            if _sigma2_from(model, m, rows_sigma2, positive).max() == math.inf:
+                raise InvalidParams(f"the fitted variances overflow (gamma = {gamma:.4g})")
+            if refit:
                 beta = weighted_ls(x, y, np.divide(base_weights, scratch, out=e2), ws)
-            except NotPositiveDefinite as err:  # all weights 0 when the variances overflow
-                if np.isinf(scratch).any():
-                    raise InvalidParams("the fitted variances overflow "
-                                        f"(gamma = {gamma:.4g})") from err
-                raise
     return model
 
 
@@ -234,8 +230,7 @@ def _sigma2_from(model: PilotVarianceModel, m: np.ndarray, power: np.ndarray, lo
     ``low`` is boolean scratch.
     """
     floor = np.array([model.mean_floor])
-    with np.errstate(over="ignore"):  # the refit names infinite variances
-        floor **= model.gamma
-        np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
-        power *= model.sigma2
+    floor **= model.gamma
+    np.copyto(power, floor, where=np.less(m, model.mean_floor, out=low))
+    power *= model.sigma2
     return np.maximum(power, model.sigma2_floor, out=power)

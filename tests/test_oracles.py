@@ -22,6 +22,7 @@ from seqdi.numerics import (
     inv_spd,
     logistic_fit,
     quantile,
+    Workspace,
     solve_spd,
     weighted_ls,
 )
@@ -200,7 +201,8 @@ def test_variance_slope_matches_linregress_and_cholesky_form(n, seed):
         m = x @ weighted_ls(x, y, 1.0 / pi)
         e = y - m
         e2 = e**2
-        sigma2, gamma = _variance_regression(e2, float(np.mean(e2)), m, m > 0)
+        sigma2, gamma = _variance_regression(e2, float(np.mean(e2)), m, m > 0,
+                                             Workspace(m.size, 1), np.empty(m.size))
         keep = (m > 0) & (e2 > RESIDUAL_DROP_TOL * np.mean(e2))
         mk, e2k = m[keep], e2[keep]
         # the form it replaced: least squares on [1, log m] through the Cholesky

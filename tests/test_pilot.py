@@ -5,7 +5,7 @@ import pytest
 
 from seqdi import pilot
 from seqdi.errors import InvalidParams, NotPositiveDefinite, Unidentifiable
-from seqdi.numerics import RngStream, quantile, weighted_ls
+from seqdi.numerics import RngStream, Workspace, quantile, weighted_ls
 from seqdi.pilot import (
     GAMMA_CAP,
     RESIDUAL_DROP_TOL,
@@ -33,6 +33,12 @@ def planted_design(n_pairs, exponent, seed=0):
     e = np.sqrt(m**exponent)
     e[1::2] *= -1.0
     return x, m + e
+
+
+def variance_regression(e2, m):
+    """``_variance_regression`` of e2 and m > 0 with a workspace and power array of its own."""
+    return _variance_regression(e2, float(np.mean(e2)), m, m > 0, Workspace(m.size, 1),
+                                np.empty(m.size))
 
 
 def kept_rows_spy(calls, real=_variance_regression):
@@ -143,7 +149,7 @@ class TestFitPilot:
         # and the fitted slope is ~1e-15, not 0
         m0 = x @ beta0
         e2 = (y - m0) ** 2
-        assert abs(_variance_regression(e2, float(np.mean(e2)), m0, m0 > 0)[1]) <= 1e-14
+        assert abs(variance_regression(e2, m0)[1]) <= 1e-14
         assert abs(m1.gamma) < 1e-12
         np.testing.assert_allclose(beta0, m1.beta, atol=1e-10)
 
@@ -168,10 +174,10 @@ class TestFitPilot:
                 weighted_ls(z, np.log(e**2), np.ones(400))
             except NotPositiveDefinite:
                 with pytest.raises(NotPositiveDefinite, match="at column 1"):
-                    _variance_regression(e**2, float(np.mean(e**2)), m, m > 0)
+                    variance_regression(e**2, m)
                 raised.append(spread)
             else:
-                _variance_regression(e**2, float(np.mean(e**2)), m, m > 0)
+                variance_regression(e**2, m)
         assert raised[:3] == [1e-11, 1e-9, 1e-7] and 1e-4 not in raised
 
     def test_too_few_rows(self):
