@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularVariance
+from .errors import InvalidParams, NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
-from .numerics import _workspace, chisq_sf, gram, inv_spd, solve_spd
+from .numerics import SQUARE_MAX, _workspace, chisq_sf, gram, inv_spd, solve_spd
 from .pilot import PilotVarianceModel, fit_power_variance
 
 
@@ -33,18 +33,26 @@ def _sandwich(x, inv_bread, meat_scale, residuals, out=None):
     return inv_bread @ gram(x, np.multiply(meat_scale, meat, out=meat), ws) @ inv_bread
 
 
+def _refuse_unsquarable(proxies: np.ndarray) -> None:
+    """InvalidParams when the square of the largest (positive) variance proxy overflows."""
+    if (top := float(proxies.max())) > SQUARE_MAX:
+        raise InvalidParams(f"the variance proxies overflow when squared (largest {top:.3e})")
+
+
 def design_variance_meat(x_s, residuals, pi_s, tau2_s, out=None) -> np.ndarray:
     """Poisson design-variance meat sum (1-pi) (x e)(x e)' / (pi tau2)^2.
 
     This is the inner matrix of the coefficient design variance; the full
     estimate wraps it in the inverse weighted Gram matrix on both sides.
-    ``out`` is a :class:`~seqdi.numerics.Workspace`.
+    ``out`` is a :class:`~seqdi.numerics.Workspace`.  Raises InvalidParams
+    when a (pi tau2)^2 overflows.
     """
     x_s = np.asarray(x_s, dtype=float)
     ws = _workspace(out, x_s)
     weight, scale = ws.held(design_variance_meat, len(x_s), 2)
     np.multiply(np.subtract(1.0, pi_s, out=weight), np.square(residuals, out=scale), out=weight)
-    np.square(np.multiply(pi_s, tau2_s, out=scale), out=scale)
+    _refuse_unsquarable(np.multiply(pi_s, tau2_s, out=scale))
+    np.square(scale, out=scale)
     return gram(x_s, np.divide(weight, scale, out=weight), ws)
 
 
@@ -59,11 +67,13 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     x @ model.beta (the fit's ``fitted=`` output).  The sandwich uses the
     residuals at that coefficient and those variances, and stays consistent
     even when the variance model is misspecified.  ``out`` is a
-    :class:`~seqdi.numerics.Workspace`.
+    :class:`~seqdi.numerics.Workspace`.  Raises InvalidParams when a
+    sigma2^2 overflows.
     """
     x = np.asarray(x, dtype=float)
     ws = _workspace(out, x)
     residuals, weight, meat_scale = ws.held(fgls_np, len(x), 3)
+    _refuse_unsquarable(sigma2)
     np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
     inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
     np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)

@@ -9,6 +9,7 @@ single-consumer.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -22,6 +23,9 @@ Z_975 = 1.959964
 LOGISTIC_TOL = 1e-8
 LOGISTIC_MAX_ITER = 100
 LOGISTIC_MAX_ABS_COEF = 30.0
+
+# the largest magnitude whose square is a finite float (about 1.34e154)
+SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 class RngStream:

@@ -209,8 +209,16 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
 
 def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
     """Predicted variance max(sigma2 * max(x'beta, mean_floor)^gamma, sigma2_floor)
-    for each row of x; total thanks to the floors."""
-    return _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
+    for each row of x, positive thanks to the floors.  Raises InvalidParams
+    naming the rows whose prediction overflows (or, from x'beta, is NaN)."""
+    with np.errstate(over="ignore", divide="ignore"):  # refused below
+        v = _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
+    if v.size and not v.max() < math.inf:
+        rows = np.flatnonzero(~np.isfinite(v))
+        shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
+        raise InvalidParams(f"the predicted variances overflow in {rows.size} of {v.size} rows "
+                            f"(rows {shown}; gamma = {model.gamma:.4g})")
+    return v
 
 
 def _sigma2_at(model: PilotVarianceModel, m: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ import csv
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     OutOfBracket,
     ParseError,
 )
-from .numerics import RngStream, _logistic
+from .numerics import SQUARE_MAX, RngStream, _logistic
 
 
 @dataclass(frozen=True)
@@ -241,13 +240,10 @@ def _finite(raw, column, row):
     return None
 
 
-_COVARIATE_MAX = math.sqrt(sys.float_info.max)  # the largest |x| whose square is finite
-
-
 def _covariate(raw, column, row):
     """A finite covariate whose square, a term of every Gram product, is finite."""
     fault = _finite(raw, column, row)
-    if fault or abs(float(raw)) <= _COVARIATE_MAX:
+    if fault or abs(float(raw)) <= SQUARE_MAX:
         return fault
     return f"{column} = {raw} in row {row}, column {column!r}, is too large: its square overflows"
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from seqdi.errors import InvalidParams, SeqdiError
-from seqdi.homogeneity import fgls_p
+from seqdi.homogeneity import fgls_np, fgls_p
 from seqdi.numerics import logistic_fit, weighted_ls
-from seqdi.pilot import fit_pilot, predict_sigma2
+from seqdi.pilot import fit_pilot, fit_power_variance, predict_sigma2
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -62,12 +62,25 @@ def contract_holds(call):
 
 
 def _pilot(x, y):
-    model = fit_pilot(x, y)
-    return model.beta, model.sigma2, model.gamma, model.mean_floor, model.sigma2_floor
+    """The pilot model with its ``fitted=`` and ``variances=`` outputs."""
+    fitted, variances = np.empty(len(y)), np.empty(len(y))
+    return fit_pilot(x, y, fitted=fitted, variances=variances), fitted, variances
+
+
+def _pilot_values(x, y):
+    model, fitted, variances = _pilot(x, y)
+    return (model.beta, model.sigma2, model.gamma, model.mean_floor, model.sigma2_floor,
+            fitted, variances)
+
+
+def _fgls_np(x, y):
+    model, fitted, variances = _pilot(x, y)
+    return fgls_np(x, y, model, variances, fitted)
 
 
 KERNELS = {
-    "fit_pilot": lambda x, y, pi, delta: _pilot(x, y),
+    "fit_pilot": lambda x, y, pi, delta: _pilot_values(x, y),
+    "fgls_np": lambda x, y, pi, delta: _fgls_np(x, y),
     "fgls_p": lambda x, y, pi, delta: fgls_p(x, y, pi, include_model_variance=True),
     "predict_sigma2": lambda x, y, pi, delta: (predict_sigma2(fit_pilot(x, y), x),),
     "weighted_ls": lambda x, y, pi, delta: (weighted_ls(x, y, 1.0 / pi),),
@@ -80,6 +93,10 @@ KERNELS = {
 @given(cells=CELLS, noisy=st.booleans())
 @example(cells=[(0, 2, 1e154)], noisy=False)  # the variance regression's power overflows
 @example(cells=[(0, 0, 1e300), (0, 2, 1e300)], noisy=False)  # X'Wy overflows
+@example(cells=[(0, 2, 1e64), (39, 2, 1e66)], noisy=False)  # every fitted variance overflows
+@example(cells=[(0, 2, 1e72), (39, 2, 1e76)], noisy=False)  # 10 of 40 fitted variances overflow
+@example(cells=[(0, 2, 1e62), (20, 2, 1e64)], noisy=True)  # the variance scale overflows
+@example(cells=[(0, 2, 1e50), (20, 2, 1e50)], noisy=False)  # the FGLS proxies' squares overflow
 def test_outsize_cells_fail_cleanly(kernel, cells, noisy):
     data = outsize_frame(cells, noisy)
     assert contract_holds(lambda: KERNELS[kernel](*data))
@@ -92,3 +109,33 @@ def test_overflowing_power_is_the_fits_error():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParams, match=r"the fitted variances overflow \(gamma = 2.164\)"):
             fit_pilot(x, y)
+
+
+@pytest.mark.parametrize("cells, gamma", [([(0, 2, 1e64), (39, 2, 1e66)], "3"),
+                                          ([(0, 2, 1e72), (39, 2, 1e76)], "2.253")])
+def test_variances_overflowing_in_any_row_are_the_fits_error(cells, gamma):
+    # every row's variance overflows in the first pass, or 10 of 40 in the last
+    x, y, _, _ = outsize_frame(cells, noisy=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=rf"the fitted variances overflow \(gamma = {gamma}\)"):
+            fit_pilot(x, y)
+
+
+def test_overflowing_scale_is_the_fits_error():
+    # m**gamma underflows to 0 in some row, so the moment-matched scale e2 / power is infinite
+    x, y, pi, _ = outsize_frame([(0, 2, 1e62), (20, 2, 1e64)], noisy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=r"the variance scale overflows \(gamma = -3\)"):
+            fit_power_variance(x, y, 1.0 / pi)
+
+
+def test_fgls_proxies_whose_squares_overflow_are_refused():
+    # the pilot's variances and the sample fit's pi * tau2 reach ~5e195, finite, squared inf
+    x, y, pi, _ = outsize_frame([(0, 2, 1e50), (20, 2, 1e50)], noisy=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: _fgls_np(x, y), lambda: fgls_p(x, y, pi)):
+            with pytest.raises(InvalidParams, match="the variance proxies overflow when squared"):
+                call()

@@ -222,6 +222,16 @@ class TestFitPilot:
         with pytest.raises(InvalidParams, match=message):
             fit_pilot(x, y)
 
+    def test_prediction_that_overflows_names_its_rows(self):
+        # a fit on x1 in [1, 4] at the cap gamma = 3; x1 = 1e120 squares finitely, as
+        # the CSV reader requires, but its mean**3 overflows
+        model = fit_pilot(*planted_design(80, 10.0))
+        assert model.gamma == GAMMA_CAP
+        far = np.column_stack([np.ones(4), [2.0, 1e120, 3.0, -1e120]])
+        assert np.isfinite(predict_sigma2(model, far[[0, 2, 3]])).all()  # floored below
+        with pytest.raises(InvalidParams, match=r"overflow in 1 of 4 rows \(rows 1; gamma = 3\)"):
+            predict_sigma2(model, far)
+
     def test_gamma_always_capped(self):
         rng = np.random.default_rng(8)
         for trial in range(50):
