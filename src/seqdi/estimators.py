@@ -228,7 +228,7 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     w = wspec.weights(np.ones(n), sigma2)
     # the largest top_count over the pooled sizes max(n, 1)..n_max: top_count
     # never decreases in the size, so it is the one at n_max
-    most = int(top_count(n_max, wspec.truncation_quantile)) if n_max >= max(n, 1) else 0
+    most = top_count(n_max, wspec.truncation_quantile) if n_max >= max(n, 1) else 0
     take = min(most, n)
     top = np.argpartition(w, n - take)[n - take:] if take else np.zeros(0, dtype=int)
     top = top[np.argsort(-w[top], kind="stable")]
@@ -256,7 +256,7 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
         raise ValueError(f"certainty block built for {block.n_max} pooled rows, not {n}")
     w_s, w_top = wspec.weights(arm.pi_s, arm.sigma2), block.top_w[:len(block.top_y)]
     if n > 1:
-        need = int(top_count(n, wspec.truncation_quantile))
+        need = top_count(n, wspec.truncation_quantile)
         cap = quantile_of_tops([block.top_w[:need], largest(w_s, need)], n,
                                wspec.truncation_quantile)
         w_s, w_top = np.minimum(w_s, cap), np.minimum(w_top, cap)

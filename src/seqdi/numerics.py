@@ -287,16 +287,11 @@ def median(v: np.ndarray) -> float:
     return float(np.median(v))
 
 
-def top_count(n, q: float):
+def top_count(n: int, q: float) -> int:
     """How many of the largest of n values fix their q-quantile: n - floor((n-1)q),
-    or 1 where the quantile is the maximum.  ``n`` may be an integer array; an
-    integer takes the same arithmetic in Python numbers."""
-    if isinstance(n, (int, np.integer)):
-        index = (n - 1) * q
-        return 1 if index >= n - 1 else int(n - math.floor(index))
-    n = np.asarray(n)
+    or 1 where the quantile is the maximum."""
     index = (n - 1) * q
-    return np.where(index >= n - 1, 1, n - np.floor(index)).astype(int)
+    return 1 if index >= n - 1 else n - math.floor(index)
 
 
 def largest(v: np.ndarray, k: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from seqdi.estimators import Arm, WeightSpec, certainty_block, y_com_di
 from seqdi.numerics import largest, quantile, quantile_of_tops, top_count, weighted_ls
 from seqdi.pilot import PilotVarianceModel, predict_sigma2
+from test_numerics import top_count_array
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -31,7 +32,7 @@ WEIGHTS = ("inverse_pi", "inverse_pi_sigma")
 @example(certainty=[1.0] * 30, sample=[1.0], q=0.5)
 def test_quantile_of_tops_is_the_pooled_quantile(certainty, sample, q):
     n = len(certainty) + len(sample)
-    need = int(top_count(n, q))
+    need = top_count(n, q)
     tops = [largest(np.array(certainty), need), largest(np.array(sample), need)]
     got = quantile_of_tops(tops, n, q)
     want = quantile(np.concatenate([certainty, sample]), q)
@@ -46,7 +47,7 @@ def test_quantile_of_tops_is_the_pooled_quantile(certainty, sample, q):
 def test_top_count_is_largest_at_the_largest_size(sizes, q):
     # certainty_block reads the most any pooled size n..N can need at N alone
     n, big = sorted(sizes)
-    assert int(top_count(big, q)) == int(np.max(top_count(np.arange(n, big + 1), q)))
+    assert top_count(big, q) == int(np.max(top_count_array(np.arange(n, big + 1), q)))
 
 
 def test_quantile_of_tops_refuses_too_few_values():
