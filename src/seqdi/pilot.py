@@ -7,6 +7,10 @@ scale matched to the mean squared residual, refined by one feasible
 generalized least squares step.
 The fitted model predicts a per-unit variance for any covariate vector,
 with floors keeping predictions positive and bounded away from zero.
+A fit, like a prediction, runs under one ``np.errstate`` that ignores
+overflow and division by zero, and each of its passes checks by name the
+scale and the rows' variances it forms: an overflow raises InvalidParams,
+never a numpy warning.
 """
 
 import math
