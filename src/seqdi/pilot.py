@@ -219,9 +219,8 @@ def predict_sigma2(model: PilotVarianceModel, x: np.ndarray) -> np.ndarray:
         v = _sigma2_at(model, np.asarray(x, dtype=float) @ model.beta)
     if v.size and not v.max() < math.inf:
         rows = np.flatnonzero(~np.isfinite(v))
-        shown = ", ".join(map(str, rows[:5].tolist())) + (", ..." if rows.size > 5 else "")
-        raise InvalidParams(f"the predicted variances overflow in {rows.size} of {v.size} rows "
-                            f"(rows {shown}; gamma = {model.gamma:.4g})")
+        raise InvalidParams(f"the predicted variances overflow in {rows.size} of {v.size} rows, "
+                            f"first rows {rows[:5].tolist()} (gamma = {model.gamma:.4g})")
     return v
 
 

@@ -229,7 +229,7 @@ class TestFitPilot:
         assert model.gamma == GAMMA_CAP
         far = np.column_stack([np.ones(4), [2.0, 1e120, 3.0, -1e120]])
         assert np.isfinite(predict_sigma2(model, far[[0, 2, 3]])).all()  # floored below
-        with pytest.raises(InvalidParams, match=r"overflow in 1 of 4 rows \(rows 1; gamma = 3\)"):
+        with pytest.raises(InvalidParams, match=r"overflow in 1 of 4 rows, first rows \[1\] \(gamma = 3\)"):
             predict_sigma2(model, far)
 
     def test_gamma_always_capped(self):
