@@ -396,7 +396,7 @@ class StratumInputs:
     @functools.cached_property
     def ols(self):
         """The certainty rows' OLS coefficient, set by the pilot fit when there is one."""
-        return weighted_ls(self.x_np, self.y_np, np.ones(len(self.y_np)), self.ws)
+        return weighted_ls(self.x_np, self.y_np, np.broadcast_to(1.0, len(self.y_np)), self.ws)
 
     @functools.cached_property
     def x_total_u1(self):

@@ -72,12 +72,13 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     """
     x = np.asarray(x, dtype=float)
     ws = _workspace(out, x)
-    residuals, weight, meat_scale = ws.held(fgls_np, len(x), 3)
+    residuals, scale = ws.held(fgls_np, len(x), 2)
     _refuse_unsquarable(sigma2)
     np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
-    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=weight), ws))
-    np.divide(1.0, np.square(sigma2, out=meat_scale), out=meat_scale)
-    return model.beta, _sandwich(x, inv_bread, meat_scale, residuals, ws)
+    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=scale), ws))
+    # the bread weights 1/sigma2 are dead once gram has copied them: the meat's 1/sigma2^2
+    np.divide(1.0, np.square(sigma2, out=scale), out=scale)
+    return model.beta, _sandwich(x, inv_bread, scale, residuals, ws)
 
 
 def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
@@ -101,15 +102,17 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
     y_s = np.asarray(y_s, dtype=float)
     pi_s = np.asarray(pi_s, dtype=float)
     ws = _workspace(out, x_s)
-    m, base, tau2, w = ws.held(fgls_p, len(x_s), 4)
-    tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=base), fitted=m,
-                                   out=ws, variances=tau2)
-    residuals = np.subtract(y_s, m, out=m)
-    np.divide(1.0, np.multiply(pi_s, tau2, out=w), out=w)
-    inv_bread = inv_spd(gram(x_s, w, ws))
+    # residuals holds the fitted means first; weight holds the fit's base weights 1/pi,
+    # then the bread's 1/(pi tau2), then the model variance's 1/(pi tau2^2)
+    residuals, weight, tau2 = ws.held(fgls_p, len(x_s), 3)
+    tau_model = fit_power_variance(x_s, y_s, np.divide(1.0, pi_s, out=weight),
+                                   fitted=residuals, out=ws, variances=tau2)
+    np.subtract(y_s, residuals, out=residuals)
+    np.divide(1.0, np.multiply(pi_s, tau2, out=weight), out=weight)
+    inv_bread = inv_spd(gram(x_s, weight, ws))
     v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
     if include_model_variance:
-        v = v + _sandwich(x_s, inv_bread, np.divide(w, tau2, out=base), residuals, ws)
+        v = v + _sandwich(x_s, inv_bread, np.divide(weight, tau2, out=weight), residuals, ws)
     return tau_model.beta, v
 
 

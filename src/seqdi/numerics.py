@@ -199,8 +199,8 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     ws = _workspace(out, x)
-    wy, negative = ws.held(normal_equations, len(x), 1, 1)
-    if np.less(w, 0, out=negative).any():
+    wy, = ws.held(normal_equations, len(x), 1)
+    if np.min(w, initial=0.0) < 0.0:  # a NaN weight, as an empty w, passes
         raise ValueError("weights must be nonnegative")
     g = gram(x, w, ws)
     with np.errstate(over="ignore"):  # an overflow is named below

@@ -127,14 +127,10 @@ def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,
     See :func:`fit_power_variance` for the weighted variant used on
     probability samples, for ``fitted``, ``variances``, ``first`` and for
     the workspace ``out``.  Here ``first`` receives the unit-weight OLS
-    coefficient ``weighted_ls(x, y, ones)``.
+    coefficient ``weighted_ls(x, y, ones)``, the ones a read-only view of 1.0.
     """
-    x = np.asarray(x, dtype=float)
-    ws = _workspace(out, x)
-    base, = ws.held(fit_pilot, len(x), 1)
-    base.fill(1.0)
-    return fit_power_variance(x, y, base, fitted=fitted, out=ws, first=first,
-                              variances=variances)
+    return fit_power_variance(x, y, np.broadcast_to(1.0, len(x)), fitted=fitted, out=out,
+                              first=first, variances=variances)
 
 
 def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,

@@ -19,7 +19,7 @@ import pytest
 
 from seqdi.errors import NotPositiveDefinite, Separation
 from seqdi.homogeneity import fgls_np, fgls_p
-from seqdi.numerics import Workspace, gram, logistic_fit, weighted_ls
+from seqdi.numerics import Workspace, gram, logistic_fit, normal_equations, weighted_ls
 from seqdi.pilot import _sigma2_at, fit_pilot, fit_power_variance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -92,10 +92,22 @@ def test_each_site_holds_its_own_vectors():
     ws = Workspace(300, 3)
     fits(*frame(4, 300), ws)
     vectors = [ws.wx] + held_vectors(ws)
-    assert len(vectors) == 1 + 24 + 5  # the ten sites' vectors and gram's copy
+    assert len(vectors) == 1 + 21 + 4  # the nine sites' vectors and gram's copy
     for i, a in enumerate(vectors):
         for b in vectors[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_sites_hold_only_what_they_have_live_at_once():
+    # the pilot's unit weights are a read-only view, not a held vector; the weights'
+    # sign needs no mask; fgls_np and fgls_p reuse a vector once its contents are dead
+    ws = Workspace(300, 3)
+    fits(*frame(4, 300), ws)
+    counts = {site: (len(floats), len(bools)) for site, (floats, bools) in ws._sites.items()}
+    assert fit_pilot not in counts
+    assert counts[normal_equations] == (1, 0)
+    assert counts[fgls_np] == (2, 0)
+    assert counts[fgls_p] == (3, 0)
 
 
 def test_workspace_must_hold_the_rows_and_columns():
