@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, NotPositiveDefinite, Unidentifiable
-from .numerics import _workspace, quantile, weighted_ls
+from .numerics import SQUARE_MAX, _workspace, quantile, weighted_ls
 
 GAMMA_CAP = 3.0
 MEAN_FLOOR_QUANTILE = 0.05
@@ -46,8 +46,7 @@ class PilotVarianceModel:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if abs(self.gamma) > GAMMA_CAP:
             raise ValueError("gamma exceeds its cap")
-        scales = (self.sigma2, self.mean_floor, self.sigma2_floor)
-        if not all(0 < scale < math.inf for scale in scales):
+        if not all(0 < s < math.inf for s in (self.sigma2, self.mean_floor, self.sigma2_floor)):
             raise ValueError("scale parameters must be positive and finite")
 
 
@@ -57,18 +56,23 @@ def _mean(v: np.ndarray) -> float:
 
 
 def _sigma2_floor(y: np.ndarray, scratch: np.ndarray) -> float:
-    """SIGMA2_FLOOR_SCALE times var(y), or times max(mean(y)^2, 1) when y is constant.
+    """SIGMA2_FLOOR_SCALE times var(y), or times max(mean(y)^2, 1) when y is constant
+    (inf when that square overflows, which the fit's check of the squared outcomes refuses).
 
     var(y) is np.var's computation, its squared deviations in ``scratch``;
-    InvalidParams when they overflow.
+    InvalidParams when they overflow or when the floor underflows to 0.
     """
     mean = _mean(y)
     base = _mean(np.square(np.subtract(y, mean, out=scratch), out=scratch))
     if base == math.inf:
         raise InvalidParams("var(y) overflows: the outcomes are too large to square")
     if base <= 0.0:
-        base = max(mean**2, 1.0)
-    return SIGMA2_FLOOR_SCALE * base
+        # mean**2, whose bits mean * mean does not always give, raises OverflowError
+        # where the square overflows
+        base = max(mean**2, 1.0) if abs(mean) <= SQUARE_MAX else math.inf
+    if (floor := SIGMA2_FLOOR_SCALE * base) == 0.0:
+        raise InvalidParams(f"the variance floor underflows: var(y) = {base:.3e} is too small")
+    return floor
 
 
 def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive: np.ndarray,
@@ -90,14 +94,13 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     array like m, holds lc and then receives m**gamma of every row (1 where
     m <= 0, a dropped row), as :func:`_sigma2_from` reads it.
     """
-    n = len(m)
-    lm, keep = out.held(_variance_regression, n, 1, 1)
+    lm, keep = out.held(_variance_regression, len(m), 1, 1)
     np.greater(e2, RESIDUAL_DROP_TOL * mean_e2, out=keep)
     np.logical_and(keep, positive, out=keep)
     mk, e2k = (m, e2) if keep.all() else (m[keep], e2[keep])
     k = mk.size
     # mk is positive: its largest |value| is its maximum, and max - min its spread
-    if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * max(1.0, top):
+    if k < 2 or (top := float(mk.max())) - float(mk.min()) <= 1e-12 * top:
         raise Unidentifiable("variance exponent needs two distinct positive fitted means")
     lm, lc = lm[:k], power[:k]
     np.log(mk, out=lm)
@@ -114,10 +117,10 @@ def _variance_regression(e2: np.ndarray, mean_e2: float, m: np.ndarray, positive
     slope = float(np.einsum("i,i", lc, np.subtract(le, _mean(le), out=le))) / pivot
     gamma = min(max(slope, -GAMMA_CAP), GAMMA_CAP)
     np.copyto(power, m)
-    if k < n:
+    if mk is not m:  # a row dropped
         np.copyto(power, 1.0, where=~positive)
     power **= gamma  # m**gamma, with its fast paths
-    return _mean(np.divide(e2k, power if k == n else power[keep], out=lm)), gamma
+    return _mean(np.divide(e2k, power if mk is m else power[keep], out=lm)), gamma
 
 
 def fit_pilot(x: np.ndarray, y: np.ndarray, fitted=None, out=None,

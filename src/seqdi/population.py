@@ -165,14 +165,20 @@ def generate_population(params: dict, rng: RngStream) -> Population:
         raise InvalidParams("N must be at least 10")
     if sigma <= 0:
         raise InvalidParams("sigma must be positive")
+    if not sigma <= SQUARE_MAX:  # NaN too
+        raise InvalidParams(f"sigma = {sigma:g} must have a finite square")
 
     x1 = rng.uniform(size=n)
     x2 = rng.uniform(size=n)
-    mu = b0 + b1 * x1 + b2 * x2 + b3 * x1 * x2
-    if np.any(mu <= 0):
-        raise InvalidParams("mean function must stay positive")
-    eps = rng.normal(-sigma**2 / 2.0, sigma, size=n)
-    y = mu * np.exp(eps)
+    # an overflow shows as the check it fails, here or in Population's, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = b0 + b1 * x1 + b2 * x2 + b3 * x1 * x2
+        if not np.isfinite(mu).all():
+            raise InvalidParams("mean function must stay finite")
+        if np.any(mu <= 0):
+            raise InvalidParams("mean function must stay positive")
+        eps = rng.normal(-sigma**2 / 2.0, sigma, size=n)
+        y = mu * np.exp(eps)
     return Population(x=np.array([np.ones(n), x1, x2]).T, y=y)
 
 

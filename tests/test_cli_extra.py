@@ -304,6 +304,32 @@ class TestNonFiniteFailsCleanly:
         assert not (tmp_path / "results").exists()
 
 
+class TestOutsizeInputsFailCleanly:
+    """Outcomes or a population block whose squares overflow end in one error line."""
+
+    def test_design_with_constant_huge_outcomes_exit_one(self, tmp_path):
+        # 16 certainty rows at y = 1e200: a constant outcome whose square overflows
+        i = np.arange(40)
+        write_csv(tmp_path / "pop.csv", ["id", "x1", "y", "delta"],
+                  [i + 1, 1 + i / 10, np.where(i < 16, 1e200, 5.0 + i), (i < 16).astype(int)])
+        proc = run_cli(tmp_path, "design", "--pop", "pop.csv", "--np", "5", "--out", "d.csv")
+        assert_clean_failure(proc, 1, "error: pilot fit on pop.csv: the squared outcomes overflow")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("block, message", [
+        ({"beta": [10, 15, 10, 20], "sigma": 1e160}, "sigma = 1e+160 must have a finite square"),
+        ({"beta": [1e308, 1e308, 1, 1], "sigma": 0.6}, "mean function must stay finite"),
+    ])
+    def test_simulate_with_outsize_population_block_exit_two(self, tmp_path, block, message):
+        (tmp_path / "config.json").write_text(json.dumps({
+            "replications": 4, "seed": 7, "population": dict(block, N=100)}))
+        proc = run_cli(tmp_path, "simulate", "--config", "config.json", "--out", "results")
+        assert_clean_failure(proc, 2, f"config error: config key 'population': {message}")
+        assert "Warning" not in proc.stderr
+        assert not (tmp_path / "results").exists()
+
+
 class TestOutsizeCovariateFailsCleanly:
     """A finite covariate whose square overflows is refused as the file is read,
     naming its row and column, before any Gram product warns of the overflow."""

@@ -82,6 +82,10 @@ class TestSecondStageDesign:
             SecondStageDesign(indices=np.arange(2), pi=[0.5, 0.005], kind=kind)
         SecondStageDesign(indices=np.arange(2), pi=[0.5, 0.005], kind="pps")
 
+    def test_one_probability_per_unit(self):
+        with pytest.raises(ValueError, match="one probability per unit"):
+            SecondStageDesign(indices=np.arange(3), pi=[0.5, 0.5], kind="equal")
+
 
 class TestEqual:
     def test_definition(self):

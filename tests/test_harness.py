@@ -17,8 +17,8 @@ import pytest
 import seqdi
 from seqdi import design as design_mod, harness, pilot
 from seqdi.design import build_design, equal_probabilities, poisson_draw
-from seqdi.errors import (ConfigError, DegenerateMetrics, Infeasible, InvalidParams,
-                          NotPositiveDefinite, Separation, Unidentifiable)
+from seqdi.errors import (ConfigError, DegenerateMetrics, EmptySample, Infeasible,
+                          InvalidParams, NotPositiveDefinite, Separation, Unidentifiable)
 from seqdi.harness import (
     ESTIMATORS,
     McConfig,
@@ -905,3 +905,40 @@ class TestEmit:
         lines = (tmp_path / "test_summary.csv").read_text().strip().splitlines()
         assert lines[1] == "Design,R,alpha,reject_rate,mean_p,median_p"
         assert lines[2].startswith("optimal,10,")
+
+
+class TestEmptySampleRedraw:
+    """A Poisson draw that selects no unit is drawn again from the same stream,
+    at most harness.MAX_REDRAWS times."""
+
+    # an expected sample size of 1, so about one draw in three is empty
+    CONFIG = dict(replications=30, seed=3, n_p=1, estimators=("DI", "HT_seq"), run_test=False,
+                  population_params={"N": 150, "beta": [10, 15, 10, 20], "sigma": 0.6})
+
+    def test_redrawn_samples_are_the_same_at_any_worker_count(self, monkeypatch):
+        empty = []
+
+        def counting(dsgn, rng):
+            try:
+                return poisson_draw(dsgn, rng)
+            except EmptySample:
+                empty.append(1)
+                raise
+
+        monkeypatch.setattr(design_mod, "poisson_draw", counting)
+        s1 = run_mc(McConfig(**self.CONFIG), threads=1)
+        monkeypatch.undo()
+        assert len(empty) == 12
+        s2 = run_mc(McConfig(**self.CONFIG), threads=2)
+        for a1, a2 in zip(s1.arms, s2.arms, strict=True):
+            assert np.array_equal(a1.points, a2.points)
+            assert np.array_equal(a1.variances, a2.variances)
+
+    def test_the_last_redraw_names_the_replication_and_design(self, monkeypatch):
+        def never(dsgn, rng):
+            raise EmptySample("Poisson draw selected no unit")
+
+        monkeypatch.setattr(design_mod, "poisson_draw", never)
+        message = r"^replication 0 \(stream 1\), design optimal: empty sample after 20 redraws$"
+        with pytest.raises(EmptySample, match=message):
+            run_mc(McConfig(**self.CONFIG))

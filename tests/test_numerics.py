@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from seqdi.errors import NoConvergence, NotPositiveDefinite, Separation
+from seqdi.errors import InvalidParams, NoConvergence, NotPositiveDefinite, Separation
 from seqdi.numerics import (
     NewtonStart,
     Workspace,
@@ -15,6 +15,7 @@ from seqdi.numerics import (
     inv_spd,
     logistic_fit,
     median,
+    normal_equations,
     quantile,
     solve_spd,
     top_count,
@@ -421,6 +422,22 @@ class TestWeightedLs:
         with pytest.raises(ValueError):
             weighted_ls(np.ones((3, 1)), np.zeros(3), np.array([1.0, -1.0, 1.0]))
 
+    def test_nan_and_empty_weights_pass_the_sign_check(self):
+        # a NaN weight is refused by the finiteness check of X' diag(w) y instead
+        x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        with pytest.raises(InvalidParams, match=r"X' diag\(w\) y overflows"):
+            normal_equations(x, np.ones(3), np.array([1.0, np.nan, 1.0]))
+        g, xty = normal_equations(np.ones((0, 2)), np.ones(0), np.ones(0))
+        assert (g == 0.0).all() and (xty == 0.0).all()
+
+    def test_read_only_unit_weights_give_the_bits_of_ones(self):
+        rng = np.random.default_rng(13)
+        x = np.column_stack([np.ones(50), rng.uniform(size=(50, 2))])
+        y = rng.normal(size=50)
+        ones = np.broadcast_to(1.0, 50)
+        assert not ones.flags.writeable
+        assert weighted_ls(x, y, ones).tobytes() == weighted_ls(x, y, np.ones(50)).tobytes()
+
 
 class TestLogisticFit:
     def test_intercept_only_mean_03(self):
@@ -454,6 +471,19 @@ class TestLogisticFit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             logistic_fit(np.ones((10, 1)), np.ones(10))
+
+    def test_fewer_rows_than_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="at least as many rows as coefficients"):
+            logistic_fit(np.ones((2, 3)), np.array([0.0, 1.0]))
+
+    def test_no_convergence_within_the_budget(self, monkeypatch):
+        # one Newton step from zero does not meet the stop rule on this frame
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(400), rng.normal(size=400)])
+        delta = (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-(x @ [0.5, 1.5])))) * 1.0
+        monkeypatch.setattr("seqdi.numerics.LOGISTIC_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="no convergence in 1 iterations"):
+            logistic_fit(x, delta)
 
     def test_start_and_workspace_must_fit_x(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])

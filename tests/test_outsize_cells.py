@@ -139,3 +139,46 @@ def test_fgls_proxies_whose_squares_overflow_are_refused():
         for call in (lambda: _fgls_np(x, y), lambda: fgls_p(x, y, pi)):
             with pytest.raises(InvalidParams, match="the variance proxies overflow when squared"):
                 call()
+
+
+@pytest.mark.parametrize("value", [1e200, 2e154])
+def test_constant_outcomes_whose_square_overflows_are_refused(value):
+    # a constant y gives a floor of max(mean^2, 1) * 1e-8, whose square overflows
+    x = np.column_stack([np.ones(16), 1.0 + np.arange(16) / 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match="the squared outcomes overflow"):
+            fit_pilot(x, np.full(16, value))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-50, 1e-100, 1e-150])
+def test_small_outcomes_fit_the_exponent_of_the_unscaled_ones(scale):
+    # the fitted means' spread test is relative, so means below 1 identify gamma
+    x, y, _, _ = outsize_frame([], noisy=True)
+    gamma = fit_pilot(x, y).gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = fit_pilot(x, y * scale).gamma
+    assert scaled == pytest.approx(gamma, rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_tiny_outcomes_fit_or_fail_cleanly(scale):
+    # a finite fit or a SeqdiError, never another class or a warning
+    x, y, _, _ = outsize_frame([], noisy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = _pilot_values(x, y * scale)
+        except SeqdiError:
+            return
+    assert finite(*values)
+
+
+def test_a_variance_floor_that_underflows_is_refused():
+    # var(y) is about 5.7e-320, so 1e-8 var(y) rounds to 0
+    x, y, _, _ = outsize_frame([], noisy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match="the variance floor underflows"):
+            fit_pilot(x, y * 1e-160)

@@ -280,6 +280,11 @@ class TestFittedOutput:
 
 
 class TestModelChecks:
+    @pytest.mark.parametrize("gamma", [GAMMA_CAP + 1e-9, -GAMMA_CAP - 1e-9, math.inf])
+    def test_gamma_above_its_cap_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma exceeds its cap"):
+            PilotVarianceModel(np.array([0.0, 1.0]), 1.0, gamma, 0.5, 1e-8)
+
     @pytest.mark.parametrize("field", ["sigma2", "mean_floor", "sigma2_floor"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     def test_scales_must_be_finite_and_positive(self, field, bad):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,57 @@ class TestCsv:
             back = float(row["value"])
             assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
             assert (row["absent"], row["count"], row["name"]) == ("", str(i), f"unit {i}")
+
+
+class TestInputChecks:
+    """Each check of the population's and the mechanism's inputs, one case each."""
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.ones(4), np.ones(4), "X must be N x d"),
+        (np.ones((4, 2)), np.ones(3), "X must be N x d"),
+        (np.column_stack([np.ones(3), [0.0, np.inf, 1.0]]), np.ones(3), "must be finite"),
+        (np.ones((3, 2)), [1.0, np.nan, 1.0], "must be finite"),
+        (np.column_stack([[1.0, 2.0, 1.0], np.ones(3)]), np.ones(3), "intercept"),
+    ])
+    def test_population(self, x, y, message):
+        with pytest.raises(InvalidParams, match=message):
+            Population(x=x, y=y)
+
+    @pytest.mark.parametrize("kind, slopes, rate, message", [
+        ("MNAR", (2.0, -2.0), 0.5, "unknown mechanism kind 'MNAR'"),
+        ("MAR", (2.0, -2.0, 0.5), 0.5, "MAR mechanism needs 2 slopes"),
+        ("NMAR", (2.0, -2.0), 0.5, "NMAR mechanism needs 3 slopes"),
+        ("MAR", (2.0, -2.0), 1.0, r"target_rate must lie in \(0, 1\)"),
+        ("MAR", (2.0, -2.0), 0.0, r"target_rate must lie in \(0, 1\)"),
+    ])
+    def test_mechanism(self, kind, slopes, rate, message):
+        with pytest.raises(InvalidParams, match=message):
+            SelectionMechanism(kind, slopes, rate)
+
+    def test_mechanism_needs_two_covariates(self):
+        pop = Population(x=np.column_stack([np.ones(5), np.arange(5.0)]), y=np.ones(5))
+        with pytest.raises(InvalidParams, match="need covariates x1 and x2"):
+            SelectionMechanism("MAR", (2.0, -2.0), 0.5).linear_predictor(pop)
+
+    def test_mechanism_must_be_calibrated(self):
+        pop = generate_population(dict(LOGNORMAL_PARAMS, N=50), RngStream(1, 0))
+        with pytest.raises(InvalidParams, match="mechanism is not calibrated"):
+            SelectionMechanism("MAR", (2.0, -2.0), 0.5).probabilities(pop)
+
+    def test_partition_delta_is_zero_or_one(self):
+        with pytest.raises(InvalidParams, match="delta must be 0/1"):
+            Partition(delta=np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("params, message", [
+        # sigma^2 overflows, as -sigma^2 / 2 would in Python floats
+        ({"sigma": 1e160}, r"sigma = 1e\+160 must have a finite square"),
+        ({"sigma": math.inf}, "sigma = inf must have a finite square"),
+        ({"sigma": math.nan}, "sigma = nan must have a finite square"),
+        # b0 + b1 x1 overflows to inf in numpy
+        ({"beta": [1e308, 1e308, 1.0, 1.0]}, "mean function must stay finite"),
+    ])
+    def test_outsize_block_is_refused_without_a_warning(self, params, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match=message):
+                generate_population(dict(LOGNORMAL_PARAMS, N=100, **params), RngStream(1, 0))
