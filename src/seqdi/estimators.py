@@ -204,14 +204,16 @@ class CertaintyBlock:
     them in descending order, as many as the pooled quantile can need; the
     rows of the first ``len(top_y)``, the most that truncation can cut, are
     kept apart in ``top_x``/``top_y``, and every other row is summed once
-    into ``gram``/``xty``.  Valid for pooled fits of up to ``n_max`` rows.
+    into ``gram``/``xty``, the rows and the vector that
+    :func:`~seqdi.numerics.normal_equations` returns, as lists of Python
+    floats.  Valid for pooled fits of up to ``n_max`` rows.
     """
 
     wspec: WeightSpec
     n: int
     n_max: int
-    gram: np.ndarray
-    xty: np.ndarray
+    gram: list
+    xty: list
     top_x: np.ndarray
     top_y: np.ndarray
     top_w: np.ndarray
@@ -239,6 +241,11 @@ def certainty_block(x: np.ndarray, y: np.ndarray, wspec: WeightSpec,
     return CertaintyBlock(wspec, n, n_max, g, b, x[cut], y[cut], w[top])
 
 
+def _pooled(block, top, sample) -> list:
+    """The entries (block + top) + sample of three lists of floats."""
+    return [(b + t) + s for b, t, s in zip(block, top, sample)]
+
+
 def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
              x_total_complement, out=None) -> Estimate:
     """Combined regression estimator: coefficient pooled over both samples.
@@ -262,7 +269,9 @@ def y_com_di(arm: Arm, certainty_total: float, block: CertaintyBlock,
         w_s, w_top = np.minimum(w_s, cap), np.minimum(w_top, cap)
     top_g, top_b = normal_equations(block.top_x, block.top_y, w_top, out)
     s_g, s_b = normal_equations(arm.x_s, arm.y_s, w_s, out)
-    coef = solve_spd(block.gram + top_g + s_g, block.xty + top_b + s_b)
+    # summed in Python floats in numpy's order, (block + top) + sample
+    coef = solve_spd([_pooled(*rows) for rows in zip(block.gram, top_g, s_g)],
+                     _pooled(block.xty, top_b, s_b))
     return _regression_estimate("comDI", certainty_total, arm, x_total_complement, coef)
 
 

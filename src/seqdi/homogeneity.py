@@ -5,6 +5,10 @@ and on the probability sample through a Wald-type quadratic form,
 calibrated against a chi-square distribution with d degrees of freedom.
 The two coefficient estimators come from disjoint population subsets, so
 no covariance term enters the statistic.
+The breads reach ``inv_spd`` as rows of Python floats, read once from their
+BLAS product, and the statistic's variance matrix is symmetrized per entry
+in Python floats, (a[i][j] + a[j][i]) / 2.0: the bits of numpy's
+``(total + total.T) / 2.0`` without its round trip.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidParams, NotPositiveDefinite, SingularVariance
 from .estimators import Estimate
-from .numerics import SQUARE_MAX, _workspace, chisq_sf, gram, inv_spd, solve_spd
+from .numerics import (SQUARE_MAX, _gram_rows, _symmetric_rows, _workspace, chisq_sf, gram,
+                       inv_spd, solve_spd)
 from .pilot import PilotVarianceModel, fit_power_variance
 
 
@@ -75,8 +80,8 @@ def fgls_np(x: np.ndarray, y: np.ndarray, model: PilotVarianceModel, sigma2: np.
     residuals, scale = ws.held(fgls_np, len(x), 2)
     _refuse_unsquarable(sigma2)
     np.subtract(np.asarray(y, dtype=float), fitted, out=residuals)
-    inv_bread = inv_spd(gram(x, np.divide(1.0, sigma2, out=scale), ws))
-    # the bread weights 1/sigma2 are dead once gram has copied them: the meat's 1/sigma2^2
+    inv_bread = inv_spd(_gram_rows(x, np.divide(1.0, sigma2, out=scale), ws))
+    # the bread weights 1/sigma2 are dead once _gram_rows has copied them: the meat's 1/sigma2^2
     np.divide(1.0, np.square(sigma2, out=scale), out=scale)
     return model.beta, _sandwich(x, inv_bread, scale, residuals, ws)
 
@@ -109,7 +114,7 @@ def fgls_p(x_s: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray,
                                    fitted=residuals, out=ws, variances=tau2)
     np.subtract(y_s, residuals, out=residuals)
     np.divide(1.0, np.multiply(pi_s, tau2, out=weight), out=weight)
-    inv_bread = inv_spd(gram(x_s, weight, ws))
+    inv_bread = inv_spd(_gram_rows(x_s, weight, ws))
     v = inv_bread @ design_variance_meat(x_s, residuals, pi_s, tau2, ws) @ inv_bread
     if include_model_variance:
         v = v + _sandwich(x_s, inv_bread, np.divide(weight, tau2, out=weight), residuals, ws)
@@ -122,9 +127,8 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
     beta_p, v_p = p_fit
     diff = np.asarray(beta_np, dtype=float) - np.asarray(beta_p, dtype=float)
     total = np.asarray(v_np, dtype=float) + np.asarray(v_p, dtype=float)
-    total = (total + total.T) / 2.0
     try:
-        statistic = float(diff @ solve_spd(total, diff))
+        statistic = float(diff @ solve_spd(_symmetric_rows(total), diff))
     except NotPositiveDefinite as err:
         raise SingularVariance(f"singular variance matrix ({err})") from err
     statistic = max(statistic, 0.0)

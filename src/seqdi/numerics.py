@@ -5,6 +5,13 @@ maximum likelihood, sample quantiles, the chi-square survival function,
 and a seeded stream-based random number contract.  Everything here is a
 pure function of its inputs except :class:`RngStream`, which is
 single-consumer.
+
+The small systems of the regression fits go from BLAS to the generated
+Cholesky kernels as Python floats: each d x d product is read out once with
+``.tolist()`` and symmetrized per entry (:func:`_gram_rows`), and a
+weighted least-squares solve enters one ``np.errstate``, around its two
+products.  No numpy arithmetic runs on the small results, and every bit is
+that of the array path they replaced.
 """
 
 import functools
@@ -119,13 +126,20 @@ def _kernels(d: int):
 
 def _factor(a):
     """The Cholesky factor of matrix A by the kernels for its size, and their
-    solve; ValueError unless A is square, checked before any kernel is generated."""
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError("matrix must be square")
+    solve; ValueError unless A is square, checked before any kernel is generated.
+    A list of rows is taken as given; anything else is read as a float array."""
+    if isinstance(a, list):
+        rows, d = a, len(a)
+        if not all(len(row) == d for row in rows):
+            raise ValueError("matrix must be square")
+    else:
+        a = np.asarray(a, dtype=float)
+        d = a.shape[0]
+        if a.shape != (d, d):
+            raise ValueError("matrix must be square")
+        rows = a.tolist()
     cholesky, substitute = _kernels(d)
-    return cholesky(a.tolist()), substitute
+    return cholesky(rows), substitute
 
 
 def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
@@ -142,23 +156,27 @@ def _pivot_fault(rows, i, pivot, pivot_tol) -> str:
     return message
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_spd(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A by Cholesky.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    1e-12 * trace(A)/d, which in regression callers signals collinear
-    covariates.  A must be symmetric within 1e-10 relative to its
-    largest entry.
+    A may be an array or the list of its rows as lists of Python floats,
+    and b an array or a list of Python floats; lists go to the kernels as
+    given, with the bits of their array forms.  Raises NotPositiveDefinite
+    when a pivot falls at or below 1e-12 * trace(A)/d, which in regression
+    callers signals collinear covariates.  A must be symmetric within 1e-10
+    relative to its largest entry.
     """
     lower, substitute = _factor(a)
-    return np.array(substitute(lower, np.asarray(b, dtype=float).tolist()))
+    return np.array(substitute(lower, b if isinstance(b, list)
+                               else np.asarray(b, dtype=float).tolist()))
 
 
-def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix: one Cholesky
-    factorization, then one solve per unit column.  Entry (i, j) is the mean
-    (col_j[i] + col_i[j]) / 2.0 of the two solves' entries, in Python floats:
-    the arithmetic of symmetrizing the matrix of columns as (out + out.T) / 2."""
+def inv_spd(a) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix, an array or a list of rows as
+    :func:`solve_spd` takes it: one Cholesky factorization, then one solve per
+    unit column.  Entry (i, j) is the mean (col_j[i] + col_i[j]) / 2.0 of the
+    two solves' entries, in Python floats: the arithmetic of symmetrizing the
+    matrix of columns as (out + out.T) / 2."""
     lower, substitute = _factor(a)
     d = len(a)
     cols = []
@@ -170,29 +188,58 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
                      for i, col_i in enumerate(cols)])
 
 
+def _symmetric_rows(a) -> list:
+    """The rows of (A + A') / 2 for a square array A, as lists of Python floats:
+    entry (i, j) is (a[i][j] + a[j][i]) / 2.0, the bits of numpy's
+    ``(a + a.T) / 2.0`` and of its in-place ``a += a.T; a /= 2.0``, which
+    copies the overlapping operand first."""
+    a = a.tolist()
+    return [[(a_i[j] + a[j][i]) / 2.0 for j in range(len(a_i))] for i, a_i in enumerate(a)]
+
+
+def _product(x, w, ws):
+    """X' diag(w) X as BLAS forms it, not symmetrized, with the weighted copy
+    diag(w) X in the workspace ``ws``.  It is formed as (X' diag(w))', row by
+    row of X', which keeps a C-ordered x as fast as a column-major one.  The
+    caller holds the ``np.errstate`` that lets an entry overflow: an infinite
+    entry fails the Cholesky, which names it."""
+    wx = ws.wx[:len(x)]
+    np.multiply(w, x.T, out=wx.T)
+    return x.T @ wx
+
+
 def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding.
+    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding, as an array.
 
     The weighted copy diag(w) X goes into the workspace ``out`` (see
-    :class:`Workspace`), or into a new one when None.  It is formed as
-    (X' diag(w))', row by row of X', which keeps a C-ordered x as fast as a
-    column-major one.
+    :class:`Workspace`), or into a new one when None.
     """
-    wx = _workspace(out, x).wx[:len(x)]
-    with np.errstate(over="ignore"):  # an infinite entry fails the Cholesky, which names it
-        np.multiply(w, x.T, out=wx.T)
-        g = x.T @ wx
+    with np.errstate(over="ignore"):
+        g = _product(x, w, _workspace(out, x))
         g += g.T
         g /= 2.0
         return g
 
 
-def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
-    """X' diag(w) X, symmetrized, and X' diag(w) y of a weighted least-squares fit,
-    with the workspace ``out`` as :func:`gram`'s.
+def _gram_rows(x: np.ndarray, w: np.ndarray, out=None) -> list:
+    """:func:`gram` bit for bit, as the rows :func:`solve_spd` and :func:`inv_spd`
+    take: the product goes from BLAS to Python floats once, with no numpy
+    arithmetic on the small result."""
+    with np.errstate(over="ignore"):
+        g = _product(x, w, _workspace(out, x))
+    return _symmetric_rows(g)
 
-    Raises ValueError unless every weight is nonnegative, and InvalidParams when
-    X' diag(w) y overflows.  Blocks of rows add: the equations of a stack of row
+
+def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
+    """The rows of X' diag(w) X, symmetrized, and X' diag(w) y of a weighted
+    least-squares fit, as lists of Python floats with the bits of
+    :func:`gram` and of the product, with the workspace ``out`` as
+    :func:`gram`'s.
+
+    Both products run under one ``np.errstate``.  Raises ValueError unless
+    every weight is nonnegative, and InvalidParams when X' diag(w) y is not
+    finite, naming the weights when some are NaN or infinite and the
+    outcomes otherwise.  Blocks of rows add: the equations of a stack of row
     blocks are the sums of theirs.
     """
     x = np.asarray(x, dtype=float)
@@ -200,14 +247,17 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     w = np.asarray(w, dtype=float)
     ws = _workspace(out, x)
     wy, = ws.held(normal_equations, len(x), 1)
-    if np.min(w, initial=0.0) < 0.0:  # a NaN weight, as an empty w, passes
+    if w.min(initial=0.0) < 0.0:  # a NaN weight, as an empty w, passes
         raise ValueError("weights must be nonnegative")
-    g = gram(x, w, ws)
-    with np.errstate(over="ignore"):  # an overflow is named below
-        xty = x.T @ np.multiply(w, y, out=wy)
-    if not all(map(math.isfinite, xty.tolist())):
+    with np.errstate(over="ignore"):  # an overflow is named below, or by the Cholesky
+        g = _product(x, w, ws)
+        xty = (x.T @ np.multiply(w, y, out=wy)).tolist()
+    if not all(map(math.isfinite, xty)):
+        if bad := np.count_nonzero(~np.isfinite(w)):
+            raise InvalidParams(f"X' diag(w) y is not finite: {bad} of {len(w)} weights "
+                                "are NaN or infinite")
         raise InvalidParams("X' diag(w) y overflows: the weighted outcomes are too large")
-    return g, xty
+    return _symmetric_rows(g), xty
 
 
 def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -322,17 +372,18 @@ def quantile_of_tops(tops, n: int, q: float) -> float:
     return _interpolate(float(v[lo]), float(v[hi]), t)
 
 
-def _logistic(eta, t=None, p=None, w=None, positive=None):
+def _logistic(eta, t=None, p=None, w=None):
     """1/(1+exp(-eta)) with one exp: 1/(1+t) for eta >= 0 and t/(1+t) otherwise,
     where t = exp(-|eta|), given or formed here.  Equal bit for bit to the
     two-branch form 1/(1+exp(-eta)) | exp(eta)/(1+exp(eta)) on every input but
-    NaN, where only the sign of the NaN may differ.  The result goes into p,
-    with t, w and positive as scratch; p, w and positive are new arrays when
-    None."""
+    NaN, where only the sign of the NaN may differ.  The numerator is
+    max(t, [eta >= 0]), the indicator written as 0.0/1.0 into p: exact, since
+    t lies in [0, 1], and NaN where t is.  The result goes into p, with t and
+    w as scratch; p and w are new arrays when None."""
     t = np.exp(-np.abs(eta)) if t is None else t
     w = np.add(1.0, t, out=w)
-    np.copyto(t, 1.0, where=np.greater_equal(eta, 0, out=positive))
-    return np.divide(t, w, out=p)
+    p = np.greater_equal(eta, 0, out=np.empty(t.shape) if p is None else p)
+    return np.divide(np.maximum(t, p, out=t), w, out=p)
 
 
 class Workspace:
@@ -391,11 +442,11 @@ def _log_likelihood(eta, delta, softplus, w):
     return float(np.subtract(np.multiply(delta, eta, out=w), softplus, out=w).sum())
 
 
-def _newton_point(x, eta, t, p, w, positive, ws):
-    """The fitted probabilities (into p) and the Hessian X' diag(p(1-p)) X at eta,
-    from t = exp(-|eta|), with w, positive and the workspace ws as scratch."""
-    _logistic(eta, t, p, w, positive)
-    return p, gram(x, np.multiply(p, np.subtract(1.0, p, out=w), out=w), ws)
+def _newton_point(eta, t, p, w):
+    """The fitted probabilities (into p) and the Hessian weights p(1-p) (into w) at
+    eta, from t = exp(-|eta|)."""
+    _logistic(eta, t, p, w)
+    return p, np.multiply(p, np.subtract(1.0, p, out=w), out=w)
 
 
 class NewtonStart:
@@ -420,9 +471,10 @@ class NewtonStart:
         if self.alpha.shape != (d,):
             raise ValueError(f"start must hold {d} coefficients")
         ws = _workspace(out, x)
-        eta, t, p, w, positive = ws.held(NewtonStart, n, 4, 1)
+        eta, t, p, w = ws.held(NewtonStart, n, 4)
         self.softplus = _softplus(np.matmul(x, self.alpha, out=eta), t, p, w).copy()
-        fitted, self.hessian = _newton_point(x, eta, t, p, w, positive, ws)
+        fitted, weights = _newton_point(eta, t, p, w)
+        self.hessian = gram(x, weights, ws)
         self.p, self.eta = fitted.copy(), eta.copy()
 
 
@@ -454,7 +506,7 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
     ws = _workspace(out, x)
     if not isinstance(start, NewtonStart):
         start = NewtonStart(x, np.zeros(d) if start is None else start, ws)
-    eta, t, p, w, positive = ws.held(logistic_fit, n, 4, 1)
+    eta, t, p, w = ws.held(logistic_fit, n, 4)
     alpha, fitted, g = start.alpha, start.p, start.hessian
     loglik = _log_likelihood(start.eta, delta, start.softplus, w)
     for _ in range(LOGISTIC_MAX_ITER):
@@ -476,7 +528,8 @@ def logistic_fit(x: np.ndarray, delta: np.ndarray, start=None, out=None) -> np.n
             raise Separation("coefficient escaped toward infinity")
         if np.abs(factor * step).max() <= LOGISTIC_TOL:
             return alpha
-        fitted, g = _newton_point(x, eta, t, p, w, positive, ws)
+        fitted, weights = _newton_point(eta, t, p, w)
+        g = _gram_rows(x, weights, ws)
     raise NoConvergence(f"no convergence in {LOGISTIC_MAX_ITER} iterations")
 
 

@@ -165,8 +165,9 @@ def fit_power_variance(x: np.ndarray, y: np.ndarray, base_weights: np.ndarray,
     if n <= d + 2:
         raise Unidentifiable(f"{n} rows are too few to identify the variance model")
     ws = _workspace(out, x)
-    e2, scratch, m, positive = ws.held(fit_power_variance, n, 3, 1)
-    m = m if fitted is None else fitted
+    e2, scratch, positive = ws.held(fit_power_variance, n, 2, 1)
+    # every fit of a run passes fitted=, so the means' own vector is held only without it
+    m = ws.held((fit_power_variance, "m"), n, 1)[0] if fitted is None else fitted
     # without variances=, the last pass forms them in scratch, where none reads them
     variances = scratch if variances is None else variances
 

@@ -655,7 +655,7 @@ class TestFailingStageNamed:
 
         def solve_spd(a, b):
             calls.append(a)
-            return numerics.solve_spd(-a if len(calls) == 2 else a, b)
+            return numerics.solve_spd(-np.array(a) if len(calls) == 2 else a, b)
 
         monkeypatch.setattr(homogeneity, "solve_spd", solve_spd)
         assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 1
@@ -670,7 +670,8 @@ class TestFailingStageNamed:
         rows, pi_s = _strata_and_sample(path, delta)[4:]
         sample = tmp_path / "sample.csv"
         write_csv(sample, ["id", "pi"], [rows + 1, pi_s])
-        monkeypatch.setattr(homogeneity, "solve_spd", lambda a, b: numerics.solve_spd(-a, b))
+        monkeypatch.setattr(homogeneity, "solve_spd",
+                            lambda a, b: numerics.solve_spd(-np.array(a), b))
         assert main(["test", "--pop", str(path), "--sample", str(sample)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: singular variance matrix (pivot -")

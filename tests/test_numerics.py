@@ -9,9 +9,13 @@ from seqdi.numerics import (
     NewtonStart,
     Workspace,
     RngStream,
+    _gram_rows,
     _kernels,
+    _logistic,
     _pivot_fault,
+    _symmetric_rows,
     chisq_sf,
+    gram,
     inv_spd,
     logistic_fit,
     median,
@@ -275,11 +279,15 @@ def failing_matrices():
 
 
 def outcome(call, *args):
-    """The bytes of call(*args), or the class and message of the error it raised."""
+    """The bytes of what call(*args) returns (an array, a list of floats or of
+    rows, or a tuple of them, joined), or the class and message of the error
+    it raised."""
     try:
-        return call(*args).tobytes()
-    except (ValueError, NotPositiveDefinite) as err:
+        value = call(*args)
+    except Exception as err:  # noqa: BLE001 - any class must match
         return type(err), str(err)
+    parts = value if isinstance(value, tuple) else (value,)
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
 
 
 def test_spd_kernels_fail_as_the_frozen_ones():
@@ -425,10 +433,11 @@ class TestWeightedLs:
     def test_nan_and_empty_weights_pass_the_sign_check(self):
         # a NaN weight is refused by the finiteness check of X' diag(w) y instead
         x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
-        with pytest.raises(InvalidParams, match=r"X' diag\(w\) y overflows"):
+        with pytest.raises(InvalidParams, match=r"^X' diag\(w\) y is not finite: 1 of 3 weights "
+                                                r"are NaN or infinite$"):
             normal_equations(x, np.ones(3), np.array([1.0, np.nan, 1.0]))
         g, xty = normal_equations(np.ones((0, 2)), np.ones(0), np.ones(0))
-        assert (g == 0.0).all() and (xty == 0.0).all()
+        assert g == [[0.0, 0.0], [0.0, 0.0]] and xty == [0.0, 0.0]
 
     def test_read_only_unit_weights_give_the_bits_of_ones(self):
         rng = np.random.default_rng(13)
@@ -743,3 +752,179 @@ class TestMedian:
         assert math.isnan(median(v))
         assert np.array_equal(v, kept, equal_nan=True)
         assert math.copysign(1.0, median(np.array([-0.0]))) == 1.0  # as np.median's sum
+
+
+# The row path of the small solves against the array path it replaced: frozen
+# copies of gram, normal_equations, solve_spd, inv_spd and _logistic as they
+# were, every result an array and every 3x3 step numpy arithmetic.
+
+def frozen_gram(x, w):
+    """numerics.gram as it was: the product symmetrized by numpy in place."""
+    wx = np.empty(x.shape, order="F")
+    with np.errstate(over="ignore"):
+        np.multiply(w, x.T, out=wx.T)
+        g = x.T @ wx
+        g += g.T
+        g /= 2.0
+        return g
+
+
+def frozen_normal_equations(x, y, w):
+    """numerics.normal_equations as it was: arrays out, two errstate blocks, and
+    every non-finite X' diag(w) y named an overflow of the outcomes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if np.min(w, initial=0.0) < 0.0:
+        raise ValueError("weights must be nonnegative")
+    g = frozen_gram(x, w)
+    with np.errstate(over="ignore"):
+        xty = x.T @ np.multiply(w, y)
+    if not all(map(math.isfinite, xty.tolist())):
+        raise InvalidParams("X' diag(w) y overflows: the weighted outcomes are too large")
+    return g, xty
+
+
+def frozen_factor(a):
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("matrix must be square")
+    cholesky, substitute = _kernels(d)
+    return cholesky(a.tolist()), substitute
+
+
+def frozen_array_solve_spd(a, b):
+    """numerics.solve_spd as it was: A and b read as arrays, then listed."""
+    lower, substitute = frozen_factor(a)
+    return np.array(substitute(lower, np.asarray(b, dtype=float).tolist()))
+
+
+def frozen_array_inv_spd(a):
+    lower, substitute = frozen_factor(a)
+    d = len(a)
+    cols = [substitute(lower, unit) for unit in np.eye(d).tolist()]
+    return np.array([[(cols[j][i] + col_i[j]) / 2.0 for j in range(d)]
+                     for i, col_i in enumerate(cols)])
+
+
+def frozen_masked_logistic(eta, t=None, p=None, w=None, positive=None):
+    """numerics._logistic as it was: the numerator by a masked copy of 1.0."""
+    t = np.exp(-np.abs(eta)) if t is None else t
+    w = np.add(1.0, t, out=w)
+    np.copyto(t, 1.0, where=np.greater_equal(eta, 0, out=positive))
+    return np.divide(t, w, out=p)
+
+
+def frozen_outcome(call, w, *args):
+    """outcome(call, *args) of a frozen path, with a fault of non-finite weights
+    named as the row path names it."""
+    want = outcome(call, *args)
+    bad = int(np.count_nonzero(~np.isfinite(w)))
+    if want[:1] == (InvalidParams,) and bad:
+        return InvalidParams, (f"X' diag(w) y is not finite: {bad} of {len(w)} weights "
+                               "are NaN or infinite")
+    return want
+
+
+def test_lists_give_the_bits_and_faults_of_arrays():
+    rng = np.random.default_rng(35)
+    matrices = list(spd_matrices(300, 36)) + list(failing_matrices())
+    matrices += [a for d in (1, 3, 4) for a, _ in failing_columns(d)]
+    for a in matrices:
+        b = rng.normal(size=len(a))
+        want = outcome(frozen_array_solve_spd, a, b)
+        assert outcome(solve_spd, a.tolist(), b.tolist()) == want, a
+        assert outcome(solve_spd, a.tolist(), b) == want, a
+        assert outcome(solve_spd, a, b.tolist()) == want, a
+        assert outcome(inv_spd, a.tolist()) == outcome(frozen_array_inv_spd, a), a
+    # a ragged list is not square, and generates no kernel
+    generated = _kernels.cache_info().misses
+    for rows in ([[1.0, 0.0], [0.0]], [[1.0]] * 37):
+        for call in (lambda a: solve_spd(a, [1.0] * len(a)), inv_spd):
+            with pytest.raises(ValueError, match="^matrix must be square$"):
+                call(rows)
+    assert _kernels.cache_info().misses == generated
+
+
+def test_symmetric_rows_are_numpys_mean_of_a_and_its_transpose():
+    rng = np.random.default_rng(36)
+    for d in range(1, 11):
+        for scale in (1e-300, 1.0, 1e300):
+            a = rng.normal(size=(d, d)) * scale
+            a[rng.integers(d), rng.integers(d)] = rng.choice([np.inf, -np.inf, np.nan])
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = (a + a.T) / 2.0
+            for a in (a, np.asfortranarray(a)):
+                assert np.array(_symmetric_rows(a)).tobytes() == want.tobytes()
+
+
+# eta at the logistic's edges: zeros of both signs, infinities, values whose
+# exp over- or underflows, subnormals and NaN of both signs
+EDGE_ETA = [0.0, -0.0, math.inf, -math.inf, 800.0, -800.0, 5e-324, -5e-324, 1e-310, -1e-310,
+            math.nan, -math.nan, 1.0, -1.0, 36.7, -36.7, 745.2, -745.2]
+
+
+def test_logistic_maximum_numerator_equals_the_masked_copy():
+    rng = np.random.default_rng(37)
+    edge = np.array(EDGE_ETA)
+    for eta in (edge, rng.permutation(np.concatenate([edge, rng.normal(size=200) * 40.0]))):
+        with np.errstate(over="ignore"):
+            assert _logistic(eta).tobytes() == frozen_masked_logistic(eta).tobytes()
+            n = len(eta)
+            t = np.exp(-np.abs(eta))
+            want = frozen_masked_logistic(eta, t.copy(), np.empty(n), np.empty(n),
+                                          np.empty(n, dtype=bool))
+            got = _logistic(eta, t.copy(), np.full(n, np.nan), np.full(n, np.nan))
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).sum() == 2
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the frozen-path comparisons need hypothesis; the rest does not
+    given = None
+
+if given is not None:
+    FAULTS = ("none", "none", "zeros", "negative", "nan", "inf", "overflow", "collinear")
+
+    @st.composite
+    def weighted_frames(draw):
+        """(x, y, w): n rows of d columns in C or F order, with an intercept, at a
+        random scale, unit weights as a read-only view of 1.0 or drawn ones, and
+        at most one fault of FAULTS."""
+        d, n = draw(st.integers(1, 10)), draw(st.integers(0, 80))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])
+        x *= 10.0 ** rng.uniform(-3, 3)
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        unit = draw(st.booleans())
+        w = np.broadcast_to(1.0, n) if unit else rng.uniform(0.1, 10.0, size=n)
+        fault = draw(st.sampled_from(FAULTS)) if n else "none"
+        if fault != "none":
+            w, i = w.copy(), int(rng.integers(n))
+        if fault == "zeros":
+            w[rng.uniform(size=n) < 0.5] = 0.0
+        elif fault in ("negative", "nan", "inf"):
+            w[i] = {"negative": -1.0, "nan": math.nan, "inf": math.inf}[fault]
+        elif fault == "overflow":
+            x[i, 0], y[i] = 1e10, 1e308
+        elif fault == "collinear" and d > 1:
+            x[:, -1] = x[:, 0]
+        return (np.asfortranarray(x) if draw(st.booleans()) else x), y, w
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(frame=weighted_frames())
+    def test_row_path_equals_the_frozen_array_path(frame):
+        x, y, w = frame
+        with np.errstate(invalid="ignore"):  # an inf weight, a sum of infinities of both signs
+            assert outcome(normal_equations, x, y, w) == frozen_outcome(
+                frozen_normal_equations, w, x, y, w)
+            assert outcome(weighted_ls, x, y, w) == frozen_outcome(
+                lambda *args: frozen_array_solve_spd(*frozen_normal_equations(*args)),
+                w, x, y, w)
+            g = frozen_gram(x, w)
+            assert gram(x, w).tobytes() == g.tobytes()
+            rows = _gram_rows(x, w)
+        assert np.array(rows).tobytes() == g.tobytes()
+        assert outcome(inv_spd, rows) == outcome(frozen_array_inv_spd, g)

@@ -182,3 +182,18 @@ def test_a_variance_floor_that_underflows_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParams, match="the variance floor underflows"):
             fit_pilot(x, y * 1e-160)
+
+
+def test_refit_weights_that_overflow_are_named():
+    # the variances near 1e-310 give refit weights 1/sigma2 that overflow: the
+    # weights, not the outcomes, make X' diag(w) y infinite
+    x, y, _, _ = outsize_frame([], noisy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=r"^X' diag\(w\) y is not finite: 40 of 40 "
+                                                r"weights are NaN or infinite$"):
+            fit_pilot(x, y * 1e-155)
+        # an outcome overflow with finite weights keeps its own message
+        with pytest.raises(InvalidParams, match=r"^X' diag\(w\) y overflows: the weighted "
+                                                r"outcomes are too large$"):
+            weighted_ls(x, y * 1e306, np.ones(N))

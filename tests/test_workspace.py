@@ -19,7 +19,8 @@ import pytest
 
 from seqdi.errors import NotPositiveDefinite, Separation
 from seqdi.homogeneity import fgls_np, fgls_p
-from seqdi.numerics import Workspace, gram, logistic_fit, normal_equations, weighted_ls
+from seqdi.numerics import (NewtonStart, Workspace, gram, logistic_fit, normal_equations,
+                            weighted_ls)
 from seqdi.pilot import _sigma2_at, fit_pilot, fit_power_variance
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -92,7 +93,7 @@ def test_each_site_holds_its_own_vectors():
     ws = Workspace(300, 3)
     fits(*frame(4, 300), ws)
     vectors = [ws.wx] + held_vectors(ws)
-    assert len(vectors) == 1 + 21 + 4  # the nine sites' vectors and gram's copy
+    assert len(vectors) == 1 + 20 + 2  # the nine sites' vectors and gram's copy
     for i, a in enumerate(vectors):
         for b in vectors[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -100,14 +101,23 @@ def test_each_site_holds_its_own_vectors():
 
 def test_sites_hold_only_what_they_have_live_at_once():
     # the pilot's unit weights are a read-only view, not a held vector; the weights'
-    # sign needs no mask; fgls_np and fgls_p reuse a vector once its contents are dead
+    # sign needs no mask; fgls_np and fgls_p reuse a vector once its contents are dead;
+    # the logistic numerator needs no mask; a variance fit given fitted= holds no
+    # vector for the fitted means, and one without it holds that one alone
     ws = Workspace(300, 3)
-    fits(*frame(4, 300), ws)
+    x, y, pi, delta = frame(4, 300)
+    fits(x, y, pi, delta, ws)
     counts = {site: (len(floats), len(bools)) for site, (floats, bools) in ws._sites.items()}
     assert fit_pilot not in counts
     assert counts[normal_equations] == (1, 0)
     assert counts[fgls_np] == (2, 0)
     assert counts[fgls_p] == (3, 0)
+    assert counts[fit_power_variance] == (2, 1)
+    assert counts[NewtonStart] == counts[logistic_fit] == (4, 0)
+    assert (fit_power_variance, "m") not in counts
+    model = fit_pilot(x, y, out=ws)
+    assert len(ws._sites[fit_power_variance, "m"][0]) == 1
+    assert model.beta.tobytes() == fit_pilot(x, y).beta.tobytes()
 
 
 def test_workspace_must_hold_the_rows_and_columns():
