@@ -128,7 +128,7 @@ def homogeneity_test(np_fit, p_fit, alpha: float = 0.05) -> HomogeneityResult:
     diff = np.asarray(beta_np, dtype=float) - np.asarray(beta_p, dtype=float)
     total = np.asarray(v_np, dtype=float) + np.asarray(v_p, dtype=float)
     try:
-        statistic = float(diff @ solve_spd(_symmetric_rows(total), diff))
+        statistic = float(diff @ solve_spd(_symmetric_rows(total.tolist()), diff))
     except NotPositiveDefinite as err:
         raise SingularVariance(f"singular variance matrix ({err})") from err
     statistic = max(statistic, 0.0)

@@ -174,9 +174,8 @@ def solve_spd(a, b) -> np.ndarray:
 def inv_spd(a) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix, an array or a list of rows as
     :func:`solve_spd` takes it: one Cholesky factorization, then one solve per
-    unit column.  Entry (i, j) is the mean (col_j[i] + col_i[j]) / 2.0 of the
-    two solves' entries, in Python floats: the arithmetic of symmetrizing the
-    matrix of columns as (out + out.T) / 2."""
+    unit column.  The matrix of columns is symmetrized by :func:`_symmetric_rows`:
+    entry (i, j) is the mean of the two solves' entries, in Python floats."""
     lower, substitute = _factor(a)
     d = len(a)
     cols = []
@@ -184,16 +183,14 @@ def inv_spd(a) -> np.ndarray:
         unit = [0.0] * d
         unit[j] = 1.0
         cols.append(substitute(lower, unit))
-    return np.array([[(cols[j][i] + col_i[j]) / 2.0 for j in range(d)]
-                     for i, col_i in enumerate(cols)])
+    return np.array(_symmetric_rows(cols))
 
 
-def _symmetric_rows(a) -> list:
-    """The rows of (A + A') / 2 for a square array A, as lists of Python floats:
-    entry (i, j) is (a[i][j] + a[j][i]) / 2.0, the bits of numpy's
-    ``(a + a.T) / 2.0`` and of its in-place ``a += a.T; a /= 2.0``, which
-    copies the overlapping operand first."""
-    a = a.tolist()
+def _symmetric_rows(a: list) -> list:
+    """The rows of (A + A') / 2 for the rows a of a square matrix A, as lists of
+    Python floats: entry (i, j) is (a[i][j] + a[j][i]) / 2.0, the bits of
+    numpy's ``(a + a.T) / 2.0`` and of its in-place ``a += a.T; a /= 2.0``,
+    which copies the overlapping operand first."""
     return [[(a_i[j] + a[j][i]) / 2.0 for j in range(len(a_i))] for i, a_i in enumerate(a)]
 
 
@@ -208,33 +205,29 @@ def _product(x, w, ws):
     return x.T @ wx
 
 
-def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding, as an array.
+def _gram_rows(x: np.ndarray, w: np.ndarray, out=None) -> list:
+    """Weighted Gram matrix X' diag(w) X, symmetrized against rounding, as the rows
+    :func:`solve_spd` and :func:`inv_spd` take: the product goes from BLAS to
+    Python floats once, with no numpy arithmetic on the small result.
 
     The weighted copy diag(w) X goes into the workspace ``out`` (see
     :class:`Workspace`), or into a new one when None.
     """
     with np.errstate(over="ignore"):
         g = _product(x, w, _workspace(out, x))
-        g += g.T
-        g /= 2.0
-        return g
+    return _symmetric_rows(g.tolist())
 
 
-def _gram_rows(x: np.ndarray, w: np.ndarray, out=None) -> list:
-    """:func:`gram` bit for bit, as the rows :func:`solve_spd` and :func:`inv_spd`
-    take: the product goes from BLAS to Python floats once, with no numpy
-    arithmetic on the small result."""
-    with np.errstate(over="ignore"):
-        g = _product(x, w, _workspace(out, x))
-    return _symmetric_rows(g)
+def gram(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """The weighted Gram matrix of :func:`_gram_rows` as an array."""
+    return np.array(_gram_rows(x, w, out))
 
 
 def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
     """The rows of X' diag(w) X, symmetrized, and X' diag(w) y of a weighted
     least-squares fit, as lists of Python floats with the bits of
-    :func:`gram` and of the product, with the workspace ``out`` as
-    :func:`gram`'s.
+    :func:`_gram_rows` and of the product, with the workspace ``out`` as
+    its.
 
     Both products run under one ``np.errstate``.  Raises ValueError unless
     every weight is nonnegative, and InvalidParams when X' diag(w) y is not
@@ -257,7 +250,7 @@ def normal_equations(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None):
             raise InvalidParams(f"X' diag(w) y is not finite: {bad} of {len(w)} weights "
                                 "are NaN or infinite")
         raise InvalidParams("X' diag(w) y overflows: the weighted outcomes are too large")
-    return _symmetric_rows(g), xty
+    return _symmetric_rows(g.tolist()), xty
 
 
 def weighted_ls(x: np.ndarray, y: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -455,10 +448,10 @@ class NewtonStart:
     Every fit on x from ``alpha`` begins at the same point, whatever its
     responses: ``eta`` = x @ alpha, the ``softplus`` term log(1+exp(eta)) of
     the log-likelihood, the fitted probabilities ``p`` and the Hessian
-    ``hessian`` = X' diag(p(1-p)) X.  They are built in the workspace ``out``
-    (a new one when None) and kept as copies.  A fit from coefficients builds
-    its own start, so fits from one start get the bits of fits from
-    ``alpha``.  The start keeps the object x itself, and a fit given any
+    ``hessian`` = X' diag(p(1-p)) X, as rows (:func:`_gram_rows`).  They are
+    built in the workspace ``out`` (a new one when None) and kept as copies.
+    A fit from coefficients builds its own start, so fits from one start get
+    the bits of fits from ``alpha``.  The start keeps the object x itself, and a fit given any
     other object for x, even a view of it, refuses it.  Pickled together with
     x, as a run's worker arguments are, it still holds that x.
     """
@@ -474,7 +467,7 @@ class NewtonStart:
         eta, t, p, w = ws.held(NewtonStart, n, 4)
         self.softplus = _softplus(np.matmul(x, self.alpha, out=eta), t, p, w).copy()
         fitted, weights = _newton_point(eta, t, p, w)
-        self.hessian = gram(x, weights, ws)
+        self.hessian = _gram_rows(x, weights, ws)
         self.p, self.eta = fitted.copy(), eta.copy()
 
 
